@@ -1,13 +1,19 @@
 """Sliding-window recurrence analysis and baseline-deviation alerting.
 
 Each window of the binned count series is z-normalized, embedded and
-quantified independently (full recompute per window; at 200 bins that is
-cheap and keeps the window computations trivially parallelizable).  The
-change detector then scans each measure against a rolling baseline of
-strictly prior windows: the deviation score is the distance from the
-baseline median in units of the baseline MAD, and a window alerts when
-any enabled measure's score reaches ``k_mad``.  Contiguous deviant
-windows collapse into a single alert stamped at the run's first window.
+quantified on its own.  Quiet OSPF traffic is sparse and periodic, so the
+same window contents recur many times along a series; ``sliding_rqa``
+therefore memoizes the results of each call keyed on the exact bytes of a
+window's counts.  A repeated window reuses the results of its first
+occurrence, which are identical to a recompute because the per-window
+computation depends on nothing else, and the memo holds at most
+``MEMO_WINDOWS`` distinct windows (oldest evicted first), so its memory is
+bounded whatever the series.  The change detector then scans each measure
+against a rolling baseline of strictly prior windows: the deviation score
+is the distance from the baseline median in units of the baseline MAD,
+and a window alerts when any enabled measure's score reaches ``k_mad``.
+Contiguous deviant windows collapse into a single alert stamped at the
+run's first window.
 
 Quiet OSPF traffic makes the raw MAD useless as a scale: the measure
 series of a refresh-only count series is piecewise constant, so the MAD
@@ -23,6 +29,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .ingest import CountSeries, EventFilter, LsaEvent, bin_series
 from .rqa import (
@@ -34,6 +41,15 @@ from .rqa import (
     phase_space_diameter,
     znormalize,
 )
+
+# Distinct windows the sliding_rqa memo holds.  With 200-bin windows a
+# full memo takes about 8.5 MB; a quiet series returns to a window it has
+# seen after far fewer distinct windows than this.
+MEMO_WINDOWS = 4096
+
+# Baseline rows scored per numpy call: bounds the temporary copies that
+# np.median makes of the (windows x baseline_bins) view.
+SCORE_CHUNK_ROWS = 2048
 
 # Per-measure deviation-score floors, calibrated on quiet per-originator
 # paper16 series (the paper's monitoring mode) so that refresh-alignment
@@ -123,6 +139,13 @@ def sliding_rqa(series: CountSeries, config: DetectorConfig) -> MeasureSeries:
     window_bins - 1.  Degenerate windows use the constant-window
     conventions and are tallied, as are windows whose threshold exceeds
     10% of the phase-space diameter guidance.
+
+    Results are memoized for the duration of the call, keyed on the exact
+    bytes of each window's counts: a window whose contents already
+    occurred reuses that occurrence's measures and flags, which equal a
+    recompute bit for bit.  At most ``MEMO_WINDOWS`` distinct windows are
+    held; the oldest is evicted first, so a series without repeats costs
+    one dictionary insert per window and no more memory than the cap.
     """
     counts = np.asarray(series.counts, dtype=float)
     w = config.window_bins
@@ -131,7 +154,7 @@ def sliding_rqa(series: CountSeries, config: DetectorConfig) -> MeasureSeries:
             f"series has {counts.size} bins; need at least window_bins={w}"
         )
     ends = np.arange(w - 1, counts.size, config.step_bins)
-    vectors = {name: np.empty(ends.size) for name in MEASURE_NAMES}
+    columns = np.empty((len(MEASURE_NAMES), ends.size))
     degenerate = 0
     eps_warn = 0
     # Threshold guidance: epsilon should stay within 10% of the phase-space
@@ -139,28 +162,43 @@ def sliding_rqa(series: CountSeries, config: DetectorConfig) -> MeasureSeries:
     # bound on the diameter and is always >= 2 (Popoviciu), so the default
     # epsilon=0.2 can never trip this; larger thresholds get the exact check.
     eps_limit = config.embed.epsilon * 10.0
+    memo: dict[bytes, tuple[tuple[float, ...], bool, bool]] = {}
     for i, end in enumerate(ends):
         window = counts[end - w + 1 : end + 1]
-        measures, is_degenerate = measures_for_series(window, config.embed)
-        if is_degenerate:
-            degenerate += 1
-        elif eps_limit > 2.0:
-            sd = window.std()
-            if (window.max() - window.min()) / sd < eps_limit:
-                z, _ = znormalize(window)
-                traj = embed(z, config.embed.tau, config.embed.m)
-                if phase_space_diameter(traj, config.embed.norm) < eps_limit:
-                    eps_warn += 1
-        for name, value in zip(MEASURE_NAMES, measures.as_tuple()):
-            vectors[name][i] = value
+        key = window.tobytes()
+        hit = memo.get(key)
+        if hit is None:
+            hit = _window_results(window, config.embed, eps_limit)
+            if len(memo) >= MEMO_WINDOWS:
+                del memo[next(iter(memo))]
+            memo[key] = hit
+        values, is_degenerate, is_eps_warn = hit
+        columns[:, i] = values
+        degenerate += is_degenerate
+        eps_warn += is_eps_warn
     return MeasureSeries(
         window_end_bins=ends,
-        values=vectors,
+        values=dict(zip(MEASURE_NAMES, columns)),
         bin_size_s=series.bin_size_s,
         start_us=series.start_us,
         degenerate_windows=degenerate,
         epsilon_warnings=eps_warn,
     )
+
+
+def _window_results(
+    window: np.ndarray, params: EmbedParams, eps_limit: float
+) -> tuple[tuple[float, ...], bool, bool]:
+    """One window's (measure tuple, degenerate, epsilon warning)."""
+    measures, is_degenerate = measures_for_series(window, params)
+    eps_warn = False
+    if not is_degenerate and eps_limit > 2.0:
+        sd = window.std()
+        if (window.max() - window.min()) / sd < eps_limit:
+            z, _ = znormalize(window)
+            traj = embed(z, params.tau, params.m)
+            eps_warn = phase_space_diameter(traj, params.norm) < eps_limit
+    return measures.as_tuple(), is_degenerate, eps_warn
 
 
 def detect(measures: MeasureSeries, config: DetectorConfig) -> list[Alert]:
@@ -181,8 +219,8 @@ def detect(measures: MeasureSeries, config: DetectorConfig) -> list[Alert]:
     b = config.baseline_bins
     if n <= b:
         return []
-    enabled = [m for m in MEASURE_NAMES if m in config.measures_enabled]
     scores, medians = deviation_scores(measures, config)
+    enabled = list(scores)
 
     alerts: list[Alert] = []
     in_run = False
@@ -215,25 +253,33 @@ def deviation_scores(
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Per-window deviation scores and baseline medians for each measure.
 
-    Scores for window indices inside the warm-up are zero.  The deviant
-    set {i : score >= k} can only shrink as k grows; the alert count can
-    occasionally rise with k when a long deviant run splits, which is why
-    sensitivity comparisons should look at scores, not alert counts.
+    Both dicts are keyed by the enabled measures in ``MEASURE_NAMES``
+    order.  Scores and medians for window indices inside the warm-up are
+    zero, so a series of at most ``baseline_bins`` windows scores all zero.
+    The deviant set {i : score >= k} can only shrink as k grows; the alert
+    count can occasionally rise with k when a long deviant run splits,
+    which is why sensitivity comparisons should look at scores, not alert
+    counts.
     """
     n = len(measures)
     b = config.baseline_bins
     enabled = [m for m in MEASURE_NAMES if m in config.measures_enabled]
     scores = {name: np.zeros(n) for name in enabled}
     medians = {name: np.zeros(n) for name in enabled}
+    if n <= b:
+        return scores, medians
     for name in enabled:
         v = measures.values[name]
-        floor = config.floors.get(name, 1e-6) * config.floor_scale
-        for i in range(b, n):
-            base = v[i - b : i]
-            med = float(np.median(base))
-            mad = float(np.median(np.abs(base - med)))
+        floor = max(config.floors.get(name, 1e-6) * config.floor_scale, 1e-6)
+        # Row j of the view is the baseline of window b + j.
+        baselines = sliding_window_view(v, b)[: n - b]
+        for lo in range(0, n - b, SCORE_CHUNK_ROWS):
+            base = baselines[lo : lo + SCORE_CHUNK_ROWS]
+            med = np.median(base, axis=1)
+            mad = np.median(np.abs(base - med[:, None]), axis=1)
+            i = slice(b + lo, b + lo + base.shape[0])
             medians[name][i] = med
-            scores[name][i] = abs(v[i] - med) / max(mad, floor, 1e-6)
+            scores[name][i] = np.abs(v[i] - med) / np.maximum(mad, floor)
     return scores, medians
 
 

@@ -10,6 +10,7 @@ counts the recurrence analysis consumes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -25,6 +26,10 @@ OSPF_LS_UPDATE = 4
 OSPF_LS_ACK = 5
 
 LSA_HEADER_LEN = 20
+# Slack allowed on series CSV start times, which are written to the
+# microsecond from float seconds.
+SPACING_TOL_S = 1e-3
+
 LOG_FIELDS = ("ts_us", "monitor", "ls_type", "adv_router", "ls_id", "ls_age", "ls_seq", "is_ack")
 
 
@@ -403,25 +408,54 @@ def write_series_csv(path, series: CountSeries) -> None:
 
 
 def read_series_csv(path) -> CountSeries:
-    """Read back a CountSeries CSV written by :func:`write_series_csv`."""
+    """Read back a CountSeries CSV written by :func:`write_series_csv`.
+
+    Bin indices must run 0, 1, 2, ... and start times must increase in
+    even steps of a whole number of seconds (within ``SPACING_TOL_S``);
+    anything else raises ``ValueError`` naming the path and line.
+    """
+    counts: list[int] = []
+    t_first = 0.0
+    bin_size = 1
     with open(path, encoding="utf-8") as f:
         header = f.readline().strip()
         if header != "bin_index,t_start_s,count":
             raise ValueError(f"{path}: unexpected CSV header {header!r}")
-        t_first = None
-        t_second = None
-        counts = []
-        for line in f:
+        t_prev = None
+        for line_no, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
                 continue
-            _idx, t_s, count = line.split(",")
-            if t_first is None:
-                t_first = float(t_s)
-            elif t_second is None:
-                t_second = float(t_s)
-            counts.append(int(count))
+            where = f"{path}: line {line_no}"
+            try:
+                idx_s, t_text, count_s = line.split(",")
+                idx, t_s, count = int(idx_s), float(t_text), int(count_s)
+                if not math.isfinite(t_s):
+                    raise ValueError(t_text)
+            except ValueError:
+                raise ValueError(
+                    f"{where}: expected bin_index,t_start_s,count, got {line!r}"
+                ) from None
+            if idx != len(counts):
+                raise ValueError(f"{where}: bin index {idx}, expected {len(counts)}")
+            if t_prev is None:
+                t_first = t_s
+            elif not t_s > t_prev:
+                raise ValueError(f"{where}: time {t_text} s does not increase")
+            elif idx == 1:
+                bin_size = round(t_s - t_first)
+                if bin_size < 1 or abs(t_s - t_first - bin_size) > SPACING_TOL_S:
+                    raise ValueError(
+                        f"{where}: bin spacing {t_s - t_first:g} s is not a "
+                        f"whole number of seconds"
+                    )
+            elif abs(t_s - (t_first + idx * bin_size)) > SPACING_TOL_S:
+                raise ValueError(
+                    f"{where}: uneven spacing, time {t_text} s where "
+                    f"{t_first + idx * bin_size:.6f} s was expected"
+                )
+            t_prev = t_s
+            counts.append(count)
     if not counts:
         raise ValueError(f"{path}: empty series")
-    bin_size = int(round(t_second - t_first)) if t_second is not None else 1
-    return CountSeries(int(round(t_first * 1e6)), max(bin_size, 1), np.array(counts))
+    return CountSeries(int(round(t_first * 1e6)), bin_size, np.array(counts))

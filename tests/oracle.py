@@ -1,12 +1,13 @@
-"""Brute-force reference for the recurrence measures.
+"""Brute-force references for the recurrence measures and the scoring.
 
 Everything here is deliberately naive: explicit python loops over matrix
-cells, diagonals and columns, and plain ``math`` arithmetic.  It shares no
-code with the package's vectorized implementation so the two can check
-each other.
+cells, diagonals, columns and baseline windows, and plain ``math`` and
+``statistics`` arithmetic.  It shares no code with the package's vectorized
+implementation so the two can check each other.
 """
 
 import math
+import statistics
 
 
 def embed_points(series, tau, m):
@@ -134,3 +135,22 @@ def measures(rm, l_min=2, v_min=2, theiler=1):
         "rr": rr, "det": det, "l_max": l_max, "l_mean": l_mean, "l_entr": l_entr,
         "tt": tt, "v_entr": v_entr, "t2": t2, "w_entr": w_entr,
     }
+
+
+def deviation_scores(values, baseline_bins, floor, floor_scale=1.0):
+    """One measure's scores and baseline medians, one window at a time.
+
+    Window i >= baseline_bins is scored against the ``baseline_bins``
+    values before it: |v[i] - median| / max(MAD, floor * floor_scale, 1e-6).
+    Earlier windows score 0 with median 0.
+    """
+    v = [float(x) for x in values]
+    scores = [0.0] * len(v)
+    medians = [0.0] * len(v)
+    for i in range(baseline_bins, len(v)):
+        base = v[i - baseline_bins : i]
+        med = statistics.median(base)
+        mad = statistics.median([abs(x - med) for x in base])
+        medians[i] = med
+        scores[i] = abs(v[i] - med) / max(mad, floor * floor_scale, 1e-6)
+    return scores, medians

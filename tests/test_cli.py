@@ -192,6 +192,15 @@ class TestDetect:
         ingest.write_series_csv(path, ingest.CountSeries(0, 10, np.arange(50)))
         assert run_cli("detect", path, "--out", tmp_path / "d") == 2
 
+    def test_uneven_series_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "uneven.csv"
+        rows = [f"{i},{10 * i},{i % 3}" for i in range(300)]
+        rows[250] = "250,2505,1"
+        path.write_text("bin_index,t_start_s,count\n" + "\n".join(rows) + "\n")
+        assert run_cli("detect", path, "--out", tmp_path / "d") == 2
+        assert "line 252: uneven spacing" in capsys.readouterr().err
+        assert not (tmp_path / "d" / "measures.csv").exists()
+
     def test_fail_on_alert_fires(self, tmp_path):
         rng = np.random.default_rng(1)
         counts = rng.poisson(0.05, size=900)

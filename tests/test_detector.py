@@ -1,8 +1,13 @@
 """Sliding-window analysis and change-detector behavior."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from ospfrqa import detect, ingest, rqa
 from ospfrqa.detect import Alert, DetectorConfig, MeasureSeries
 
@@ -73,6 +78,101 @@ class TestSlidingRqa:
         b = detect.sliding_rqa(count_series(counts + 9), cfg)
         for name in rqa.MEASURE_NAMES:
             assert np.array_equal(a.values[name], b.values[name]), name
+
+
+def per_window_reference(counts, cfg):
+    """sliding_rqa as one full recompute per window, with no memo."""
+    x = np.asarray(counts, dtype=float)
+    w, p = cfg.window_bins, cfg.embed
+    rows, degenerate, eps_warn = [], 0, 0
+    for end in range(w - 1, x.size, cfg.step_bins):
+        window = x[end - w + 1 : end + 1]
+        measures, is_degenerate = rqa.measures_for_series(window, p)
+        rows.append(measures.as_tuple())
+        degenerate += is_degenerate
+        if not is_degenerate and p.epsilon * 10.0 > 2.0:
+            if (window.max() - window.min()) / window.std() < p.epsilon * 10.0:
+                z, _ = rqa.znormalize(window)
+                diameter = rqa.phase_space_diameter(rqa.embed(z, p.tau, p.m), p.norm)
+                eps_warn += diameter < p.epsilon * 10.0
+    return np.array(rows), degenerate, eps_warn
+
+
+def assert_matches_reference(ms, counts, cfg):
+    rows, degenerate, eps_warn = per_window_reference(counts, cfg)
+    for j, name in enumerate(rqa.MEASURE_NAMES):
+        assert ms.values[name].tobytes() == rows[:, j].tobytes(), name
+    assert ms.degenerate_windows == degenerate
+    assert ms.epsilon_warnings == eps_warn
+
+
+def _tile_and_edit(pattern, length, edits):
+    counts = [pattern[i % len(pattern)] for i in range(length)]
+    for at, value in edits:
+        counts[at % length] = value
+    return counts
+
+
+# Small-alphabet count series of at least the largest window: random ones, and periodic ones with a few
+# edits, whose windows repeat and also nearly repeat (same bins but one).
+small_counts = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=3), min_size=30, max_size=160),
+    st.builds(
+        _tile_and_edit,
+        st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=12),
+        st.integers(min_value=30, max_value=160),
+        st.lists(st.tuples(st.integers(min_value=0, max_value=159),
+                           st.integers(min_value=0, max_value=3)), max_size=4),
+    ),
+)
+
+
+class TestSlidingRqaMemo:
+    @given(
+        counts=small_counts,
+        window=st.integers(min_value=10, max_value=30),
+        step=st.integers(min_value=1, max_value=4),
+        epsilon=st.sampled_from([0.2, 0.3, 0.45, 0.7]),
+        norm=st.sampled_from(["euclidean", "maximum"]),
+        cap=st.sampled_from([1, 3, detect.MEMO_WINDOWS]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_memo_equals_per_window_recompute(self, counts, window, step, epsilon, norm, cap):
+        cfg = DetectorConfig(window_bins=window, step_bins=step,
+                             embed=rqa.EmbedParams(epsilon=epsilon, norm=norm))
+        with mock.patch.object(detect, "MEMO_WINDOWS", cap):
+            ms = detect.sliding_rqa(count_series(counts), cfg)
+        assert_matches_reference(ms, counts, cfg)
+
+    def test_epsilon_warnings_counted(self):
+        # z-scored range 2 and diameter 2*sqrt(2) < 10 * 0.5: every window warns.
+        counts = [0, 1] * 50
+        cfg = DetectorConfig(window_bins=10, embed=rqa.EmbedParams(epsilon=0.5))
+        ms = detect.sliding_rqa(count_series(counts), cfg)
+        assert ms.epsilon_warnings == len(ms) == 91
+        assert_matches_reference(ms, counts, cfg)
+
+    def test_repeated_windows_computed_once(self):
+        with mock.patch.object(detect, "measures_for_series",
+                               wraps=rqa.measures_for_series) as spy:
+            ms = detect.sliding_rqa(count_series([0, 0, 1, 2] * 60), DetectorConfig())
+        assert len(ms) == 41
+        assert spy.call_count == 4  # the period of the series
+
+    def test_eviction_past_the_cap(self):
+        # More distinct windows than the memo holds, then window 0 again at
+        # the end: it was evicted, so it is computed a second time.
+        rng = np.random.default_rng(4)
+        head = rng.integers(0, 10, size=detect.MEMO_WINDOWS + 200)
+        counts = np.concatenate([head, head[:10]])
+        windows = [counts[i : i + 10].tobytes() for i in range(counts.size - 9)]
+        assert len(set(windows)) == len(windows) - 1 > detect.MEMO_WINDOWS
+        cfg = DetectorConfig(window_bins=10)
+        with mock.patch.object(detect, "measures_for_series",
+                               wraps=rqa.measures_for_series) as spy:
+            ms = detect.sliding_rqa(count_series(counts), cfg)
+        assert spy.call_count == len(windows)
+        assert_matches_reference(ms, counts, cfg)
 
 
 class TestDetect:
@@ -178,6 +278,63 @@ class TestDetect:
         ms = synthetic_measures({"rr": v})
         assert detect.detect(ms, flat_config()) != []
         assert detect.detect(ms, flat_config(floor_scale=10.0)) == []
+
+
+def assert_scores_match_oracle(values, cfg):
+    ms = synthetic_measures(values)
+    scores, medians = detect.deviation_scores(ms, cfg)
+    assert list(scores) == list(medians) == [
+        m for m in rqa.MEASURE_NAMES if m in cfg.measures_enabled]
+    for name in scores:
+        ref_scores, ref_medians = oracle.deviation_scores(
+            values[name], cfg.baseline_bins,
+            cfg.floors.get(name, 1e-6), cfg.floor_scale)
+        assert scores[name].tobytes() == np.array(ref_scores).tobytes(), name
+        assert medians[name].tobytes() == np.array(ref_medians).tobytes(), name
+
+
+plateaus = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.1, 0.125, 0.5, 0.5004, 3.0]),
+              st.integers(min_value=1, max_value=40)),
+    min_size=1, max_size=20,
+).map(lambda runs: [v for v, k in runs for _ in range(k)])
+noise = st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=1, max_size=200)
+
+
+class TestDeviationScores:
+    @given(
+        rr=plateaus, det=noise,
+        baseline=st.integers(min_value=10, max_value=25),
+        floor=st.sampled_from([0.0, 1e-3, 0.01, 0.5]),
+        floor_scale=st.sampled_from([1.0, 0.25, 3.0, 10.0]),
+        chunk=st.integers(min_value=1, max_value=50),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_oracle_bit_for_bit(self, rr, det, baseline, floor, floor_scale, chunk):
+        n = max(len(rr), len(det))
+        values = {"rr": np.resize(rr, n), "det": np.resize(det, n)}
+        # "det" has no floor entry, so the 1e-6 default applies to it.
+        cfg = flat_config(baseline_bins=baseline, measures_enabled=("det", "rr"),
+                          floors={"rr": floor}, floor_scale=floor_scale)
+        with mock.patch.object(detect, "SCORE_CHUNK_ROWS", chunk):
+            assert_scores_match_oracle(values, cfg)
+
+    def test_matches_oracle_across_a_chunk_boundary(self):
+        rng = np.random.default_rng(8)
+        n = 60 + 2 * detect.SCORE_CHUNK_ROWS + 7
+        rr = 0.5 + np.round(rng.normal(size=n), 1) * 0.01  # many zero MADs
+        cfg = flat_config(baseline_bins=60, floor_scale=2.5)
+        assert_scores_match_oracle({"rr": rr}, cfg)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_series_at_the_baseline_length(self, offset):
+        b = 20
+        v = np.linspace(0.1, 0.9, b + offset)
+        scores, medians = detect.deviation_scores(synthetic_measures({"rr": v}), flat_config())
+        assert scores["rr"].size == medians["rr"].size == b + offset
+        if offset <= 0:
+            assert not scores["rr"].any() and not medians["rr"].any()
+        assert_scores_match_oracle({"rr": v}, flat_config())
 
 
 class TestSerialization:

@@ -142,6 +142,32 @@ class TestBinning:
         assert back.bin_size_s == 10
         assert back.start_us == 0
 
+    def test_csv_round_trip_at_epoch_times(self, tmp_path):
+        s = ingest.CountSeries(1_700_000_000_123_456, 30, np.arange(5000) % 7)
+        path = tmp_path / "series.csv"
+        ingest.write_series_csv(path, s)
+        back = ingest.read_series_csv(path)
+        assert (back.start_us, back.bin_size_s) == (s.start_us, 30)
+        assert np.array_equal(back.counts, s.counts)
+
+    @pytest.mark.parametrize("rows, line, message", [
+        (["0,0,1", "1,10,0", "2,35,2", "3,37,0"], 4, "uneven spacing"),
+        (["0,0,1", "1,10,0", "3,30,2"], 4, "bin index 3, expected 2"),
+        (["1,0,1", "2,10,0"], 2, "bin index 1, expected 0"),
+        (["0,0,1", "1,10,0", "2,10,2"], 4, "does not increase"),
+        (["0,10,1", "1,0,0"], 3, "does not increase"),
+        (["0,0,1", "1,0.4,0"], 3, "not a whole number"),
+        (["0,0,1", "1,12.5,0"], 3, "not a whole number"),
+        (["0,0,1", "1,10"], 3, "expected bin_index,t_start_s,count"),
+        (["0,0,1", "1,inf,0"], 3, "expected bin_index,t_start_s,count"),
+    ])
+    def test_csv_rejects_malformed_rows(self, tmp_path, rows, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(["bin_index,t_start_s,count", *rows]) + "\n")
+        with pytest.raises(ValueError, match=message) as err:
+            ingest.read_series_csv(path)
+        assert f"{path}: line {line}:" in str(err.value)
+
 
 # --- pcap fixtures ----------------------------------------------------------
 
