@@ -9,8 +9,11 @@ resolved settings to ``run_config.cfg`` there; re-running with
 
 The config file format is flat ``key = value`` lines with ``#`` comments,
 using the same keys as the long option names (underscored).  Flags
-override file values.  The OSPFRQA_OUT environment variable supplies a
-default output directory.
+override file values.  A key the command neither reads nor echoes, or a
+value that does not parse as its key's type (booleans are
+true/false/1/0/yes/no/on/off), is an error naming the file, the line and
+the key.  The OSPFRQA_OUT environment variable supplies a default output
+directory.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ class CliError(Exception):
     """Usage or data error; maps to exit code 2."""
 
 
-def read_config_file(path) -> dict[str, str]:
+def read_config_file(path) -> dict[str, tuple[int, str]]:
+    """``key -> (line number, raw value)`` for a flat ``key = value`` file."""
     values = {}
     with open(path, encoding="utf-8") as f:
         for line_no, raw in enumerate(f, start=1):
@@ -41,7 +45,7 @@ def read_config_file(path) -> dict[str, str]:
             if "=" not in line:
                 raise CliError(f"{path}:{line_no}: expected 'key = value'")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            values[key.strip()] = (line_no, value.strip())
     return values
 
 
@@ -50,21 +54,49 @@ def write_config_echo(path, values: dict) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def merge_setting(args, config: dict[str, str], key: str, cast, default):
-    """Priority: explicit flag > config file > default."""
-    flag_val = getattr(args, key, None)
-    if flag_val is not None:
-        return flag_val
-    if key in config:
-        raw = config[key]
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    return default
+BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
+            "false": False, "0": False, "no": False, "off": False}
 
 
-def resolve_out_dir(args, config) -> Path:
-    out = merge_setting(args, config, "out", str, None) or os.environ.get(ENV_OUT)
+def parse_setting(raw: str, cast):
+    if cast is bool:
+        try:
+            return BOOLEANS[raw.lower()]
+        except KeyError:
+            raise ValueError("expected one of " + "/".join(BOOLEANS)) from None
+    return cast(raw)
+
+
+def resolve_settings(args, spec: dict[str, tuple], echo_only=()) -> dict:
+    """Each setting of ``spec`` (key -> (type, default)) for one command.
+
+    Priority: explicit flag > ``--config`` file > default.  Every key of
+    the file must be one the command reads (``spec``) or echoes
+    (``echo_only``), and every value must parse as its key's type;
+    otherwise a CliError names the file, the line and the key.
+    """
+    config = read_config_file(args.config) if args.config else {}
+    from_file = {}
+    for key, (line_no, raw) in config.items():
+        where = f"{args.config}:{line_no}: {key}"
+        if key in echo_only:
+            continue
+        if key not in spec:
+            raise CliError(f"{where}: unknown key for '{args.command}' "
+                           f"(known: {', '.join(sorted([*spec, *echo_only]))})")
+        try:
+            from_file[key] = parse_setting(raw, spec[key][0])
+        except ValueError as e:
+            raise CliError(f"{where} = {raw!r}: {e}") from None
+    values = {}
+    for key, (_, default) in spec.items():
+        flag_val = getattr(args, key, None)
+        values[key] = flag_val if flag_val is not None else from_file.get(key, default)
+    return values
+
+
+def resolve_out_dir(out: str | None) -> Path:
+    out = out or os.environ.get(ENV_OUT)
     if not out:
         raise CliError("no output directory: pass --out or set OSPFRQA_OUT")
     path = Path(out)
@@ -101,15 +133,15 @@ def load_scenario(name_or_path: str) -> list[sim.ScenarioEvent]:
 
 
 def cmd_simulate(args) -> int:
-    config = read_config_file(args.config) if args.config else {}
-    topology_name = merge_setting(args, config, "topology", str, None)
-    scenario_name = merge_setting(args, config, "scenario", str, "quiet")
-    duration = merge_setting(args, config, "duration", float, None)
-    seed = merge_setting(args, config, "seed", int, 0)
-    jitter = merge_setting(args, config, "jitter", float, sim.REFRESH_JITTER_S)
+    s = resolve_settings(args, {
+        "topology": (str, None), "scenario": (str, "quiet"), "duration": (float, None),
+        "seed": (int, 0), "jitter": (float, sim.REFRESH_JITTER_S), "out": (str, None),
+    })
+    topology_name, scenario_name = s["topology"], s["scenario"]
+    duration, seed, jitter = s["duration"], s["seed"], s["jitter"]
     if topology_name is None or duration is None:
         raise CliError("simulate requires --topology and --duration")
-    out_dir = resolve_out_dir(args, config)
+    out_dir = resolve_out_dir(s["out"])
 
     topo = sim.load_topology(topology_name)
     scenario = load_scenario(scenario_name)
@@ -145,22 +177,21 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    config = read_config_file(args.config) if args.config else {}
-    log_path = merge_setting(args, config, "log", str, None)
-    pcap_path = merge_setting(args, config, "pcap", str, None)
+    s = resolve_settings(args, {
+        "log": (str, None), "pcap": (str, None), "monitor": (str, None),
+        "origin": (str, None), "topology": (str, None), "bin": (int, 10),
+        "include_acks": (bool, False), "t0": (float, None), "t1": (float, None),
+        "out": (str, None),
+    })
+    log_path, pcap_path, monitor, out = s["log"], s["pcap"], s["monitor"], s["out"]
+    bin_size, t0, t1 = s["bin"], s["t0"], s["t1"]
     if (log_path is None) == (pcap_path is None):
         raise CliError("extract requires exactly one of --log or --pcap")
-    monitor = merge_setting(args, config, "monitor", str, None)
-    origin = merge_setting(args, config, "origin", str, None)
-    bin_size = merge_setting(args, config, "bin", int, 10)
-    include_acks = merge_setting(args, config, "include_acks", bool, False)
-    out = merge_setting(args, config, "out", str, None)
     if out is None:
         raise CliError("extract requires --out for the series CSV")
     topology = None
-    topo_name = merge_setting(args, config, "topology", str, None)
-    if topo_name:
-        topology = sim.load_topology(topo_name)
+    if s["topology"]:
+        topology = sim.load_topology(s["topology"])
     ls_types = frozenset(args.ls_type) if args.ls_type else None
 
     if log_path is not None:
@@ -172,12 +203,10 @@ def cmd_extract(args) -> int:
 
     flt = ingest.EventFilter(
         monitor=monitor,
-        origin=resolve_origin(origin, topology),
+        origin=resolve_origin(s["origin"], topology),
         ls_types=ls_types,
-        include_acks=include_acks,
+        include_acks=s["include_acks"],
     )
-    t0 = merge_setting(args, config, "t0", float, None)
-    t1 = merge_setting(args, config, "t1", float, None)
     if t0 is None:
         first = min((e.ts_us for e in events), default=0)
         t0_us = (first // (bin_size * 1_000_000)) * bin_size * 1_000_000
@@ -196,16 +225,14 @@ def cmd_extract(args) -> int:
 
 
 def cmd_params(args) -> int:
-    config = read_config_file(args.config) if args.config else {}
+    s = resolve_settings(args, {
+        "tau_max": (int, 20), "bins": (int, 16), "m_max": (int, 10), "r_tol": (float, 15.0),
+        "a_tol": (float, 2.0), "drop_threshold": (float, 0.01), "epsilon": (float, 0.2),
+    })
+    tau_max, bins, m_max = s["tau_max"], s["bins"], s["m_max"]
+    r_tol, a_tol, drop, epsilon = s["r_tol"], s["a_tol"], s["drop_threshold"], s["epsilon"]
     series = ingest.read_series_csv(args.series)
     x = series.counts.astype(float)
-    tau_max = merge_setting(args, config, "tau_max", int, 20)
-    bins = merge_setting(args, config, "bins", int, 16)
-    m_max = merge_setting(args, config, "m_max", int, 10)
-    r_tol = merge_setting(args, config, "r_tol", float, 15.0)
-    a_tol = merge_setting(args, config, "a_tol", float, 2.0)
-    drop = merge_setting(args, config, "drop_threshold", float, 0.01)
-    epsilon = merge_setting(args, config, "epsilon", float, 0.2)
 
     mi, degenerate = rqa.mutual_information(x, tau_max=tau_max, bins=bins)
     if degenerate:
@@ -254,20 +281,19 @@ def cmd_params(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    config = read_config_file(args.config) if args.config else {}
+    # The echo records the series path; replaying it takes the path from
+    # the command line, so the file's ``series`` key is accepted and unused.
+    s = resolve_settings(args, {
+        "window": (int, 200), "step": (int, 1), "baseline": (int, 60), "k_mad": (float, 6.0),
+        "tau": (int, 1), "m": (int, 2), "epsilon": (float, 0.2), "norm": (str, "euclidean"),
+        "floor_scale": (float, 1.0), "measures": (str, None), "fail_on_alert": (bool, False),
+        "out": (str, None),
+    }, echo_only=("series",))
+    window, step, baseline, k_mad = s["window"], s["step"], s["baseline"], s["k_mad"]
+    tau, m, epsilon, norm = s["tau"], s["m"], s["epsilon"], s["norm"]
+    floor_scale, measures_opt, fail_on_alert = s["floor_scale"], s["measures"], s["fail_on_alert"]
     series = ingest.read_series_csv(args.series)
-    window = merge_setting(args, config, "window", int, 200)
-    step = merge_setting(args, config, "step", int, 1)
-    baseline = merge_setting(args, config, "baseline", int, 60)
-    k_mad = merge_setting(args, config, "k_mad", float, 6.0)
-    tau = merge_setting(args, config, "tau", int, 1)
-    m = merge_setting(args, config, "m", int, 2)
-    epsilon = merge_setting(args, config, "epsilon", float, 0.2)
-    norm = merge_setting(args, config, "norm", str, "euclidean")
-    floor_scale = merge_setting(args, config, "floor_scale", float, 1.0)
-    measures_opt = merge_setting(args, config, "measures", str, None)
-    fail_on_alert = merge_setting(args, config, "fail_on_alert", bool, False)
-    out_dir = resolve_out_dir(args, config)
+    out_dir = resolve_out_dir(s["out"])
 
     enabled = tuple(measures_opt.split(",")) if measures_opt else rqa.MEASURE_NAMES
     try:

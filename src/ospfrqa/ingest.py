@@ -158,11 +158,15 @@ def read_pcap(path) -> PcapReader:
     magic raises :class:`UnsupportedFormatError`; a record that ends
     mid-header or mid-body terminates the stream by raising
     :class:`TruncatedPcapError` after the prior records were yielded.
+
+    The global header is read and the file closed before this returns;
+    iterating opens the file again.  So a reader that is never iterated
+    holds no open file, and one dropped part-way closes its file when the
+    record generator is finalized.
     """
-    f = open(path, "rb")
-    head = f.read(24)
+    with open(path, "rb") as f:
+        head = f.read(24)
     if len(head) < 24:
-        f.close()
         raise UnsupportedFormatError(f"{path}: too short for a pcap global header")
     magic = struct.unpack("<I", head[:4])[0]
     if magic == PCAP_MAGIC:
@@ -170,14 +174,14 @@ def read_pcap(path) -> PcapReader:
     elif struct.unpack(">I", head[:4])[0] == PCAP_MAGIC:
         endian = ">"
     else:
-        f.close()
         raise UnsupportedFormatError(
             f"{path}: bad magic 0x{magic:08x}; only classic pcap is supported"
         )
     _vmaj, _vmin, _zone, _sig, snaplen, link_type = struct.unpack(endian + "HHiIII", head[4:])
 
     def gen() -> Iterator[PcapRecord]:
-        try:
+        with open(path, "rb") as f:
+            f.seek(24)
             while True:
                 rec_head = f.read(16)
                 if not rec_head:
@@ -191,8 +195,6 @@ def read_pcap(path) -> PcapReader:
                         f"record body cut short: expected {incl_len} bytes, got {len(data)}"
                     )
                 yield PcapRecord(ts_sec * 1_000_000 + ts_usec, data, incl_len < orig_len)
-        finally:
-            f.close()
 
     return PcapReader(link_type=link_type, snaplen=snaplen, records=gen())
 

@@ -12,6 +12,12 @@ module is safe to call from worker threads.
 
 Conventions (documented so results are comparable across tools):
 
+* distances are built from float64 coordinate differences
+  ``d_k = p_k - q_k`` accumulated in coordinate order:
+  ``sqrt(((d_0**2 + d_1**2) + d_2**2) + ...)`` for the euclidean norm and
+  ``max(max(|d_0|, |d_1|), |d_2|, ...)`` for the maximum norm, so every
+  distance is the textbook value rounded the same way whatever the code
+  path (recurrence matrix, diameter or nearest neighbors);
 * distances are compared against the threshold inclusively,
   ``R[i, j] = 1`` when ``dist <= epsilon``;
 * diagonal statistics exclude the band ``|i - j| < max(theiler, 1)``,
@@ -31,11 +37,16 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 MEASURE_NAMES = ("rr", "det", "l_max", "l_mean", "l_entr", "tt", "v_entr", "t2", "w_entr")
 
-_NORM_METRICS = {"euclidean": "euclidean", "maximum": "chebyshev"}
+# Per-coordinate term and its fold for each norm (see "pairwise distances").
+_TERM = {"euclidean": np.square, "maximum": np.abs}
+_FOLD = {"euclidean": np.add, "maximum": np.maximum}
+
+# Elements per row block of pairwise terms (8 MB of float64): bounds the
+# memory of the diameter and nearest-neighbor scans on long series.
+BLOCK_ELEMENTS = 1 << 20
 
 
 class SeriesTooShortError(ValueError):
@@ -65,7 +76,7 @@ class EmbedParams:
             raise ValueError("tau and m must be positive integers")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
-        if self.norm not in _NORM_METRICS:
+        if self.norm not in _TERM:
             raise ValueError(f"unknown norm {self.norm!r}; use 'euclidean' or 'maximum'")
         if self.theiler < 0:
             raise ValueError("theiler must be >= 0")
@@ -164,6 +175,118 @@ def embed(values, tau: int, m: int) -> np.ndarray:
     return np.stack([x[k * tau : k * tau + n] for k in range(m)], axis=1)
 
 
+# --- pairwise distances ----------------------------------------------------
+#
+# Coordinate k of delay vector i is x[i + k*tau], so the coordinate-k
+# differences of all pairs form one shifted sub-block of the scalar
+# difference block x[:, None] - x[None, :].  That block is computed and
+# squared (or made absolute) once, and its shifted sub-blocks are folded in
+# coordinate order; a dimension-(m+1) scan continues from dimension m by
+# folding one more sub-block.  A general trajectory is the same with one
+# scalar block per coordinate.
+#
+# Blocks are kept flat.  In a row-major block of width w, the sub-block
+# shifted by s rows and s columns starts s*(w + 1) elements later, so each
+# fold is one contiguous 1-D operation; a strided 2-D view would cost one
+# numpy loop call per row, more than the arithmetic on 200-point windows.
+# The flat rows run past the last valid column into the next row; those
+# padding cells hold finite values that every consumer drops.
+
+
+def _pairwise_folds(sources, counts, norm):
+    """Yield ``(start, k, acc, c)`` for each row block and dimension k.
+
+    ``sources`` lists ``(x, shifts)`` in coordinate order: coordinate
+    ``k`` of point ``i`` is ``x[i + shift_k]`` (the first shift must be 0).
+    A delay embedding is the single entry ``(z, (0, tau, 2*tau, ...))``; a
+    general trajectory has one entry ``(column, (0,))`` per coordinate.
+    ``counts[k - 1]`` is the number of points of dimension k and must not
+    increase with k.  ``acc`` is a view with a row per point ``start, ...``
+    of the block whose first ``c = counts[k - 1]`` columns hold the fold of
+    the first k coordinate terms (squared or absolute differences) against
+    every point; its remaining columns hold finite values to be ignored.
+    It is overwritten by later yields.
+    """
+    term, fold = _TERM[norm], _FOLD[norm]
+    shifts = [s for _, sh in sources for s in sh]
+    width = max(s + c for s, c in zip(shifts, counts))
+    step = min(max(1, BLOCK_ELEMENTS // width), counts[0])
+    # Two work slots, for a scalar block and the running fold, from one
+    # allocation per call.  Allocated apart, glibc's malloc returned the
+    # freed ~640 KB of each 200-bin window to the system and faulted it back
+    # in for the next: 700k page faults and a third more time for
+    # sliding_rqa over the attacks-3seed series.
+    slot_size = (step + max(shifts)) * width
+    slots = np.empty(2 * slot_size).reshape(2, slot_size)
+    for start in range(0, counts[0], step):
+        rows = [min(start + step, c) - start for c in counts]
+        k = 0
+        flat, held = None, 1  # the running fold and the slot it is in
+        for x, sh in sources:
+            live = [(s, c, r) for s, c, r in zip(sh, counts[k:], rows[k:]) if r > 0]
+            if not live:
+                break
+            span = max(s + r for s, _, r in live)
+            slot = 1 - held
+            terms = slots[slot, : span * width]
+            np.subtract.outer(x[start : start + span], x[:width], out=terms.reshape(span, width))
+            term(terms, out=terms)
+            for s, c, r in live:
+                k += 1
+                length = (r - 1) * width + c
+                offset = s * (width + 1)
+                if flat is None:
+                    flat, held = terms, slot
+                elif flat is terms:
+                    # Later sub-blocks of this block may still be read.
+                    flat, held = slots[1 - slot], 1 - slot
+                    fold(terms[:length], terms[offset : offset + length], out=flat[:length])
+                    flat[length : r * width] = 0.0  # keep the padding finite
+                else:
+                    fold(flat[:length], terms[offset : offset + length], out=flat[:length])
+                yield start, k, flat[: r * width].reshape(r, width), c
+
+
+def _squared_bound(epsilon: float) -> float:
+    """Largest double ``b`` with ``sqrt(b) <= epsilon``.
+
+    sqrt is correctly rounded and therefore non-decreasing, so
+    ``sqrt(s) <= epsilon`` holds exactly when ``s <= b``: the inclusive
+    euclidean test needs no square roots.
+    """
+    b = epsilon * epsilon
+    while b > 0 and math.sqrt(b) > epsilon:
+        b = math.nextafter(b, 0.0)
+    while math.isfinite(b) and math.sqrt(math.nextafter(b, math.inf)) <= epsilon:
+        b = math.nextafter(b, math.inf)
+    return b
+
+
+def _recurrence(sources, n: int, epsilon: float, norm: str) -> np.ndarray:
+    m = sum(len(shifts) for _, shifts in sources)
+    bound = _squared_bound(epsilon) if norm == "euclidean" else epsilon
+    rm = np.empty((n, n), dtype=bool)
+    for start, k, acc, _ in _pairwise_folds(sources, [n] * m, norm):
+        if k == m:
+            # Compare whole contiguous rows, then drop the padding columns.
+            rm[start : start + acc.shape[0]] = (acc <= bound)[:, :n]
+    return rm
+
+
+def _points(traj) -> np.ndarray:
+    pts = np.asarray(traj, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.shape[0] < 2:
+        raise ValueError("need at least 2 trajectory points")
+    return pts
+
+
+def _check_norm(norm: str) -> None:
+    if norm not in _TERM:
+        raise ValueError(f"unknown norm {norm!r}; use 'euclidean' or 'maximum'")
+
+
 def recurrence_matrix(traj: np.ndarray, epsilon: float, norm: str = "euclidean") -> np.ndarray:
     """Boolean recurrence matrix of an embedded trajectory.
 
@@ -171,33 +294,25 @@ def recurrence_matrix(traj: np.ndarray, epsilon: float, norm: str = "euclidean")
     epsilon (boundary inclusive, i.e. the Heaviside step maps 0 to 1).
     The result is symmetric with an all-ones main diagonal.
     """
-    pts = np.asarray(traj, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.shape[0] < 2:
-        raise ValueError("need at least 2 trajectory points")
+    pts = _points(traj)
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    if norm not in _NORM_METRICS:
-        raise ValueError(f"unknown norm {norm!r}; use 'euclidean' or 'maximum'")
-    dist = cdist(pts, pts, metric=_NORM_METRICS[norm])
-    return dist <= epsilon
+    _check_norm(norm)
+    return _recurrence([(col, (0,)) for col in pts.T], pts.shape[0], epsilon, norm)
 
 
 def phase_space_diameter(traj: np.ndarray, norm: str = "euclidean") -> float:
-    """Maximum pairwise distance of the trajectory, computed in blocks."""
-    pts = np.asarray(traj, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.shape[0] < 2:
-        raise ValueError("need at least 2 trajectory points")
-    metric = _NORM_METRICS[norm]
+    """Maximum pairwise distance of the trajectory, computed in row blocks."""
+    pts = _points(traj)
+    _check_norm(norm)
+    n, m = pts.shape
     best = 0.0
-    step = 512
-    for i in range(0, pts.shape[0], step):
-        block = cdist(pts[i : i + step], pts, metric=metric)
-        best = max(best, float(block.max()))
-    return best
+    for _, k, acc, c in _pairwise_folds([(col, (0,)) for col in pts.T], [n] * m, norm):
+        if k == m:
+            best = max(best, float(acc[:, :c].max()))
+    # sqrt is non-decreasing, so the root of the largest sum of squares is
+    # the largest distance.
+    return math.sqrt(best) if norm == "euclidean" else best
 
 
 # --- line statistics -------------------------------------------------------
@@ -346,7 +461,8 @@ def rqa_measures(rm: np.ndarray, l_min: int = 2, v_min: int = 2, theiler: int = 
     if l_min < 2 or v_min < 2:
         raise ValueError("l_min and v_min must be >= 2")
     diag, vert, white = _line_lengths(rm, theiler)
-    return _measures_from_lengths(int(rm.sum()), rm.shape[0], diag, vert, white, l_min, v_min)
+    return _measures_from_lengths(int(np.count_nonzero(rm)), rm.shape[0], diag, vert, white,
+                                  l_min, v_min)
 
 
 def constant_window_measures(n_points: int) -> RqaMeasures:
@@ -390,8 +506,9 @@ def measures_for_series(values, params: EmbedParams) -> tuple[RqaMeasures, bool]
     z, degenerate = znormalize(x)
     if degenerate:
         return constant_window_measures(params.n_points(x.size)), True
-    traj = embed(z, params.tau, params.m)
-    rm = recurrence_matrix(traj, params.epsilon, params.norm)
+    # The recurrence matrix of embed(z, tau, m), built from z directly.
+    shifts = range(0, params.m * params.tau, params.tau)
+    rm = _recurrence([(z, shifts)], params.n_points(x.size), params.epsilon, params.norm)
     return rqa_measures(rm, params.l_min, params.v_min, params.theiler), False
 
 
@@ -471,11 +588,10 @@ def false_nearest_neighbors(
         )
     sd = float(x.std())
     fractions = np.empty(m_max)
-    for m in range(1, m_max + 1):
+    for m, nn in enumerate(_nearest_neighbors(x, tau, m_max), start=1):
         full = embed(x, tau, m + 1)
         base = full[:, :m]
         ext = full[:, m]
-        nn = _nearest_neighbors(base)
         d_m = np.linalg.norm(base - base[nn], axis=1)
         extra = np.abs(ext - ext[nn])
         d_m1 = np.hypot(d_m, extra)
@@ -487,20 +603,24 @@ def false_nearest_neighbors(
     return fractions
 
 
-def _nearest_neighbors(points: np.ndarray) -> np.ndarray:
-    """Index of each point's euclidean nearest neighbor, self excluded.
+def _nearest_neighbors(x: np.ndarray, tau: int, m_max: int) -> list[np.ndarray]:
+    """Euclidean nearest neighbors in the delay embeddings m = 1..m_max.
 
-    Ties resolve to the lowest index, so results do not depend on any
-    spatial-index implementation; count data is full of exact duplicates.
+    Entry ``m - 1`` holds, for each of the first ``x.size - m * tau``
+    delay vectors of dimension m, the index of its nearest neighbor among
+    them, self excluded.  Ties resolve to the lowest index, so results do
+    not depend on any spatial-index implementation; count data is full of
+    exact duplicates.
     """
-    n = points.shape[0]
-    nn = np.empty(n, dtype=np.int64)
-    step = max(1, 2_000_000 // max(n, 1))
-    for i in range(0, n, step):
-        block = cdist(points[i : i + step], points)
-        rows = np.arange(block.shape[0])
-        block[rows, rows + i] = np.inf
-        nn[i : i + step] = block.argmin(axis=1)
+    counts = [x.size - m * tau for m in range(1, m_max + 1)]
+    nn = [np.empty(c, dtype=np.int64) for c in counts]
+    for start, m, acc, c in _pairwise_folds([(x, range(0, m_max * tau, tau))], counts, "euclidean"):
+        # Roots first: distinct sums of squares can share a root, and the
+        # lowest-index tie rule is defined on distances.
+        dist = np.sqrt(acc[:, :c])
+        rows = np.arange(dist.shape[0])
+        dist[rows, rows + start] = np.inf
+        nn[m - 1][start : start + dist.shape[0]] = dist.argmin(axis=1)
     return nn
 
 

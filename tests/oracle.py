@@ -16,8 +16,9 @@ def embed_points(series, tau, m):
 
 
 def distance(p, q, norm):
+    """Coordinate differences accumulated in coordinate order."""
     if norm == "euclidean":
-        return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
+        return math.sqrt(sum((a - b) * (a - b) for a, b in zip(p, q)))
     if norm == "maximum":
         return max(abs(a - b) for a, b in zip(p, q))
     raise ValueError(norm)
@@ -27,6 +28,23 @@ def recurrence(points, eps, norm):
     n = len(points)
     return [[1 if distance(points[i], points[j], norm) <= eps else 0 for j in range(n)]
             for i in range(n)]
+
+
+def diameter(points, norm):
+    return max(distance(p, q, norm) for p in points for q in points)
+
+
+def nearest_neighbors(points):
+    """Each point's euclidean nearest neighbor, self excluded; ties go to
+    the lowest index."""
+    out = []
+    for i, p in enumerate(points):
+        best, best_j = math.inf, None
+        for j, q in enumerate(points):
+            if j != i and distance(p, q, "euclidean") < best:
+                best, best_j = distance(p, q, "euclidean"), j
+        out.append(best_j)
+    return out
 
 
 def recurrence_count(rm):

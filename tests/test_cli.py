@@ -133,6 +133,18 @@ class TestExtract:
         assert "line 1" in capsys.readouterr().err
 
 
+PINNED_PARAMS = (
+    '{"degenerate": false, "epsilon": 0.2, "epsilon_within_ten_percent_rule": true, '
+    '"fnn": [0.078726968, 0.164983165, 0.340101523, 0.292517007, 0.227350427, '
+    '0.170103093, 0.186528497, 0.230902778, 0.291448517, 0.350877193], "m": 6, '
+    '"m_saturated": false, "mi": [0.019205777, 0.01591882, 0.012386718, 0.013039183, '
+    '0.01722999, 0.012179632, 0.038259343, 0.022037726, 0.017346123, 0.021234931, '
+    '0.020806954, 0.013593874, 0.024549526, 0.053475486, 0.028107738, 0.015255564, '
+    '0.01719127, 0.157105362, 0.019593258, 0.025614129], '
+    '"phase_space_diameter": 7.633181189, "tau": 3, "tau_fallback": false}'
+)
+
+
 class TestParams:
     def test_quiet_simulation_recovers_paper_parameters(self, quiet_series, capsys):
         assert run_cli("params", quiet_series, "--json") == 0
@@ -164,6 +176,18 @@ class TestParams:
         ingest.write_series_csv(path, ingest.CountSeries(0, 10, np.arange(5)))
         assert run_cli("params", path) == 2
         assert "too short" in capsys.readouterr().err
+
+    def test_json_report_pinned(self, tmp_path, capsys):
+        # Frozen output: MI, FNN (nearest neighbors with lowest-index ties)
+        # and the diameter of a six-dimensional embedding must not drift
+        # by a single digit.
+        rng = np.random.default_rng(2018)
+        t = np.arange(600)
+        counts = rng.poisson(0.4, size=600) + 3 * (t % 18 == 0) + (t % 7 == 3)
+        path = tmp_path / "pin.csv"
+        ingest.write_series_csv(path, ingest.CountSeries(0, 10, counts))
+        assert run_cli("params", path, "--json") == 0
+        assert capsys.readouterr().out == PINNED_PARAMS + "\n"
 
 
 class TestDetect:
@@ -231,3 +255,68 @@ class TestDetect:
                        "--out", second) == 0
         assert (first / "measures.csv").read_bytes() == (second / "measures.csv").read_bytes()
         assert (first / "alerts.jsonl").read_bytes() == (second / "alerts.jsonl").read_bytes()
+
+    def test_config_echo_replay_with_out_key(self, quiet_series, tmp_path):
+        # The echo names the series and the output directory; replaying it
+        # with no other flag rewrites the same bytes in the same place.
+        out = tmp_path / "det"
+        assert run_cli("detect", quiet_series, "--out", out, "--baseline", "40",
+                       "--floor-scale", "12", "--fail-on-alert") == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        (out / "alerts.jsonl").unlink()
+        assert run_cli("detect", quiet_series, "--config", out / "run_config.cfg") == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+class TestStrictConfig:
+    @pytest.mark.parametrize("command, line", [
+        ("detect", "windw = 100"),
+        ("detect", "k-mad = 3"),
+        ("params", "window = 100"),
+        ("params", "series = x.csv"),
+        ("extract", "ls_type = 1"),
+        ("simulate", "dration = 100"),
+    ])
+    def test_unknown_key_names_file_line_and_key(self, quiet_series, tmp_path,
+                                                 capsys, command, line):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("# settings\n\n" + line + "\n")
+        args = {
+            "detect": (quiet_series, "--out", tmp_path / "d"),
+            "params": (quiet_series,),
+            "extract": ("--log", tmp_path / "none.jsonl", "--out", tmp_path / "x.csv"),
+            "simulate": ("--topology", "paper16", "--duration", "100",
+                         "--out", tmp_path / "s"),
+        }[command]
+        assert run_cli(command, *args, "--config", cfg) == 2
+        key = line.split("=")[0].strip()
+        assert f"{cfg}:3: {key}: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists() and not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("value", ["ture", "2", "yes please", ""])
+    def test_bad_boolean_exits_2(self, quiet_series, tmp_path, capsys, value):
+        cfg = tmp_path / "bool.cfg"
+        cfg.write_text(f"window = 100\nfail_on_alert = {value}\n")
+        assert run_cli("detect", quiet_series, "--out", tmp_path / "d", "--config", cfg) == 2
+        assert f"{cfg}:2: fail_on_alert = {value!r}" in capsys.readouterr().err
+
+    def test_bad_number_exits_2(self, quiet_series, tmp_path, capsys):
+        cfg = tmp_path / "num.cfg"
+        cfg.write_text("window = 2OO\n")
+        assert run_cli("detect", quiet_series, "--out", tmp_path / "d", "--config", cfg) == 2
+        assert f"{cfg}:1: window = '2OO'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, expected", [
+        ("true", 1), ("On", 1), ("YES", 1), ("1", 1),
+        ("false", 0), ("off", 0), ("No", 0), ("0", 0),
+    ])
+    def test_booleans_accepted(self, tmp_path, value, expected):
+        rng = np.random.default_rng(1)
+        counts = rng.poisson(0.05, size=900)
+        counts[::180] = 1
+        counts[700:704] += 30
+        path = tmp_path / "burst.csv"
+        ingest.write_series_csv(path, ingest.CountSeries(0, 10, counts))
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text(f"fail_on_alert = {value}\n")
+        assert run_cli("detect", path, "--out", tmp_path / "d", "--config", cfg) == expected

@@ -347,6 +347,21 @@ class TestSerialization:
         assert lines[0] == "window_end_bin,t_s," + ",".join(rqa.MEASURE_NAMES)
         assert len(lines) == len(ms) + 1
 
+    @pytest.mark.parametrize("chunk", [7, 81, detect.CSV_CHUNK_ROWS])
+    def test_measures_csv_matches_per_row_formatting(self, tmp_path, chunk):
+        cfg = DetectorConfig()
+        ms = detect.sliding_rqa(count_series([1, 0, 0, 2, 5, 0, 1] * 40, bin_size=7,
+                                             start_us=1_700_000_000_123_457), cfg)
+        ms.values["rr"][:5] = [np.nan, np.inf, -0.0, 1e-300, 1.2345678901234567e300]
+        path = tmp_path / "measures.csv"
+        with mock.patch.object(detect, "CSV_CHUNK_ROWS", chunk):
+            detect.write_measures_csv(path, ms)
+        rows = ["window_end_bin,t_s," + ",".join(rqa.MEASURE_NAMES)]
+        for i in range(len(ms)):
+            rows.append(",".join([str(int(ms.window_end_bins[i])), f"{ms.time_s(i):.6f}"]
+                                 + [f"{ms.values[n][i]:.12g}" for n in rqa.MEASURE_NAMES]))
+        assert path.read_text() == "\n".join(rows) + "\n"
+
     def test_alerts_jsonl_round_trip(self, tmp_path):
         alerts = [Alert(
             bin_index=250, time_s=2510.0,

@@ -1,6 +1,9 @@
 """Event log, binning and pcap parsing tests."""
 
+import gc
 import struct
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -258,6 +261,24 @@ class TestPcap:
         assert next(it).data == b"xy"
         with pytest.raises(ingest.TruncatedPcapError):
             next(it)
+
+    @pytest.mark.parametrize("consumed", [0, 1, 2])
+    def test_dropped_reader_leaves_no_open_file(self, tmp_path, monkeypatch, consumed):
+        # An unclosed file warns from its finalizer, where the warning can
+        # only reach sys.unraisablehook; collect it there as well.
+        path = tmp_path / "three.pcap"
+        path.write_bytes(pcap_bytes([(1, b"a"), (2, b"b"), (3, b"c")]))
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            reader = ingest.read_pcap(path)
+            it = iter(reader)
+            for _ in range(consumed):
+                next(it)
+            del reader, it
+            gc.collect()
+        assert [u.exc_value for u in unraisable] == []
 
     def test_snaplen_truncation_flagged(self, tmp_path):
         path = tmp_path / "snap.pcap"

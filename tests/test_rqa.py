@@ -1,10 +1,14 @@
 """Unit and property tests for the recurrence engine."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -249,6 +253,108 @@ def test_rr_equals_brute_force_count(seed):
         if math.dist(traj[i], traj[j]) <= eps
     )
     assert m.rr == count / (n * n)
+
+
+# --- distance kernels against the oracle ------------------------------------
+#
+# Integer coordinates make many pairs sit exactly on the threshold (3-4-5
+# triangles, axis-aligned steps), which checks the inclusive boundary;
+# floats check the accumulation order.  A tiny BLOCK_ELEMENTS forces many
+# row blocks.
+
+NORMS = st.sampled_from(["euclidean", "maximum"])
+BLOCKS = st.integers(min_value=1, max_value=64)
+
+
+@st.composite
+def trajectories(draw):
+    integer = draw(st.booleans())
+    elem = (st.integers(-4, 4).map(float) if integer
+            else st.floats(-10, 10, allow_nan=False, allow_infinity=False))
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.lists(elem, min_size=m, max_size=m), min_size=n, max_size=n))
+    eps = float(draw(st.integers(1, 6))) if integer else draw(st.floats(0.01, 10))
+    return pts, eps
+
+
+@st.composite
+def count_or_float_series(draw, min_size=4, max_size=40):
+    elem = draw(st.sampled_from([
+        st.integers(0, 5).map(float),
+        st.floats(-5, 5, allow_nan=False, allow_infinity=False),
+    ]))
+    return np.array(draw(st.lists(elem, min_size=min_size, max_size=max_size)))
+
+
+class TestDistanceKernels:
+    def test_pythagorean_boundary_is_inclusive(self):
+        traj = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]])
+        assert rqa.recurrence_matrix(traj, 5.0).astype(int).tolist() == [
+            [1, 1, 0], [1, 1, 1], [0, 1, 1]]
+        assert not rqa.recurrence_matrix(traj, math.nextafter(5.0, 0.0))[0, 1]
+        assert rqa.phase_space_diameter(traj) == 10.0
+
+    def test_boundary_inclusive_on_rounded_distance(self):
+        # The distance of (0.9, 0.6) rounds to eps, yet eps * eps rounds
+        # below the sum of squares: the test is on distances, not squares.
+        traj = np.array([[0.0, 0.0], [0.9, 0.6]])
+        eps = math.sqrt(0.9 * 0.9 + 0.6 * 0.6)
+        assert eps * eps < 0.9 * 0.9 + 0.6 * 0.6
+        assert rqa.recurrence_matrix(traj, eps)[0, 1]
+        assert not rqa.recurrence_matrix(traj, math.nextafter(eps, 0.0))[0, 1]
+
+    @given(trajectories(), NORMS, BLOCKS)
+    @settings(max_examples=150, deadline=None)
+    def test_recurrence_matrix_matches_oracle(self, case, norm, block):
+        pts, eps = case
+        with mock.patch.object(rqa, "BLOCK_ELEMENTS", block):
+            rm = rqa.recurrence_matrix(np.array(pts), eps, norm)
+        assert rm.astype(int).tolist() == oracle.recurrence(pts, eps, norm)
+
+    @given(count_or_float_series(), st.integers(1, 3), st.integers(1, 4), NORMS,
+           st.sampled_from([0.2, 0.5, 1.0, 2.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_measures_for_series_matrix_matches_oracle(self, x, tau, m, norm, eps):
+        # The per-window path builds R from the series without embedding
+        # it; capture that R where it is handed to the line statistics.
+        assume(x.size >= (m - 1) * tau + 2)
+        z, degenerate = rqa.znormalize(x)
+        assume(not degenerate)
+        params = rqa.EmbedParams(tau=tau, m=m, epsilon=eps, norm=norm)
+        with mock.patch.object(rqa, "rqa_measures", wraps=rqa.rqa_measures) as spy:
+            rqa.measures_for_series(x, params)
+        rm = spy.call_args.args[0]
+        want = oracle.recurrence(oracle.embed_points(z.tolist(), tau, m), eps, norm)
+        assert rm.astype(int).tolist() == want
+
+    @given(trajectories(), NORMS, BLOCKS)
+    @settings(max_examples=100, deadline=None)
+    def test_phase_space_diameter_matches_oracle(self, case, norm, block):
+        pts, _ = case
+        with mock.patch.object(rqa, "BLOCK_ELEMENTS", block):
+            got = rqa.phase_space_diameter(np.array(pts), norm)
+        assert got == oracle.diameter(pts, norm)
+
+    @given(count_or_float_series(min_size=6, max_size=30), st.integers(1, 3),
+           st.integers(1, 4), BLOCKS)
+    @settings(max_examples=100, deadline=None)
+    def test_fnn_neighbors_match_oracle(self, x, tau, m_max, block):
+        assume(x.size - m_max * tau >= 2)
+        with mock.patch.object(rqa, "BLOCK_ELEMENTS", block):
+            got = rqa._nearest_neighbors(x, tau, m_max)
+        for m in range(1, m_max + 1):
+            points = oracle.embed_points(x.tolist(), tau, m)[: x.size - m * tau]
+            assert got[m - 1].tolist() == oracle.nearest_neighbors(points), m
+
+
+def test_import_loads_no_scipy():
+    src = Path(rqa.__file__).resolve().parents[1]
+    code = ("import sys, ospfrqa.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=src)
+    assert out.stdout.strip() == "[]"
 
 
 class TestMutualInformation:
