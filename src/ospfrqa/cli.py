@@ -7,13 +7,14 @@ exist.  Commands that produce an output directory echo their fully
 resolved settings to ``run_config.cfg`` there; re-running with
 ``--config`` pointing at that echo reproduces the outputs byte for byte.
 
-The config file format is flat ``key = value`` lines with ``#`` comments,
-using the same keys as the long option names (underscored).  Flags
-override file values.  A key the command neither reads nor echoes, or a
-value that does not parse as its key's type (booleans are
-true/false/1/0/yes/no/on/off), is an error naming the file, the line and
-the key.  The OSPFRQA_OUT environment variable supplies a default output
-directory.
+One table per command in ``COMMANDS`` drives its flags, ``--config``
+keys and echo.  The config file format is flat ``key = value`` lines
+with ``#`` comments, using the same keys as the long option names
+(underscored).  Flags override file values.  A key the command neither
+reads nor echoes, a key set twice, or a value that does not parse as
+its key's type (booleans are true/false/1/0/yes/no/on/off), is an error
+naming the file, the line and the key.  The OSPFRQA_OUT environment
+variable supplies a default output directory.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import json
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import detect as detect_mod
 from . import ingest, rqa, sim
@@ -32,6 +35,67 @@ ENV_OUT = "OSPFRQA_OUT"
 
 class CliError(Exception):
     """Usage or data error; maps to exit code 2."""
+
+
+class Option(NamedTuple):
+    """A setting: flag ``--<name with dashes>``, config and echo key ``name``."""
+
+    name: str
+    type: type
+    default: object = None
+    help: str | None = None
+    choices: tuple | None = None
+
+
+OUT_DIR_HELP = f"output dir (default ${ENV_OUT})"
+
+# command -> (help, settings).  ``resolve_settings`` returns the resolved
+# settings as attributes; a default of None means "not set".
+COMMANDS = {
+    "simulate": ("run the LSA-flooding simulator", (
+        Option("topology", str, help="shipped name (paper16/topo20/topo35) or file path"),
+        Option("scenario", str, "quiet", "quiet, paper-failure, paper-attacks, or a JSON file"),
+        Option("duration", float, help="simulated seconds"),
+        Option("seed", int, 0),
+        Option("jitter", float, sim.REFRESH_JITTER_S, "refresh jitter in seconds"),
+        Option("out", str, help=OUT_DIR_HELP),
+    )),
+    "extract": ("bin an event log or pcap into a count series", (
+        Option("log", str, help="JSON-lines LSA event log"),
+        Option("pcap", str, help="classic pcap capture"),
+        Option("monitor", str, help="monitor name filter (required for pcap)"),
+        Option("origin", str, help="advertising router: dotted quad or node name"),
+        Option("topology", str, help="topology for resolving origin names"),
+        Option("include_acks", bool, False, "count acknowledgments too"),
+        Option("bin", int, 10, "bin size in seconds"),
+        Option("t0", float, help="range start in seconds"),
+        Option("t1", float, help="range end in seconds (exclusive)"),
+        Option("out", str, help="output CSV path"),
+    )),
+    "params": ("estimate tau, m and check epsilon", (
+        Option("tau_max", int, 20),
+        Option("bins", int, 16),
+        Option("m_max", int, 10),
+        Option("r_tol", float, 15.0),
+        Option("a_tol", float, 2.0),
+        Option("drop_threshold", float, 0.01),
+        Option("epsilon", float, 0.2),
+    )),
+    "detect": ("sliding RQA plus change detection", (
+        Option("window", int, 200),
+        Option("step", int, 1),
+        Option("baseline", int, 60),
+        Option("k_mad", float, 6.0),
+        Option("tau", int, 1),
+        Option("m", int, 2),
+        Option("epsilon", float, 0.2),
+        Option("norm", str, "euclidean", choices=("euclidean", "maximum")),
+        Option("measures", str, help="comma-separated subset of the nine measures"),
+        Option("floor_scale", float, 1.0),
+        Option("fail_on_alert", bool, False, "exit 1 when alerts exist"),
+        Option("out", str, help=OUT_DIR_HELP),
+    )),
+}
 
 
 def read_config_file(path) -> dict[str, tuple[int, str]]:
@@ -45,12 +109,31 @@ def read_config_file(path) -> dict[str, tuple[int, str]]:
             if "=" not in line:
                 raise CliError(f"{path}:{line_no}: expected 'key = value'")
             key, _, value = line.partition("=")
-            values[key.strip()] = (line_no, value.strip())
+            key = key.strip()
+            if key in values:
+                raise CliError(f"{path}:{line_no}: {key}: duplicate key "
+                               f"(first set on line {values[key][0]})")
+            values[key] = (line_no, value.strip())
     return values
 
 
-def write_config_echo(path, values: dict) -> None:
-    lines = [f"{k} = {values[k]}" for k in sorted(values)]
+def format_setting(value) -> str:
+    """The echo form of a value, which ``parse_setting`` reads back exactly.
+
+    A float takes its ``:g`` form only when that parses to the same number.
+    """
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        short = f"{value:g}"
+        return short if float(short) == value else repr(value)
+    return str(value)
+
+
+def write_config_echo(path, settings: SimpleNamespace, **resolved) -> None:
+    """Echo every setting, with the values resolved at run time in place."""
+    values = {**vars(settings), **resolved}
+    lines = [f"{k} = {format_setting(values[k])}" for k in sorted(values)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -67,32 +150,34 @@ def parse_setting(raw: str, cast):
     return cast(raw)
 
 
-def resolve_settings(args, spec: dict[str, tuple], echo_only=()) -> dict:
-    """Each setting of ``spec`` (key -> (type, default)) for one command.
+def resolve_settings(args, echo_only=()) -> SimpleNamespace:
+    """The settings of ``args.command``, each from its ``COMMANDS`` entry.
 
     Priority: explicit flag > ``--config`` file > default.  Every key of
-    the file must be one the command reads (``spec``) or echoes
-    (``echo_only``), and every value must parse as its key's type;
-    otherwise a CliError names the file, the line and the key.
+    the file must be one the command reads or echoes (``echo_only``),
+    and every value must parse as its key's type; otherwise a CliError
+    names the file, the line and the key.
     """
+    options = COMMANDS[args.command][1]
+    types = {opt.name: opt.type for opt in options}
     config = read_config_file(args.config) if args.config else {}
     from_file = {}
     for key, (line_no, raw) in config.items():
         where = f"{args.config}:{line_no}: {key}"
         if key in echo_only:
             continue
-        if key not in spec:
+        if key not in types:
             raise CliError(f"{where}: unknown key for '{args.command}' "
-                           f"(known: {', '.join(sorted([*spec, *echo_only]))})")
+                           f"(known: {', '.join(sorted([*types, *echo_only]))})")
         try:
-            from_file[key] = parse_setting(raw, spec[key][0])
+            from_file[key] = parse_setting(raw, types[key])
         except ValueError as e:
             raise CliError(f"{where} = {raw!r}: {e}") from None
     values = {}
-    for key, (_, default) in spec.items():
-        flag_val = getattr(args, key, None)
-        values[key] = flag_val if flag_val is not None else from_file.get(key, default)
-    return values
+    for opt in options:
+        flag_val = getattr(args, opt.name)
+        values[opt.name] = flag_val if flag_val is not None else from_file.get(opt.name, opt.default)
+    return SimpleNamespace(**values)
 
 
 def resolve_out_dir(out: str | None) -> Path:
@@ -133,30 +218,25 @@ def load_scenario(name_or_path: str) -> list[sim.ScenarioEvent]:
 
 
 def cmd_simulate(args) -> int:
-    s = resolve_settings(args, {
-        "topology": (str, None), "scenario": (str, "quiet"), "duration": (float, None),
-        "seed": (int, 0), "jitter": (float, sim.REFRESH_JITTER_S), "out": (str, None),
-    })
-    topology_name, scenario_name = s["topology"], s["scenario"]
-    duration, seed, jitter = s["duration"], s["seed"], s["jitter"]
-    if topology_name is None or duration is None:
+    s = resolve_settings(args)
+    if s.topology is None or s.duration is None:
         raise CliError("simulate requires --topology and --duration")
-    out_dir = resolve_out_dir(s["out"])
+    out_dir = resolve_out_dir(s.out)
 
-    topo = sim.load_topology(topology_name)
-    scenario = load_scenario(scenario_name)
-    result = sim.run(topo, scenario, duration, seed, refresh_jitter_s=jitter)
+    topo = sim.load_topology(s.topology)
+    scenario = load_scenario(s.scenario)
+    result = sim.run(topo, scenario, s.duration, s.seed, refresh_jitter_s=s.jitter)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
     for monitor, events in result.logs.items():
         ingest.write_lsa_log(out_dir / f"events_{monitor}.jsonl", events)
     manifest = {
-        "topology": topology_name,
-        "scenario": scenario_name,
-        "duration_s": duration,
-        "seed": seed,
-        "refresh_jitter_s": jitter,
+        "topology": s.topology,
+        "scenario": s.scenario,
+        "duration_s": s.duration,
+        "seed": s.seed,
+        "refresh_jitter_s": s.jitter,
         "monitor_totals": sim.total_event_counts(result.logs),
         "router_ids": {n: topo.router_id(n) for n in topo.nodes()},
         "warnings": result.warnings,
@@ -164,11 +244,7 @@ def cmd_simulate(args) -> int:
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    write_config_echo(out_dir / "run_config.cfg", {
-        "topology": topology_name, "scenario": scenario_name,
-        "duration": f"{duration:g}", "seed": str(seed),
-        "jitter": f"{jitter:g}", "out": str(out_dir),
-    })
+    write_config_echo(out_dir / "run_config.cfg", s, out=out_dir)
     print(f"wrote {len(result.logs)} monitor logs to {out_dir}")
     return 0
 
@@ -177,47 +253,40 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    s = resolve_settings(args, {
-        "log": (str, None), "pcap": (str, None), "monitor": (str, None),
-        "origin": (str, None), "topology": (str, None), "bin": (int, 10),
-        "include_acks": (bool, False), "t0": (float, None), "t1": (float, None),
-        "out": (str, None),
-    })
-    log_path, pcap_path, monitor, out = s["log"], s["pcap"], s["monitor"], s["out"]
-    bin_size, t0, t1 = s["bin"], s["t0"], s["t1"]
-    if (log_path is None) == (pcap_path is None):
+    s = resolve_settings(args)
+    if (s.log is None) == (s.pcap is None):
         raise CliError("extract requires exactly one of --log or --pcap")
-    if out is None:
+    if s.out is None:
         raise CliError("extract requires --out for the series CSV")
-    topology = None
-    if s["topology"]:
-        topology = sim.load_topology(s["topology"])
+    if s.bin < 1:
+        raise CliError(f"bin must be at least 1 second, got {s.bin}")
+    topology = sim.load_topology(s.topology) if s.topology else None
     ls_types = frozenset(args.ls_type) if args.ls_type else None
 
-    if log_path is not None:
-        events = list(ingest.read_lsa_log(log_path))
+    if s.log is not None:
+        events = list(ingest.read_lsa_log(s.log))
     else:
-        if monitor is None:
+        if s.monitor is None:
             raise CliError("--monitor is required with --pcap (names the capture point)")
-        events = list(ingest.extract_pcap_events(pcap_path, monitor))
+        events = list(ingest.extract_pcap_events(s.pcap, s.monitor))
 
     flt = ingest.EventFilter(
-        monitor=monitor,
-        origin=resolve_origin(s["origin"], topology),
+        monitor=s.monitor,
+        origin=resolve_origin(s.origin, topology),
         ls_types=ls_types,
-        include_acks=s["include_acks"],
+        include_acks=s.include_acks,
     )
-    if t0 is None:
+    if s.t0 is None:
         first = min((e.ts_us for e in events), default=0)
-        t0_us = (first // (bin_size * 1_000_000)) * bin_size * 1_000_000
+        t0_us = (first // (s.bin * 1_000_000)) * s.bin * 1_000_000
     else:
-        t0_us = int(t0 * 1e6)
-    t1_us = int(t1 * 1e6) if t1 is not None else max((e.ts_us for e in events), default=0) + 1
+        t0_us = int(s.t0 * 1e6)
+    t1_us = int(s.t1 * 1e6) if s.t1 is not None else max((e.ts_us for e in events), default=0) + 1
 
-    series = ingest.bin_series(events, flt, bin_size, t0_us, t1_us)
-    ingest.write_series_csv(out, series)
+    series = ingest.bin_series(events, flt, s.bin, t0_us, t1_us)
+    ingest.write_series_csv(s.out, series)
     print(f"{len(series)} bins ({series.counts.sum()} events kept, "
-          f"{series.dropped} outside range) -> {out}")
+          f"{series.dropped} outside range) -> {s.out}")
     return 0
 
 
@@ -225,16 +294,11 @@ def cmd_extract(args) -> int:
 
 
 def cmd_params(args) -> int:
-    s = resolve_settings(args, {
-        "tau_max": (int, 20), "bins": (int, 16), "m_max": (int, 10), "r_tol": (float, 15.0),
-        "a_tol": (float, 2.0), "drop_threshold": (float, 0.01), "epsilon": (float, 0.2),
-    })
-    tau_max, bins, m_max = s["tau_max"], s["bins"], s["m_max"]
-    r_tol, a_tol, drop, epsilon = s["r_tol"], s["a_tol"], s["drop_threshold"], s["epsilon"]
+    s = resolve_settings(args)
     series = ingest.read_series_csv(args.series)
     x = series.counts.astype(float)
 
-    mi, degenerate = rqa.mutual_information(x, tau_max=tau_max, bins=bins)
+    mi, degenerate = rqa.mutual_information(x, tau_max=s.tau_max, bins=s.bins)
     if degenerate:
         report = {"degenerate": True, "tau": 1, "m": 2,
                   "note": "constant series; defaults returned"}
@@ -245,12 +309,12 @@ def cmd_params(args) -> int:
                   "returning defaults tau=1 m=2")
         return 0
     tau, tau_fallback = rqa.estimate_delay(mi)
-    fnn = rqa.false_nearest_neighbors(x, tau=tau, m_max=m_max, r_tol=r_tol, a_tol=a_tol)
-    m, saturated = rqa.estimate_dimension(fnn, drop_threshold=drop)
+    fnn = rqa.false_nearest_neighbors(x, tau=tau, m_max=s.m_max, r_tol=s.r_tol, a_tol=s.a_tol)
+    m, saturated = rqa.estimate_dimension(fnn, drop_threshold=s.drop_threshold)
     z, _ = rqa.znormalize(x)
     traj = rqa.embed(z, tau, m)
     diameter = rqa.phase_space_diameter(traj)
-    eps_ok = epsilon <= 0.1 * diameter
+    eps_ok = s.epsilon <= 0.1 * diameter
 
     report = {
         "degenerate": False,
@@ -261,7 +325,7 @@ def cmd_params(args) -> int:
         "m": m,
         "m_saturated": saturated,
         "phase_space_diameter": round(float(diameter), 9),
-        "epsilon": epsilon,
+        "epsilon": s.epsilon,
         "epsilon_within_ten_percent_rule": bool(eps_ok),
     }
     if args.json:
@@ -273,7 +337,7 @@ def cmd_params(args) -> int:
         print(f"m = {m}" + (" (saturated at m_max)" if saturated else ""))
         print(f"phase-space diameter (z-scored, euclidean) = {diameter:.4f}")
         verdict = "respects" if eps_ok else "VIOLATES"
-        print(f"epsilon {epsilon:g} {verdict} the 10%-of-diameter guideline")
+        print(f"epsilon {s.epsilon:g} {verdict} the 10%-of-diameter guideline")
     return 0
 
 
@@ -283,46 +347,27 @@ def cmd_params(args) -> int:
 def cmd_detect(args) -> int:
     # The echo records the series path; replaying it takes the path from
     # the command line, so the file's ``series`` key is accepted and unused.
-    s = resolve_settings(args, {
-        "window": (int, 200), "step": (int, 1), "baseline": (int, 60), "k_mad": (float, 6.0),
-        "tau": (int, 1), "m": (int, 2), "epsilon": (float, 0.2), "norm": (str, "euclidean"),
-        "floor_scale": (float, 1.0), "measures": (str, None), "fail_on_alert": (bool, False),
-        "out": (str, None),
-    }, echo_only=("series",))
-    window, step, baseline, k_mad = s["window"], s["step"], s["baseline"], s["k_mad"]
-    tau, m, epsilon, norm = s["tau"], s["m"], s["epsilon"], s["norm"]
-    floor_scale, measures_opt, fail_on_alert = s["floor_scale"], s["measures"], s["fail_on_alert"]
+    s = resolve_settings(args, echo_only=("series",))
     series = ingest.read_series_csv(args.series)
-    out_dir = resolve_out_dir(s["out"])
+    out_dir = resolve_out_dir(s.out)
 
-    enabled = tuple(measures_opt.split(",")) if measures_opt else rqa.MEASURE_NAMES
-    try:
-        cfg = detect_mod.DetectorConfig(
-            window_bins=window, step_bins=step,
-            embed=rqa.EmbedParams(tau=tau, m=m, epsilon=epsilon, norm=norm),
-            baseline_bins=baseline, k_mad=k_mad,
-            measures_enabled=enabled, floor_scale=floor_scale,
-        )
-        measure_series = detect_mod.sliding_rqa(series, cfg)
-    except (ValueError, rqa.SeriesTooShortError) as e:
-        raise CliError(str(e)) from None
+    enabled = tuple(s.measures.split(",")) if s.measures else rqa.MEASURE_NAMES
+    cfg = detect_mod.DetectorConfig(
+        window_bins=s.window, step_bins=s.step,
+        embed=rqa.EmbedParams(tau=s.tau, m=s.m, epsilon=s.epsilon, norm=s.norm),
+        baseline_bins=s.baseline, k_mad=s.k_mad,
+        measures_enabled=enabled, floor_scale=s.floor_scale,
+    )
+    measure_series = detect_mod.sliding_rqa(series, cfg)
     alerts = detect_mod.detect(measure_series, cfg)
 
     detect_mod.write_measures_csv(out_dir / "measures.csv", measure_series)
     detect_mod.write_alerts_jsonl(out_dir / "alerts.jsonl", alerts)
-    write_config_echo(out_dir / "run_config.cfg", {
-        "series": str(args.series), "window": str(window), "step": str(step),
-        "baseline": str(baseline), "k_mad": f"{k_mad:g}", "tau": str(tau),
-        "m": str(m), "epsilon": f"{epsilon:g}", "norm": norm,
-        "floor_scale": f"{floor_scale:g}",
-        "measures": ",".join(enabled),
-        "fail_on_alert": str(fail_on_alert).lower(), "out": str(out_dir),
-    })
+    write_config_echo(out_dir / "run_config.cfg", s, series=args.series,
+                      measures=",".join(enabled), out=out_dir)
     print(f"{len(measure_series)} windows analyzed, {len(alerts)} alerts "
           f"({measure_series.degenerate_windows} degenerate windows) -> {out_dir}")
-    if alerts and fail_on_alert:
-        return 1
-    return 0
+    return 1 if alerts and s.fail_on_alert else 0
 
 
 # --- wiring -----------------------------------------------------------------
@@ -334,86 +379,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="OSPF anomaly detection via recurrence quantification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for command, (command_help, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        for opt in options:
+            help_text = opt.help
+            if opt.default is not None and opt.type is not bool:
+                help_text = f"{opt.help or ''} (default {format_setting(opt.default)})".lstrip()
+            kind = ({"action": "store_const", "const": True} if opt.type is bool
+                    else {"type": opt.type, "choices": opt.choices})
+            p.add_argument("--" + opt.name.replace("_", "-"), dest=opt.name,
+                           help=help_text, **kind)
+        p.add_argument("--config", help="key=value settings file")
+        # Looked up at call time, so a replaced module attribute is used.
+        p.set_defaults(func=globals()[f"cmd_{command}"])
 
-    p_sim = sub.add_parser("simulate", help="run the LSA-flooding simulator")
-    p_sim.add_argument("--topology", help="shipped name (paper16/topo20/topo35) or file path")
-    p_sim.add_argument("--scenario", help="quiet, paper-failure, paper-attacks, or a JSON file")
-    p_sim.add_argument("--duration", type=float, help="simulated seconds")
-    p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--jitter", type=float, help="refresh jitter in seconds")
-    p_sim.add_argument("--out", help=f"output dir (default ${ENV_OUT})")
-    p_sim.add_argument("--config", help="key=value settings file")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_ext = sub.add_parser("extract", help="bin an event log or pcap into a count series")
-    p_ext.add_argument("--log", help="JSON-lines LSA event log")
-    p_ext.add_argument("--pcap", help="classic pcap capture")
-    p_ext.add_argument("--monitor", help="monitor name filter (required for pcap)")
-    p_ext.add_argument("--origin", help="advertising router: dotted quad or node name")
-    p_ext.add_argument("--topology", help="topology for resolving origin names")
-    p_ext.add_argument("--ls-type", dest="ls_type", type=int, action="append",
-                       choices=range(1, 6), help="restrict to LSA type (repeatable)")
-    p_ext.add_argument("--include-acks", dest="include_acks", action="store_const",
-                       const=True, help="count acknowledgments too")
-    p_ext.add_argument("--bin", type=int, help="bin size in seconds (default 10)")
-    p_ext.add_argument("--t0", type=float, help="range start in seconds")
-    p_ext.add_argument("--t1", type=float, help="range end in seconds (exclusive)")
-    p_ext.add_argument("--out", help="output CSV path")
-    p_ext.add_argument("--config", help="key=value settings file")
-    p_ext.set_defaults(func=cmd_extract)
-
-    p_par = sub.add_parser("params", help="estimate tau, m and check epsilon")
-    p_par.add_argument("series", help="count-series CSV")
-    p_par.add_argument("--tau-max", dest="tau_max", type=int)
-    p_par.add_argument("--bins", type=int)
-    p_par.add_argument("--m-max", dest="m_max", type=int)
-    p_par.add_argument("--r-tol", dest="r_tol", type=float)
-    p_par.add_argument("--a-tol", dest="a_tol", type=float)
-    p_par.add_argument("--drop-threshold", dest="drop_threshold", type=float)
-    p_par.add_argument("--epsilon", type=float)
-    p_par.add_argument("--json", action="store_true", help="machine-readable output")
-    p_par.add_argument("--config", help="key=value settings file")
-    p_par.set_defaults(func=cmd_params)
-
-    p_det = sub.add_parser("detect", help="sliding RQA plus change detection")
-    p_det.add_argument("series", help="count-series CSV")
-    p_det.add_argument("--window", type=int)
-    p_det.add_argument("--step", type=int)
-    p_det.add_argument("--baseline", type=int)
-    p_det.add_argument("--k-mad", dest="k_mad", type=float)
-    p_det.add_argument("--tau", type=int)
-    p_det.add_argument("--m", type=int)
-    p_det.add_argument("--epsilon", type=float)
-    p_det.add_argument("--norm", choices=("euclidean", "maximum"))
-    p_det.add_argument("--measures", help="comma-separated subset of the nine measures")
-    p_det.add_argument("--floor-scale", dest="floor_scale", type=float)
-    p_det.add_argument("--fail-on-alert", dest="fail_on_alert", action="store_const",
-                       const=True, help="exit 1 when alerts exist")
-    p_det.add_argument("--out", help=f"output dir (default ${ENV_OUT})")
-    p_det.add_argument("--config", help="key=value settings file")
-    p_det.set_defaults(func=cmd_detect)
-
+    sub.choices["extract"].add_argument(
+        "--ls-type", dest="ls_type", type=int, action="append", choices=range(1, 6),
+        help="restrict to LSA type (repeatable)")
+    sub.choices["params"].add_argument("--json", action="store_true",
+                                       help="machine-readable output")
+    for command in ("params", "detect"):
+        sub.choices[command].add_argument("series", help="count-series CSV")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ingest.UnsupportedFormatError, ingest.MalformedPacketError,
-            ingest.TruncatedPcapError, ingest.LogFormatError,
-            sim.TopologyError, sim.ScenarioError,
-            rqa.SeriesTooShortError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (CliError, OSError, ValueError) as e:
+        # Every error class of the package subclasses ValueError.
         print(f"error: {e}", file=sys.stderr)
         return 2
 

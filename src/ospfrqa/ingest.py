@@ -323,8 +323,12 @@ def read_lsa_log(path) -> Iterator[LsaEvent]:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise LogFormatError(line_no, f"not valid JSON ({e.msg})") from None
+            except (ValueError, RecursionError) as e:
+                # Besides JSONDecodeError: integers past the digit limit,
+                # arrays nested past the recursion limit.
+                raise LogFormatError(line_no, f"not valid JSON ({getattr(e, 'msg', e)})") from None
+            if not isinstance(rec, dict):
+                raise LogFormatError(line_no, "expected a JSON object")
             missing = [k for k in LOG_FIELDS if k not in rec]
             if missing:
                 raise LogFormatError(line_no, f"missing fields: {', '.join(missing)}")

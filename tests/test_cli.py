@@ -1,12 +1,15 @@
 """End-to-end command-line pipeline tests (exit codes, artifacts, determinism)."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ospfrqa import ingest
-from ospfrqa.cli import main
+from ospfrqa.cli import build_parser, format_setting, main
 
 
 def run_cli(*argv):
@@ -320,3 +323,138 @@ class TestStrictConfig:
         cfg = tmp_path / "b.cfg"
         cfg.write_text(f"fail_on_alert = {value}\n")
         assert run_cli("detect", path, "--out", tmp_path / "d", "--config", cfg) == expected
+
+
+def write_small_series(path, bins=400):
+    ingest.write_series_csv(path, ingest.CountSeries(
+        0, 10, (np.arange(bins) % 7 == 0).astype(int)))
+    return path
+
+
+def read_echo(path):
+    return dict(line.split(" = ", 1) for line in path.read_text().splitlines())
+
+
+PINNED_DETECT_ECHO = """\
+baseline = 60
+epsilon = 0.2
+fail_on_alert = false
+floor_scale = 1
+k_mad = 6
+m = 2
+measures = rr,det,l_max,l_mean,l_entr,tt,v_entr,t2,w_entr
+norm = euclidean
+out = {out}
+series = {series}
+step = 1
+tau = 1
+window = 200
+"""
+
+PINNED_SIMULATE_ECHO = """\
+duration = 115200
+jitter = 30
+out = {out}
+scenario = paper-failure
+seed = 11
+topology = paper16
+"""
+
+# Arguments that are not settings: they have no config key and no echo.
+FLAG_ONLY = {"command", "func", "config", "json", "ls_type", "series"}
+# Echoed for the record and accepted, unused, from a config file.
+ECHO_ONLY = {"detect": {"series"}}
+
+
+class TestOptionTable:
+    def test_detect_echo_at_defaults_pinned(self, tmp_path):
+        series = write_small_series(tmp_path / "s.csv")
+        out = tmp_path / "det"
+        assert run_cli("detect", series, "--out", out) == 0
+        assert (out / "run_config.cfg").read_text() == \
+            PINNED_DETECT_ECHO.format(out=out, series=series)
+
+    def test_simulate_echo_of_failure_workload_pinned(self, tmp_path):
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--topology", "paper16", "--scenario", "paper-failure",
+                       "--duration", "115200", "--seed", "11", "--out", out) == 0
+        assert (out / "run_config.cfg").read_text() == PINNED_SIMULATE_ECHO.format(out=out)
+
+    @pytest.mark.parametrize("command", ["simulate", "extract", "params", "detect"])
+    def test_flags_config_keys_and_echo_agree(self, tmp_path, capsys, command):
+        positional = ["x.csv"] if command in ("params", "detect") else []
+        dests = set(vars(build_parser().parse_args([command, *positional])))
+        settings = dests - FLAG_ONLY
+
+        with pytest.raises(SystemExit):
+            run_cli(command, *positional, "--help")
+        help_text = capsys.readouterr().out
+        assert all("--" + name.replace("_", "-") in help_text for name in settings)
+
+        cfg = tmp_path / "probe.cfg"
+        cfg.write_text("no_such_key = 1\n")
+        assert run_cli(command, *positional, "--config", cfg) == 2
+        known = re.search(r"\(known: (.*)\)", capsys.readouterr().err).group(1)
+        assert set(known.split(", ")) == settings | ECHO_ONLY.get(command, set())
+
+        if command == "simulate":
+            out = tmp_path / "sim"
+            assert run_cli("simulate", "--topology", "paper16", "--duration", "100",
+                           "--out", out) == 0
+        elif command == "detect":
+            out = tmp_path / "det"
+            assert run_cli("detect", write_small_series(tmp_path / "s.csv"),
+                           "--out", out) == 0
+        else:
+            return
+        assert set(read_echo(out / "run_config.cfg")) == set(known.split(", "))
+
+    def test_float_echo_replays_byte_identical(self, tmp_path):
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--topology", "paper16", "--duration", "1000.0001",
+                       "--seed", "3", "--out", out) == 0
+        assert read_echo(out / "run_config.cfg")["duration"] == "1000.0001"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        for p in out.iterdir():
+            if p.name != "run_config.cfg":
+                p.unlink()
+        assert run_cli("simulate", "--config", out / "run_config.cfg") == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_detect_echo_parses_back_to_exact_floats(self, tmp_path):
+        passed = {"epsilon": 0.12345678, "k_mad": 6.0000001, "floor_scale": 1.0000000000000002}
+        out = tmp_path / "det"
+        assert run_cli("detect", write_small_series(tmp_path / "s.csv"), "--out", out,
+                       *(x for k, v in passed.items()
+                         for x in ("--" + k.replace("_", "-"), repr(v)))) == 0
+        echo = read_echo(out / "run_config.cfg")
+        assert {k: float(echo[k]) for k in passed} == passed
+
+    @given(st.floats(allow_nan=False))
+    def test_float_format_round_trips(self, value):
+        assert float(format_setting(value)) == value
+
+    @pytest.mark.parametrize("bin_size", ["0", "-10"])
+    def test_extract_bin_below_one_exits_2(self, tmp_path, capsys, bin_size):
+        log = tmp_path / "one.jsonl"
+        ingest.write_lsa_log(log, [ingest.LsaEvent(5_000_000, "m1", 1, "10.0.0.1",
+                                                   "10.0.0.1", 3, 1, False)])
+        out = tmp_path / "x.csv"
+        assert run_cli("extract", "--log", log, "--bin", bin_size, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "bin" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_detect_on_directory_exits_2(self, tmp_path, capsys):
+        assert run_cli("detect", tmp_path, "--out", tmp_path / "d") == 2
+        assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_duplicate_config_key_exits_2(self, tmp_path, capsys):
+        series = write_small_series(tmp_path / "s.csv")
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("window = 100\n# again\nwindow = 300\n")
+        assert run_cli("detect", series, "--out", tmp_path / "d", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:3: window: duplicate key" in err and "line 1" in err
+        assert not (tmp_path / "d").exists()

@@ -1,6 +1,8 @@
 """Event log, binning and pcap parsing tests."""
 
+import dataclasses
 import gc
+import json
 import struct
 import sys
 import warnings
@@ -360,3 +362,93 @@ class TestParseOspf:
         events = list(ingest.extract_pcap_events(path, monitor="tap"))
         assert [e.ts_us for e in events] == [1_000_000, 3_000_000]
         assert all(e.monitor == "tap" for e in events)
+
+
+# --- fuzzing: malformed input raises only the documented error types -----
+
+
+LINK_TYPES = st.sampled_from([ingest.LINKTYPE_ETHERNET, ingest.LINKTYPE_RAW_IPV4])
+
+fuzzed_lsa_headers = st.builds(
+    lambda age, ls_type, seq, length: lsa_header(ls_age=age, ls_type=ls_type,
+                                                 seq=seq, length=length),
+    st.integers(0, 0xFFFF), st.integers(0, 255),
+    st.integers(-(2**31), 2**31 - 1), st.integers(0, 0xFFFF),
+)
+
+
+@st.composite
+def ospf_shaped_ip(draw):
+    """An IPv4/OSPF LS Update or Ack whose body mixes LSA headers and
+    stray bytes, with the declared LSA count and the OSPF length field
+    either as built or arbitrary, cut anywhere after the IP header."""
+    ptype = draw(st.sampled_from([4, 5]))
+    payload = b"".join(draw(st.lists(st.one_of(fuzzed_lsa_headers, st.binary(max_size=24)),
+                                     max_size=6)))
+    if ptype == 4:
+        payload = struct.pack(">I", draw(st.integers(0, 2**32 - 1))) + payload
+    ospf = ospf_packet(ptype, payload)
+    if draw(st.booleans()):
+        ospf = ospf[:2] + struct.pack(">H", draw(st.integers(0, 0xFFFF))) + ospf[4:]
+    ip = ipv4_packet(ospf)
+    return ip[:draw(st.integers(20, len(ip)))]
+
+
+def parse_or_malformed(frame, link_type):
+    try:
+        events = ingest.parse_ospf_packet(frame, link_type)
+    except ingest.MalformedPacketError:
+        return
+    assert all(isinstance(e, LsaEvent) for e in events)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+log_lines = st.one_of(
+    st.text(max_size=60),
+    json_values.map(json.dumps),
+    st.fixed_dictionaries({k: json_values for k in ingest.LOG_FIELDS}).map(json.dumps),
+    st.builds(lambda e, k, v: json.dumps({**dataclasses.asdict(e), k: v}),
+              event_strategy, st.sampled_from(ingest.LOG_FIELDS), json_values),
+)
+
+
+class TestFuzz:
+    @given(st.binary(max_size=120), LINK_TYPES)
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes_parse_or_malformed(self, frame, link_type):
+        parse_or_malformed(frame, link_type)
+
+    @given(ospf_shaped_ip(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_ospf_shaped_frames_parse_or_malformed(self, ip, ethernet):
+        if ethernet:
+            parse_or_malformed(eth_frame(ip), ingest.LINKTYPE_ETHERNET)
+        else:
+            parse_or_malformed(ip, ingest.LINKTYPE_RAW_IPV4)
+
+    @given(st.lists(log_lines, min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_log_lines_read_or_log_format_error(self, tmp_path_factory, lines):
+        path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            events = list(ingest.read_lsa_log(path))
+        except ingest.LogFormatError:
+            return
+        assert all(isinstance(e, LsaEvent) for e in events)
+
+    @pytest.mark.parametrize("line", [
+        "5", "null", "[1, 2]", '"ts_us monitor ls_type adv_router ls_id ls_age ls_seq is_ack"',
+        "[" * 100_000, "1" * 5000,
+    ], ids=["int", "null", "array", "string-naming-fields", "deep-nesting", "long-integer"])
+    def test_line_that_is_not_a_json_object_reports_line(self, tmp_path, line):
+        path = tmp_path / "odd.jsonl"
+        ingest.write_lsa_log(path, [make_event()])
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(ingest.LogFormatError, match="line 2"):
+            list(ingest.read_lsa_log(path))
