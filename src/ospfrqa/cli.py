@@ -13,7 +13,9 @@ with ``#`` comments, using the same keys as the long option names
 (underscored).  Flags override file values.  A key the command neither
 reads nor echoes, a key set twice, or a value that does not parse as
 its key's type (booleans are true/false/1/0/yes/no/on/off), is an error
-naming the file, the line and the key.  The OSPFRQA_OUT environment
+naming the file, the line and the key.  Every float setting must be
+finite, and some settings have a minimum; a flag or file value that
+breaks this is an error naming the setting.  The OSPFRQA_OUT environment
 variable supplies a default output directory.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -45,6 +48,7 @@ class Option(NamedTuple):
     default: object = None
     help: str | None = None
     choices: tuple | None = None
+    minimum: float | None = None
 
 
 OUT_DIR_HELP = f"output dir (default ${ENV_OUT})"
@@ -55,9 +59,9 @@ COMMANDS = {
     "simulate": ("run the LSA-flooding simulator", (
         Option("topology", str, help="shipped name (paper16/topo20/topo35) or file path"),
         Option("scenario", str, "quiet", "quiet, paper-failure, paper-attacks, or a JSON file"),
-        Option("duration", float, help="simulated seconds"),
+        Option("duration", float, help="simulated seconds", minimum=0.0),
         Option("seed", int, 0),
-        Option("jitter", float, sim.REFRESH_JITTER_S, "refresh jitter in seconds"),
+        Option("jitter", float, sim.REFRESH_JITTER_S, "refresh jitter in seconds", minimum=0.0),
         Option("out", str, help=OUT_DIR_HELP),
     )),
     "extract": ("bin an event log or pcap into a count series", (
@@ -67,15 +71,15 @@ COMMANDS = {
         Option("origin", str, help="advertising router: dotted quad or node name"),
         Option("topology", str, help="topology for resolving origin names"),
         Option("include_acks", bool, False, "count acknowledgments too"),
-        Option("bin", int, 10, "bin size in seconds"),
+        Option("bin", int, 10, "bin size in seconds", minimum=1),
         Option("t0", float, help="range start in seconds"),
         Option("t1", float, help="range end in seconds (exclusive)"),
         Option("out", str, help="output CSV path"),
     )),
     "params": ("estimate tau, m and check epsilon", (
-        Option("tau_max", int, 20),
+        Option("tau_max", int, 20, minimum=1),
         Option("bins", int, 16),
-        Option("m_max", int, 10),
+        Option("m_max", int, 10, minimum=1),
         Option("r_tol", float, 15.0),
         Option("a_tol", float, 2.0),
         Option("drop_threshold", float, 0.01),
@@ -150,33 +154,50 @@ def parse_setting(raw: str, cast):
     return cast(raw)
 
 
+def check_setting(opt: Option, value) -> None:
+    """Raise ValueError if a parsed value is outside its option's range."""
+    if opt.type is float and not math.isfinite(value):
+        raise ValueError("not a finite number")
+    if opt.minimum is not None and value < opt.minimum:
+        raise ValueError(f"below the minimum {format_setting(opt.minimum)}")
+
+
 def resolve_settings(args, echo_only=()) -> SimpleNamespace:
     """The settings of ``args.command``, each from its ``COMMANDS`` entry.
 
     Priority: explicit flag > ``--config`` file > default.  Every key of
     the file must be one the command reads or echoes (``echo_only``),
-    and every value must parse as its key's type; otherwise a CliError
-    names the file, the line and the key.
+    and every value must parse as its key's type and pass
+    ``check_setting``; otherwise a CliError names the file, the line and
+    the key.  A flag value that fails ``check_setting`` is a CliError
+    naming the flag.
     """
-    options = COMMANDS[args.command][1]
-    types = {opt.name: opt.type for opt in options}
+    options = {opt.name: opt for opt in COMMANDS[args.command][1]}
     config = read_config_file(args.config) if args.config else {}
     from_file = {}
     for key, (line_no, raw) in config.items():
         where = f"{args.config}:{line_no}: {key}"
         if key in echo_only:
             continue
-        if key not in types:
+        if key not in options:
             raise CliError(f"{where}: unknown key for '{args.command}' "
-                           f"(known: {', '.join(sorted([*types, *echo_only]))})")
+                           f"(known: {', '.join(sorted([*options, *echo_only]))})")
         try:
-            from_file[key] = parse_setting(raw, types[key])
+            from_file[key] = parse_setting(raw, options[key].type)
+            check_setting(options[key], from_file[key])
         except ValueError as e:
             raise CliError(f"{where} = {raw!r}: {e}") from None
     values = {}
-    for opt in options:
-        flag_val = getattr(args, opt.name)
-        values[opt.name] = flag_val if flag_val is not None else from_file.get(opt.name, opt.default)
+    for name, opt in options.items():
+        flag_val = getattr(args, name)
+        if flag_val is None:
+            values[name] = from_file.get(name, opt.default)
+            continue
+        try:
+            check_setting(opt, flag_val)
+        except ValueError as e:
+            raise CliError(f"--{name.replace('_', '-')} {format_setting(flag_val)}: {e}") from None
+        values[name] = flag_val
     return SimpleNamespace(**values)
 
 
@@ -258,8 +279,6 @@ def cmd_extract(args) -> int:
         raise CliError("extract requires exactly one of --log or --pcap")
     if s.out is None:
         raise CliError("extract requires --out for the series CSV")
-    if s.bin < 1:
-        raise CliError(f"bin must be at least 1 second, got {s.bin}")
     topology = sim.load_topology(s.topology) if s.topology else None
     ls_types = frozenset(args.ls_type) if args.ls_type else None
 

@@ -31,7 +31,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ingest import CountSeries, EventFilter, LsaEvent, bin_series
+from .ingest import (
+    CSV_CHUNK_ROWS,
+    CountSeries,
+    EventFilter,
+    LsaEvent,
+    bin_series,
+    write_csv_columns,
+)
 from .rqa import (
     MEASURE_NAMES,
     EmbedParams,
@@ -50,11 +57,6 @@ MEMO_WINDOWS = 4096
 # Baseline rows scored per numpy call: bounds the temporary copies that
 # np.median makes of the (windows x baseline_bins) view.
 SCORE_CHUNK_ROWS = 2048
-
-# measures.csv rows formatted per write: whole-column formatting is about
-# twice as fast as formatting value by value, and chunks keep the strings
-# it builds to about 1.5 MB.
-CSV_CHUNK_ROWS = 2048
 
 # Per-measure deviation-score floors, calibrated on quiet per-originator
 # paper16 series (the paper's monitoring mode) so that refresh-alignment
@@ -310,14 +312,10 @@ def write_measures_csv(path, measures: MeasureSeries) -> None:
     ends = measures.window_end_bins
     # The same float arithmetic as MeasureSeries.time_s, one column at once.
     times = measures.start_us / 1e6 + (ends + 1) * measures.bin_size_s
-    row = "%d,%.6f," + ",".join(["%.12g"] * len(MEASURE_NAMES)) + "\n"
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("window_end_bin,t_s," + ",".join(MEASURE_NAMES) + "\n")
-        for start in range(0, ends.size, CSV_CHUNK_ROWS):
-            rows = slice(start, start + CSV_CHUNK_ROWS)
-            columns = [ends[rows].tolist(), times[rows].tolist()]
-            columns += [measures.values[name][rows].tolist() for name in MEASURE_NAMES]
-            f.write("".join([row % values for values in zip(*columns)]))
+    write_csv_columns(path, "window_end_bin,t_s," + ",".join(MEASURE_NAMES),
+                      "%d,%.6f," + ",".join(["%.12g"] * len(MEASURE_NAMES)) + "\n",
+                      [ends, times, *(measures.values[name] for name in MEASURE_NAMES)],
+                      CSV_CHUNK_ROWS)
 
 
 def write_alerts_jsonl(path, alerts: list[Alert]) -> None:

@@ -26,6 +26,12 @@ OSPF_LS_UPDATE = 4
 OSPF_LS_ACK = 5
 
 LSA_HEADER_LEN = 20
+# Bytes read from a pcap file at a time (more when one record is larger).
+PCAP_READ_BYTES = 1 << 20
+# CSV rows formatted per write: whole-column formatting is about twice as
+# fast as formatting value by value, and chunks keep the strings it builds
+# to about 1.5 MB.
+CSV_CHUNK_ROWS = 2048
 # Slack allowed on series CSV start times, which are written to the
 # microsecond from float seconds.
 SPACING_TOL_S = 1e-3
@@ -48,8 +54,8 @@ class MalformedPacketError(ValueError):
 class LogFormatError(ValueError):
     """Bad line in an LSA event log; carries the 1-based line number."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, path, line_no: int, message: str):
+        super().__init__(f"{path}: line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -178,29 +184,43 @@ def read_pcap(path) -> PcapReader:
             f"{path}: bad magic 0x{magic:08x}; only classic pcap is supported"
         )
     _vmaj, _vmin, _zone, _sig, snaplen, link_type = struct.unpack(endian + "HHiIII", head[4:])
+    record_header = struct.Struct(endian + "IIII")
 
     def gen() -> Iterator[PcapRecord]:
+        # Records are cut from ``buf``, which holds at most PCAP_READ_BYTES
+        # plus the unread part of one record.
         with open(path, "rb") as f:
             f.seek(24)
+            buf, off = b"", 0
             while True:
-                rec_head = f.read(16)
-                if not rec_head:
-                    return
-                if len(rec_head) < 16:
-                    raise TruncatedPcapError("record header cut short at end of file")
-                ts_sec, ts_usec, incl_len, orig_len = struct.unpack(endian + "IIII", rec_head)
-                data = f.read(incl_len)
-                if len(data) < incl_len:
-                    raise TruncatedPcapError(
-                        f"record body cut short: expected {incl_len} bytes, got {len(data)}"
-                    )
-                yield PcapRecord(ts_sec * 1_000_000 + ts_usec, data, incl_len < orig_len)
+                if off + 16 > len(buf):
+                    buf, off = buf[off:] + f.read(max(PCAP_READ_BYTES, 16)), 0
+                    if not buf:
+                        return
+                    if len(buf) < 16:
+                        raise TruncatedPcapError("record header cut short at end of file")
+                ts_sec, ts_usec, incl_len, orig_len = record_header.unpack_from(buf, off)
+                end = off + 16 + incl_len
+                if end > len(buf):
+                    buf = buf[off:] + f.read(max(end - len(buf), PCAP_READ_BYTES))
+                    off, end = 0, 16 + incl_len
+                    if end > len(buf):
+                        raise TruncatedPcapError(
+                            f"record body cut short: expected {incl_len} bytes, "
+                            f"got {len(buf) - 16}"
+                        )
+                yield PcapRecord(ts_sec * 1_000_000 + ts_usec, buf[off + 16:end],
+                                 incl_len < orig_len)
+                off = end
 
     return PcapReader(link_type=link_type, snaplen=snaplen, records=gen())
 
 
-def _ipv4_str(raw: bytes) -> str:
-    return ".".join(str(b) for b in raw)
+_OSPF_HEADER = struct.Struct(">BBH")  # version, packet type, packet length
+_LSA_COUNT = struct.Struct(">I")
+# age, options, type, link state id (4 bytes), advertising router (4 bytes),
+# sequence number, checksum, length
+_LSA_HEADER = struct.Struct(">HBB4B4BiHH")
 
 
 def parse_ospf_packet(frame: bytes, link_type: int, ts_us: int = 0, monitor: str = "") -> list[LsaEvent]:
@@ -217,77 +237,72 @@ def parse_ospf_packet(frame: bytes, link_type: int, ts_us: int = 0, monitor: str
     if link_type == LINKTYPE_ETHERNET:
         if len(frame) < 14 or frame[12:14] != b"\x08\x00":
             return []
-        ip = frame[14:]
         base = 14
     elif link_type == LINKTYPE_RAW_IPV4:
-        ip = frame
         base = 0
     else:
         raise UnsupportedFormatError(f"unsupported link type {link_type}")
 
-    if len(ip) < 20 or ip[0] >> 4 != 4:
+    # Offsets below are into ``frame``.
+    ip_len = len(frame) - base
+    if ip_len < 20 or frame[base] >> 4 != 4:
         return []
-    ihl = (ip[0] & 0x0F) * 4
-    if ip[9] != OSPF_PROTO or len(ip) < ihl + 24:
+    ihl = (frame[base] & 0x0F) * 4
+    if frame[base + 9] != OSPF_PROTO or ip_len < ihl + 24:
         return []
-    ospf = ip[ihl:]
     base += ihl
 
-    version, ptype = ospf[0], ospf[1]
+    version, ptype, ospf_len = _OSPF_HEADER.unpack_from(frame, base)
     if version != 2 or ptype not in (OSPF_LS_UPDATE, OSPF_LS_ACK):
         return []
-    ospf_len = struct.unpack(">H", ospf[2:4])[0]
-    if ospf_len > len(ospf) or ospf_len < 24:
+    if ospf_len > len(frame) - base or ospf_len < 24:
         raise MalformedPacketError(
             f"OSPF length field {ospf_len} inconsistent with frame at offset {base + 2}"
         )
-    body = ospf[24:ospf_len]
+    start, end = base + 24, base + ospf_len  # the packet body
 
     events: list[LsaEvent] = []
     if ptype == OSPF_LS_UPDATE:
-        if len(body) < 4:
-            raise MalformedPacketError(f"LS Update too short for LSA count at offset {base + 24}")
-        declared = struct.unpack(">I", body[:4])[0]
-        off = 4
+        if end - start < 4:
+            raise MalformedPacketError(f"LS Update too short for LSA count at offset {start}")
+        declared = _LSA_COUNT.unpack_from(frame, start)[0]
+        off = start + 4
         for i in range(declared):
-            if off + LSA_HEADER_LEN > len(body):
+            if off + LSA_HEADER_LEN > end:
                 raise MalformedPacketError(
                     f"LS Update declares {declared} LSAs but #{i + 1} is missing "
-                    f"at offset {base + 24 + off}"
+                    f"at offset {off}"
                 )
-            events.append(_decode_lsa_header(body[off : off + LSA_HEADER_LEN],
-                                             ts_us, monitor, is_ack=False,
-                                             at=base + 24 + off))
-            lsa_len = struct.unpack(">H", body[off + 18 : off + 20])[0]
-            if lsa_len < LSA_HEADER_LEN or off + lsa_len > len(body):
+            event, lsa_len = _decode_lsa_header(frame, off, ts_us, monitor, is_ack=False)
+            events.append(event)
+            if lsa_len < LSA_HEADER_LEN or off + lsa_len > end:
                 raise MalformedPacketError(
-                    f"LSA length {lsa_len} overruns packet at offset {base + 24 + off + 18}"
+                    f"LSA length {lsa_len} overruns packet at offset {off + 18}"
                 )
             off += lsa_len
     else:
         # LS Ack: a bare run of LSA headers, no count and no bodies.
-        if len(body) % LSA_HEADER_LEN:
+        if (end - start) % LSA_HEADER_LEN:
             raise MalformedPacketError(
-                f"LS Ack body of {len(body)} bytes is not a whole number of headers "
-                f"at offset {base + 24}"
+                f"LS Ack body of {end - start} bytes is not a whole number of headers "
+                f"at offset {start}"
             )
-        for off in range(0, len(body), LSA_HEADER_LEN):
-            events.append(_decode_lsa_header(body[off : off + LSA_HEADER_LEN],
-                                             ts_us, monitor, is_ack=True,
-                                             at=base + 24 + off))
+        for off in range(start, end, LSA_HEADER_LEN):
+            events.append(_decode_lsa_header(frame, off, ts_us, monitor, is_ack=True)[0])
     return events
 
 
-def _decode_lsa_header(hdr: bytes, ts_us: int, monitor: str, is_ack: bool, at: int) -> LsaEvent:
-    ls_age, _options, ls_type = struct.unpack(">HBB", hdr[:4])
-    ls_id = _ipv4_str(hdr[4:8])
-    adv = _ipv4_str(hdr[8:12])
-    ls_seq = struct.unpack(">i", hdr[12:16])[0]
+def _decode_lsa_header(frame: bytes, at: int, ts_us: int, monitor: str,
+                       is_ack: bool) -> tuple[LsaEvent, int]:
+    """The event of the LSA header at offset ``at``, and the LSA's length."""
+    h = _LSA_HEADER.unpack_from(frame, at)
+    ls_age, ls_type = h[0], h[2]
     if ls_type not in (1, 2, 3, 4, 5):
         raise MalformedPacketError(f"LSA type {ls_type} out of range at offset {at + 3}")
     if ls_age > 3600:
         raise MalformedPacketError(f"LS age {ls_age} exceeds MaxAge at offset {at}")
-    return LsaEvent(ts_us, monitor, ls_type, adv, ls_id, ls_age, ls_seq, is_ack)
+    return LsaEvent(ts_us, monitor, ls_type, "%d.%d.%d.%d" % h[7:11], "%d.%d.%d.%d" % h[3:7],
+                    ls_age, h[11], is_ack), h[13]
 
 
 def extract_pcap_events(path, monitor: str) -> Iterator[LsaEvent]:
@@ -300,73 +315,96 @@ def extract_pcap_events(path, monitor: str) -> Iterator[LsaEvent]:
 # --- JSON-lines event log --------------------------------------------------
 
 
+# One log line: the fields in LOG_FIELDS order, as ``json.dumps`` with
+# compact separators writes them for integer and string fields.
+_LOG_LINE = ('{"ts_us":%d,"monitor":%s,"ls_type":%d,"adv_router":%s,"ls_id":%s,'
+             '"ls_age":%d,"ls_seq":%d,"is_ack":%s}\n')
+
+
+class _JsonStrings(dict):
+    """Memo of ``json.dumps`` per value; a log repeats few distinct strings."""
+
+    def __missing__(self, value):
+        self[value] = text = json.dumps(value)
+        return text
+
+
 def write_lsa_log(path, events: Iterable[LsaEvent]) -> int:
     """Write events as JSON lines; returns the number written."""
-    n = 0
+    q = _JsonStrings()
+    lines = [_LOG_LINE % (ev.ts_us, q[ev.monitor], ev.ls_type, q[ev.adv_router], q[ev.ls_id],
+                          ev.ls_age, ev.ls_seq, "true" if ev.is_ack else "false")
+             for ev in events]
     with open(path, "w", encoding="utf-8") as f:
-        for ev in events:
-            f.write(json.dumps({
-                "ts_us": ev.ts_us, "monitor": ev.monitor, "ls_type": ev.ls_type,
-                "adv_router": ev.adv_router, "ls_id": ev.ls_id, "ls_age": ev.ls_age,
-                "ls_seq": ev.ls_seq, "is_ack": ev.is_ack,
-            }, separators=(",", ":")) + "\n")
-            n += 1
-    return n
+        f.write("".join(lines))
+    return len(lines)
 
 
 def read_lsa_log(path) -> Iterator[LsaEvent]:
-    """Stream events back from a JSON-lines log, validating each line."""
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    """Stream events back from a JSON-lines log, validating each line.
+
+    A bad line raises :class:`LogFormatError` naming the path and the line.
+    """
+    with open(path, "rb") as f:
+        for line_no, raw in enumerate(f, start=1):
             try:
-                rec = json.loads(line)
-            except (ValueError, RecursionError) as e:
-                # Besides JSONDecodeError: integers past the digit limit,
-                # arrays nested past the recursion limit.
-                raise LogFormatError(line_no, f"not valid JSON ({getattr(e, 'msg', e)})") from None
-            if not isinstance(rec, dict):
-                raise LogFormatError(line_no, "expected a JSON object")
-            missing = [k for k in LOG_FIELDS if k not in rec]
-            if missing:
-                raise LogFormatError(line_no, f"missing fields: {', '.join(missing)}")
-            try:
-                yield LsaEvent(
-                    ts_us=_expect_int(rec, "ts_us", line_no),
-                    monitor=_expect_str(rec, "monitor", line_no),
-                    ls_type=_expect_int(rec, "ls_type", line_no),
-                    adv_router=_expect_str(rec, "adv_router", line_no),
-                    ls_id=_expect_str(rec, "ls_id", line_no),
-                    ls_age=_expect_int(rec, "ls_age", line_no),
-                    ls_seq=_expect_int(rec, "ls_seq", line_no),
-                    is_ack=_expect_bool(rec, "is_ack", line_no),
-                )
+                event = _parse_log_line(raw)
             except ValueError as e:
-                if isinstance(e, LogFormatError):
-                    raise
-                raise LogFormatError(line_no, str(e)) from None
+                raise LogFormatError(path, line_no, str(e)) from None
+            if event is not None:
+                yield event
 
 
-def _expect_int(rec, key, line_no) -> int:
+def _parse_log_line(raw: bytes) -> LsaEvent | None:
+    """The event of one log line, None for a blank line; ValueError if bad."""
+    try:
+        line = raw.decode("utf-8").strip()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"not valid UTF-8 (byte 0x{raw[e.start]:02x} "
+                         f"at column {e.start + 1})") from None
+    if not line:
+        return None
+    try:
+        rec = json.loads(line)
+    except (ValueError, RecursionError) as e:
+        # Besides JSONDecodeError: integers past the digit limit,
+        # arrays nested past the recursion limit.
+        raise ValueError(f"not valid JSON ({getattr(e, 'msg', e)})") from None
+    if not isinstance(rec, dict):
+        raise ValueError("expected a JSON object")
+    missing = [k for k in LOG_FIELDS if k not in rec]
+    if missing:
+        raise ValueError(f"missing fields: {', '.join(missing)}")
+    return LsaEvent(
+        ts_us=_expect_int(rec, "ts_us"),
+        monitor=_expect_str(rec, "monitor"),
+        ls_type=_expect_int(rec, "ls_type"),
+        adv_router=_expect_str(rec, "adv_router"),
+        ls_id=_expect_str(rec, "ls_id"),
+        ls_age=_expect_int(rec, "ls_age"),
+        ls_seq=_expect_int(rec, "ls_seq"),
+        is_ack=_expect_bool(rec, "is_ack"),
+    )
+
+
+def _expect_int(rec, key) -> int:
     v = rec[key]
     if not isinstance(v, int) or isinstance(v, bool):
-        raise LogFormatError(line_no, f"{key} must be an integer, got {v!r}")
+        raise ValueError(f"{key} must be an integer, got {v!r}")
     return v
 
 
-def _expect_str(rec, key, line_no) -> str:
+def _expect_str(rec, key) -> str:
     v = rec[key]
     if not isinstance(v, str):
-        raise LogFormatError(line_no, f"{key} must be a string, got {v!r}")
+        raise ValueError(f"{key} must be a string, got {v!r}")
     return v
 
 
-def _expect_bool(rec, key, line_no) -> bool:
+def _expect_bool(rec, key) -> bool:
     v = rec[key]
     if not isinstance(v, bool):
-        raise LogFormatError(line_no, f"{key} must be a boolean, got {v!r}")
+        raise ValueError(f"{key} must be a boolean, got {v!r}")
     return v
 
 
@@ -406,11 +444,24 @@ def bin_series(
 
 def write_series_csv(path, series: CountSeries) -> None:
     """CountSeries CSV: header ``bin_index,t_start_s,count``."""
+    idx = np.arange(len(series))
+    times = series.start_us / 1e6 + idx * series.bin_size_s
+    write_csv_columns(path, "bin_index,t_start_s,count", "%d,%.6f,%d\n",
+                      [idx, times, series.counts], CSV_CHUNK_ROWS)
+
+
+def write_csv_columns(path, header: str, row: str, columns: list[np.ndarray],
+                      chunk_rows: int) -> None:
+    """Write ``header``, then ``row % values`` for each row of ``columns``.
+
+    Rows are formatted ``chunk_rows`` at a time, from Python numbers, so
+    each value prints as it would from a per-row loop.
+    """
     with open(path, "w", encoding="utf-8") as f:
-        f.write("bin_index,t_start_s,count\n")
-        start_s = series.start_us / 1e6
-        for i, c in enumerate(series.counts):
-            f.write(f"{i},{start_s + i * series.bin_size_s:.6f},{int(c)}\n")
+        f.write(header + "\n")
+        for start in range(0, len(columns[0]), chunk_rows):
+            chunk = [c[start:start + chunk_rows].tolist() for c in columns]
+            f.write("".join([row % values for values in zip(*chunk)]))
 
 
 def read_series_csv(path) -> CountSeries:

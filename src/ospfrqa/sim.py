@@ -113,9 +113,6 @@ class Topology:
     def originates(self, name: str) -> bool:
         return name in self.routers
 
-    def links_of(self, name: str) -> list[Link]:
-        return [l for l in self.links if name in (l.node_a, l.node_b)]
-
     def find_link(self, node: str, iface: str) -> Link | None:
         for l in self.links:
             if (l.node_a, l.iface_a) == (node, iface) or (l.node_b, l.iface_b) == (node, iface):
@@ -170,7 +167,7 @@ def parse_topology(text: str, name: str = "unnamed") -> Topology:
     range in ms), ``[monitors]`` (name, node, ``stub`` or ``transit``).
     ``#`` starts a comment.
     """
-    topo = Topology(name=name)
+    parts = {"routers": {}, "stubs": {}, "hosts": {}, "links": [], "monitors": []}
     section = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -178,34 +175,32 @@ def parse_topology(text: str, name: str = "unnamed") -> Topology:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in ("routers", "stubs", "hosts", "links", "monitors"):
+            if section not in parts:
                 raise TopologyError(f"line {line_no}: unknown section [{section}]")
             continue
         fields = line.split()
-        if section == "routers":
-            topo.routers[fields[0]] = fields[1:]
-        elif section == "stubs":
-            topo.stubs[fields[0]] = fields[1:]
+        if section in ("routers", "stubs"):
+            parts[section][fields[0]] = fields[1:]
         elif section == "hosts":
             if len(fields) != 2:
                 raise TopologyError(f"line {line_no}: hosts rows are '<host> <router>'")
-            topo.hosts[fields[0]] = fields[1]
+            parts["hosts"][fields[0]] = fields[1]
         elif section == "links":
             if len(fields) not in (4, 6):
                 raise TopologyError(
                     f"line {line_no}: links rows are '<a> <ifa> <b> <ifb> [lo_ms hi_ms]'"
                 )
             delays = (float(fields[4]), float(fields[5])) if len(fields) == 6 else DEFAULT_DELAY_RANGE_MS
-            topo.links.append(Link(fields[0], fields[1], fields[2], fields[3], *delays))
+            parts["links"].append(Link(fields[0], fields[1], fields[2], fields[3], *delays))
         elif section == "monitors":
             if len(fields) != 3 or fields[2] not in ("stub", "transit"):
                 raise TopologyError(
                     f"line {line_no}: monitors rows are '<name> <node> stub|transit'"
                 )
-            topo.monitors.append(Monitor(fields[0], fields[1], fields[2] == "stub"))
+            parts["monitors"].append(Monitor(fields[0], fields[1], fields[2] == "stub"))
         else:
             raise TopologyError(f"line {line_no}: content before any section header")
-    topo.__post_init__()
+    topo = Topology(name=name, **parts)
     topo.validate()
     return topo
 
@@ -395,6 +390,21 @@ class _Engine:
         for m in topo.monitors:
             self.taps.setdefault(m.node, []).append(m.name)
         self.logs: dict[str, list[LsaEvent]] = {m.name: [] for m in topo.monitors}
+        self.rids = {n: topo.router_id(n) for n in topo.routers}
+        self.speakers = set(topo._order).difference(topo.hosts)
+        # id(link) -> (lowest delay, highest delay + 1) in microseconds.
+        self.delay_range = {id(l): (int(l.delay_lo_ms * 1000), int(l.delay_hi_ms * 1000) + 1)
+                            for l in topo.links}
+        # Each node's (link, peer, *delay_range) in topology link order, the
+        # order in which a flood draws its delays.
+        self.neighbors = {n: [(l, l.other(n), *self.delay_range[id(l)])
+                              for l in topo.links if n in (l.node_a, l.node_b)]
+                          for n in topo.nodes()}
+        self.flood_targets = {n: [t for t in adj if t[1] not in topo.hosts]
+                              for n, adj in self.neighbors.items()}
+        self.ports: dict[tuple[str, str], Link] = {}  # (node, iface) -> first link
+        for l in reversed(topo.links):
+            self.ports[(l.node_a, l.iface_a)] = self.ports[(l.node_b, l.iface_b)] = l
 
     # -- scheduling helpers --
 
@@ -404,7 +414,7 @@ class _Engine:
         heapq.heappush(self.heap, (t_us, order, self.counter, kind, node, payload))
 
     def link_delay_us(self, link: Link) -> int:
-        return self.rng.randint(int(link.delay_lo_ms * 1000), int(link.delay_hi_ms * 1000))
+        return self.rng.randrange(*self.delay_range[id(link)])
 
     def record(self, node: str, ts_us: int, inst: _Instance, age: int, is_ack: bool):
         for tap in self.taps.get(node, ()):
@@ -420,19 +430,16 @@ class _Engine:
     # -- protocol actions --
 
     def flood(self, node: str, t_us: int, inst: _Instance, age: int, skip_link: Link | None):
-        for link in self.topo.links_of(node):
-            if not link.carries_floods(t_us) or link is skip_link:
-                continue
-            peer = link.other(node)
-            if peer in self.topo.hosts:
-                continue
-            self.push(t_us + self.link_delay_us(link), peer, "deliver", (node, inst, age, link))
+        randrange = self.rng.randrange
+        for link, peer, lo, stop in self.flood_targets[node]:
+            if link.carries_floods(t_us) and link is not skip_link:
+                self.push(t_us + randrange(lo, stop), peer, "deliver", (node, inst, age, link))
 
     def originate(self, node: str, t_us: int, digest: str | None = None):
         if node not in self.topo.routers:
             return
         self.own_seq[node] += 1
-        rid = self.topo.router_id(node)
+        rid = self.rids[node]
         inst = _Instance(rid, 1, rid, self.own_seq[node], digest or self.link_digest(node))
         self.db[node][(inst.ls_type, inst.ls_id, inst.origin)] = _DbEntry(inst.seq, 0, t_us, inst.digest)
         self.record(node, t_us, inst, 0, is_ack=False)
@@ -444,14 +451,15 @@ class _Engine:
             self.push(refresh_at, node, "refresh", (self.refresh_epoch[node],))
 
     def link_digest(self, node: str) -> str:
-        up = sorted(l.other(node) for l in self.topo.links_of(node) if l.up)
+        up = sorted(peer for link, peer, _lo, _stop in self.neighbors[node] if link.up)
         return f"{node}:{','.join(up)}"
 
     def deliver(self, node: str, t_us: int, sender: str, inst: _Instance, age: int, via: Link):
-        self.record(node, t_us, inst, age, is_ack=False)
+        if node in self.taps:
+            self.record(node, t_us, inst, age, is_ack=False)
         # Fight-back: an originator seeing a fresher instance of its own LSA
         # immediately advertises a newer one that cancels it.
-        if node in self.topo.routers and inst.origin == self.topo.router_id(node):
+        if inst.origin == self.rids.get(node):
             if inst.seq > self.own_seq[node]:
                 self.own_seq[node] = inst.seq
                 self.originate(node, t_us)
@@ -472,12 +480,12 @@ class _Engine:
         # covers falsification freshness, so no flood-back is modeled.
 
     def send_ack(self, node: str, sender: str, t_us: int, inst: _Instance, age: int, via: Link):
-        if sender not in self.topo._order or sender in self.topo.hosts:
+        if sender not in self.speakers:
             return
         self.push(t_us + self.link_delay_us(via), sender, "ack", (inst, age))
 
     def set_iface(self, node: str, iface: str, up: bool, t_us: int):
-        link = self.topo.find_link(node, iface)
+        link = self.ports[(node, iface)]
         if link.up == up:
             self.warnings.append(
                 f"t={t_us / 1e6:.3f}s: {node}.{iface} already {'up' if up else 'down'}; no-op"
@@ -583,8 +591,8 @@ class _Engine:
                 sender, inst, age, via = payload
                 self.deliver(node, t_us, sender, inst, age, via)
             elif kind == "ack":
-                inst, age = payload
-                self.record(node, t_us, inst, age, is_ack=True)
+                if node in self.taps:
+                    self.record(node, t_us, payload[0], payload[1], is_ack=True)
             elif kind == "iface":
                 if t_us <= self.duration_us:
                     self.set_iface(node, payload[0], payload[1], t_us)
@@ -611,9 +619,8 @@ def run(topology: Topology, scenario: list[ScenarioEvent], duration_s: float,
     ``duration_s`` but in-flight floods drain fully, so per-monitor totals
     of a quiet run conserve exactly.
     """
-    topo = replace(topology)  # shallow; links get fresh state below
-    topo.links = [replace(l, up=True) for l in topology.links]
-    topo.__post_init__()
+    # Shallow copy whose links carry fresh state.
+    topo = replace(topology, links=[replace(l, up=True) for l in topology.links])
     validate_scenario(scenario, topo, duration_s)
     engine = _Engine(topo, seed, duration_s, refresh_jitter_s)
     engine.schedule_scenario(scenario)
@@ -639,7 +646,6 @@ def random_topology(n_transit: int, n_stub: int, seed: int,
     routers = [f"t{i + 1}" for i in range(n_transit)]
     stubs = [f"s{i + 1}" for i in range(n_stub)]
     degree = {r: 0 for r in routers}
-    iface_count = {n: 0 for n in routers + stubs}
     links: list[tuple[str, str]] = []
 
     def connect(a: str, b: str):
@@ -671,17 +677,20 @@ def random_topology(n_transit: int, n_stub: int, seed: int,
         stub_home[s] = home
         connect(home, s)
 
-    topo = Topology(name=name or f"random-{n_transit}x{n_stub}-{seed}")
-    topo.routers = {r: [] for r in routers}
-    topo.stubs = {s: [] for s in stubs}
+    ifaces = {n: [] for n in routers + stubs}
+    topo_links = []
     for a, b in links:
-        ifa, ifb = f"eth{iface_count[a]}", f"eth{iface_count[b]}"
-        iface_count[a] += 1
-        iface_count[b] += 1
-        (topo.routers if a in topo.routers else topo.stubs)[a].append(ifa)
-        (topo.routers if b in topo.routers else topo.stubs)[b].append(ifb)
-        topo.links.append(Link(a, ifa, b, ifb))
-    topo.monitors = [Monitor(s, s, stub=True) for s in stubs]
-    topo.__post_init__()
+        ifa = f"eth{len(ifaces[a])}"
+        ifaces[a].append(ifa)
+        ifb = f"eth{len(ifaces[b])}"
+        ifaces[b].append(ifb)
+        topo_links.append(Link(a, ifa, b, ifb))
+    topo = Topology(
+        name=name or f"random-{n_transit}x{n_stub}-{seed}",
+        routers={r: ifaces[r] for r in routers},
+        stubs={s: ifaces[s] for s in stubs},
+        links=topo_links,
+        monitors=[Monitor(s, s, stub=True) for s in stubs],
+    )
     topo.validate()
     return topo

@@ -1,13 +1,17 @@
-"""Brute-force references for the recurrence measures and the scoring.
+"""Brute-force references for the recurrence measures, the scoring and
+the file formats.
 
 Everything here is deliberately naive: explicit python loops over matrix
 cells, diagonals, columns and baseline windows, and plain ``math`` and
-``statistics`` arithmetic.  It shares no code with the package's vectorized
-implementation so the two can check each other.
+``statistics`` arithmetic; files are written one row and read one record
+at a time.  It shares no code with the package's vectorized and bulk
+implementations so the two can check each other.
 """
 
+import json
 import math
 import statistics
+import struct
 
 
 def embed_points(series, tau, m):
@@ -172,3 +176,41 @@ def deviation_scores(values, baseline_bins, floor, floor_scale=1.0):
         medians[i] = med
         scores[i] = abs(v[i] - med) / max(mad, floor * floor_scale, 1e-6)
     return scores, medians
+
+
+def series_csv(start_us, bin_size_s, counts):
+    """The text of a count-series CSV, formatted one bin at a time."""
+    rows = ["bin_index,t_start_s,count"]
+    start_s = start_us / 1e6
+    for i, c in enumerate(counts):
+        rows.append(f"{i},{start_s + i * bin_size_s:.6f},{int(c)}")
+    return "\n".join(rows) + "\n"
+
+
+def lsa_log(events):
+    """The text of a JSON-lines event log, one ``json.dumps`` per event."""
+    return "".join(json.dumps({
+        "ts_us": e.ts_us, "monitor": e.monitor, "ls_type": e.ls_type,
+        "adv_router": e.adv_router, "ls_id": e.ls_id, "ls_age": e.ls_age,
+        "ls_seq": e.ls_seq, "is_ack": e.is_ack,
+    }, separators=(",", ":")) + "\n" for e in events)
+
+
+def pcap_records(blob):
+    """Read a classic pcap held in memory one record at a time.
+
+    Returns the ``(ts_us, data, snaplen_cut)`` of every whole record and
+    whether the bytes ended inside a record.
+    """
+    endian = "<" if struct.unpack("<I", blob[:4])[0] == 0xA1B2C3D4 else ">"
+    records, off = [], 24
+    while off < len(blob):
+        if off + 16 > len(blob):
+            return records, True
+        ts_sec, ts_usec, incl_len, orig_len = struct.unpack(endian + "IIII", blob[off:off + 16])
+        if off + 16 + incl_len > len(blob):
+            return records, True
+        records.append((ts_sec * 1_000_000 + ts_usec, blob[off + 16:off + 16 + incl_len],
+                        incl_len < orig_len))
+        off += 16 + incl_len
+    return records, False

@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline tests (exit codes, artifacts, determinism)."""
 
+import hashlib
 import json
 import re
 
@@ -33,6 +34,27 @@ def quiet_series(quiet_run, tmp_path_factory):
                    "--t0", "0", "--t1", "21600", "--out", path)
     assert code == 0
     return path
+
+
+# SHA-256 prefixes of `simulate --topology topo35 --scenario quiet
+# --duration 86400 --seed 7`, recorded before the simulator and the log
+# writer were rewritten for speed.
+PINNED_TOPO35_DAY = {
+    "events_s1.jsonl": "f194aff5903d798f",
+    "events_s2.jsonl": "e75dca2950c42096",
+    "events_s3.jsonl": "dbb979505a5dff96",
+    "events_s4.jsonl": "c3040728c3d11506",
+    "events_s5.jsonl": "83a81c86bf710568",
+    "events_s6.jsonl": "6ccf1856e61c99e0",
+    "events_s7.jsonl": "72a87f3d52077091",
+    "events_s8.jsonl": "40d865316f68f3f1",
+    "events_s9.jsonl": "693f78312c047da1",
+    "events_s10.jsonl": "2e2cb82ebd4af425",
+    "events_s11.jsonl": "0430a3b3efa53468",
+    "events_s12.jsonl": "0441ff2b67beae8b",
+    "events_s13.jsonl": "3e09fd2275b0029c",
+    "manifest.json": "46811ec61601978f",
+}
 
 
 class TestSimulate:
@@ -69,6 +91,14 @@ class TestSimulate:
         echo_b = (outs[1] / "run_config.cfg").read_text().splitlines()
         assert [l for l in echo_a if not l.startswith("out")] == \
                [l for l in echo_b if not l.startswith("out")]
+
+    def test_topo35_quiet_day_logs_pinned(self, tmp_path):
+        out = tmp_path / "q"
+        assert run_cli("simulate", "--topology", "topo35", "--scenario", "quiet",
+                       "--duration", "86400", "--seed", "7", "--out", out) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+                   for p in out.iterdir() if p.name != "run_config.cfg"}
+        assert digests == PINNED_TOPO35_DAY
 
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         target = tmp_path / "envout"
@@ -323,6 +353,53 @@ class TestStrictConfig:
         cfg = tmp_path / "b.cfg"
         cfg.write_text(f"fail_on_alert = {value}\n")
         assert run_cli("detect", path, "--out", tmp_path / "d", "--config", cfg) == expected
+
+
+# (command, flag, value, message): values every command must reject.
+OUT_OF_RANGE = [
+    ("simulate", "duration", "-5", "below the minimum 0"),
+    ("simulate", "duration", "nan", "not a finite number"),
+    ("simulate", "jitter", "-1", "below the minimum 0"),
+    ("simulate", "jitter", "inf", "not a finite number"),
+    ("detect", "epsilon", "nan", "not a finite number"),
+    ("detect", "k_mad", "inf", "not a finite number"),
+    ("detect", "floor_scale", "nan", "not a finite number"),
+    ("params", "epsilon", "inf", "not a finite number"),
+    ("params", "m_max", "0", "below the minimum 1"),
+    ("params", "tau_max", "0", "below the minimum 1"),
+]
+
+
+class TestRanges:
+    def args(self, command, tmp_path):
+        series = write_small_series(tmp_path / "s.csv")
+        return {
+            "simulate": ("--topology", "paper16", "--duration", "100", "--out", tmp_path / "o"),
+            "detect": (series, "--out", tmp_path / "o"),
+            "params": (series,),
+        }[command]
+
+    @pytest.mark.parametrize("command, key, value, message", OUT_OF_RANGE)
+    def test_flag_out_of_range_exits_2_naming_it(self, tmp_path, capsys,
+                                                 command, key, value, message):
+        flag = "--" + key.replace("_", "-")
+        assert run_cli(command, *self.args(command, tmp_path), flag, value) == 2
+        assert f"{flag} {value}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, key, value, message", OUT_OF_RANGE)
+    def test_config_out_of_range_exits_2_naming_it(self, tmp_path, capsys,
+                                                   command, key, value, message):
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert run_cli(command, *self.args(command, tmp_path), "--config", cfg) == 2
+        assert f"{cfg}:1: {key} = {value!r}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_minimum_itself_is_accepted(self, tmp_path):
+        assert run_cli("simulate", "--topology", "paper16", "--duration", "0",
+                       "--jitter", "0", "--out", tmp_path / "o") == 0
+        assert run_cli("params", write_small_series(tmp_path / "s.csv"), "--m-max", "1") == 0
 
 
 def write_small_series(path, bins=400):

@@ -6,12 +6,14 @@ import json
 import struct
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from ospfrqa import ingest
 from ospfrqa.ingest import EventFilter, LsaEvent
 
@@ -22,6 +24,14 @@ def make_event(**kw):
     defaults.update(kw)
     return LsaEvent(**defaults)
 
+
+# Strings that need escaping in JSON: quotes, backslashes, controls,
+# non-ASCII and lone surrogates.
+awkward_text = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfff\xe9\U0001f600'),
+              st.characters(exclude_categories=())),
+    max_size=12,
+)
 
 event_strategy = st.builds(
     LsaEvent,
@@ -99,6 +109,33 @@ class TestLogRoundTrip:
         ingest.write_lsa_log(path, events)
         assert list(ingest.read_lsa_log(path)) == events
 
+    @given(st.lists(st.builds(
+        LsaEvent,
+        ts_us=st.integers(min_value=-(2**70), max_value=2**70),
+        monitor=awkward_text, ls_type=st.integers(min_value=1, max_value=5),
+        adv_router=awkward_text, ls_id=awkward_text,
+        ls_age=st.integers(min_value=0, max_value=3600),
+        ls_seq=st.integers(min_value=-(2**40), max_value=2**40), is_ack=st.booleans(),
+    ), max_size=20))
+    @settings(max_examples=150, deadline=None)
+    def test_write_matches_json_dumps_per_event(self, tmp_path_factory, events):
+        path = tmp_path_factory.getbasetemp() / "bytes.jsonl"
+        assert ingest.write_lsa_log(path, events) == len(events)
+        assert path.read_bytes() == oracle.lsa_log(events).encode("utf-8")
+
+    @pytest.mark.parametrize("prefix, content, line", [
+        (b"", b"\xff\xfe" + json.dumps({"ts_us": 0}).encode(), 1),
+        (b"", json.dumps(dataclasses.asdict(make_event())).encode("utf-16"), 1),
+        (b"\n", b'{"monitor": "m\xe9"}', 2),
+    ], ids=["bom-bytes", "utf-16", "latin-1-on-line-2"])
+    def test_bytes_that_are_not_utf8_report_file_and_line(self, tmp_path, prefix, content, line):
+        path = tmp_path / "odd.jsonl"
+        ingest.write_lsa_log(path, [make_event()])
+        path.write_bytes(path.read_bytes() + prefix + content + b"\n")
+        with pytest.raises(ingest.LogFormatError, match="not valid UTF-8") as err:
+            list(ingest.read_lsa_log(path))
+        assert str(err.value).startswith(f"{path}: line {line + 1}:")
+
 
 class TestBinning:
     def test_two_events_first_bin(self):
@@ -154,6 +191,26 @@ class TestBinning:
         back = ingest.read_series_csv(path)
         assert (back.start_us, back.bin_size_s) == (s.start_us, 30)
         assert np.array_equal(back.counts, s.counts)
+
+    @given(start_us=st.one_of(st.integers(min_value=0, max_value=2**53),
+                              st.just(1_700_000_000_123_457)),
+           bin_size=st.sampled_from([1, 7, 10, 30, 3600]),
+           counts=st.lists(st.integers(min_value=0, max_value=2**40), max_size=40),
+           chunk=st.sampled_from([1, 3, 7, 2048]))
+    @settings(max_examples=150, deadline=None)
+    def test_csv_matches_per_row_formatting(self, tmp_path_factory, start_us, bin_size,
+                                            counts, chunk):
+        path = tmp_path_factory.getbasetemp() / "rows.csv"
+        with mock.patch.object(ingest, "CSV_CHUNK_ROWS", chunk):
+            ingest.write_series_csv(path, ingest.CountSeries(start_us, bin_size, counts))
+        assert path.read_bytes() == oracle.series_csv(start_us, bin_size, counts).encode()
+
+    @pytest.mark.parametrize("n", [2047, 2048, 2049, 3 * 2048 + 5])
+    def test_csv_matches_per_row_formatting_across_chunks(self, tmp_path, n):
+        counts = np.arange(n) * 7919 % 13
+        path = tmp_path / "rows.csv"
+        ingest.write_series_csv(path, ingest.CountSeries(1_700_000_000_123_457, 10, counts))
+        assert path.read_text() == oracle.series_csv(1_700_000_000_123_457, 10, counts)
 
     @pytest.mark.parametrize("rows, line, message", [
         (["0,0,1", "1,10,0", "2,35,2", "3,37,0"], 4, "uneven spacing"),
@@ -289,6 +346,47 @@ class TestPcap:
         path.write_bytes(data)
         rec = next(iter(ingest.read_pcap(path)))
         assert rec.truncated
+
+    @pytest.mark.parametrize("endian", ["<", ">"])
+    def test_cut_at_every_byte_gives_prior_records_then_error(self, tmp_path, endian):
+        frame = eth_frame(ipv4_packet(ospf_packet(4, ls_update([lsa_header()]))))
+        blob = pcap_bytes([(1, b""), (2_000_003, b"abcde"), (3, frame)], endian=endian)
+        path = tmp_path / "cut.pcap"
+        for cut in range(24, len(blob) + 1):
+            path.write_bytes(blob[:cut])
+            assert read_records(path) == oracle.pcap_records(blob[:cut]), cut
+
+    @given(records=st.lists(st.tuples(st.integers(min_value=0, max_value=2**32 - 1),
+                                      st.integers(min_value=0, max_value=10**6 - 1),
+                                      st.binary(max_size=40),
+                                      st.integers(min_value=0, max_value=3)), max_size=8),
+           endian=st.sampled_from(["<", ">"]),
+           read_bytes=st.sampled_from([1, 5, 16, 17, 33, 1 << 20]),
+           cut=st.integers(min_value=0, max_value=400))
+    @settings(max_examples=200, deadline=None)
+    def test_bounded_buffer_reads_like_record_by_record(self, tmp_path_factory, records,
+                                                        endian, read_bytes, cut):
+        blob = struct.pack(endian + "IHHiIII", ingest.PCAP_MAGIC, 2, 4, 0, 0, 65535, 1)
+        for ts_sec, ts_usec, data, snapped in records:
+            blob += struct.pack(endian + "IIII", ts_sec, ts_usec, len(data),
+                                len(data) + snapped) + data
+        blob = blob[:max(24, len(blob) - cut)]
+        path = tmp_path_factory.getbasetemp() / "buffered.pcap"
+        path.write_bytes(blob)
+        with mock.patch.object(ingest, "PCAP_READ_BYTES", read_bytes):
+            assert read_records(path) == oracle.pcap_records(blob)
+
+
+def read_records(path):
+    """The records read before the stream ended, and whether it ended
+    with TruncatedPcapError."""
+    records = []
+    try:
+        for rec in ingest.read_pcap(path):
+            records.append((rec.ts_us, rec.data, rec.truncated))
+    except ingest.TruncatedPcapError:
+        return records, True
+    return records, False
 
 
 class TestParseOspf:
