@@ -385,7 +385,8 @@ def cmd_detect(args) -> int:
     write_config_echo(out_dir / "run_config.cfg", s, series=args.series,
                       measures=",".join(enabled), out=out_dir)
     print(f"{len(measure_series)} windows analyzed, {len(alerts)} alerts "
-          f"({measure_series.degenerate_windows} degenerate windows) -> {out_dir}")
+          f"({measure_series.degenerate_windows} degenerate windows, "
+          f"{measure_series.epsilon_warnings} epsilon warnings) -> {out_dir}")
     return 1 if alerts and s.fail_on_alert else 0
 
 

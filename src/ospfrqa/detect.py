@@ -153,6 +153,10 @@ def sliding_rqa(series: CountSeries, config: DetectorConfig) -> MeasureSeries:
     recompute bit for bit.  At most ``MEMO_WINDOWS`` distinct windows are
     held; the oldest is evicted first, so a series without repeats costs
     one dictionary insert per window and no more memory than the cap.
+    The memo stays in front of :func:`~ospfrqa.rqa.measures_for_series`:
+    only a window not held in it reaches either of that function's
+    engines (the equality-class engine for integer windows in its regime,
+    the float path otherwise).
     """
     counts = np.asarray(series.counts, dtype=float)
     w = config.window_bins
@@ -332,18 +336,3 @@ def write_alerts_jsonl(path, alerts: list[Alert]) -> None:
                 ],
             }, sort_keys=True, separators=(",", ":")) + "\n")
 
-
-def read_alerts_jsonl(path) -> list[Alert]:
-    alerts = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            triggered = tuple(
-                TriggeredMeasure(t["name"], t["value"], t["baseline_median"], t["deviation_score"])
-                for t in rec["triggered_measures"]
-            )
-            alerts.append(Alert(rec["bin_index"], rec["time_s"], triggered, rec["severity"]))
-    return alerts

@@ -28,13 +28,35 @@ Conventions (documented so results are comparable across tools):
 * entropies use the natural logarithm and are normalized over the lines
   that meet the relevant minimum length;
 * any measure whose denominator is empty is defined as 0.
+
+Two engines compute the measures of a window in
+:func:`measures_for_series`, and both feed one reducer over the
+line-length histograms P(l), P(v) and P(w):
+
+* the float path builds R from the z-scored delay vectors exactly as the
+  conventions above say.  It is the definition, and
+  :func:`rqa_measures` always uses it on the matrix it is given;
+* the equality-class engine is a shortcut for integer windows (symbolic
+  recurrence, Caballero-Pintado et al., Chaos 2018).  Take a window of
+  integers whose population sd, the sd that :func:`znormalize` divides
+  by, is sigma.  Equal delay vectors are at distance 0.  Unequal ones
+  differ by at least one count in some coordinate, which is at least
+  ``1 / sigma`` after z-normalization under both norms.  When
+  ``epsilon * sigma <= 1 - 1e-9``, R is therefore exactly the equality
+  matrix ``R[i, j] = [v_i == v_j]``.  The engine maps each delay vector to
+  an integer symbol and reads the three histograms from the symbol
+  sequence without building R.  Its guard also requires
+  ``max - min <= 2**20`` of the window, which keeps the rounding of the
+  float path inside the 1e-9 margin.  Integer sums are exact and
+  divided once, and the entropies see the same nonzero counts in the same
+  order, so the shortcut returns the float path's bits.  Any other window
+  takes the float path, so no convention depends on which engine ran.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -47,6 +69,18 @@ _FOLD = {"euclidean": np.add, "maximum": np.maximum}
 # Elements per row block of pairwise terms (8 MB of float64): bounds the
 # memory of the diameter and nearest-neighbor scans on long series.
 BLOCK_ELEMENTS = 1 << 20
+
+# Guard of the equality-class engine (module docstring): epsilon * sd must
+# stay this far below 1, and the window's integers may spread over at most
+# EQUALITY_MAX_SPAN.  The float path then rounds a one-count difference by
+# at most about 4 * 2**-53 * span / sd, under 4.7e-10 / sd, which is inside
+# the margin of 1e-9 / sd.
+EQUALITY_MARGIN = 1.0 - 1e-9
+EQUALITY_MAX_SPAN = float(1 << 20)
+
+# Largest packed code space whose symbols are counted with np.bincount;
+# larger spaces are relabelled densely with np.unique.
+SYMBOL_TABLE = 1 << 12
 
 
 class SeriesTooShortError(ValueError):
@@ -130,14 +164,19 @@ def znormalize(values) -> tuple[np.ndarray, bool]:
     leaves the output bit-identical.
     """
     x = np.asarray(values, dtype=float)
+    centered, sd = _centered(x)
+    if sd == 0.0:
+        return np.zeros_like(x), True
+    return centered / sd, False
+
+
+def _centered(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """The centered series and the sd that :func:`znormalize` divides by."""
     if x.ndim != 1 or x.size == 0:
         raise ValueError("znormalize expects a non-empty 1-D series")
     y = x - x[0]
     centered = y - y.mean()
-    sd = math.sqrt(float((centered * centered).mean()))
-    if sd == 0.0:
-        return np.zeros_like(x), True
-    return centered / sd, False
+    return centered, math.sqrt(float((centered * centered).mean()))
 
 
 def embed(values, tau: int, m: int) -> np.ndarray:
@@ -317,82 +356,50 @@ def phase_space_diameter(traj: np.ndarray, norm: str = "euclidean") -> float:
 
 # --- line statistics -------------------------------------------------------
 #
-# Run lengths are extracted from a single gathered 1-D stream per line
-# family, with -1 sentinels between diagonals/columns.  The gather indices
-# depend only on (n, theiler), so they are built once and cached; the
-# sliding-window detector reuses them for every window.
+# Lines are read from one bool stream per family that starts with False and
+# holds a False after every diagonal or column, so no run crosses from one
+# line into the next: the runs are the spans between successive changes of
+# the stream.  Diagonal k of an (n, n) matrix laid out in rows of width 2n
+# is column k of the same buffer laid out in rows of width 2n + 1 (the flat
+# trick of the distance kernels); the extra columns are the False padding.
 
 
-@lru_cache(maxsize=64)
-def _gather_plan(n: int, theiler: int) -> tuple[np.ndarray, np.ndarray]:
-    w = max(theiler, 1)
-    sentinel = np.array([n * n], dtype=np.int64)  # index of the padded -1 slot
-    diag_chunks: list[np.ndarray] = []
-    for k in range(-(n - 1), n):
-        if abs(k) < w:
-            continue
-        if k >= 0:
-            idx = np.arange(n - k, dtype=np.int64) * (n + 1) + k
-        else:
-            idx = np.arange(n + k, dtype=np.int64) * (n + 1) - k * n
-        diag_chunks.append(idx)
-        diag_chunks.append(sentinel)
-    diag_idx = np.concatenate(diag_chunks) if diag_chunks else sentinel.copy()
-
-    col_chunks: list[np.ndarray] = []
-    rows = np.arange(n, dtype=np.int64) * n
-    for j in range(n):
-        col_chunks.append(rows + j)
-        col_chunks.append(sentinel)
-    col_idx = np.concatenate(col_chunks)
-    return diag_idx, col_idx
+def _run_bounds(stream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of the runs of True in a bool vector framed by False."""
+    edges = np.flatnonzero(stream[1:] != stream[:-1]) + 1
+    return edges[0::2], edges[1::2]
 
 
-def _runs(stream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Maximal runs of a sentinel-separated int8 stream: (values, lengths)."""
-    change = np.flatnonzero(stream[1:] != stream[:-1]) + 1
-    starts = np.concatenate(([0], change))
-    lengths = np.diff(np.concatenate((starts, [stream.size])))
-    return stream[starts], lengths
+def _line_histograms(rm: np.ndarray, theiler: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal, vertical and interior white-vertical length histograms of rm.
 
-
-def _line_lengths(rm: np.ndarray, theiler: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonal, vertical, and interior white-vertical run lengths of rm."""
+    Each is a ``np.bincount`` array: entry l counts the lines of length l.
+    """
     n = rm.shape[0]
-    diag_idx, col_idx = _gather_plan(n, theiler)
-    flat = np.empty(n * n + 1, dtype=np.int8)
-    flat[: n * n] = rm.reshape(-1)
-    flat[n * n] = -1
+    w = max(theiler, 1)
+    rows = max(n - w, 0)
+    # Diagonals k >= w of rm, then of rm.T (the diagonals -k of rm), one per
+    # row of the stream; row k - w holds rm[i, i + k] and then False.
+    diags = np.zeros(1 + 2 * rows * n, dtype=bool)
+    buf = np.zeros(n * (2 * n + 1), dtype=bool)
+    for half, mat in enumerate((rm, rm.T)):
+        buf[: 2 * n * n].reshape(n, 2 * n)[:, :n] = mat
+        out = diags[1 + half * rows * n : 1 + (half + 1) * rows * n].reshape(rows, n)
+        out[...] = buf.reshape(n, 2 * n + 1)[:, w:n].T
+    starts, ends = _run_bounds(diags)
+    dh = np.bincount(ends - starts)
 
-    dvals, dlens = _runs(flat[diag_idx])
-    diag = dlens[dvals == 1]
-
-    cvals, clens = _runs(flat[col_idx])
-    vert = clens[cvals == 1]
-
-    # White runs must be flanked by recurrence points on both sides; a run
-    # next to a sentinel touches the matrix border and its length is censored.
-    zero = cvals == 0
-    if zero.any():
-        left_ok = np.empty_like(zero)
-        left_ok[0] = False
-        left_ok[1:] = cvals[:-1] == 1
-        right_ok = np.empty_like(zero)
-        right_ok[-1] = False
-        right_ok[:-1] = cvals[1:] == 1
-        white = clens[zero & left_ok & right_ok]
-    else:
-        white = clens[:0]
-    return diag, vert, white
-
-
-def _entropy(lengths: np.ndarray) -> float:
-    if lengths.size == 0:
-        return 0.0
-    counts = np.bincount(lengths)
-    counts = counts[counts > 0]
-    p = counts / counts.sum()
-    return float(-(p * np.log(p)).sum())
+    # Column j of rm is row j of the stream, followed by a False.
+    cols = np.zeros(1 + n * (n + 1), dtype=bool)
+    cols[1:].reshape(n, n + 1)[:, :n] = rm.T
+    starts, ends = _run_bounds(cols)
+    vh = np.bincount(ends - starts)
+    # White runs must be flanked by recurrence points on both sides: they
+    # are the gaps between successive runs of one column.  A gap before the
+    # first or after the last run touches the border and is censored.
+    same = (ends[:-1] - 2) // (n + 1) == (starts[1:] - 1) // (n + 1)
+    wh = np.bincount(starts[1:][same] - ends[:-1][same])
+    return dh, vh, wh
 
 
 def line_histograms(rm: np.ndarray, theiler: int = 1) -> LineHistograms:
@@ -402,36 +409,49 @@ def line_histograms(rm: np.ndarray, theiler: int = 1) -> LineHistograms:
     vertical runs touching the top/bottom border are dropped.
     """
     rm = np.asarray(rm, dtype=bool)
-    diag, vert, white = _line_lengths(rm, theiler)
 
-    def hist(lengths: np.ndarray) -> dict[int, int]:
-        if lengths.size == 0:
-            return {}
-        uniq, counts = np.unique(lengths, return_counts=True)
-        return {int(u): int(c) for u, c in zip(uniq, counts)}
+    def as_dict(h: np.ndarray) -> dict[int, int]:
+        return {int(length): int(h[length]) for length in np.flatnonzero(h)}
 
-    return LineHistograms(hist(diag), hist(vert), hist(white))
+    return LineHistograms(*(as_dict(h) for h in _line_histograms(rm, theiler)))
 
 
-def _measures_from_lengths(
-    rm_sum: int, n: int, diag: np.ndarray, vert: np.ndarray, white: np.ndarray,
+def _lines(h: np.ndarray, lo: int) -> tuple[int, int, float]:
+    """Line count, point count and entropy of the lengths >= lo of h."""
+    tail = h[lo:]
+    lengths = np.flatnonzero(tail)
+    if lengths.size == 0:
+        return 0, 0, 0.0
+    counts = tail[lengths]
+    lines = int(counts.sum())
+    p = counts / lines
+    return lines, int(counts @ lengths) + lo * lines, float(-(p * np.log(p)).sum())
+
+
+def _measures_from_histograms(
+    rm_sum: int, n: int, dh: np.ndarray, vh: np.ndarray, wh: np.ndarray,
     l_min: int, v_min: int,
 ) -> RqaMeasures:
+    """The nine measures from line-length histograms (``np.bincount`` arrays).
+
+    Every ratio is of two exact integer sums, divided once, and each entropy
+    sees the nonzero counts in ascending length order, so any two ways of
+    building the same histograms give the same bits.
+    """
     rr = rm_sum / float(n * n)
 
-    total_diag_points = int(diag.sum())
-    long_diag = diag[diag >= l_min]
-    det = float(long_diag.sum()) / total_diag_points if total_diag_points else 0.0
-    l_max = float(diag.max()) if diag.size else 0.0
-    l_mean = float(long_diag.mean()) if long_diag.size else 0.0
-    l_entr = _entropy(long_diag)
+    diag_points = int(dh @ np.arange(dh.size))
+    long_lines, long_points, l_entr = _lines(dh, l_min)
+    det = float(long_points) / diag_points if diag_points else 0.0
+    lengths = np.flatnonzero(dh)
+    l_max = float(lengths[-1]) if lengths.size else 0.0
+    l_mean = float(long_points) / long_lines if long_lines else 0.0
 
-    long_vert = vert[vert >= v_min]
-    tt = float(long_vert.mean()) if long_vert.size else 0.0
-    v_entr = _entropy(long_vert)
+    vert_lines, vert_points, v_entr = _lines(vh, v_min)
+    tt = float(vert_points) / vert_lines if vert_lines else 0.0
 
-    t2 = float(white.mean()) if white.size else 0.0
-    w_entr = _entropy(white)
+    white_lines, white_points, w_entr = _lines(wh, 1)
+    t2 = float(white_points) / white_lines if white_lines else 0.0
 
     return RqaMeasures(rr, det, l_max, l_mean, l_entr, tt, v_entr, t2, w_entr)
 
@@ -460,9 +480,9 @@ def rqa_measures(rm: np.ndarray, l_min: int = 2, v_min: int = 2, theiler: int = 
         raise ValueError("recurrence matrix must be square")
     if l_min < 2 or v_min < 2:
         raise ValueError("l_min and v_min must be >= 2")
-    diag, vert, white = _line_lengths(rm, theiler)
-    return _measures_from_lengths(int(np.count_nonzero(rm)), rm.shape[0], diag, vert, white,
-                                  l_min, v_min)
+    dh, vh, wh = _line_histograms(rm, theiler)
+    return _measures_from_histograms(int(np.count_nonzero(rm)), rm.shape[0], dh, vh, wh,
+                                     l_min, v_min)
 
 
 def constant_window_measures(n_points: int) -> RqaMeasures:
@@ -495,7 +515,9 @@ def measures_for_series(values, params: EmbedParams) -> tuple[RqaMeasures, bool]
 
     Returns ``(measures, degenerate)``.  Degenerate (zero-variance)
     windows short-circuit to :func:`constant_window_measures` so quiet
-    OSPF stretches never fault.
+    OSPF stretches never fault.  Integer windows inside the equality
+    regime (module docstring) are quantified from their delay-vector
+    symbols without building R; the result is the same bits.
     """
     x = np.asarray(values, dtype=float)
     if x.size < params.min_series_length():
@@ -503,13 +525,108 @@ def measures_for_series(values, params: EmbedParams) -> tuple[RqaMeasures, bool]
             f"window of {x.size} bins cannot be embedded with tau={params.tau}, "
             f"m={params.m}; need at least {params.min_series_length()}"
         )
-    z, degenerate = znormalize(x)
-    if degenerate:
-        return constant_window_measures(params.n_points(x.size)), True
+    centered, sd = _centered(x)
+    n = params.n_points(x.size)
+    if sd == 0.0:
+        return constant_window_measures(n), True
+    symbols = _symbols(x, sd, params)
+    if symbols is not None:
+        return _equality_measures(*symbols, params.theiler, params.l_min, params.v_min), False
     # The recurrence matrix of embed(z, tau, m), built from z directly.
     shifts = range(0, params.m * params.tau, params.tau)
-    rm = _recurrence([(z, shifts)], params.n_points(x.size), params.epsilon, params.norm)
+    rm = _recurrence([(centered / sd, shifts)], n, params.epsilon, params.norm)
     return rqa_measures(rm, params.l_min, params.v_min, params.theiler), False
+
+
+# --- equality-class engine -------------------------------------------------
+#
+# In the equality regime R[i, j] = [s_i == s_j] for the symbols s of the
+# delay vectors, so every column of one symbol is the same column and the
+# diagonals are the matches of the symbol sequence with its own shifts.
+
+
+def _symbols(x: np.ndarray, sd: float, params: EmbedParams):
+    """``(codes, counts)`` of the delay vectors of an integer window, or None.
+
+    ``codes[i]`` is an integer with ``codes[i] == codes[j]`` exactly when
+    delay vectors i and j are equal, and ``counts[c]`` is the number of
+    points with code c.  None when the window is outside the equality
+    regime, so the float path must run.
+    """
+    if not params.epsilon * sd <= EQUALITY_MARGIN:
+        return None
+    lo = x.min()
+    span = x.max() - lo
+    if not span <= EQUALITY_MAX_SPAN or not np.array_equal(x, np.floor(x)):
+        return None
+    # Mixed-radix packing of the m coordinates, base span + 1.  A code space
+    # that would pass 2**62 is relabelled densely first, so codes stay exact
+    # int64 for every m.
+    c = (x - lo).astype(np.int64)
+    base = int(span) + 1
+    n = params.n_points(x.size)
+    codes, size = c[:n], base
+    for k in range(1, params.m):
+        if size * base > 1 << 62:
+            _, codes = np.unique(codes, return_inverse=True)
+            size = n
+        codes = codes * base + c[k * params.tau : k * params.tau + n]
+        size *= base
+    if size > SYMBOL_TABLE:
+        _, codes, counts = np.unique(codes, return_inverse=True, return_counts=True)
+    else:
+        counts = np.bincount(codes)
+    return codes, counts
+
+
+def _equality_measures(codes: np.ndarray, counts: np.ndarray, theiler: int,
+                       l_min: int, v_min: int) -> RqaMeasures:
+    """The nine measures of the equality matrix of a symbol sequence."""
+    n = codes.size
+    # Vertical: each run of symbol s in the sequence is one vertical line
+    # in each of the counts[s] columns of s.
+    change = np.flatnonzero(codes[1:] != codes[:-1]) + 1
+    starts = np.concatenate(([0], change))
+    ends = np.concatenate((change, [n]))
+    symbol = codes[starts]
+    weight = counts[symbol]
+    vh = np.bincount(ends - starts, weights=weight).astype(np.int64)
+    # White vertical: the gaps between successive runs of one symbol, again
+    # once per column of that symbol; gaps at the borders are censored.
+    order = np.argsort(symbol, kind="stable")
+    after, before = order[1:], order[:-1]
+    same = symbol[after] == symbol[before]
+    wh = np.bincount(starts[after][same] - ends[before][same],
+                     weights=weight[after][same]).astype(np.int64)
+    # Diagonals: R is symmetric, so the diagonals -k repeat the diagonals k
+    # and only k = 1 .. n - 1 are read, each once, in h = (n + 1) // 2 rows.
+    # The n + 1 slots (the codes, then a -1 sentinel) are laid out cyclically;
+    # in rows of width n + 2, row k - 1 of that layout, shifted by one, holds
+    # slot (i + k) mod (n + 1) in column i.  Compared with the slots and a -2
+    # it holds diagonal k, a False (the sentinel), diagonal n + 1 - k and two
+    # Falses.  For odd n the middle row holds diagonal h twice, and the
+    # diagonals below w are excluded.
+    h = (n + 1) // 2
+    width = n + 2
+    dtype = np.int16 if counts.size < 1 << 15 else np.int64
+    cycle = np.empty((h + 1, n + 1), dtype=dtype)
+    cycle[:, :n] = codes
+    cycle[:, n] = -1
+    key = np.full(width, -2, dtype=dtype)
+    key[: n + 1] = cycle[0]
+    diags = np.zeros(1 + h * width, dtype=bool)
+    rows = diags[1:].reshape(h, width)
+    np.equal(cycle.reshape(-1)[1 : 1 + h * width].reshape(h, width), key, out=rows)
+    if 2 * h - 1 == n:
+        rows[h - 1, n - h + 1 :] = False
+    for d in range(1, min(max(theiler, 1), n)):
+        if d <= h:
+            rows[d - 1, : n - d] = False
+        else:
+            rows[n - d, d:] = False
+    starts, ends = _run_bounds(diags)
+    dh = 2 * np.bincount(ends - starts)
+    return _measures_from_histograms(int(counts @ counts), n, dh, vh, wh, l_min, v_min)
 
 
 # --- embedding-parameter estimation ---------------------------------------

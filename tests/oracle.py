@@ -196,6 +196,16 @@ def lsa_log(events):
     }, separators=(",", ":")) + "\n" for e in events)
 
 
+def read_alerts_jsonl(path):
+    """The records of an alerts file, one ``json.loads`` per non-blank line."""
+    records = []
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            if line.strip():
+                records.append(json.loads(line))
+    return records
+
+
 def pcap_records(blob):
     """Read a classic pcap held in memory one record at a time.
 

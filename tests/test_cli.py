@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ospfrqa import ingest
+from ospfrqa import detect, ingest, rqa
 from ospfrqa.cli import build_parser, format_setting, main
 
 
@@ -243,6 +243,24 @@ class TestDetect:
                        "--fail-on-alert") == 1
         assert run_cli("detect", quiet_series, "--out", tmp_path / "scaled",
                        "--floor-scale", "12", "--fail-on-alert") == 0
+
+    def test_summary_prints_epsilon_warnings(self, tmp_path, capsys):
+        # z-scored range 2 and diameter 2*sqrt(2) < 10 * 0.5: every window warns.
+        path = tmp_path / "alternating.csv"
+        series = ingest.CountSeries(0, 10, np.array([0, 1] * 50))
+        ingest.write_series_csv(path, series)
+        out = tmp_path / "d"
+        assert run_cli("detect", path, "--out", out, "--window", "10",
+                       "--baseline", "10", "--epsilon", "0.5") == 0
+        ms = detect.sliding_rqa(series, detect.DetectorConfig(
+            window_bins=10, baseline_bins=10, embed=rqa.EmbedParams(epsilon=0.5)))
+        assert ms.epsilon_warnings == 91
+        assert capsys.readouterr().out == (
+            f"91 windows analyzed, 0 alerts (0 degenerate windows, 91 epsilon warnings)"
+            f" -> {out}\n")
+        assert run_cli("detect", path, "--out", out, "--window", "10",
+                       "--baseline", "10") == 0
+        assert "(0 degenerate windows, 0 epsilon warnings)" in capsys.readouterr().out
 
     def test_window_longer_than_series_exits_2(self, tmp_path, capsys):
         path = tmp_path / "tiny.csv"

@@ -370,7 +370,10 @@ class TestSerialization:
         )]
         path = tmp_path / "alerts.jsonl"
         detect.write_alerts_jsonl(path, alerts)
-        back = detect.read_alerts_jsonl(path)
+        back = [Alert(rec["bin_index"], rec["time_s"],
+                      tuple(detect.TriggeredMeasure(**t) for t in rec["triggered_measures"]),
+                      rec["severity"])
+                for rec in oracle.read_alerts_jsonl(path)]
         assert back == alerts
 
 

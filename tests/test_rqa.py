@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -287,6 +287,19 @@ def count_or_float_series(draw, min_size=4, max_size=40):
     return np.array(draw(st.lists(elem, min_size=min_size, max_size=max_size)))
 
 
+# Ratios of integer sums are correctly rounded on both sides, so they must
+# agree exactly; the oracle's entropies use math.log and a sequential sum.
+EXACT_MEASURES = ("rr", "det", "l_max", "l_mean", "tt", "t2")
+
+
+def assert_matches_oracle(got, want):
+    for name in rqa.MEASURE_NAMES:
+        if name in EXACT_MEASURES:
+            assert getattr(got, name) == want[name], name
+        else:
+            assert getattr(got, name) == pytest.approx(want[name], abs=1e-12), name
+
+
 class TestDistanceKernels:
     def test_pythagorean_boundary_is_inclusive(self):
         traj = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]])
@@ -316,17 +329,24 @@ class TestDistanceKernels:
            st.sampled_from([0.2, 0.5, 1.0, 2.0]))
     @settings(max_examples=150, deadline=None)
     def test_measures_for_series_matrix_matches_oracle(self, x, tau, m, norm, eps):
-        # The per-window path builds R from the series without embedding
-        # it; capture that R where it is handed to the line statistics.
+        # The float path builds R from the series without embedding it;
+        # capture that R where it is handed to the line statistics.  The
+        # equality-class engine builds no R, so the float path is forced for
+        # that check; the measures as computed (by the equality engine where
+        # it applies) are then checked against the oracle's measures of R.
         assume(x.size >= (m - 1) * tau + 2)
         z, degenerate = rqa.znormalize(x)
         assume(not degenerate)
         params = rqa.EmbedParams(tau=tau, m=m, epsilon=eps, norm=norm)
-        with mock.patch.object(rqa, "rqa_measures", wraps=rqa.rqa_measures) as spy:
+        with mock.patch.object(rqa, "_symbols", return_value=None), \
+                mock.patch.object(rqa, "rqa_measures", wraps=rqa.rqa_measures) as spy:
             rqa.measures_for_series(x, params)
         rm = spy.call_args.args[0]
         want = oracle.recurrence(oracle.embed_points(z.tolist(), tau, m), eps, norm)
         assert rm.astype(int).tolist() == want
+        got, _ = rqa.measures_for_series(x, params)
+        assert_matches_oracle(got, oracle.measures(want, params.l_min, params.v_min,
+                                                   params.theiler))
 
     @given(trajectories(), NORMS, BLOCKS)
     @settings(max_examples=100, deadline=None)
@@ -346,6 +366,150 @@ class TestDistanceKernels:
         for m in range(1, m_max + 1):
             points = oracle.embed_points(x.tolist(), tau, m)[: x.size - m * tau]
             assert got[m - 1].tolist() == oracle.nearest_neighbors(points), m
+
+
+# --- equality-class engine ---------------------------------------------------
+
+
+def both_engines(x, params):
+    """``measures_for_series`` as it runs, whether the equality engine ran, and
+    the float path's measures and recurrence matrix."""
+    with mock.patch.object(rqa, "rqa_measures", wraps=rqa.rqa_measures) as spy:
+        got, degenerate = rqa.measures_for_series(x, params)
+    assert not degenerate
+    equality = spy.call_count == 0
+    with mock.patch.object(rqa, "_symbols", return_value=None), \
+            mock.patch.object(rqa, "rqa_measures", wraps=rqa.rqa_measures) as spy:
+        want, _ = rqa.measures_for_series(x, params)
+    return got, equality, want, spy.call_args.args[0]
+
+
+def equality_matrix(x, tau, m):
+    pts = rqa.embed(x, tau, m)
+    return (pts[:, None, :] == pts[None, :, :]).all(axis=2)
+
+
+# Factors f for epsilon = f / sd: sd just below and just above 1 / epsilon,
+# on both sides of the guard epsilon * sd <= 1 - 1e-9.
+EDGE_FACTORS = [1 - 1e-6, 1 - 2e-9, 1 - 1e-9, 1 - 5e-10, 1.0, 1 + 1e-9, 1 + 1e-6]
+
+
+@st.composite
+def equality_cases(draw):
+    tau, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    alphabet = draw(st.lists(st.integers(0, 6), min_size=2, max_size=4, unique=True))
+    x = np.array(draw(st.lists(st.sampled_from(alphabet), min_size=(m - 1) * tau + 2,
+                               max_size=60)), dtype=float)
+    x += draw(st.integers(-3, 3))
+    _, sd = rqa._centered(x)
+    assume(sd > 0)
+    factor = draw(st.sampled_from([None] + EDGE_FACTORS))
+    eps = draw(st.floats(0.01, 1.0)) if factor is None else min(factor / sd, 1.0)
+    params = rqa.EmbedParams(tau=tau, m=m, epsilon=eps, norm=draw(NORMS),
+                             theiler=draw(st.integers(0, 3)), l_min=draw(st.integers(2, 4)),
+                             v_min=draw(st.integers(2, 4)))
+    return x, params
+
+
+class TestEqualityEngine:
+    @given(equality_cases(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_float_path_bit_for_bit(self, case, relabel):
+        # relabel sends the symbols through np.unique instead of np.bincount.
+        x, params = case
+        with mock.patch.object(rqa, "SYMBOL_TABLE", 0 if relabel else rqa.SYMBOL_TABLE):
+            got, equality, want, rm = both_engines(x, params)
+        assert got.as_tuple() == want.as_tuple()
+        _, sd = rqa._centered(x)
+        assert equality == (params.epsilon * sd <= 1 - 1e-9)
+        event(f"equality engine: {equality}")
+        if equality:
+            # The reason it is exact: R is the equality matrix of the vectors.
+            assert np.array_equal(rm, equality_matrix(x, params.tau, params.m))
+
+    def test_guard_edge_is_inclusive(self):
+        x = np.array([0.0, 2.0] * 10)
+        assert rqa._centered(x)[1] == 1.0
+        inside = rqa.EmbedParams(epsilon=1 - 1e-9)
+        outside = rqa.EmbedParams(epsilon=math.nextafter(1 - 1e-9, 2.0))
+        for params, expect in ((inside, True), (outside, False)):
+            got, equality, want, _ = both_engines(x, params)
+            assert equality == expect
+            assert got == want
+
+    def test_beyond_guard_takes_float_path(self):
+        # epsilon * sd = 1.05: unequal points one count apart recur.
+        x = np.array([0.0, 1.0, 2.0, 1.0] * 5)
+        _, sd = rqa._centered(x)
+        params = rqa.EmbedParams(m=1, epsilon=1.05 / sd)
+        got, equality, want, rm = both_engines(x, params)
+        assert not equality
+        assert got == want
+        assert not np.array_equal(rm, equality_matrix(x, 1, 1))
+
+    def test_non_integer_window_takes_float_path(self):
+        x = np.array([0.0, 1.0, 0.0, 2.0, 1.0, 0.5, 0.0, 1.0, 2.0, 1.0])
+        _, sd = rqa._centered(x)
+        params = rqa.EmbedParams()
+        assert params.epsilon * sd < 1 - 1e-9
+        assert rqa._symbols(x, sd, params) is None
+        got, equality, want, _ = both_engines(x, params)
+        assert not equality
+        assert got == want
+
+    def test_non_finite_window_takes_float_path(self):
+        x = np.array([0.0, 1.0, np.inf, 0.0, 1.0, 0.0])
+        with np.errstate(invalid="ignore"):
+            assert rqa._symbols(x, rqa._centered(x)[1], rqa.EmbedParams()) is None
+
+    @pytest.mark.parametrize("span, expect", [(2**20, True), (2**20 + 1, False)])
+    def test_spread_guard(self, span, expect):
+        rng = np.random.default_rng(span)
+        x = rng.integers(0, span + 1, size=60).astype(float)
+        x[:2] = 0, span
+        _, sd = rqa._centered(x)
+        params = rqa.EmbedParams(epsilon=0.5 / sd)
+        assert (rqa._symbols(x, sd, params) is not None) == expect
+        got, equality, want, _ = both_engines(x, params)
+        assert equality == expect
+        assert got == want
+
+    @pytest.mark.parametrize("high, m, tau", [(2, 10, 1), (2**20, 5, 2), (3, 40, 1)])
+    def test_large_code_spaces(self, high, m, tau):
+        # (high + 1)**m passes SYMBOL_TABLE, and for the last two 2**62.
+        rng = np.random.default_rng(m)
+        x = np.tile(rng.integers(0, high + 1, size=20), 6).astype(float)
+        x[-7:] = rng.integers(0, high + 1, size=7)
+        _, sd = rqa._centered(x)
+        params = rqa.EmbedParams(tau=tau, m=m, epsilon=0.9 / sd, theiler=2)
+        got, equality, want, rm = both_engines(x, params)
+        assert equality
+        assert got == want
+        assert np.array_equal(rm, equality_matrix(x, tau, m))
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n)),
+    st.integers(0, 13), st.integers(2, 4), st.integers(2, 4))
+@settings(max_examples=200, deadline=None)
+def test_line_statistics_of_any_matrix_match_oracle(rows, theiler, l_min, v_min):
+    # Not necessarily symmetric: the diagonals below the LOI are read apart.
+    rm = np.array(rows, dtype=bool)
+    h = rqa.line_histograms(rm, theiler)
+    assert h.diagonal == oracle.histogram(oracle.diagonal_lengths(rows, theiler))
+    assert h.vertical == oracle.histogram(oracle.vertical_lengths(rows))
+    assert h.white_vertical == oracle.histogram(oracle.white_lengths(rows))
+    assert_matches_oracle(rqa.rqa_measures(rm, l_min, v_min, theiler),
+                          oracle.measures(rows, l_min, v_min, theiler))
+
+
+def test_oracle_imports_no_package_module():
+    tests = Path(oracle.__file__).resolve().parent
+    code = ("import sys, oracle; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'ospfrqa'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=tests)
+    assert out.stdout.strip() == "[]"
 
 
 def test_import_loads_no_scipy():
