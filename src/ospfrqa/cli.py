@@ -304,8 +304,10 @@ def cmd_extract(args) -> int:
 
     series = ingest.bin_series(events, flt, s.bin, t0_us, t1_us)
     ingest.write_series_csv(s.out, series)
-    print(f"{len(series)} bins ({series.counts.sum()} events kept, "
-          f"{series.dropped} outside range) -> {s.out}")
+    kept = int(series.counts.sum())
+    filtered_out = len(events) - kept - series.dropped
+    print(f"{len(series)} bins ({len(events)} events read, {filtered_out} filtered out, "
+          f"{kept} events kept, {series.dropped} outside range) -> {s.out}")
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -32,6 +33,10 @@ PCAP_READ_BYTES = 1 << 20
 # fast as formatting value by value, and chunks keep the strings it builds
 # to about 1.5 MB.
 CSV_CHUNK_ROWS = 2048
+# Bin starts whose magnitude stays below 2^32 s print exactly (see
+# write_series_csv); series CSV rows are rendered this many at a time.
+SERIES_TIME_GUARD_US = 2**32 * 1_000_000
+SERIES_CSV_BLOCK_ROWS = 1 << 14
 # Slack allowed on series CSV start times, which are written to the
 # microsecond from float seconds.
 SPACING_TOL_S = 1e-3
@@ -329,6 +334,14 @@ class _JsonStrings(dict):
         return text
 
 
+class _AsciiText(dict):
+    """Memo of ``bytes.decode`` per value, so equal strings are shared."""
+
+    def __missing__(self, raw):
+        self[raw] = text = raw.decode("ascii")
+        return text
+
+
 def write_lsa_log(path, events: Iterable[LsaEvent]) -> int:
     """Write events as JSON lines; returns the number written."""
     q = _JsonStrings()
@@ -340,15 +353,42 @@ def write_lsa_log(path, events: Iterable[LsaEvent]) -> int:
     return len(lines)
 
 
+# Exactly the lines that ``write_lsa_log`` emits for ASCII strings free of
+# quotes, backslashes and control characters, and integers of at most 18
+# digits: the fields in LOG_FIELDS order, compact separators, an optional
+# newline.  On such a line the captured groups are the values ``json.loads``
+# returns, so it can skip the JSON parser.
+_JSON_INT = rb"(-?(?:0|[1-9][0-9]{0,17}))"
+_JSON_ASCII = rb'"([\x20\x21\x23-\x5b\x5d-\x7e]*)"'
+_CANONICAL_LINE = re.compile(
+    rb'\{"ts_us":%s,"monitor":%s,"ls_type":%s,"adv_router":%s,"ls_id":%s,'
+    rb'"ls_age":%s,"ls_seq":%s,"is_ack":(true|false)\}\n?'
+    % (_JSON_INT, _JSON_ASCII, _JSON_INT, _JSON_ASCII, _JSON_ASCII, _JSON_INT, _JSON_INT))
+
+
 def read_lsa_log(path) -> Iterator[LsaEvent]:
     """Stream events back from a JSON-lines log, validating each line.
 
-    A bad line raises :class:`LogFormatError` naming the path and the line.
+    A line as :func:`write_lsa_log` writes it (see ``_CANONICAL_LINE``) is
+    read by one regular-expression match; every other line, blank lines,
+    whitespace, escapes, non-ASCII text, extra, missing or duplicate keys
+    included, goes through ``json.loads`` and the field checks, which stay
+    the definition of the format.  Both give the same event for the same
+    line, and ``LsaEvent`` validates either.  A bad line raises
+    :class:`LogFormatError` naming the path and the line.
     """
+    canonical = _CANONICAL_LINE.fullmatch
+    text = _AsciiText()
     with open(path, "rb") as f:
         for line_no, raw in enumerate(f, start=1):
+            m = canonical(raw)
             try:
-                event = _parse_log_line(raw)
+                if m is None:
+                    event = _parse_log_line(raw)
+                else:
+                    ts, mon, ls_type, adv, ls_id, age, seq, ack = m.groups()
+                    event = LsaEvent(int(ts), text[mon], int(ls_type), text[adv], text[ls_id],
+                                     int(age), int(seq), ack == b"true")
             except ValueError as e:
                 raise LogFormatError(path, line_no, str(e)) from None
             if event is not None:
@@ -443,11 +483,122 @@ def bin_series(
 
 
 def write_series_csv(path, series: CountSeries) -> None:
-    """CountSeries CSV: header ``bin_index,t_start_s,count``."""
-    idx = np.arange(len(series))
-    times = series.start_us / 1e6 + idx * series.bin_size_s
-    write_csv_columns(path, "bin_index,t_start_s,count", "%d,%.6f,%d\n",
-                      [idx, times, series.counts], CSV_CHUNK_ROWS)
+    """CountSeries CSV: header ``bin_index,t_start_s,count``.
+
+    ``t_start_s`` is ``"%.6f" % (start_us / 1e6 + k * bin_size_s)``.  While
+    the start and every bin start lie within ``SERIES_TIME_GUARD_US``
+    (2^32 s) of zero, that float is within 2^-21 s < 0.5 µs of the exact
+    bin start ``start_us + k * bin_size_s * 10^6`` µs, so it prints as the
+    exact decimal of that integer.  There every row is rendered from
+    integers by :func:`_render_series_rows`.  Series outside the guard, or
+    with a non-integer start or bin size, take the per-value ``%`` path,
+    which stays the definition of the format.
+    """
+    n = len(series)
+    start_us, bin_s = series.start_us, series.bin_size_s
+    if not (isinstance(start_us, (int, np.integer)) and isinstance(bin_s, (int, np.integer))
+            and max(abs(int(start_us)), abs(int(start_us) + (n - 1) * int(bin_s) * 1_000_000))
+            < SERIES_TIME_GUARD_US):
+        idx = np.arange(n)
+        times = start_us / 1e6 + idx * bin_s
+        write_csv_columns(path, "bin_index,t_start_s,count", "%d,%.6f,%d\n",
+                          [idx, times, series.counts], CSV_CHUNK_ROWS)
+        return
+    # Bin k starts (start_s + k * bin_s) * 10^6 + start_frac µs, where
+    # start_frac is in [0, 10^6): so it is negative exactly when its whole
+    # seconds part is, and the fraction takes one of two values.
+    start_s, start_frac = divmod(int(start_us), 1_000_000)
+    with open(path, "wb") as f:
+        f.write(b"bin_index,t_start_s,count\n")
+        for lo in range(0, n, SERIES_CSV_BLOCK_ROWS):
+            k = np.arange(lo, min(lo + SERIES_CSV_BLOCK_ROWS, n), dtype=np.int64)
+            f.write(_render_series_rows(k, start_s + k * int(bin_s), start_frac,
+                                        series.counts[lo:lo + k.size]))
+
+
+def _render_series_rows(k: np.ndarray, secs: np.ndarray, start_frac: int,
+                        counts: np.ndarray) -> bytes:
+    """The rows ``k,<t>,count`` as ASCII, for bin starts ``secs * 10^6 +
+    start_frac`` µs (``secs`` as int64, ``0 <= start_frac < 10^6``)."""
+    neg_t = secs < 0
+    if not neg_t.any():
+        time_fields = [(secs, None, None), b".%06d," % start_frac]
+    elif start_frac:
+        time_fields = [(np.where(neg_t, -secs - 1, secs), neg_t, None), b".",
+                       (np.where(neg_t, 1_000_000 - start_frac, start_frac), None, 6), b","]
+    else:
+        time_fields = [(np.abs(secs), neg_t, None), b".000000,"]
+    return _ascii_rows(k.size, [(k, None, None), b",", *time_fields,
+                                (counts, counts < 0, None), b"\n"])
+
+
+_POW10 = np.array([10**d for d in range(1, 20)], dtype=np.uint64)
+
+
+def _ascii_rows(n_rows: int, fields: list) -> bytes:
+    """Rows of ``fields`` rendered as ASCII, one row per index.
+
+    A field is a constant ``bytes``, or ``(values, neg, width)`` for an
+    int64 column: printed as ``%d`` prints it when ``width`` is None (a
+    ``-`` where ``neg`` is true, then the magnitude), else zero-padded to
+    ``width`` digits.  Each field is laid out right-aligned in a
+    fixed-width uint8 matrix with a keep-mask that is false on leading
+    zeros and on unused sign columns; one boolean compress joins the rows.
+    """
+    layout, n_cols = [], 0
+    for field in fields:
+        if isinstance(field, bytes):
+            layout.append((n_cols, field))
+            n_cols += len(field)
+            continue
+        values, neg, pad = field
+        # Magnitudes as uint64: the cast wraps -2^63 to 2^63, its magnitude.
+        mag = np.abs(values).astype(np.uint64)
+        signed = neg is not None and bool(neg.any())
+        width = pad or len(str(int(mag.max(initial=0))))
+        layout.append((n_cols, (mag, neg if signed else None, pad, width)))
+        n_cols += signed + width
+    chars = np.empty((n_rows, n_cols), dtype=np.uint8)
+    keep = np.ones((n_rows, n_cols), dtype=bool)
+    for col, field in layout:
+        if isinstance(field, bytes):
+            chars[:, col:col + len(field)] = np.frombuffer(field, dtype=np.uint8)
+            continue
+        mag, neg, pad, width = field
+        if neg is not None:
+            chars[:, col] = ord("-")
+            keep[:, col] = neg
+            col += 1
+        _ascii_digits(mag, chars[:, col:col + width])
+        if not pad:
+            # Column j of the field is a leading zero unless mag >= 10^(width-1-j).
+            for j in range(width - 1):
+                np.greater_equal(mag, _POW10[width - 2 - j], out=keep[:, col + j])
+    return chars[keep].tobytes()
+
+
+def _ascii_digits(mag: np.ndarray, out: np.ndarray) -> None:
+    """Write the low decimal digits of the uint64 ``mag``, as ASCII, into
+    the columns of ``out`` (one row per value, zero-padded).
+
+    Digits are peeled in uint32, where dividing by ten is several times
+    cheaper than in 64 bits; magnitudes of 2^32 or more are first split
+    into nine-digit limbs.
+    """
+    col = out.shape[1]
+    while col:
+        if int(mag.max(initial=0)) < 2**32:
+            part, n_digits = mag.astype(np.uint32), col
+        else:
+            mag, part = np.divmod(mag, np.uint64(10**9))
+            part, n_digits = part.astype(np.uint32), min(9, col)
+        for _ in range(n_digits):
+            q = part // np.uint32(10)
+            col -= 1
+            part -= q * np.uint32(10)
+            part += np.uint32(ord("0"))
+            out[:, col] = part
+            part = q
 
 
 def write_csv_columns(path, header: str, row: str, columns: list[np.ndarray],

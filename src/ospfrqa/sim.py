@@ -76,9 +76,6 @@ class Link:
     def other(self, node: str) -> str:
         return self.node_b if node == self.node_a else self.node_a
 
-    def carries_floods(self, t_us: int) -> bool:
-        return self.up and t_us >= self.forming_until_us
-
     def key(self) -> tuple:
         return (self.node_a, self.iface_a, self.node_b, self.iface_b)
 
@@ -337,6 +334,17 @@ def scenario_paper_attacks(duration_each_s: float = 1200.0) -> list[ScenarioEven
     ]
 
 
+# Attack kind -> (subject key naming the node that strikes, default period
+# in seconds, the arguments of each strike drawn from the scenario event).
+# Every attack strikes once per period for ``duration_s`` (default 1200 s).
+ATTACK_SCHEDULES = {
+    "attack_disguised": ("attacker", 60.0, lambda ev: (ev.subject["victim"],)),
+    "attack_adjacency_spoof": ("host", 30.0,
+                               lambda ev: (ev.params.get("phantom_id", "10.99.0.99"),)),
+    "attack_partition": ("router", 60.0,
+                         lambda ev: (list(ev.params.get("drop_links", [])),)),
+}
+
 CANNED_SCENARIOS = {
     "quiet": lambda: [],
     "paper-failure": scenario_paper_failure,
@@ -392,16 +400,25 @@ class _Engine:
         self.logs: dict[str, list[LsaEvent]] = {m.name: [] for m in topo.monitors}
         self.rids = {n: topo.router_id(n) for n in topo.routers}
         self.speakers = set(topo._order).difference(topo.hosts)
-        # id(link) -> (lowest delay, highest delay + 1) in microseconds.
-        self.delay_range = {id(l): (int(l.delay_lo_ms * 1000), int(l.delay_hi_ms * 1000) + 1)
-                            for l in topo.links}
-        # Each node's (link, peer, *delay_range) in topology link order, the
-        # order in which a flood draws its delays.
-        self.neighbors = {n: [(l, l.other(n), *self.delay_range[id(l)])
-                              for l in topo.links if n in (l.node_a, l.node_b)]
+        # id(link) -> (lowest delay in microseconds, number of possible
+        # delays, bits per draw); delays span [lo, hi] whole microseconds.
+        self.delay_draw = {}
+        for l in topo.links:
+            lo = int(l.delay_lo_ms * 1000)
+            width = int(l.delay_hi_ms * 1000) + 1 - lo
+            self.delay_draw[id(l)] = (lo, width, width.bit_length())
+        # Each node's (link, peer) in topology link order, the order in which
+        # a flood draws its delays.
+        self.neighbors = {n: [(l, l.other(n)) for l in topo.links if n in (l.node_a, l.node_b)]
                           for n in topo.nodes()}
-        self.flood_targets = {n: [t for t in adj if t[1] not in topo.hosts]
-                              for n, adj in self.neighbors.items()}
+        # The same without hosts, as (link, peer, peer's heap order,
+        # *delay_draw): what ``flood`` needs to push without calling ``push``
+        # or ``link_delay_us``.
+        self.flood_targets = {
+            n: [(link, peer, topo._order[peer], *self.delay_draw[id(link)])
+                for link, peer in adj if peer not in topo.hosts]
+            for n, adj in self.neighbors.items()
+        }
         self.ports: dict[tuple[str, str], Link] = {}  # (node, iface) -> first link
         for l in reversed(topo.links):
             self.ports[(l.node_a, l.iface_a)] = self.ports[(l.node_b, l.iface_b)] = l
@@ -414,7 +431,15 @@ class _Engine:
         heapq.heappush(self.heap, (t_us, order, self.counter, kind, node, payload))
 
     def link_delay_us(self, link: Link) -> int:
-        return self.rng.randrange(*self.delay_range[id(link)])
+        """A delay drawn uniformly from the link's range, as ``randrange(lo,
+        hi + 1)`` draws it: the same getrandbits rejection loop, without the
+        argument checks.  The generator stream is the same."""
+        lo, width, bits = self.delay_draw[id(link)]
+        getrandbits = self.rng.getrandbits
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        return lo + r
 
     def record(self, node: str, ts_us: int, inst: _Instance, age: int, is_ack: bool):
         for tap in self.taps.get(node, ()):
@@ -430,10 +455,21 @@ class _Engine:
     # -- protocol actions --
 
     def flood(self, node: str, t_us: int, inst: _Instance, age: int, skip_link: Link | None):
-        randrange = self.rng.randrange
-        for link, peer, lo, stop in self.flood_targets[node]:
-            if link.carries_floods(t_us) and link is not skip_link:
-                self.push(t_us + randrange(lo, stop), peer, "deliver", (node, inst, age, link))
+        # ``push`` and ``link_delay_us`` inlined.
+        getrandbits, heap = self.rng.getrandbits, self.heap
+        for link, peer, order, lo, width, bits in self.flood_targets[node]:
+            if link.up and t_us >= link.forming_until_us and link is not skip_link:
+                r = getrandbits(bits)
+                while r >= width:
+                    r = getrandbits(bits)
+                self.counter += 1
+                heapq.heappush(heap, (t_us + lo + r, order, self.counter, "deliver", peer,
+                                      (node, inst, age, link)))
+
+    def refresh(self, node: str, t_us: int, epoch: int):
+        # A refresh timer lapses once a newer origination has restarted it.
+        if epoch == self.refresh_epoch[node]:
+            self.originate(node, t_us)
 
     def originate(self, node: str, t_us: int, digest: str | None = None):
         if node not in self.topo.routers:
@@ -451,7 +487,7 @@ class _Engine:
             self.push(refresh_at, node, "refresh", (self.refresh_epoch[node],))
 
     def link_digest(self, node: str) -> str:
-        up = sorted(peer for link, peer, _lo, _stop in self.neighbors[node] if link.up)
+        up = sorted(peer for link, peer in self.neighbors[node] if link.up)
         return f"{node}:{','.join(up)}"
 
     def deliver(self, node: str, t_us: int, sender: str, inst: _Instance, age: int, via: Link):
@@ -480,11 +516,21 @@ class _Engine:
         # covers falsification freshness, so no flood-back is modeled.
 
     def send_ack(self, node: str, sender: str, t_us: int, inst: _Instance, age: int, via: Link):
+        """Acknowledge an accepted instance back to the OSPF speaker that sent it.
+
+        An ack only matters where a tap records it, so it is scheduled only
+        when the sender is tapped.  Its link delay is drawn either way: the
+        generator stream, and so every later delay, stays the same as when
+        every ack was scheduled.  Skipped pushes keep the relative heap
+        order of the rest, since the scheduling counter only grows.
+        """
         if sender not in self.speakers:
             return
-        self.push(t_us + self.link_delay_us(via), sender, "ack", (inst, age))
+        arrival_us = t_us + self.link_delay_us(via)
+        if sender in self.taps:
+            self.push(arrival_us, sender, "ack", (inst, age, True))
 
-    def set_iface(self, node: str, iface: str, up: bool, t_us: int):
+    def set_iface(self, node: str, t_us: int, iface: str, up: bool):
         link = self.ports[(node, iface)]
         if link.up == up:
             self.warnings.append(
@@ -500,7 +546,7 @@ class _Engine:
                 self.push(t_us, end, "originate", (None,))
                 self.push(t_us + int(REORIGINATION_FOLLOWUP_S * 1e6), end, "originate", (None,))
 
-    def resync(self, link: Link, t_us: int):
+    def resync(self, node: str, t_us: int, link: Link):
         """Database exchange after an adjacency forms: each side requests the
         entries its peer holds newer, producing one update per stale entry."""
         if not link.up:
@@ -518,7 +564,7 @@ class _Engine:
 
     # -- attacks --
 
-    def attack_disguised(self, attacker: str, victim: str, t_us: int):
+    def attack_disguised(self, attacker: str, t_us: int, victim: str):
         vid = self.topo.router_id(victim)
         base_seq = self.own_seq[victim]
         trigger = _Instance(vid, 1, vid, base_seq + 1, "forged-trigger")
@@ -535,7 +581,7 @@ class _Engine:
         self.record(node, t_us, inst, 0, is_ack=False)
         self.flood(node, t_us, inst, age=1, skip_link=None)
 
-    def attack_spoof(self, host: str, phantom_id: str, t_us: int):
+    def attack_adjacency_spoof(self, host: str, t_us: int, phantom_id: str):
         # host attachments are implicit links; sample the default delay range
         router = self.topo.hosts[host]
         self.phantom_seq[phantom_id] = self.phantom_seq.get(phantom_id, INITIAL_SEQ - 1) + 1
@@ -544,7 +590,7 @@ class _Engine:
         delay = self.rng.randint(int(lo * 1000), int(hi * 1000))
         self.push(t_us + delay, router, "deliver", (host, inst, 1, None))
 
-    def attack_partition(self, router: str, drop_links: list[str], t_us: int):
+    def attack_partition(self, router: str, t_us: int, drop_links: list[str]):
         digest = f"{router}:falsified(-{','.join(sorted(drop_links))})"
         self.push(t_us, router, "originate", (digest,))
 
@@ -555,60 +601,37 @@ class _Engine:
             t_us = int(ev.time_s * 1e6)
             if ev.kind in ("iface_down", "iface_up"):
                 self.push(t_us, ev.subject["node"], "iface", (ev.subject["iface"], ev.kind == "iface_up"))
-            elif ev.kind == "attack_disguised":
-                period = float(ev.params.get("period_s", 60.0))
-                duration = float(ev.params.get("duration_s", 1200.0))
-                for k in range(max(int(duration / period), 1)):
-                    self.push(t_us + int(k * period * 1e6), ev.subject["attacker"],
-                              "attack_disguised", (ev.subject["victim"],))
-            elif ev.kind == "attack_adjacency_spoof":
-                period = float(ev.params.get("period_s", 30.0))
-                duration = float(ev.params.get("duration_s", 1200.0))
-                phantom = ev.params.get("phantom_id", "10.99.0.99")
-                for k in range(max(int(duration / period), 1)):
-                    self.push(t_us + int(k * period * 1e6), ev.subject["host"],
-                              "attack_spoof", (phantom,))
-            elif ev.kind == "attack_partition":
-                period = float(ev.params.get("period_s", 60.0))
-                duration = float(ev.params.get("duration_s", 1200.0))
-                drop = list(ev.params.get("drop_links", []))
-                for k in range(max(int(duration / period), 1)):
-                    self.push(t_us + int(k * period * 1e6), ev.subject["router"],
-                              "attack_partition", (drop,))
+                continue
+            subject_key, default_period_s, strike_args = ATTACK_SCHEDULES[ev.kind]
+            period = float(ev.params.get("period_s", default_period_s))
+            duration = float(ev.params.get("duration_s", 1200.0))
+            args = strike_args(ev)
+            for k in range(max(int(duration / period), 1)):
+                self.push(t_us + int(k * period * 1e6), ev.subject[subject_key], ev.kind, args)
 
     def run(self) -> None:
+        # Event kind -> (handler called as handler(node, t_us, *payload),
+        # whether the event lapses once the run's duration has passed).
+        handlers = {
+            "originate": (self.originate, True),
+            "refresh": (self.refresh, True),
+            "deliver": (self.deliver, False),
+            "ack": (self.record, False),
+            "iface": (self.set_iface, True),
+            "resync": (self.resync, False),
+            "inject": (self.do_inject, False),
+            "attack_disguised": (self.attack_disguised, True),
+            "attack_adjacency_spoof": (self.attack_adjacency_spoof, True),
+            "attack_partition": (self.attack_partition, True),
+        }
         for node in self.topo.routers:
             self.push(0, node, "originate", (None,))
-        while self.heap:
-            t_us, _order, _c, kind, node, payload = heapq.heappop(self.heap)
-            if kind == "originate":
-                if t_us <= self.duration_us:
-                    self.originate(node, t_us, digest=payload[0])
-            elif kind == "refresh":
-                if payload[0] == self.refresh_epoch[node] and t_us <= self.duration_us:
-                    self.originate(node, t_us)
-            elif kind == "deliver":
-                sender, inst, age, via = payload
-                self.deliver(node, t_us, sender, inst, age, via)
-            elif kind == "ack":
-                if node in self.taps:
-                    self.record(node, t_us, payload[0], payload[1], is_ack=True)
-            elif kind == "iface":
-                if t_us <= self.duration_us:
-                    self.set_iface(node, payload[0], payload[1], t_us)
-            elif kind == "resync":
-                self.resync(payload[0], t_us)
-            elif kind == "inject":
-                self.do_inject(node, t_us, payload[0])
-            elif kind == "attack_disguised":
-                if t_us <= self.duration_us:
-                    self.attack_disguised(node, payload[0], t_us)
-            elif kind == "attack_spoof":
-                if t_us <= self.duration_us:
-                    self.attack_spoof(node, payload[0], t_us)
-            elif kind == "attack_partition":
-                if t_us <= self.duration_us:
-                    self.attack_partition(node, payload[0], t_us)
+        heap, end_us = self.heap, self.duration_us
+        while heap:
+            t_us, _order, _c, kind, node, payload = heapq.heappop(heap)
+            handler, lapses = handlers[kind]
+            if t_us <= end_us or not lapses:
+                handler(node, t_us, *payload)
 
 
 def run(topology: Topology, scenario: list[ScenarioEvent], duration_s: float,

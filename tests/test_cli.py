@@ -159,6 +159,23 @@ class TestExtract:
         series = ingest.read_series_csv(out)
         assert series.counts.tolist() == [0] * 60
 
+    def test_summary_accounts_for_every_event_read(self, tmp_path, capsys):
+        log = tmp_path / "mixed.jsonl"
+        ingest.write_lsa_log(log, [
+            ingest.LsaEvent(5_000_000, "m", 1, "10.0.0.1", "10.0.0.1", 1, 7),
+            ingest.LsaEvent(15_000_000, "m", 1, "10.0.0.2", "10.0.0.2", 1, 7),
+            ingest.LsaEvent(25_000_000, "m", 1, "10.0.0.2", "10.0.0.2", 1, 7, is_ack=True),
+            ingest.LsaEvent(35_000_000, "m", 3, "10.0.0.3", "10.0.0.9", 1, 7),
+            ingest.LsaEvent(150_000_000, "m", 1, "10.0.0.1", "10.0.0.1", 1, 8),
+        ])
+        out = tmp_path / "m.csv"
+        assert run_cli("extract", "--log", log, "--monitor", "m", "--ls-type", "1",
+                       "--bin", "10", "--t0", "0", "--t1", "100", "--out", out) == 0
+        assert capsys.readouterr().out == (
+            f"10 bins (5 events read, 2 filtered out, 2 events kept, "
+            f"1 outside range) -> {out}\n"
+        )
+
     def test_bad_log_exits_2(self, tmp_path, capsys):
         log = tmp_path / "bad.jsonl"
         log.write_text('{"ts_us": 2}\n')

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import io
 import json
 import struct
 import sys
@@ -137,6 +138,116 @@ class TestLogRoundTrip:
         assert str(err.value).startswith(f"{path}: line {line + 1}:")
 
 
+# Raw JSON texts that take a line off the canonical form, or onto its edge.
+ODD_JSON_VALUES = [
+    "0", "-0", "7", "-7", "007", "-01", "123456789012345678", "-123456789012345678",
+    "1234567890123456789", "-9223372036854775808", "1" * 25, "1.0", "1e3", "true",
+    "false", "1", "null", '"x"', '""', '"10.0.0.1"', '"\\u0041"', '"\\/"', '"a\\"b"',
+    '"\u00e9"', '"\x7f"', '"tab\\t"', "[]", "{}",
+]
+odd_json_values = st.sampled_from(ODD_JSON_VALUES)
+
+
+@st.composite
+def log_line_bytes(draw):
+    """One log line: canonical, or canonical with up to two edits."""
+    event = draw(st.one_of(event_strategy, st.builds(
+        LsaEvent, ts_us=st.integers(-(2**70), 2**70), monitor=awkward_text,
+        ls_type=st.integers(1, 5), adv_router=awkward_text, ls_id=awkward_text,
+        ls_age=st.integers(0, 3600), ls_seq=st.integers(-(2**64), 2**64),
+        is_ack=st.booleans())))
+    pairs = [[json.dumps(k), json.dumps(v)] for k, v in dataclasses.asdict(event).items()]
+    sep = ","
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["value", "extra", "duplicate", "swap", "escaped key",
+                                     "spaces"]))
+        i = draw(st.integers(0, len(pairs) - 1))
+        if edit == "value":
+            pairs[i][1] = draw(odd_json_values)
+        elif edit == "extra":
+            pairs.insert(i, [json.dumps(draw(st.text(max_size=4))), draw(odd_json_values)])
+        elif edit == "duplicate":
+            pairs.append([pairs[i][0], draw(st.sampled_from([pairs[i][1], "3", '"x"']))])
+        elif edit == "swap":
+            j = draw(st.integers(0, len(pairs) - 1))
+            pairs[i], pairs[j] = pairs[j], pairs[i]
+        elif edit == "escaped key":
+            pairs[i][0] = pairs[i][0].replace("_", "\\u005f")
+        else:
+            sep = ", "
+            pairs[i][0] = " " + pairs[i][0] + " "
+    text = "{" + sep.join(f"{k}:{v}" for k, v in pairs) + "}"
+    return text.encode("utf-8", "surrogatepass") + draw(st.sampled_from([b"\n", b"\r\n", b" \n"]))
+
+
+def read_log_by_json_path(blob):
+    """The events, then the message of the first bad line, from the JSON
+    path alone (``json.loads`` and the field checks), one line at a time."""
+    events = []
+    for line_no, raw in enumerate(io.BytesIO(blob), start=1):
+        try:
+            event = ingest._parse_log_line(raw)
+        except ValueError as e:
+            return events, f"line {line_no}: {e}"
+        if event is not None:
+            events.append(event)
+    return events, None
+
+
+def typed(events):
+    return [[(type(v), v) for v in dataclasses.astuple(e)] for e in events]
+
+
+def assert_reads_as_json_path(path, blob):
+    """``read_lsa_log`` yields what the JSON path yields for ``blob``, then
+    fails, if it does, with the same message."""
+    path.write_bytes(blob)
+    expected, message = read_log_by_json_path(blob)
+    got = []
+    try:
+        for event in ingest.read_lsa_log(path):
+            got.append(event)
+    except ingest.LogFormatError as e:
+        assert message is not None and str(e) == f"{path}: {message}", blob
+    else:
+        assert message is None, blob
+    assert typed(got) == typed(expected), blob
+
+
+class TestLogFastPath:
+    @given(st.lists(log_line_bytes(), min_size=1, max_size=6), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_json_path_line_by_line(self, tmp_path_factory, lines, cut_last_newline):
+        blob = b"".join(lines)
+        assert_reads_as_json_path(tmp_path_factory.getbasetemp() / "fast.jsonl",
+                                  blob.rstrip(b"\n") if cut_last_newline else blob)
+
+    def test_each_odd_value_in_each_field_matches_json_path(self, tmp_path):
+        base = dataclasses.asdict(make_event())
+        for key in ingest.LOG_FIELDS:
+            for raw in ODD_JSON_VALUES:
+                line = "{" + ",".join(f'"{k}":{raw if k == key else json.dumps(v)}'
+                                      for k, v in base.items()) + "}\n"
+                assert_reads_as_json_path(tmp_path / "odd.jsonl", line.encode())
+
+    @pytest.mark.parametrize("line, canonical", [
+        (b'{"ts_us":5,"monitor":"m","ls_type":1,"adv_router":"a","ls_id":"b","ls_age":0,'
+         b'"ls_seq":-0,"is_ack":true}', True),
+        (b'{"ts_us":-123456789012345678,"monitor":"","ls_type":5,"adv_router":"~ !#[]",'
+         b'"ls_id":"}{,:","ls_age":3600,"ls_seq":0,"is_ack":false}\n', True),
+        (b'{"ts_us":5,"monitor":"m","ls_type":9,"adv_router":"a","ls_id":"b","ls_age":0,'
+         b'"ls_seq":1,"is_ack":true}\n', True),
+        (b'{"ts_us":5,"monitor":"m","ls_type":1,"adv_router":"a","ls_id":"b","ls_age":3601,'
+         b'"ls_seq":1,"is_ack":true}\n', True),
+        (b'{"ts_us":5,"monitor":"m\x7f","ls_type":1,"adv_router":"a","ls_id":"b",'
+         b'"ls_age":1,"ls_seq":1,"is_ack":true}\n', False),
+    ], ids=["no-newline-minus-zero", "edge-values", "bad-ls-type", "bad-ls-age", "raw-del"])
+    def test_edge_lines_read_as_json_path(self, tmp_path, line, canonical):
+        # LsaEvent still rejects a bad type or age on a canonical line.
+        assert bool(ingest._CANONICAL_LINE.fullmatch(line)) == canonical
+        assert_reads_as_json_path(tmp_path / "edge.jsonl", line)
+
+
 class TestBinning:
     def test_two_events_first_bin(self):
         events = [make_event(ts_us=500_000), make_event(ts_us=9_900_000)]
@@ -211,6 +322,47 @@ class TestBinning:
         path = tmp_path / "rows.csv"
         ingest.write_series_csv(path, ingest.CountSeries(1_700_000_000_123_457, 10, counts))
         assert path.read_text() == oracle.series_csv(1_700_000_000_123_457, 10, counts)
+
+    @given(data=st.data(),
+           bin_size=st.sampled_from([1, 7, 10, 3600]),
+           block=st.sampled_from([1, 2, 3, 5, 8]),
+           counts_max=st.sampled_from([9, 2**31, 2**62]))
+    @settings(max_examples=300, deadline=None)
+    def test_csv_matches_oracle_around_the_exact_time_guard(self, tmp_path_factory, data,
+                                                            bin_size, block, counts_max):
+        guard = ingest.SERIES_TIME_GUARD_US
+        n = data.draw(st.sampled_from([0, 1, 2, max(block - 1, 0), block, block + 1, 9]))
+        span = max(n - 1, 0) * bin_size * 1_000_000
+        near = st.integers(-6, 6)
+        start_us = data.draw(st.one_of(
+            near.map(lambda d: guard + d),                  # start at +2^32 s
+            near.map(lambda d: -guard + d),                 # start at -2^32 s
+            near.map(lambda d: guard - span + d),           # last bin at +2^32 s
+            near.map(lambda d: -guard - span + d),          # last bin at -2^32 s
+            st.integers(-span - 3_000_000, 3_000_000),      # crossing zero
+            st.integers(-guard, guard),
+            st.integers(-(2**62), 2**62),
+        ))
+        counts = data.draw(st.lists(st.integers(-counts_max, counts_max), min_size=n,
+                                    max_size=n))
+        path = tmp_path_factory.getbasetemp() / "guard.csv"
+        with mock.patch.object(ingest, "SERIES_CSV_BLOCK_ROWS", block):
+            ingest.write_series_csv(path, ingest.CountSeries(start_us, bin_size, counts))
+        assert path.read_bytes() == oracle.series_csv(start_us, bin_size, counts).encode()
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, ingest.SERIES_CSV_BLOCK_ROWS + 3])
+    def test_csv_matches_oracle_across_row_blocks(self, tmp_path, extra):
+        n = ingest.SERIES_CSV_BLOCK_ROWS + extra
+        counts = (np.arange(n) * 7919 % 23 - 3) ** 5
+        path = tmp_path / "blocks.csv"
+        ingest.write_series_csv(path, ingest.CountSeries(-3_000_000_500, 1, counts))
+        assert path.read_text() == oracle.series_csv(-3_000_000_500, 1, counts)
+
+    @pytest.mark.parametrize("counts", [[-(2**63), 2**63 - 1, 0, -1], [0] * 5])
+    def test_csv_extreme_counts_match_oracle(self, tmp_path, counts):
+        path = tmp_path / "extreme.csv"
+        ingest.write_series_csv(path, ingest.CountSeries(-1, 1, np.array(counts, np.int64)))
+        assert path.read_text() == oracle.series_csv(-1, 1, counts)
 
     @pytest.mark.parametrize("rows, line, message", [
         (["0,0,1", "1,10,0", "2,35,2", "3,37,0"], 4, "uneven spacing"),

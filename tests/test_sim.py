@@ -1,9 +1,14 @@
 """Simulator behavior: flooding semantics, determinism, scenarios, attacks."""
 
+import hashlib
 import json
+import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import oracle
 from ospfrqa import sim
 
 
@@ -227,6 +232,32 @@ tapc c transit
         assert sorted(e.ls_age for e in arrivals) == [1, 2]
 
 
+class TestFloodDelayDraw:
+    @given(seed=st.integers(0, 2**64), lo_ms=st.integers(0, 50), rounds=st.integers(1, 3),
+           widths=st.lists(st.one_of(st.sampled_from([1, 2, 4, 8, 256, 2048, 2**16, 2**20]),
+                                     st.integers(1, 10**6)), min_size=1, max_size=5))
+    @example(seed=0, lo_ms=2, rounds=2, widths=[1, 2, 2**16, 1])
+    @settings(max_examples=150, deadline=None)
+    def test_inlined_draw_equals_randrange(self, seed, lo_ms, rounds, widths):
+        # A router flooding to stubs draws one delay per link, in link order,
+        # exactly as Random.randrange over the link's microsecond range.
+        links = [sim.Link("c", f"eth{i}", f"s{i}", "eth0", lo_ms, lo_ms + (w - 1) / 1000)
+                 for i, w in enumerate(widths)]
+        ranges = [(int(l.delay_lo_ms * 1000), int(l.delay_hi_ms * 1000) + 1) for l in links]
+        assume([stop - start for start, stop in ranges] == widths)
+        topo = sim.Topology(routers={"c": [l.iface_a for l in links]},
+                            stubs={l.node_b: ["eth0"] for l in links}, links=links)
+        engine = sim._Engine(topo, seed, 10.0)
+        inst = sim._Instance("10.0.0.1", 1, "10.0.0.1", 1, "d")
+        for _ in range(rounds):
+            engine.flood("c", 0, inst, 1, None)
+        drawn = [entry[0] for entry in sorted(engine.heap, key=lambda entry: entry[2])]
+        ref = random.Random(seed)
+        assert drawn == [ref.randrange(start, stop) for _ in range(rounds)
+                         for start, stop in ranges]
+        assert engine.rng.getstate() == ref.getstate()
+
+
 class TestIsolation:
     def test_r14_outage_and_resync_burst(self):
         topo = sim.load_topology("paper16")
@@ -336,3 +367,80 @@ class TestTotals:
         totals = sim.total_event_counts(res.logs)
         others = {m: c for m, c in totals.items() if m != "r14"}
         assert totals["r14"] < min(others.values())
+
+
+def ring_with_transit_tap() -> sim.Topology:
+    """Four routers on a ring with a chord, a stub, a host, and a transit
+    tap on a flooding router, so that the logs hold acknowledgments."""
+    text = """
+[routers]
+a eth0 eth1 eth2
+b eth0 eth1 eth2
+c eth0 eth1
+d eth0 eth1 eth2
+[stubs]
+s1 eth0
+[hosts]
+h1 a
+[links]
+a eth0 b eth0 2 20
+b eth1 c eth0 1 7
+c eth1 d eth0 3 40
+d eth1 a eth1 2 20
+a eth2 d eth2 5 5
+b eth2 s1 eth0 2 20
+[monitors]
+tapa a transit
+taps s1 stub
+"""
+    return sim.parse_topology(text, name="ring")
+
+
+def every_kind_scenario() -> list[sim.ScenarioEvent]:
+    return [
+        sim.ScenarioEvent(300.0, "iface_down", {"node": "a", "iface": "eth0"}),
+        sim.ScenarioEvent(600.0, "iface_up", {"node": "a", "iface": "eth0"}),
+        sim.ScenarioEvent(900.0, "attack_disguised", {"attacker": "c", "victim": "d"},
+                          {"period_s": 30.0, "duration_s": 120.0}),
+        sim.ScenarioEvent(1200.0, "attack_adjacency_spoof", {"host": "h1"},
+                          {"period_s": 20.0, "duration_s": 100.0}),
+        sim.ScenarioEvent(1500.0, "attack_partition", {"router": "b"},
+                          {"period_s": 60.0, "duration_s": 180.0, "drop_links": ["eth1"]}),
+    ]
+
+
+def log_digests(logs) -> dict[str, str]:
+    """SHA-256 prefix of each monitor's log, as one json.dumps per event."""
+    return {mon: hashlib.sha256(oracle.lsa_log(events).encode()).hexdigest()[:16]
+            for mon, events in logs.items()}
+
+
+# Digests of logs from the simulator before its flood and ack fast paths.
+PINNED_RING_ACKS = {'tapa': '078eb520ad5c4270', 'taps': '640a80fd9b712b1c'}
+PINNED_PAPER16_FAILURE = {
+    'rcs1': 'f853709c0a70c4da', 'r7': '26e8de836ec7ad3b', 'r11': '084fcb6544bea54c',
+    'r12': 'f23f3a879487c76b', 'r13': '216e18dfc32aec6f', 'r14': 'f0eb12c1de9b027a',
+    'r15': 'f0c64aa9627cae4a', 'r16': 'fa69482cd06cdfd9',
+}
+PINNED_PAPER16_ATTACKS = {
+    'rcs1': '9776b91438cef208', 'r7': '8c09b32ec8414747', 'r11': '7b7c93e994e805a1',
+    'r12': '74e9efcbb2574ed3', 'r13': 'bc36b4136fe142be', 'r14': '292a858bc9b6a10a',
+    'r15': '75cf1155595465a7', 'r16': '19c0faaf31ee6c93',
+}
+
+
+class TestPinnedLogs:
+    def test_ring_with_transit_tap_records_acks(self):
+        res = sim.run(ring_with_transit_tap(), every_kind_scenario(), 4000, seed=13)
+        assert sum(e.is_ack for e in res.logs["tapa"]) > 0
+        assert log_digests(res.logs) == PINNED_RING_ACKS
+
+    def test_paper16_failure_short(self):
+        scenario = sim.scenario_paper_failure(start_s=600.0, spacing_s=600.0)
+        res = sim.run(sim.load_topology("paper16"), scenario, 4200, seed=11)
+        assert log_digests(res.logs) == PINNED_PAPER16_FAILURE
+
+    def test_paper16_attacks_short(self):
+        scenario = sim.scenario_paper_attacks(duration_each_s=300.0)
+        res = sim.run(sim.load_topology("paper16"), scenario, 10000, seed=2)
+        assert log_digests(res.logs) == PINNED_PAPER16_ATTACKS
