@@ -10,7 +10,6 @@ from .rqa import (
     estimate_delay,
     estimate_dimension,
     false_nearest_neighbors,
-    line_histograms,
     measures_for_series,
     mutual_information,
     phase_space_diameter,

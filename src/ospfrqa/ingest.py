@@ -5,6 +5,12 @@ OSPF packets, and the JSON-lines event log that the simulator writes and
 every other part of the pipeline exchanges.  Both converge on
 :class:`LsaEvent`; :func:`bin_series` then produces the uniformly binned
 counts the recurrence analysis consumes.
+
+The log reader and the series CSV writer have a fast path for what the
+pipeline produces: lines as :func:`write_lsa_log` writes them, and series
+from time 0 on with counts below 2^32.  Any other input takes the plain
+path beside it (``json.loads``, ``%`` formatting), which defines the
+format; both paths give the same result for the same input.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import json
 import math
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -33,8 +39,8 @@ PCAP_READ_BYTES = 1 << 20
 # fast as formatting value by value, and chunks keep the strings it builds
 # to about 1.5 MB.
 CSV_CHUNK_ROWS = 2048
-# Bin starts whose magnitude stays below 2^32 s print exactly (see
-# write_series_csv); series CSV rows are rendered this many at a time.
+# Bin starts in [0, 2^32 s) print exactly (see write_series_csv); series
+# CSV rows are rendered this many at a time.
 SERIES_TIME_GUARD_US = 2**32 * 1_000_000
 SERIES_CSV_BLOCK_ROWS = 1 << 14
 # Slack allowed on series CSV start times, which are written to the
@@ -108,16 +114,6 @@ class EventFilter:
             return False
         return True
 
-    def describe(self) -> str:
-        parts = [
-            f"monitor={self.monitor or '*'}",
-            f"origin={self.origin or '*'}",
-            f"ls_types={','.join(map(str, sorted(self.ls_types))) if self.ls_types else '*'}",
-        ]
-        if self.include_acks:
-            parts.append("acks=included")
-        return " ".join(parts)
-
 
 @dataclass
 class CountSeries:
@@ -126,7 +122,6 @@ class CountSeries:
     start_us: int
     bin_size_s: int
     counts: np.ndarray
-    filter_desc: str = ""
     dropped: int = 0
 
     def __post_init__(self):
@@ -134,10 +129,6 @@ class CountSeries:
 
     def __len__(self) -> int:
         return int(self.counts.size)
-
-    def bin_time_s(self, bin_index: int) -> float:
-        """Wall-clock time at which the given bin closes."""
-        return self.start_us / 1e6 + (bin_index + 1) * self.bin_size_s
 
 
 # --- pcap ------------------------------------------------------------------
@@ -150,18 +141,8 @@ class PcapRecord:
     truncated: bool
 
 
-@dataclass
-class PcapReader:
-    link_type: int
-    snaplen: int
-    records: Iterator[PcapRecord] = field(repr=False, default=None)
-
-    def __iter__(self) -> Iterator[PcapRecord]:
-        return self.records
-
-
-def read_pcap(path) -> PcapReader:
-    """Open a classic pcap file and stream its records.
+def read_pcap(path) -> tuple[int, Iterator[PcapRecord]]:
+    """Open a classic pcap file: its link type, and a stream of its records.
 
     Handles both byte orders; timestamps come back in microseconds.
     Frames shortened by the capture snaplen are passed through with the
@@ -171,9 +152,9 @@ def read_pcap(path) -> PcapReader:
     :class:`TruncatedPcapError` after the prior records were yielded.
 
     The global header is read and the file closed before this returns;
-    iterating opens the file again.  So a reader that is never iterated
-    holds no open file, and one dropped part-way closes its file when the
-    record generator is finalized.
+    iterating the records opens the file again.  So a stream that is never
+    iterated holds no open file, and one dropped part-way closes its file
+    when the generator is finalized.
     """
     with open(path, "rb") as f:
         head = f.read(24)
@@ -188,7 +169,7 @@ def read_pcap(path) -> PcapReader:
         raise UnsupportedFormatError(
             f"{path}: bad magic 0x{magic:08x}; only classic pcap is supported"
         )
-    _vmaj, _vmin, _zone, _sig, snaplen, link_type = struct.unpack(endian + "HHiIII", head[4:])
+    link_type = struct.unpack(endian + "I", head[20:])[0]
     record_header = struct.Struct(endian + "IIII")
 
     def gen() -> Iterator[PcapRecord]:
@@ -218,7 +199,7 @@ def read_pcap(path) -> PcapReader:
                                  incl_len < orig_len)
                 off = end
 
-    return PcapReader(link_type=link_type, snaplen=snaplen, records=gen())
+    return link_type, gen()
 
 
 _OSPF_HEADER = struct.Struct(">BBH")  # version, packet type, packet length
@@ -312,9 +293,9 @@ def _decode_lsa_header(frame: bytes, at: int, ts_us: int, monitor: str,
 
 def extract_pcap_events(path, monitor: str) -> Iterator[LsaEvent]:
     """Stream LSA events out of a capture file, stamping the monitor name."""
-    reader = read_pcap(path)
-    for rec in reader:
-        yield from parse_ospf_packet(rec.data, reader.link_type, rec.ts_us, monitor)
+    link_type, records = read_pcap(path)
+    for rec in records:
+        yield from parse_ospf_packet(rec.data, link_type, rec.ts_us, monitor)
 
 
 # --- JSON-lines event log --------------------------------------------------
@@ -416,35 +397,24 @@ def _parse_log_line(raw: bytes) -> LsaEvent | None:
     if missing:
         raise ValueError(f"missing fields: {', '.join(missing)}")
     return LsaEvent(
-        ts_us=_expect_int(rec, "ts_us"),
-        monitor=_expect_str(rec, "monitor"),
-        ls_type=_expect_int(rec, "ls_type"),
-        adv_router=_expect_str(rec, "adv_router"),
-        ls_id=_expect_str(rec, "ls_id"),
-        ls_age=_expect_int(rec, "ls_age"),
-        ls_seq=_expect_int(rec, "ls_seq"),
-        is_ack=_expect_bool(rec, "is_ack"),
+        ts_us=_expect(rec, "ts_us", int),
+        monitor=_expect(rec, "monitor", str),
+        ls_type=_expect(rec, "ls_type", int),
+        adv_router=_expect(rec, "adv_router", str),
+        ls_id=_expect(rec, "ls_id", str),
+        ls_age=_expect(rec, "ls_age", int),
+        ls_seq=_expect(rec, "ls_seq", int),
+        is_ack=_expect(rec, "is_ack", bool),
     )
 
 
-def _expect_int(rec, key) -> int:
+def _expect(rec, key, kind):
+    """``rec[key]``, which must be of type ``kind`` exactly: ``json.loads``
+    returns exact ``int``, ``str`` and ``bool``, and a bool is no int."""
     v = rec[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ValueError(f"{key} must be an integer, got {v!r}")
-    return v
-
-
-def _expect_str(rec, key) -> str:
-    v = rec[key]
-    if not isinstance(v, str):
-        raise ValueError(f"{key} must be a string, got {v!r}")
-    return v
-
-
-def _expect_bool(rec, key) -> bool:
-    v = rec[key]
-    if not isinstance(v, bool):
-        raise ValueError(f"{key} must be a boolean, got {v!r}")
+    if type(v) is not kind:
+        noun = {int: "an integer", str: "a string", bool: "a boolean"}[kind]
+        raise ValueError(f"{key} must be {noun}, got {v!r}")
     return v
 
 
@@ -479,126 +449,77 @@ def bin_series(
             dropped += 1
             continue
         counts[(ev.ts_us - t0_us) // bin_us] += 1
-    return CountSeries(t0_us, bin_size_s, counts, flt.describe(), dropped)
+    return CountSeries(t0_us, bin_size_s, counts, dropped)
 
 
 def write_series_csv(path, series: CountSeries) -> None:
     """CountSeries CSV: header ``bin_index,t_start_s,count``.
 
-    ``t_start_s`` is ``"%.6f" % (start_us / 1e6 + k * bin_size_s)``.  While
-    the start and every bin start lie within ``SERIES_TIME_GUARD_US``
-    (2^32 s) of zero, that float is within 2^-21 s < 0.5 µs of the exact
-    bin start ``start_us + k * bin_size_s * 10^6`` µs, so it prints as the
-    exact decimal of that integer.  There every row is rendered from
-    integers by :func:`_render_series_rows`.  Series outside the guard, or
-    with a non-integer start or bin size, take the per-value ``%`` path,
-    which stays the definition of the format.
+    ``t_start_s`` is ``"%.6f" % (start_us / 1e6 + k * bin_size_s)``: the
+    per-value ``%`` path of :func:`write_csv_columns`, which defines the
+    format.  A series with an integer start and bin size, every bin start
+    in [0, ``SERIES_TIME_GUARD_US``) (2^32 s) and every bin index and count
+    in [0, 2^32), as every series the pipeline writes, is rendered from
+    integers by :func:`_ascii_rows` instead.  There the float is within
+    2^-21 s < 0.5 µs of the exact bin start ``start_us + k * bin_size_s *
+    10^6`` µs, so it prints as the exact decimal of that integer.
     """
     n = len(series)
-    start_us, bin_s = series.start_us, series.bin_size_s
-    if not (isinstance(start_us, (int, np.integer)) and isinstance(bin_s, (int, np.integer))
-            and max(abs(int(start_us)), abs(int(start_us) + (n - 1) * int(bin_s) * 1_000_000))
-            < SERIES_TIME_GUARD_US):
+    start_us, bin_s, counts = series.start_us, series.bin_size_s, series.counts
+    first = last = -1
+    if isinstance(start_us, (int, np.integer)) and isinstance(bin_s, (int, np.integer)):
+        first = int(start_us)
+        last = first + max(n - 1, 0) * int(bin_s) * 1_000_000
+    if not (0 <= min(first, last) and max(first, last) < SERIES_TIME_GUARD_US
+            and n <= 2**32 and 0 <= counts.min(initial=0) and counts.max(initial=0) < 2**32):
         idx = np.arange(n)
         times = start_us / 1e6 + idx * bin_s
         write_csv_columns(path, "bin_index,t_start_s,count", "%d,%.6f,%d\n",
-                          [idx, times, series.counts], CSV_CHUNK_ROWS)
+                          [idx, times, counts], CSV_CHUNK_ROWS)
         return
-    # Bin k starts (start_s + k * bin_s) * 10^6 + start_frac µs, where
-    # start_frac is in [0, 10^6): so it is negative exactly when its whole
-    # seconds part is, and the fraction takes one of two values.
-    start_s, start_frac = divmod(int(start_us), 1_000_000)
+    # Bin starts are linear in k, so all of them lie between the first and
+    # the last; bin k starts (start_s + k * bin_s) s and start_frac µs.
+    start_s, start_frac = divmod(first, 1_000_000)
+    frac = b".%06d," % start_frac
     with open(path, "wb") as f:
         f.write(b"bin_index,t_start_s,count\n")
         for lo in range(0, n, SERIES_CSV_BLOCK_ROWS):
             k = np.arange(lo, min(lo + SERIES_CSV_BLOCK_ROWS, n), dtype=np.int64)
-            f.write(_render_series_rows(k, start_s + k * int(bin_s), start_frac,
-                                        series.counts[lo:lo + k.size]))
-
-
-def _render_series_rows(k: np.ndarray, secs: np.ndarray, start_frac: int,
-                        counts: np.ndarray) -> bytes:
-    """The rows ``k,<t>,count`` as ASCII, for bin starts ``secs * 10^6 +
-    start_frac`` µs (``secs`` as int64, ``0 <= start_frac < 10^6``)."""
-    neg_t = secs < 0
-    if not neg_t.any():
-        time_fields = [(secs, None, None), b".%06d," % start_frac]
-    elif start_frac:
-        time_fields = [(np.where(neg_t, -secs - 1, secs), neg_t, None), b".",
-                       (np.where(neg_t, 1_000_000 - start_frac, start_frac), None, 6), b","]
-    else:
-        time_fields = [(np.abs(secs), neg_t, None), b".000000,"]
-    return _ascii_rows(k.size, [(k, None, None), b",", *time_fields,
-                                (counts, counts < 0, None), b"\n"])
-
-
-_POW10 = np.array([10**d for d in range(1, 20)], dtype=np.uint64)
+            f.write(_ascii_rows(k.size, [k, b",", start_s + k * int(bin_s), frac,
+                                         counts[lo:lo + k.size], b"\n"]))
 
 
 def _ascii_rows(n_rows: int, fields: list) -> bytes:
     """Rows of ``fields`` rendered as ASCII, one row per index.
 
-    A field is a constant ``bytes``, or ``(values, neg, width)`` for an
-    int64 column: printed as ``%d`` prints it when ``width`` is None (a
-    ``-`` where ``neg`` is true, then the magnitude), else zero-padded to
-    ``width`` digits.  Each field is laid out right-aligned in a
+    A field is a constant ``bytes``, or a column of integers in [0, 2^32)
+    printed as ``%d`` prints it.  Each field is laid out right-aligned in a
     fixed-width uint8 matrix with a keep-mask that is false on leading
-    zeros and on unused sign columns; one boolean compress joins the rows.
+    zeros; one boolean compress joins the rows.  Digits are peeled in
+    uint32, where dividing by ten is several times cheaper than in 64 bits.
     """
-    layout, n_cols = [], 0
-    for field in fields:
+    fields = [f if isinstance(f, bytes) else f.astype(np.uint32) for f in fields]
+    widths = [len(f) if isinstance(f, bytes) else len(str(int(f.max(initial=0))))
+              for f in fields]
+    chars = np.empty((n_rows, sum(widths)), dtype=np.uint8)
+    keep = np.ones((n_rows, sum(widths)), dtype=bool)
+    col = 0
+    for field, width in zip(fields, widths):
+        out = chars[:, col:col + width]
         if isinstance(field, bytes):
-            layout.append((n_cols, field))
-            n_cols += len(field)
-            continue
-        values, neg, pad = field
-        # Magnitudes as uint64: the cast wraps -2^63 to 2^63, its magnitude.
-        mag = np.abs(values).astype(np.uint64)
-        signed = neg is not None and bool(neg.any())
-        width = pad or len(str(int(mag.max(initial=0))))
-        layout.append((n_cols, (mag, neg if signed else None, pad, width)))
-        n_cols += signed + width
-    chars = np.empty((n_rows, n_cols), dtype=np.uint8)
-    keep = np.ones((n_rows, n_cols), dtype=bool)
-    for col, field in layout:
-        if isinstance(field, bytes):
-            chars[:, col:col + len(field)] = np.frombuffer(field, dtype=np.uint8)
-            continue
-        mag, neg, pad, width = field
-        if neg is not None:
-            chars[:, col] = ord("-")
-            keep[:, col] = neg
-            col += 1
-        _ascii_digits(mag, chars[:, col:col + width])
-        if not pad:
-            # Column j of the field is a leading zero unless mag >= 10^(width-1-j).
-            for j in range(width - 1):
-                np.greater_equal(mag, _POW10[width - 2 - j], out=keep[:, col + j])
-    return chars[keep].tobytes()
-
-
-def _ascii_digits(mag: np.ndarray, out: np.ndarray) -> None:
-    """Write the low decimal digits of the uint64 ``mag``, as ASCII, into
-    the columns of ``out`` (one row per value, zero-padded).
-
-    Digits are peeled in uint32, where dividing by ten is several times
-    cheaper than in 64 bits; magnitudes of 2^32 or more are first split
-    into nine-digit limbs.
-    """
-    col = out.shape[1]
-    while col:
-        if int(mag.max(initial=0)) < 2**32:
-            part, n_digits = mag.astype(np.uint32), col
+            out[:] = np.frombuffer(field, dtype=np.uint8)
         else:
-            mag, part = np.divmod(mag, np.uint64(10**9))
-            part, n_digits = part.astype(np.uint32), min(9, col)
-        for _ in range(n_digits):
-            q = part // np.uint32(10)
-            col -= 1
-            part -= q * np.uint32(10)
-            part += np.uint32(ord("0"))
-            out[:, col] = part
-            part = q
+            # Column j of the field is a leading zero unless field >= 10^(width-1-j).
+            for j in range(width - 1):
+                np.greater_equal(field, np.uint32(10 ** (width - 1 - j)), out=keep[:, col + j])
+            for j in range(width - 1, -1, -1):
+                q = field // np.uint32(10)
+                field -= q * np.uint32(10)
+                field += np.uint32(ord("0"))
+                out[:, j] = field
+                field = q
+        col += width
+    return chars[keep].tobytes()
 
 
 def write_csv_columns(path, header: str, row: str, columns: list[np.ndarray],

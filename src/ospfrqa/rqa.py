@@ -56,7 +56,7 @@ line-length histograms P(l), P(v) and P(w):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,8 +110,7 @@ class EmbedParams:
             raise ValueError("tau and m must be positive integers")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
-        if self.norm not in _TERM:
-            raise ValueError(f"unknown norm {self.norm!r}; use 'euclidean' or 'maximum'")
+        _check_norm(self.norm)
         if self.theiler < 0:
             raise ValueError("theiler must be >= 0")
         if self.l_min < 2 or self.v_min < 2:
@@ -143,15 +142,6 @@ class RqaMeasures:
 
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in MEASURE_NAMES}
-
-
-@dataclass
-class LineHistograms:
-    """Length -> multiplicity maps for the three line families."""
-
-    diagonal: dict[int, int] = field(default_factory=dict)
-    vertical: dict[int, int] = field(default_factory=dict)
-    white_vertical: dict[int, int] = field(default_factory=dict)
 
 
 def znormalize(values) -> tuple[np.ndarray, bool]:
@@ -400,20 +390,6 @@ def _line_histograms(rm: np.ndarray, theiler: int) -> tuple[np.ndarray, np.ndarr
     same = (ends[:-1] - 2) // (n + 1) == (starts[1:] - 1) // (n + 1)
     wh = np.bincount(starts[1:][same] - ends[:-1][same])
     return dh, vh, wh
-
-
-def line_histograms(rm: np.ndarray, theiler: int = 1) -> LineHistograms:
-    """Histogram the three line families of a recurrence matrix.
-
-    Diagonal runs exclude the band ``|i - j| < max(theiler, 1)``; white
-    vertical runs touching the top/bottom border are dropped.
-    """
-    rm = np.asarray(rm, dtype=bool)
-
-    def as_dict(h: np.ndarray) -> dict[int, int]:
-        return {int(length): int(h[length]) for length in np.flatnonzero(h)}
-
-    return LineHistograms(*(as_dict(h) for h in _line_histograms(rm, theiler)))
 
 
 def _lines(h: np.ndarray, lo: int) -> tuple[int, int, float]:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import heapq
 import json
 import random
+import sys
 from dataclasses import dataclass, field, replace
 
 from .ingest import LsaEvent
@@ -115,9 +116,6 @@ class Topology:
             if (l.node_a, l.iface_a) == (node, iface) or (l.node_b, l.iface_b) == (node, iface):
                 return l
         return None
-
-    def stub_monitors(self) -> list[Monitor]:
-        return [m for m in self.monitors if m.stub]
 
     def validate(self) -> None:
         problems: list[str] = []
@@ -251,6 +249,8 @@ def scenario_to_json(events: list[ScenarioEvent]) -> str:
 
 
 def scenario_from_json(text: str) -> list[ScenarioEvent]:
+    """Events from a JSON list of ``{time_s, kind, subject, params}``
+    objects; :func:`validate_scenario` checks their values."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
@@ -259,40 +259,70 @@ def scenario_from_json(text: str) -> list[ScenarioEvent]:
         raise ScenarioError("scenario must be a JSON list of events")
     events = []
     for i, rec in enumerate(raw):
+        if not isinstance(rec, dict):
+            raise ScenarioError(f"event {i}: expected a JSON object, got {rec!r}")
         missing = {"time_s", "kind", "subject"} - set(rec)
         if missing:
             raise ScenarioError(f"event {i}: missing {sorted(missing)}")
-        events.append(ScenarioEvent(float(rec["time_s"]), rec["kind"],
-                                    dict(rec["subject"]), dict(rec.get("params", {}))))
+        events.append(ScenarioEvent(rec["time_s"], rec["kind"], rec["subject"],
+                                    rec.get("params", {})))
     return events
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_scenario(events: list[ScenarioEvent], topo: Topology, duration_s: float) -> None:
+    """Raise ScenarioError naming each bad event and key.  Events need a
+    known kind, a number ``time_s`` in [0, duration_s] in sorted order, a
+    ``subject`` object naming an existing link or node, and a ``params``
+    object: ``period_s`` finite and > 0, ``duration_s`` finite and >= 0,
+    ``phantom_id`` a string, ``drop_links`` a list of strings."""
     problems = []
     last_t = -1.0
     for i, ev in enumerate(events):
         if ev.kind not in SCENARIO_KINDS:
             problems.append(f"event {i}: unknown kind {ev.kind!r}")
             continue
-        if ev.time_s < last_t:
+        if not (_is_number(ev.time_s) and 0 <= ev.time_s <= duration_s):
+            problems.append(f"event {i}: time_s: {ev.time_s!r} outside [0, {duration_s}]")
+        elif ev.time_s < last_t:
             problems.append(f"event {i}: events must be sorted by time")
-        last_t = max(last_t, ev.time_s)
-        if not 0 <= ev.time_s <= duration_s:
-            problems.append(f"event {i}: time {ev.time_s} outside [0, {duration_s}]")
+        else:
+            last_t = ev.time_s
+        if not (isinstance(ev.subject, dict) and isinstance(ev.params, dict)):
+            key = "params" if isinstance(ev.subject, dict) else "subject"
+            problems.append(f"event {i}: {key}: expected an object, got {getattr(ev, key)!r}")
+            continue
+        # Subjects name nodes, so they must be strings (and hashable).
+        names = {k: v for k, v in ev.subject.items() if isinstance(v, str)}
         if ev.kind in ("iface_down", "iface_up"):
             node, iface = ev.subject.get("node"), ev.subject.get("iface")
             if topo.find_link(node, iface) is None:
                 problems.append(f"event {i}: no link at {node}.{iface}")
         elif ev.kind == "attack_disguised":
             for role in ("attacker", "victim"):
-                if ev.subject.get(role) not in topo.routers:
+                if names.get(role) not in topo.routers:
                     problems.append(f"event {i}: {role} {ev.subject.get(role)!r} is not a router")
         elif ev.kind == "attack_adjacency_spoof":
-            if ev.subject.get("host") not in topo.hosts:
+            if names.get("host") not in topo.hosts:
                 problems.append(f"event {i}: host {ev.subject.get('host')!r} unknown")
         elif ev.kind == "attack_partition":
-            if ev.subject.get("router") not in topo.routers:
+            if names.get("router") not in topo.routers:
                 problems.append(f"event {i}: router {ev.subject.get('router')!r} is not a router")
+        period, duration = ev.params.get("period_s", 1.0), ev.params.get("duration_s", 0.0)
+        if not (_is_number(period) and 0 < period <= sys.float_info.max):
+            problems.append(f"event {i}: period_s: expected a finite number > 0, got {period!r}")
+        if not (_is_number(duration) and 0 <= duration <= sys.float_info.max):
+            problems.append(f"event {i}: duration_s: expected a finite number >= 0, "
+                            f"got {duration!r}")
+        if not isinstance(ev.params.get("phantom_id", ""), str):
+            problems.append(f"event {i}: phantom_id: expected a string, "
+                            f"got {ev.params['phantom_id']!r}")
+        links = ev.params.get("drop_links", [])
+        if not (isinstance(links, list) and all(isinstance(l, str) for l in links)):
+            problems.append(f"event {i}: drop_links: expected a list of strings, got {links!r}")
     if problems:
         raise ScenarioError("; ".join(problems))
 
@@ -376,8 +406,6 @@ class _Instance:
 class RunResult:
     logs: dict[str, list[LsaEvent]]
     warnings: list[str]
-    duration_s: float
-    seed: int
 
 
 class _Engine:
@@ -607,7 +635,10 @@ class _Engine:
             duration = float(ev.params.get("duration_s", 1200.0))
             args = strike_args(ev)
             for k in range(max(int(duration / period), 1)):
-                self.push(t_us + int(k * period * 1e6), ev.subject[subject_key], ev.kind, args)
+                strike_us = t_us + int(k * period * 1e6)
+                if strike_us > self.duration_us:
+                    break  # it would lapse unrun, as attack events do after the end
+                self.push(strike_us, ev.subject[subject_key], ev.kind, args)
 
     def run(self) -> None:
         # Event kind -> (handler called as handler(node, t_us, *payload),
@@ -648,8 +679,7 @@ def run(topology: Topology, scenario: list[ScenarioEvent], duration_s: float,
     engine = _Engine(topo, seed, duration_s, refresh_jitter_s)
     engine.schedule_scenario(scenario)
     engine.run()
-    return RunResult(logs=engine.logs, warnings=engine.warnings,
-                     duration_s=duration_s, seed=seed)
+    return RunResult(logs=engine.logs, warnings=engine.warnings)
 
 
 def total_event_counts(logs: dict[str, list[LsaEvent]]) -> dict[str, int]:

@@ -132,6 +132,38 @@ class TestSimulate:
                        "--duration", "1200", "--out", tmp_path / "x") == 2
         assert "ghost" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change, key", [
+        ({"params": {"period_s": 0}}, "period_s"),
+        ({"params": {"period_s": -30}}, "period_s"),
+        ({"params": {"period_s": "nan"}}, "period_s"),
+        ({"params": {"period_s": float("inf")}}, "period_s"),
+        ({"params": {"duration_s": -1}}, "duration_s"),
+        ({"params": {"duration_s": 10**400}}, "duration_s"),
+        ({"params": {"phantom_id": 5}}, "phantom_id"),
+        ({"params": {"drop_links": 5}}, "drop_links"),
+        ({"params": {"drop_links": ["eth0", 5]}}, "drop_links"),
+        ({"params": 5}, "params"),
+        ({"subject": 5}, "subject"),
+        ({"subject": {"router": ["r8"]}}, "router"),
+        ({"time_s": [1]}, "time_s"),
+        ({"time_s": True}, "time_s"),
+    ])
+    def test_malformed_scenario_event_exits_2_naming_it(self, tmp_path, capsys, change, key):
+        good = {"time_s": 10, "kind": "attack_partition", "subject": {"router": "r8"},
+                "params": {"period_s": 30, "duration_s": 60, "drop_links": ["eth0"]}}
+        scenario_path = tmp_path / "bad.json"
+        scenario_path.write_text(json.dumps([good, {**good, "time_s": 20, **change}]))
+        assert run_cli("simulate", "--topology", "paper16", "--duration", "100",
+                       "--scenario", scenario_path, "--out", tmp_path / "x") == 2
+        assert f"event 1: {key}" in capsys.readouterr().err
+
+    def test_scenario_event_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        scenario_path = tmp_path / "bad.json"
+        scenario_path.write_text("[5]")
+        assert run_cli("simulate", "--topology", "paper16", "--duration", "100",
+                       "--scenario", scenario_path, "--out", tmp_path / "x") == 2
+        assert "event 0: expected a JSON object" in capsys.readouterr().err
+
 
 class TestExtract:
     def test_origin_by_name_requires_topology(self, quiet_run, tmp_path, capsys):

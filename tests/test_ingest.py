@@ -358,6 +358,25 @@ class TestBinning:
         ingest.write_series_csv(path, ingest.CountSeries(-3_000_000_500, 1, counts))
         assert path.read_text() == oracle.series_csv(-3_000_000_500, 1, counts)
 
+    @pytest.mark.parametrize("extra", [-1, 0, 1, ingest.SERIES_CSV_BLOCK_ROWS + 3])
+    def test_csv_integer_rendering_across_row_blocks(self, tmp_path, extra):
+        n = ingest.SERIES_CSV_BLOCK_ROWS + extra
+        counts = np.arange(n) * 7919 % 23
+        counts[-1] = 2**32 - 1
+        path = tmp_path / "blocks.csv"
+        ingest.write_series_csv(path, ingest.CountSeries(1_700_000_000_123_457, 1, counts))
+        assert path.read_text() == oracle.series_csv(1_700_000_000_123_457, 1, counts)
+
+    @pytest.mark.parametrize("start_us", [0, 999_999, 2**32 * 10**6 - 10**6, -5_000_001])
+    @pytest.mark.parametrize("last_count", [2**32 - 1, 2**32, -3])
+    def test_csv_at_the_edges_of_integer_rendering(self, tmp_path, start_us, last_count):
+        counts = [0, 9, 10, last_count]
+        path = tmp_path / "edges.csv"
+        ingest.write_series_csv(path, ingest.CountSeries(start_us, 1, counts[:1]))
+        assert path.read_text() == oracle.series_csv(start_us, 1, counts[:1])
+        ingest.write_series_csv(path, ingest.CountSeries(start_us, 1, counts))
+        assert path.read_text() == oracle.series_csv(start_us, 1, counts)
+
     @pytest.mark.parametrize("counts", [[-(2**63), 2**63 - 1, 0, -1], [0] * 5])
     def test_csv_extreme_counts_match_oracle(self, tmp_path, counts):
         path = tmp_path / "extreme.csv"
@@ -436,14 +455,14 @@ class TestPcap:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.pcap"
         path.write_bytes(pcap_bytes([]))
-        reader = ingest.read_pcap(path)
-        assert reader.link_type == 1
-        assert list(reader) == []
+        link_type, records = ingest.read_pcap(path)
+        assert link_type == 1
+        assert list(records) == []
 
     def test_single_record_timestamp(self, tmp_path):
         path = tmp_path / "one.pcap"
         path.write_bytes(pcap_bytes([(10_000_005, b"\x01\x02")]))
-        recs = list(ingest.read_pcap(path))
+        recs = list(ingest.read_pcap(path)[1])
         assert len(recs) == 1
         assert recs[0].ts_us == 10_000_005
         assert recs[0].data == b"\x01\x02"
@@ -454,8 +473,8 @@ class TestPcap:
         swapped = tmp_path / "swapped.pcap"
         native.write_bytes(pcap_bytes([(123456, frame)], endian="<"))
         swapped.write_bytes(pcap_bytes([(123456, frame)], endian=">"))
-        a = list(ingest.read_pcap(native))
-        b = list(ingest.read_pcap(swapped))
+        a = list(ingest.read_pcap(native)[1])
+        b = list(ingest.read_pcap(swapped)[1])
         assert a == b
 
     def test_bad_magic(self, tmp_path):
@@ -467,8 +486,7 @@ class TestPcap:
     def test_truncated_record_header(self, tmp_path):
         path = tmp_path / "trunc.pcap"
         path.write_bytes(pcap_bytes([(1, b"xy")]) + b"\x00\x01\x02")
-        reader = ingest.read_pcap(path)
-        it = iter(reader)
+        _, it = ingest.read_pcap(path)
         assert next(it).data == b"xy"
         with pytest.raises(ingest.TruncatedPcapError):
             next(it)
@@ -483,11 +501,10 @@ class TestPcap:
         monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResourceWarning)
-            reader = ingest.read_pcap(path)
-            it = iter(reader)
+            _, it = ingest.read_pcap(path)
             for _ in range(consumed):
                 next(it)
-            del reader, it
+            del it
             gc.collect()
         assert [u.exc_value for u in unraisable] == []
 
@@ -496,7 +513,7 @@ class TestPcap:
         data = struct.pack("<IHHiIII", ingest.PCAP_MAGIC, 2, 4, 0, 0, 4, 1)
         data += struct.pack("<IIII", 0, 0, 4, 100) + b"abcd"
         path.write_bytes(data)
-        rec = next(iter(ingest.read_pcap(path)))
+        rec = next(ingest.read_pcap(path)[1])
         assert rec.truncated
 
     @pytest.mark.parametrize("endian", ["<", ">"])
@@ -534,7 +551,7 @@ def read_records(path):
     with TruncatedPcapError."""
     records = []
     try:
-        for rec in ingest.read_pcap(path):
+        for rec in ingest.read_pcap(path)[1]:
             records.append((rec.ts_us, rec.data, rec.truncated))
     except ingest.TruncatedPcapError:
         return records, True

@@ -1,0 +1,68 @@
+"""Every public function, class and method of the package is used by the package."""
+
+import ast
+import fnmatch
+from collections import defaultdict
+from pathlib import Path
+
+import ospfrqa
+
+# Public names that nothing in the package refers to, and why they stay.
+UNREFERENCED_ALLOWED = {
+    "cli.cmd_*": "build_parser looks each command up through globals()",
+    "sim.topology_to_text": "wrote the shipped topo20 and topo35 topology files",
+    "sim.scenario_to_json": "writes the scenario files that scenario_from_json reads",
+    "rqa.RqaMeasures.as_dict": "library call for reading one window's measures by name",
+}
+
+
+def public_definitions(tree: ast.Module):
+    """``(qualified name, node)`` of the public module-level functions and
+    classes, and of the public methods of public classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def unreferenced_names(package: Path) -> list[str]:
+    """Public definitions whose name occurs nowhere in the package outside
+    the definition itself, as a name, an attribute or an imported name
+    (so an ``__init__`` export counts)."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    uses = defaultdict(list)  # name -> (module, line)
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name is not None:
+                uses[name].append((module, node.lineno))
+    unused = []
+    for module, tree in trees.items():
+        for qualified, node in public_definitions(tree):
+            if not any(m != module or not node.lineno <= line <= node.end_lineno
+                       for m, line in uses[node.name]):
+                unused.append(f"{module}.{qualified}")
+    return unused
+
+
+def test_every_public_name_is_referenced_or_allowed():
+    package = Path(ospfrqa.__file__).resolve().parent
+    unused = unreferenced_names(package)
+    unexplained = [name for name in unused
+                   if not any(fnmatch.fnmatchcase(name, pattern)
+                              for pattern in UNREFERENCED_ALLOWED)]
+    assert unexplained == []
+
+
+def test_allowlist_has_no_stale_entries():
+    package = Path(ospfrqa.__file__).resolve().parent
+    unused = unreferenced_names(package)
+    stale = [pattern for pattern in UNREFERENCED_ALLOWED
+             if not fnmatch.filter(unused, pattern)]
+    assert stale == []

@@ -90,38 +90,45 @@ class TestRecurrenceMatrix:
         assert not rqa.recurrence_matrix(traj, 1.0, norm="euclidean")[0, 1]
 
 
+def histogram_maps(rm, theiler):
+    """``rqa._line_histograms`` of rm as (diagonal, vertical, white vertical)
+    maps of length -> count, the form of ``oracle.histogram``."""
+    return tuple({int(length): int(h[length]) for length in np.flatnonzero(h)}
+                 for h in rqa._line_histograms(rm, theiler))
+
+
 class TestLineHistograms:
     def test_all_ones_5x5(self):
         rm = np.ones((5, 5), dtype=bool)
-        h = rqa.line_histograms(rm, theiler=1)
-        assert h.diagonal == {4: 2, 3: 2, 2: 2, 1: 2}
-        assert h.vertical == {5: 5}
-        assert h.white_vertical == {}
+        diagonal, vertical, white = histogram_maps(rm, theiler=1)
+        assert diagonal == {4: 2, 3: 2, 2: 2, 1: 2}
+        assert vertical == {5: 5}
+        assert white == {}
 
     def test_identity_only(self):
         rm = np.eye(8, dtype=bool)
-        h = rqa.line_histograms(rm, theiler=1)
-        assert h.diagonal == {}
-        assert h.vertical == {1: 8}
-        assert h.white_vertical == {}
+        diagonal, vertical, white = histogram_maps(rm, theiler=1)
+        assert diagonal == {}
+        assert vertical == {1: 8}
+        assert white == {}
 
     def test_checkerboard_matches_oracle(self):
         series = [0, 1] * 4
         traj = rqa.embed(series, tau=1, m=1)
         rm = rqa.recurrence_matrix(traj, 0.1)
-        h = rqa.line_histograms(rm, theiler=1)
-        assert h.diagonal == {6: 2, 4: 2, 2: 2}
-        assert h.vertical == {1: 32}
-        assert h.white_vertical == {1: 24}
+        diagonal, vertical, white = histogram_maps(rm, theiler=1)
+        assert diagonal == {6: 2, 4: 2, 2: 2}
+        assert vertical == {1: 32}
+        assert white == {1: 24}
 
     def test_theiler_widens_exclusion(self):
         rm = np.ones((6, 6), dtype=bool)
-        h = rqa.line_histograms(rm, theiler=3)
-        assert h.diagonal == {3: 2, 2: 2, 1: 2}
+        diagonal, _, _ = histogram_maps(rm, theiler=3)
+        assert diagonal == {3: 2, 2: 2, 1: 2}
 
     def test_loi_excluded_even_at_theiler_zero(self):
         rm = np.eye(5, dtype=bool)
-        assert rqa.line_histograms(rm, theiler=0).diagonal == {}
+        assert histogram_maps(rm, theiler=0)[0] == {}
 
 
 class TestRqaMeasures:
@@ -495,10 +502,10 @@ class TestEqualityEngine:
 def test_line_statistics_of_any_matrix_match_oracle(rows, theiler, l_min, v_min):
     # Not necessarily symmetric: the diagonals below the LOI are read apart.
     rm = np.array(rows, dtype=bool)
-    h = rqa.line_histograms(rm, theiler)
-    assert h.diagonal == oracle.histogram(oracle.diagonal_lengths(rows, theiler))
-    assert h.vertical == oracle.histogram(oracle.vertical_lengths(rows))
-    assert h.white_vertical == oracle.histogram(oracle.white_lengths(rows))
+    diagonal, vertical, white = histogram_maps(rm, theiler)
+    assert diagonal == oracle.histogram(oracle.diagonal_lengths(rows, theiler))
+    assert vertical == oracle.histogram(oracle.vertical_lengths(rows))
+    assert white == oracle.histogram(oracle.white_lengths(rows))
     assert_matches_oracle(rqa.rqa_measures(rm, l_min, v_min, theiler),
                           oracle.measures(rows, l_min, v_min, theiler))
 

@@ -427,6 +427,12 @@ PINNED_PAPER16_ATTACKS = {
     'r12': '74e9efcbb2574ed3', 'r13': 'bc36b4136fe142be', 'r14': '292a858bc9b6a10a',
     'r15': '75cf1155595465a7', 'r16': '19c0faaf31ee6c93',
 }
+# Taken from the simulator that still scheduled strikes past the run's end.
+PINNED_PAPER16_PAST_THE_END = {
+    'rcs1': '3b5ce755620f50e6', 'r7': '862484f83fd97496', 'r11': '8ee71e8f8dccccb1',
+    'r12': '53cf25c4123c38cf', 'r13': 'a5edbd55c271a85e', 'r14': '16a032b34e03c9af',
+    'r15': '9ddeb68428aa3c85', 'r16': '11f7369d9d15c250',
+}
 
 
 class TestPinnedLogs:
@@ -444,3 +450,18 @@ class TestPinnedLogs:
         scenario = sim.scenario_paper_attacks(duration_each_s=300.0)
         res = sim.run(sim.load_topology("paper16"), scenario, 10000, seed=2)
         assert log_digests(res.logs) == PINNED_PAPER16_ATTACKS
+
+    @pytest.mark.parametrize("attack_s", [500.0, 1e12])
+    def test_attacks_striking_past_the_end(self, attack_s):
+        # Strikes after the run's 100 s lapse unrun, so an attack lasting
+        # 500 s and one lasting 1e12 s (1e12 strikes) leave the same logs.
+        params = {"period_s": 1.0, "duration_s": attack_s}
+        scenario = [
+            sim.ScenarioEvent(10.0, "attack_disguised", {"attacker": "r8", "victim": "r9"},
+                              params),
+            sim.ScenarioEvent(20.0, "attack_adjacency_spoof", {"host": "host2"}, params),
+            sim.ScenarioEvent(30.0, "attack_partition", {"router": "r8"},
+                              {**params, "drop_links": ["eth0"]}),
+        ]
+        res = sim.run(sim.load_topology("paper16"), scenario, 100, seed=5)
+        assert log_digests(res.logs) == PINNED_PAPER16_PAST_THE_END
