@@ -299,8 +299,8 @@ def cmd_extract(args) -> int:
         first = min((e.ts_us for e in events), default=0)
         t0_us = (first // (s.bin * 1_000_000)) * s.bin * 1_000_000
     else:
-        t0_us = int(s.t0 * 1e6)
-    t1_us = int(s.t1 * 1e6) if s.t1 is not None else max((e.ts_us for e in events), default=0) + 1
+        t0_us = round(s.t0 * 1e6)
+    t1_us = round(s.t1 * 1e6) if s.t1 is not None else max((e.ts_us for e in events), default=0) + 1
 
     series = ingest.bin_series(events, flt, s.bin, t0_us, t1_us)
     ingest.write_series_csv(s.out, series)

@@ -8,7 +8,11 @@ window's counts.  A repeated window reuses the results of its first
 occurrence, which are identical to a recompute because the per-window
 computation depends on nothing else, and the memo holds at most
 ``MEMO_WINDOWS`` distinct windows (oldest evicted first), so its memory is
-bounded whatever the series.  The change detector then scans each measure
+bounded whatever the series.  The windows the memo misses are gathered
+into blocks of at most ``BLOCK_WINDOWS`` rows, and each block is
+quantified by one :func:`~ospfrqa.rqa.measures_for_series` call, whose
+rows equal the windows quantified one at a time, bit for bit (see
+:mod:`ospfrqa.rqa`).  The change detector then scans each measure
 against a rolling baseline of strictly prior windows: the deviation score
 is the distance from the baseline median in units of the baseline MAD,
 and a window alerts when any enabled measure's score reaches ``k_mad``.
@@ -53,6 +57,11 @@ from .rqa import (
 # full memo takes about 8.5 MB; a quiet series returns to a window it has
 # seen after far fewer distinct windows than this.
 MEMO_WINDOWS = 4096
+
+# Windows quantified per measures_for_series call: the memo's misses are
+# gathered into blocks of at most this many rows, so one vectorized pass
+# covers many windows while the block's temporaries stay small.
+BLOCK_WINDOWS = 64
 
 # Baseline rows scored per numpy call: bounds the temporary copies that
 # np.median makes of the (windows x baseline_bins) view.
@@ -153,10 +162,14 @@ def sliding_rqa(series: CountSeries, config: DetectorConfig) -> MeasureSeries:
     recompute bit for bit.  At most ``MEMO_WINDOWS`` distinct windows are
     held; the oldest is evicted first, so a series without repeats costs
     one dictionary insert per window and no more memory than the cap.
-    The memo stays in front of :func:`~ospfrqa.rqa.measures_for_series`:
-    only a window not held in it reaches either of that function's
-    engines (the equality-class engine for integer windows in its regime,
-    the float path otherwise).
+    Each window is looked up in the memo first.  The misses, each
+    distinct content once, are gathered into a block of at most
+    ``BLOCK_WINDOWS`` rows; a full block, and the last one, go through one
+    :func:`~ospfrqa.rqa.measures_for_series` call, and their results
+    enter the memo and fill every window that waited for them.  Only a
+    window held in neither the memo nor the pending block reaches either
+    of that function's engines (the equality-class engine for integer
+    windows in its regime, the float path otherwise).
     """
     counts = np.asarray(series.counts, dtype=float)
     w = config.window_bins
@@ -165,51 +178,67 @@ def sliding_rqa(series: CountSeries, config: DetectorConfig) -> MeasureSeries:
             f"series has {counts.size} bins; need at least window_bins={w}"
         )
     ends = np.arange(w - 1, counts.size, config.step_bins)
+    params = config.embed
     columns = np.empty((len(MEASURE_NAMES), ends.size))
-    degenerate = 0
-    eps_warn = 0
+    flags = np.zeros((2, ends.size), dtype=bool)  # degenerate, epsilon warning
     # Threshold guidance: epsilon should stay within 10% of the phase-space
     # diameter.  The z-scored 1-D range (max-min)/sigma is an exact lower
     # bound on the diameter and is always >= 2 (Popoviciu), so the default
     # epsilon=0.2 can never trip this; larger thresholds get the exact check.
-    eps_limit = config.embed.epsilon * 10.0
-    memo: dict[bytes, tuple[tuple[float, ...], bool, bool]] = {}
-    for i, end in enumerate(ends):
-        window = counts[end - w + 1 : end + 1]
-        key = window.tobytes()
-        hit = memo.get(key)
-        if hit is None:
-            hit = _window_results(window, config.embed, eps_limit)
+    eps_limit = params.epsilon * 10.0
+    memo: dict[bytes, tuple[np.ndarray, bool, bool]] = {}
+    pending: dict[bytes, int] = {}  # a miss's window bytes -> its row of block
+    block = np.empty((BLOCK_WINDOWS, w))
+    waiting: list[tuple[int, int]] = []  # (window index, row of block)
+
+    def flush():
+        values, degenerate = measures_for_series(block[: len(pending)], params)
+        warn = np.zeros(len(pending), dtype=bool)
+        if eps_limit > 2.0:
+            for r in np.flatnonzero(~degenerate):
+                warn[r] = _epsilon_warning(block[r], params, eps_limit)
+        for key, r in pending.items():
             if len(memo) >= MEMO_WINDOWS:
                 del memo[next(iter(memo))]
-            memo[key] = hit
-        values, is_degenerate, is_eps_warn = hit
-        columns[:, i] = values
-        degenerate += is_degenerate
-        eps_warn += is_eps_warn
+            memo[key] = (values[r], degenerate[r], warn[r])
+        index, rows = np.array(waiting).T
+        columns[:, index] = values[rows].T
+        flags[:, index] = degenerate[rows], warn[rows]
+        pending.clear()
+        waiting.clear()
+
+    for i, window in enumerate(sliding_window_view(counts, w)[:: config.step_bins]):
+        key = window.tobytes()
+        hit = memo.get(key)
+        if hit is not None:
+            columns[:, i], flags[0, i], flags[1, i] = hit
+            continue
+        r = pending.get(key)
+        if r is None:
+            r = pending[key] = len(pending)
+            block[r] = window
+        waiting.append((i, r))
+        if len(pending) == BLOCK_WINDOWS:
+            flush()
+    if pending:
+        flush()
     return MeasureSeries(
         window_end_bins=ends,
         values=dict(zip(MEASURE_NAMES, columns)),
         bin_size_s=series.bin_size_s,
         start_us=series.start_us,
-        degenerate_windows=degenerate,
-        epsilon_warnings=eps_warn,
+        degenerate_windows=int(flags[0].sum()),
+        epsilon_warnings=int(flags[1].sum()),
     )
 
 
-def _window_results(
-    window: np.ndarray, params: EmbedParams, eps_limit: float
-) -> tuple[tuple[float, ...], bool, bool]:
-    """One window's (measure tuple, degenerate, epsilon warning)."""
-    measures, is_degenerate = measures_for_series(window, params)
-    eps_warn = False
-    if not is_degenerate and eps_limit > 2.0:
-        sd = window.std()
-        if (window.max() - window.min()) / sd < eps_limit:
-            z, _ = znormalize(window)
-            traj = embed(z, params.tau, params.m)
-            eps_warn = phase_space_diameter(traj, params.norm) < eps_limit
-    return measures.as_tuple(), is_degenerate, eps_warn
+def _epsilon_warning(window: np.ndarray, params: EmbedParams, eps_limit: float) -> bool:
+    """Whether a non-degenerate window's diameter is under ``eps_limit``."""
+    sd = window.std()
+    if not (window.max() - window.min()) / sd < eps_limit:
+        return False
+    z, _ = znormalize(window)
+    return phase_space_diameter(embed(z, params.tau, params.m), params.norm) < eps_limit
 
 
 def detect(measures: MeasureSeries, config: DetectorConfig) -> list[Alert]:

@@ -47,14 +47,28 @@ line-length histograms P(l), P(v) and P(w):
   an integer symbol and reads the three histograms from the symbol
   sequence without building R.  Its guard also requires
   ``max - min <= 2**20`` of the window, which keeps the rounding of the
-  float path inside the 1e-9 margin.  Integer sums are exact and
-  divided once, and the entropies see the same nonzero counts in the same
-  order, so the shortcut returns the float path's bits.  Any other window
-  takes the float path, so no convention depends on which engine ran.
+  float path inside the 1e-9 margin.  Any other window takes the float
+  path, so no convention depends on which engine ran.
+
+Windows are evaluated in blocks (many recurrence blocks per kernel call,
+as in PyRQA, Rawald, Sips & Marwan 2017): :func:`measures_for_series`
+takes a ``(B, w)`` block, and a single window is a block of one.  One
+vectorized pass per block centers the rows, applies the equality guard,
+symbolizes the rows inside it, histograms their vertical and white runs
+(``np.bincount`` with per-row offsets) and reduces every row's histograms
+to its measures; only the O(n**2) diagonal scan, and the float path of
+rows outside the guard, loop over rows.  Each row gets the bits it would
+get alone: integer sums are exact and every ratio divides two of them
+once, and each entropy ``-(p * np.log(p)).sum()`` is taken over the
+row's nonzero counts in ascending length order.  numpy sums a row of k
+terms in a fixed pairwise order, which padding rows with zeros to a
+common width would change, so the reducer groups rows by their count k
+of nonzero lengths and sums each group as a contiguous (rows, k) block.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -78,9 +92,10 @@ BLOCK_ELEMENTS = 1 << 20
 EQUALITY_MARGIN = 1.0 - 1e-9
 EQUALITY_MAX_SPAN = float(1 << 20)
 
-# Largest packed code space whose symbols are counted with np.bincount;
-# larger spaces are relabelled densely with np.unique.
-SYMBOL_TABLE = 1 << 12
+# Largest packed code space of a block (all its rows together) whose
+# symbols are counted with np.bincount, 512 KB of counts; larger spaces are
+# relabelled densely with np.unique, which sorts the block's codes.
+SYMBOL_TABLE = 1 << 16
 
 
 class SeriesTooShortError(ValueError):
@@ -154,19 +169,24 @@ def znormalize(values) -> tuple[np.ndarray, bool]:
     leaves the output bit-identical.
     """
     x = np.asarray(values, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("znormalize expects a non-empty 1-D series")
     centered, sd = _centered(x)
     if sd == 0.0:
         return np.zeros_like(x), True
     return centered / sd, False
 
 
-def _centered(x: np.ndarray) -> tuple[np.ndarray, float]:
-    """The centered series and the sd that :func:`znormalize` divides by."""
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("znormalize expects a non-empty 1-D series")
-    y = x - x[0]
-    centered = y - y.mean()
-    return centered, math.sqrt(float((centered * centered).mean()))
+def _centered(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The centered series and the sd that :func:`znormalize` divides by.
+
+    Works along the last axis, so a (B, w) block gives B rows and B sds; a
+    row's reductions are the same contiguous sums as for the row alone, so
+    they round the same way.
+    """
+    y = x - x[..., :1]
+    centered = y - y.mean(axis=-1, keepdims=True)
+    return centered, np.sqrt((centered * centered).mean(axis=-1))
 
 
 def embed(values, tau: int, m: int) -> np.ndarray:
@@ -392,44 +412,66 @@ def _line_histograms(rm: np.ndarray, theiler: int) -> tuple[np.ndarray, np.ndarr
     return dh, vh, wh
 
 
-def _lines(h: np.ndarray, lo: int) -> tuple[int, int, float]:
-    """Line count, point count and entropy of the lengths >= lo of h."""
-    tail = h[lo:]
-    lengths = np.flatnonzero(tail)
-    if lengths.size == 0:
-        return 0, 0, 0.0
-    counts = tail[lengths]
-    lines = int(counts.sum())
-    p = counts / lines
-    return lines, int(counts @ lengths) + lo * lines, float(-(p * np.log(p)).sum())
+def _lines(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Line counts, point counts and entropies of each row of histograms h."""
+    lines = h.sum(axis=1)
+    points = h @ np.arange(h.shape[1])
+    # numpy sums a row of k terms in a fixed pairwise order, which padding
+    # to a common width would change.  Rows are therefore sorted by their
+    # number k of nonzero lengths, and each group is summed as one (rows, k)
+    # block: every row is then the same contiguous length-k sum, of the
+    # nonzero counts in ascending length order, as a histogram alone gets.
+    nonzero = h != 0
+    k = nonzero.sum(axis=1)
+    order = np.argsort(k, kind="stable")
+    k_sorted = k[order]
+    counts = h[order][nonzero[order]]
+    p = counts / np.repeat(lines[order], k_sorted)
+    terms = p * np.log(p)
+    entropy = np.zeros(h.shape[0])
+    ks = k_sorted.tolist()
+    first = offset = 0
+    while first < len(ks):
+        group = ks[first]
+        last = bisect.bisect_right(ks, group)
+        if group:
+            block = terms[offset : offset + (last - first) * group].reshape(-1, group)
+            entropy[order[first:last]] = -block.sum(axis=1)
+        offset += (last - first) * group
+        first = last
+    return lines, points, entropy
 
 
-def _measures_from_histograms(
-    rm_sum: int, n: int, dh: np.ndarray, vh: np.ndarray, wh: np.ndarray,
-    l_min: int, v_min: int,
-) -> RqaMeasures:
-    """The nine measures from line-length histograms (``np.bincount`` arrays).
+def _measures_from_histograms(rm_sum: np.ndarray, n: int, h: np.ndarray,
+                              l_min: int, v_min: int) -> np.ndarray:
+    """The nine measures of B windows from their line-length histograms, as (B, 9).
 
-    Every ratio is of two exact integer sums, divided once, and each entropy
-    sees the nonzero counts in ascending length order, so any two ways of
+    ``h`` is (3, B, width): the diagonal, vertical and white-vertical
+    ``np.bincount``-style histograms of each window (entry l counts the
+    lines of length l; trailing zeros are free), and ``rm_sum`` each
+    window's number of recurrence points.  Every ratio is of two exact
+    integer sums, divided once, and each entropy sees the nonzero counts in
+    ascending length order (see :func:`_lines`), so any two ways of
     building the same histograms give the same bits.
     """
-    rr = rm_sum / float(n * n)
+    b, width = h.shape[1:]
+    lengths = np.arange(width)
+    diag_points = h[0] @ lengths
+    l_max = ((h[0] != 0) * lengths).max(axis=1, initial=0)
+    # Only lines of at least l_min, v_min and 1 enter the measures below.
+    counted = h * (lengths >= np.array([[l_min], [v_min], [1]]))[:, None, :]
+    lines, points, entropy = (a.reshape(3, b) for a in _lines(counted.reshape(3 * b, width)))
+    # DET, L-MEAN, TT and T2; an empty denominator gives 0.
+    num = points[[0, 0, 1, 2]]
+    den = np.stack([diag_points, lines[0], lines[1], lines[2]])
+    ratios = np.divide(num, den, out=np.zeros(num.shape), where=den != 0)
 
-    diag_points = int(dh @ np.arange(dh.size))
-    long_lines, long_points, l_entr = _lines(dh, l_min)
-    det = float(long_points) / diag_points if diag_points else 0.0
-    lengths = np.flatnonzero(dh)
-    l_max = float(lengths[-1]) if lengths.size else 0.0
-    l_mean = float(long_points) / long_lines if long_lines else 0.0
-
-    vert_lines, vert_points, v_entr = _lines(vh, v_min)
-    tt = float(vert_points) / vert_lines if vert_lines else 0.0
-
-    white_lines, white_points, w_entr = _lines(wh, 1)
-    t2 = float(white_points) / white_lines if white_lines else 0.0
-
-    return RqaMeasures(rr, det, l_max, l_mean, l_entr, tt, v_entr, t2, w_entr)
+    out = np.empty((b, len(MEASURE_NAMES)))
+    out[:, 0] = rm_sum / float(n * n)
+    out[:, 2] = l_max
+    out[:, [1, 3, 5, 7]] = ratios.T
+    out[:, [4, 6, 8]] = entropy.T
+    return out
 
 
 def rqa_measures(rm: np.ndarray, l_min: int = 2, v_min: int = 2, theiler: int = 1) -> RqaMeasures:
@@ -456,9 +498,13 @@ def rqa_measures(rm: np.ndarray, l_min: int = 2, v_min: int = 2, theiler: int = 
         raise ValueError("recurrence matrix must be square")
     if l_min < 2 or v_min < 2:
         raise ValueError("l_min and v_min must be >= 2")
-    dh, vh, wh = _line_histograms(rm, theiler)
-    return _measures_from_histograms(int(np.count_nonzero(rm)), rm.shape[0], dh, vh, wh,
-                                     l_min, v_min)
+    hists = _line_histograms(rm, theiler)
+    h = np.zeros((3, 1, max(hist.size for hist in hists)), dtype=np.int64)
+    for family, hist in enumerate(hists):
+        h[family, 0, : hist.size] = hist
+    row = _measures_from_histograms(np.array([np.count_nonzero(rm)]), rm.shape[0], h,
+                                    l_min, v_min)[0]
+    return RqaMeasures(*row.tolist())
 
 
 def constant_window_measures(n_points: int) -> RqaMeasures:
@@ -486,32 +532,53 @@ def constant_window_measures(n_points: int) -> RqaMeasures:
     )
 
 
-def measures_for_series(values, params: EmbedParams) -> tuple[RqaMeasures, bool]:
-    """Z-normalize, embed, threshold and quantify one window of counts.
+def measures_for_series(
+    values, params: EmbedParams
+) -> tuple[RqaMeasures, bool] | tuple[np.ndarray, np.ndarray]:
+    """Z-normalize, embed, threshold and quantify a window or a block of windows.
 
-    Returns ``(measures, degenerate)``.  Degenerate (zero-variance)
-    windows short-circuit to :func:`constant_window_measures` so quiet
-    OSPF stretches never fault.  Integer windows inside the equality
-    regime (module docstring) are quantified from their delay-vector
-    symbols without building R; the result is the same bits.
+    ``values`` is one window (1-D) or a ``(B, w)`` block of windows of one
+    length; a window is quantified as a block of one.  For a window the
+    result is ``(measures, degenerate)``; for a block it is a ``(B, 9)``
+    array of measures in ``MEASURE_NAMES`` order and a ``(B,)`` bool array
+    of degenerate flags.  Each row equals the row quantified alone, bit for
+    bit.
+
+    Degenerate (zero-variance) rows short-circuit to
+    :func:`constant_window_measures` so quiet OSPF stretches never fault.
+    The rows in the equality regime go through one vectorized pass per
+    block (module docstring); the rest take the float path one at a time,
+    into the same reducer.
     """
     x = np.asarray(values, dtype=float)
-    if x.size < params.min_series_length():
+    block = x[None] if x.ndim == 1 else x
+    if block.ndim != 2:
+        raise ValueError("measures_for_series expects a window or a (B, w) block of windows")
+    w = block.shape[1]
+    if w < params.min_series_length():
         raise SeriesTooShortError(
-            f"window of {x.size} bins cannot be embedded with tau={params.tau}, "
+            f"window of {w} bins cannot be embedded with tau={params.tau}, "
             f"m={params.m}; need at least {params.min_series_length()}"
         )
-    centered, sd = _centered(x)
-    n = params.n_points(x.size)
-    if sd == 0.0:
-        return constant_window_measures(n), True
-    symbols = _symbols(x, sd, params)
+    centered, sd = _centered(block)
+    n = params.n_points(w)
+    out = np.empty((block.shape[0], len(MEASURE_NAMES)))
+    degenerate = sd == 0.0
+    out[degenerate] = constant_window_measures(n).as_tuple()
+    float_rows = ~degenerate
+    symbols = _symbols(block, sd, params)
     if symbols is not None:
-        return _equality_measures(*symbols, params.theiler, params.l_min, params.v_min), False
+        rows, codes, counts = symbols
+        out[rows] = _equality_measures(codes, counts, params.theiler, params.l_min, params.v_min)
+        float_rows[rows] = False
     # The recurrence matrix of embed(z, tau, m), built from z directly.
     shifts = range(0, params.m * params.tau, params.tau)
-    rm = _recurrence([(centered / sd, shifts)], n, params.epsilon, params.norm)
-    return rqa_measures(rm, params.l_min, params.v_min, params.theiler), False
+    for r in np.flatnonzero(float_rows):
+        rm = _recurrence([(centered[r] / sd[r], shifts)], n, params.epsilon, params.norm)
+        out[r] = rqa_measures(rm, params.l_min, params.v_min, params.theiler).as_tuple()
+    if x.ndim == 1:
+        return RqaMeasures(*out[0].tolist()), bool(degenerate[0])
+    return out, degenerate
 
 
 # --- equality-class engine -------------------------------------------------
@@ -519,90 +586,124 @@ def measures_for_series(values, params: EmbedParams) -> tuple[RqaMeasures, bool]
 # In the equality regime R[i, j] = [s_i == s_j] for the symbols s of the
 # delay vectors, so every column of one symbol is the same column and the
 # diagonals are the matches of the symbol sequence with its own shifts.
+# A block's rows get disjoint symbols, so a run of one symbol never crosses
+# from one row into the next and the runs of all rows are read at once.
 
 
-def _symbols(x: np.ndarray, sd: float, params: EmbedParams):
-    """``(codes, counts)`` of the delay vectors of an integer window, or None.
+def _symbols(x: np.ndarray, sd: np.ndarray, params: EmbedParams):
+    """``(rows, codes, counts)`` for the rows of a block in the equality regime.
 
-    ``codes[i]`` is an integer with ``codes[i] == codes[j]`` exactly when
-    delay vectors i and j are equal, and ``counts[c]`` is the number of
-    points with code c.  None when the window is outside the equality
-    regime, so the float path must run.
+    ``rows`` indexes the rows of ``x`` (a (B, w) block with sds ``sd``) that
+    hold integers, are not constant and pass the guard of the module
+    docstring.  ``codes[j, i]`` is the symbol of delay vector i of row
+    ``rows[j]``: equal within a row exactly when the vectors are equal, and
+    never shared between rows.  ``counts[s]`` is the number of points with
+    symbol s.  None when no row is in the regime, so the float path must
+    run for all of them.
     """
-    if not params.epsilon * sd <= EQUALITY_MARGIN:
+    lo = x.min(axis=1)
+    span = x.max(axis=1) - lo
+    inside = ((sd > 0.0) & (params.epsilon * sd <= EQUALITY_MARGIN)
+              & (span <= EQUALITY_MAX_SPAN) & (x == np.floor(x)).all(axis=1))
+    rows = np.flatnonzero(inside)
+    if rows.size == 0:
         return None
-    lo = x.min()
-    span = x.max() - lo
-    if not span <= EQUALITY_MAX_SPAN or not np.array_equal(x, np.floor(x)):
-        return None
-    # Mixed-radix packing of the m coordinates, base span + 1.  A code space
-    # that would pass 2**62 is relabelled densely first, so codes stay exact
-    # int64 for every m.
-    c = (x - lo).astype(np.int64)
-    base = int(span) + 1
-    n = params.n_points(x.size)
-    codes, size = c[:n], base
+    # Mixed-radix packing of the m coordinates, in one base for the block.
+    # A code space that would let the row offsets pass 2**62 is relabelled
+    # densely first, so codes stay exact int64 for every m.
+    c = (x[rows] - lo[rows, None]).astype(np.int64)
+    base = int(span[rows].max()) + 1
+    e, n = rows.size, params.n_points(x.shape[1])
+    codes, size = c[:, :n], base
     for k in range(1, params.m):
-        if size * base > 1 << 62:
-            _, codes = np.unique(codes, return_inverse=True)
-            size = n
-        codes = codes * base + c[k * params.tau : k * params.tau + n]
+        if e * size * base > 1 << 62:
+            labels, codes = np.unique(codes, return_inverse=True)
+            codes, size = codes.reshape(e, n), labels.size
+        codes = codes * base + c[:, k * params.tau : k * params.tau + n]
         size *= base
-    if size > SYMBOL_TABLE:
+    codes = codes + np.arange(e)[:, None] * size
+    if e * size > SYMBOL_TABLE:
         _, codes, counts = np.unique(codes, return_inverse=True, return_counts=True)
+        codes = codes.reshape(e, n)
     else:
-        counts = np.bincount(codes)
-    return codes, counts
+        counts = np.bincount(codes.ravel())
+    return rows, codes, counts
+
+
+def _row_histograms(row: np.ndarray, length: np.ndarray, weight: np.ndarray,
+                    rows: int, width: int) -> np.ndarray:
+    """Weighted length histograms, one per row, as a (rows, width) int array."""
+    h = np.bincount(row * width + length, weights=weight, minlength=rows * width)
+    return h.astype(np.int64).reshape(rows, width)
+
+
+def _diagonal_histograms(codes: np.ndarray, theiler: int) -> np.ndarray:
+    """Diagonal length histograms of the equality matrix of each row of symbols.
+
+    R is symmetric, so the diagonals -k repeat the diagonals k and only
+    k = 1 .. n - 1 are read, each once, in h = (n + 1) // 2 rows.  The n + 1
+    slots (the codes, then a -1 sentinel) are laid out cyclically; in rows
+    of width n + 2, row k - 1 of that layout, shifted by one, holds slot
+    (i + k) mod (n + 1) in column i.  Compared with the slots and a -2 it
+    holds diagonal k, a False (the sentinel), diagonal n + 1 - k and two
+    Falses.  For odd n the middle row holds diagonal h twice, and the
+    diagonals below w are excluded.  This O(n**2) scan runs row by row, in
+    buffers shared by the rows: stacked into one 3-D scan it ran slower.
+    """
+    e, n = codes.shape
+    local = codes - codes.min(axis=1, keepdims=True)
+    dtype = np.int16 if local.max() < 1 << 15 else np.int64
+    local = local.astype(dtype)
+    h = (n + 1) // 2
+    width = n + 2
+    cycle = np.empty((h + 1, n + 1), dtype=dtype)
+    cycle[:, n] = -1
+    key = np.full(width, -2, dtype=dtype)
+    key[n] = -1
+    diags = np.zeros(1 + h * width, dtype=bool)
+    lines = diags[1:].reshape(h, width)
+    shifted = cycle.reshape(-1)[1 : 1 + h * width].reshape(h, width)
+    dh = np.zeros((e, n + 1), dtype=np.int64)
+    for r in range(e):
+        cycle[:, :n] = local[r]
+        key[:n] = local[r]
+        np.equal(shifted, key, out=lines)
+        if 2 * h - 1 == n:
+            lines[h - 1, n - h + 1 :] = False
+        for d in range(1, min(max(theiler, 1), n)):
+            if d <= h:
+                lines[d - 1, : n - d] = False
+            else:
+                lines[n - d, d:] = False
+        starts, ends = _run_bounds(diags)
+        hist = np.bincount(ends - starts)
+        dh[r, : hist.size] = 2 * hist
+    return dh
 
 
 def _equality_measures(codes: np.ndarray, counts: np.ndarray, theiler: int,
-                       l_min: int, v_min: int) -> RqaMeasures:
-    """The nine measures of the equality matrix of a symbol sequence."""
-    n = codes.size
-    # Vertical: each run of symbol s in the sequence is one vertical line
-    # in each of the counts[s] columns of s.
-    change = np.flatnonzero(codes[1:] != codes[:-1]) + 1
+                       l_min: int, v_min: int) -> np.ndarray:
+    """The nine measures of the equality matrix of each row of symbols, as (E, 9)."""
+    e, n = codes.shape
+    flat = codes.ravel()
+    # Vertical: each run of symbol s in a row is one vertical line in each
+    # of the counts[s] columns of s.
+    change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
     starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [n]))
-    symbol = codes[starts]
+    ends = np.concatenate((change, [flat.size]))
+    symbol = flat[starts]
     weight = counts[symbol]
-    vh = np.bincount(ends - starts, weights=weight).astype(np.int64)
+    row = starts // n
+    vh = _row_histograms(row, ends - starts, weight, e, n + 1)
     # White vertical: the gaps between successive runs of one symbol, again
     # once per column of that symbol; gaps at the borders are censored.
     order = np.argsort(symbol, kind="stable")
     after, before = order[1:], order[:-1]
     same = symbol[after] == symbol[before]
-    wh = np.bincount(starts[after][same] - ends[before][same],
-                     weights=weight[after][same]).astype(np.int64)
-    # Diagonals: R is symmetric, so the diagonals -k repeat the diagonals k
-    # and only k = 1 .. n - 1 are read, each once, in h = (n + 1) // 2 rows.
-    # The n + 1 slots (the codes, then a -1 sentinel) are laid out cyclically;
-    # in rows of width n + 2, row k - 1 of that layout, shifted by one, holds
-    # slot (i + k) mod (n + 1) in column i.  Compared with the slots and a -2
-    # it holds diagonal k, a False (the sentinel), diagonal n + 1 - k and two
-    # Falses.  For odd n the middle row holds diagonal h twice, and the
-    # diagonals below w are excluded.
-    h = (n + 1) // 2
-    width = n + 2
-    dtype = np.int16 if counts.size < 1 << 15 else np.int64
-    cycle = np.empty((h + 1, n + 1), dtype=dtype)
-    cycle[:, :n] = codes
-    cycle[:, n] = -1
-    key = np.full(width, -2, dtype=dtype)
-    key[: n + 1] = cycle[0]
-    diags = np.zeros(1 + h * width, dtype=bool)
-    rows = diags[1:].reshape(h, width)
-    np.equal(cycle.reshape(-1)[1 : 1 + h * width].reshape(h, width), key, out=rows)
-    if 2 * h - 1 == n:
-        rows[h - 1, n - h + 1 :] = False
-    for d in range(1, min(max(theiler, 1), n)):
-        if d <= h:
-            rows[d - 1, : n - d] = False
-        else:
-            rows[n - d, d:] = False
-    starts, ends = _run_bounds(diags)
-    dh = 2 * np.bincount(ends - starts)
-    return _measures_from_histograms(int(counts @ counts), n, dh, vh, wh, l_min, v_min)
+    after, before = after[same], before[same]
+    wh = _row_histograms(row[after], starts[after] - ends[before], weight[after], e, n + 1)
+    h = np.stack([_diagonal_histograms(codes, theiler), vh, wh])
+    return _measures_from_histograms(counts[codes].sum(axis=1), n, h, l_min, v_min)
 
 
 # --- embedding-parameter estimation ---------------------------------------

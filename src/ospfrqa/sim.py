@@ -47,6 +47,10 @@ RESYNC_DELAY_S = 2.5
 DISGUISED_LAG_S = 0.15
 DEFAULT_DELAY_RANGE_MS = (2, 20)
 INITIAL_SEQ = -(2**31) + 1  # 0x80000001 as a signed 32-bit value
+# Shortest attack strike period: RFC 2328's MinLSArrival, the least spacing
+# at which a router accepts new instances of one LSA.  Each strike is a heap
+# entry, so this bounds an attack to one strike per second of its duration.
+MIN_STRIKE_PERIOD_S = 1.0
 
 SCENARIO_KINDS = (
     "iface_down", "iface_up",
@@ -277,7 +281,8 @@ def validate_scenario(events: list[ScenarioEvent], topo: Topology, duration_s: f
     """Raise ScenarioError naming each bad event and key.  Events need a
     known kind, a number ``time_s`` in [0, duration_s] in sorted order, a
     ``subject`` object naming an existing link or node, and a ``params``
-    object: ``period_s`` finite and > 0, ``duration_s`` finite and >= 0,
+    object: ``period_s`` finite and at least ``MIN_STRIKE_PERIOD_S``,
+    ``duration_s`` finite and >= 0,
     ``phantom_id`` a string, ``drop_links`` a list of strings."""
     problems = []
     last_t = -1.0
@@ -312,8 +317,9 @@ def validate_scenario(events: list[ScenarioEvent], topo: Topology, duration_s: f
             if names.get("router") not in topo.routers:
                 problems.append(f"event {i}: router {ev.subject.get('router')!r} is not a router")
         period, duration = ev.params.get("period_s", 1.0), ev.params.get("duration_s", 0.0)
-        if not (_is_number(period) and 0 < period <= sys.float_info.max):
-            problems.append(f"event {i}: period_s: expected a finite number > 0, got {period!r}")
+        if not (_is_number(period) and MIN_STRIKE_PERIOD_S <= period <= sys.float_info.max):
+            problems.append(f"event {i}: period_s: expected a finite number of at least "
+                            f"{MIN_STRIKE_PERIOD_S:g} s (MinLSArrival), got {period!r}")
         if not (_is_number(duration) and 0 <= duration <= sys.float_info.max):
             problems.append(f"event {i}: duration_s: expected a finite number >= 0, "
                             f"got {duration!r}")

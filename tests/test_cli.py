@@ -147,6 +147,8 @@ class TestSimulate:
         ({"subject": {"router": ["r8"]}}, "router"),
         ({"time_s": [1]}, "time_s"),
         ({"time_s": True}, "time_s"),
+        ({"params": {"period_s": 1e-3}}, "period_s"),  # below MinLSArrival
+        ({"params": {"period_s": 0.999}}, "period_s"),
     ])
     def test_malformed_scenario_event_exits_2_naming_it(self, tmp_path, capsys, change, key):
         good = {"time_s": 10, "kind": "attack_partition", "subject": {"router": "r8"},
@@ -190,6 +192,22 @@ class TestExtract:
                        "--out", out) == 0
         series = ingest.read_series_csv(out)
         assert series.counts.tolist() == [0] * 60
+
+    def test_range_lands_on_the_microsecond_given(self, tmp_path, capsys):
+        # 132770.186 * 1e6 is 132770185999.99998 in binary floating point; the
+        # range must still start and end on whole µs 132770186000 and
+        # 132790186000, so the events one µs before each edge fall outside.
+        t0_us, t1_us = 132_770_186_000, 132_790_186_000
+        log = tmp_path / "edges.jsonl"
+        ingest.write_lsa_log(log, [
+            ingest.LsaEvent(ts, "m", 1, "10.0.0.1", "10.0.0.1", 1, seq)
+            for seq, ts in enumerate([t0_us - 1, t0_us, t1_us - 1, t1_us])
+        ])
+        out = tmp_path / "edges.csv"
+        assert run_cli("extract", "--log", log, "--bin", "10", "--t0", "132770.186",
+                       "--t1", "132790.186", "--out", out) == 0
+        assert out.read_text().splitlines()[1:] == ["0,132770.186000,1", "1,132780.186000,1"]
+        assert "2 events kept, 2 outside range" in capsys.readouterr().out
 
     def test_summary_accounts_for_every_event_read(self, tmp_path, capsys):
         log = tmp_path / "mixed.jsonl"

@@ -127,6 +127,12 @@ small_counts = st.one_of(
 )
 
 
+def rows_computed(spy):
+    """Windows quantified through a spy on ``measures_for_series``, which is
+    called with a block of windows."""
+    return sum(len(np.atleast_2d(call.args[0])) for call in spy.call_args_list)
+
+
 class TestSlidingRqaMemo:
     @given(
         counts=small_counts,
@@ -144,6 +150,25 @@ class TestSlidingRqaMemo:
             ms = detect.sliding_rqa(count_series(counts), cfg)
         assert_matches_reference(ms, counts, cfg)
 
+    @given(
+        counts=small_counts,
+        window=st.integers(min_value=10, max_value=30),
+        epsilon=st.sampled_from([0.2, 0.45, 0.7]),
+        block=st.sampled_from([1, 3, detect.BLOCK_WINDOWS]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_blocks_compute_each_distinct_window_once(self, counts, window, epsilon, block):
+        cfg = DetectorConfig(window_bins=window, embed=rqa.EmbedParams(epsilon=epsilon))
+        with mock.patch.object(detect, "BLOCK_WINDOWS", block), \
+                mock.patch.object(detect, "measures_for_series",
+                                  wraps=rqa.measures_for_series) as spy:
+            ms = detect.sliding_rqa(count_series(counts), cfg)
+        windows = {np.asarray(counts[i : i + window], dtype=float).tobytes()
+                   for i in range(len(counts) - window + 1)}
+        assert rows_computed(spy) == len(windows)
+        assert all(len(call.args[0]) <= block for call in spy.call_args_list)
+        assert_matches_reference(ms, counts, cfg)
+
     def test_epsilon_warnings_counted(self):
         # z-scored range 2 and diameter 2*sqrt(2) < 10 * 0.5: every window warns.
         counts = [0, 1] * 50
@@ -157,7 +182,7 @@ class TestSlidingRqaMemo:
                                wraps=rqa.measures_for_series) as spy:
             ms = detect.sliding_rqa(count_series([0, 0, 1, 2] * 60), DetectorConfig())
         assert len(ms) == 41
-        assert spy.call_count == 4  # the period of the series
+        assert rows_computed(spy) == 4  # the period of the series
 
     def test_eviction_past_the_cap(self):
         # More distinct windows than the memo holds, then window 0 again at
@@ -171,7 +196,7 @@ class TestSlidingRqaMemo:
         with mock.patch.object(detect, "measures_for_series",
                                wraps=rqa.measures_for_series) as spy:
             ms = detect.sliding_rqa(count_series(counts), cfg)
-        assert spy.call_count == len(windows)
+        assert rows_computed(spy) == len(windows)
         assert_matches_reference(ms, counts, cfg)
 
 

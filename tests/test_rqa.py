@@ -12,7 +12,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from ospfrqa import rqa
+from ospfrqa import detect, rqa
 
 
 class TestZnormalize:
@@ -391,6 +391,12 @@ def both_engines(x, params):
     return got, equality, want, spy.call_args.args[0]
 
 
+def symbols_of(x, params):
+    """``rqa._symbols`` of one window, as a block of one."""
+    block = x[None]
+    return rqa._symbols(block, rqa._centered(block)[1], params)
+
+
 def equality_matrix(x, tau, m):
     pts = rqa.embed(x, tau, m)
     return (pts[:, None, :] == pts[None, :, :]).all(axis=2)
@@ -459,7 +465,7 @@ class TestEqualityEngine:
         _, sd = rqa._centered(x)
         params = rqa.EmbedParams()
         assert params.epsilon * sd < 1 - 1e-9
-        assert rqa._symbols(x, sd, params) is None
+        assert symbols_of(x, params) is None
         got, equality, want, _ = both_engines(x, params)
         assert not equality
         assert got == want
@@ -467,7 +473,7 @@ class TestEqualityEngine:
     def test_non_finite_window_takes_float_path(self):
         x = np.array([0.0, 1.0, np.inf, 0.0, 1.0, 0.0])
         with np.errstate(invalid="ignore"):
-            assert rqa._symbols(x, rqa._centered(x)[1], rqa.EmbedParams()) is None
+            assert symbols_of(x, rqa.EmbedParams()) is None
 
     @pytest.mark.parametrize("span, expect", [(2**20, True), (2**20 + 1, False)])
     def test_spread_guard(self, span, expect):
@@ -476,7 +482,7 @@ class TestEqualityEngine:
         x[:2] = 0, span
         _, sd = rqa._centered(x)
         params = rqa.EmbedParams(epsilon=0.5 / sd)
-        assert (rqa._symbols(x, sd, params) is not None) == expect
+        assert (symbols_of(x, params) is not None) == expect
         got, equality, want, _ = both_engines(x, params)
         assert equality == expect
         assert got == want
@@ -493,6 +499,77 @@ class TestEqualityEngine:
         assert equality
         assert got == want
         assert np.array_equal(rm, equality_matrix(x, tau, m))
+
+
+# --- blocks of windows --------------------------------------------------------
+
+
+@st.composite
+def window_blocks(draw):
+    """A (B, w) block, B in 1..40, mixing small-alphabet integer windows,
+    constant windows, windows at the equality guard's edge (copies of a pivot
+    window that sets epsilon), twice the pivot (its sd doubles, past the
+    guard) and non-integer windows, with parameters for the block."""
+    tau, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    w = draw(st.integers((m - 1) * tau + 2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alphabet = np.array(draw(st.lists(st.integers(0, 6), min_size=2, max_size=4, unique=True)),
+                        dtype=float)
+    pivot = rng.choice(alphabet, w)
+    pivot[:2] = alphabet[:2]
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["integer", "constant", "edge", "twice", "fraction"]),
+                              min_size=1, max_size=40)):
+        if kind == "integer":
+            row = rng.choice(alphabet, w)
+        elif kind == "constant":
+            row = np.full(w, rng.choice(alphabet))
+        elif kind == "edge":
+            row = pivot.copy()
+        elif kind == "twice":
+            row = 2 * pivot
+        else:
+            row = rng.choice(alphabet, w)
+            row[rng.integers(w)] += 0.5
+        rows.append(row + rng.integers(-3, 4))  # an integer shift keeps the sd's bits
+    factor = draw(st.sampled_from([None] + EDGE_FACTORS))
+    eps = (draw(st.floats(0.01, 1.0)) if factor is None
+           else min(factor / rqa._centered(pivot)[1], 1.0))
+    params = rqa.EmbedParams(tau=tau, m=m, epsilon=eps, norm=draw(NORMS),
+                             theiler=draw(st.integers(0, 3)), l_min=draw(st.integers(2, 4)),
+                             v_min=draw(st.integers(2, 4)))
+    return np.array(rows), params
+
+
+class TestBlocks:
+    @given(window_blocks())
+    @settings(max_examples=200, deadline=None)
+    def test_each_row_equals_the_row_alone_and_the_float_path(self, case):
+        block, params = case
+        alone = [rqa.measures_for_series(row, params) for row in block]
+        want = np.array([measures.as_tuple() for measures, _ in alone])
+        want_degenerate = np.array([degenerate for _, degenerate in alone])
+        with mock.patch.object(rqa, "_symbols", return_value=None):
+            forced, forced_degenerate = rqa.measures_for_series(block, params)
+        assert forced.tobytes() == want.tobytes()
+        assert np.array_equal(forced_degenerate, want_degenerate)
+        for size in (1, 3, detect.BLOCK_WINDOWS):
+            parts = [rqa.measures_for_series(block[i : i + size], params)
+                     for i in range(0, len(block), size)]
+            got = np.concatenate([values for values, _ in parts])
+            assert got.tobytes() == want.tobytes(), size
+            assert np.array_equal(np.concatenate([d for _, d in parts]), want_degenerate), size
+        symbols = rqa._symbols(block, rqa._centered(block)[1], params)
+        event(f"equality rows: {'none' if symbols is None else 'all' if symbols[0].size == len(block) else 'some'}")
+
+    def test_block_shapes(self):
+        params = rqa.EmbedParams()
+        values, degenerate = rqa.measures_for_series(np.zeros((0, 20)), params)
+        assert values.shape == (0, len(rqa.MEASURE_NAMES)) and degenerate.shape == (0,)
+        with pytest.raises(ValueError, match="block of windows"):
+            rqa.measures_for_series(np.zeros((2, 3, 20)), params)
+        with pytest.raises(rqa.SeriesTooShortError, match="window of 2 bins"):
+            rqa.measures_for_series(np.zeros((3, 2)), rqa.EmbedParams(m=3))
 
 
 @given(st.integers(1, 12).flatmap(lambda n: st.lists(
