@@ -3,21 +3,19 @@
 Each window of the binned count series is z-normalized, embedded and
 quantified on its own.  Quiet OSPF traffic is sparse and periodic, so the
 same window contents recur many times along a series; ``sliding_rqa``
-therefore memoizes the results of each call keyed on the exact bytes of a
-window's counts.  A repeated window reuses the results of its first
-occurrence, which are identical to a recompute because the per-window
-computation depends on nothing else, and the memo holds at most
-``MEMO_WINDOWS`` distinct windows (oldest evicted first), so its memory is
-bounded whatever the series.  The windows the memo misses are gathered
-into blocks of at most ``BLOCK_WINDOWS`` rows, and each block is
-quantified by one :func:`~ospfrqa.rqa.measures_for_series` call, whose
-rows equal the windows quantified one at a time, bit for bit (see
-:mod:`ospfrqa.rqa`).  The change detector then scans each measure
-against a rolling baseline of strictly prior windows: the deviation score
-is the distance from the baseline median in units of the baseline MAD,
-and a window alerts when any enabled measure's score reaches ``k_mad``.
-Contiguous deviant windows collapse into a single alert stamped at the
-run's first window.
+therefore labels every window with an exact id of its counts, computed
+for the whole series at once by prefix doubling, and quantifies each
+distinct window only once.  A repeated window takes the results of its
+first occurrence, which are identical to a recompute because the
+per-window computation depends on nothing else.  The distinct windows go
+in blocks of at most ``BLOCK_WINDOWS`` rows, each quantified by one
+:func:`~ospfrqa.rqa.measures_for_series` call, whose rows equal the
+windows quantified one at a time, bit for bit (see :mod:`ospfrqa.rqa`).
+The change detector then scans each measure against a rolling baseline
+of strictly prior windows: the deviation score is the distance from the
+baseline median in units of the baseline MAD, and a window alerts when
+any enabled measure's score reaches ``k_mad``.  Contiguous deviant
+windows collapse into a single alert stamped at the run's first window.
 
 Quiet OSPF traffic makes the raw MAD useless as a scale: the measure
 series of a refresh-only count series is piecewise constant, so the MAD
@@ -53,13 +51,8 @@ from .rqa import (
     znormalize,
 )
 
-# Distinct windows the sliding_rqa memo holds.  With 200-bin windows a
-# full memo takes about 8.5 MB; a quiet series returns to a window it has
-# seen after far fewer distinct windows than this.
-MEMO_WINDOWS = 4096
-
-# Windows quantified per measures_for_series call: the memo's misses are
-# gathered into blocks of at most this many rows, so one vectorized pass
+# Windows quantified per measures_for_series call: the distinct windows
+# go in blocks of at most this many rows, so one vectorized pass
 # covers many windows while the block's temporaries stay small.
 BLOCK_WINDOWS = 64
 
@@ -156,20 +149,11 @@ def sliding_rqa(series: CountSeries, config: DetectorConfig) -> MeasureSeries:
     conventions and are tallied, as are windows whose threshold exceeds
     10% of the phase-space diameter guidance.
 
-    Results are memoized for the duration of the call, keyed on the exact
-    bytes of each window's counts: a window whose contents already
-    occurred reuses that occurrence's measures and flags, which equal a
-    recompute bit for bit.  At most ``MEMO_WINDOWS`` distinct windows are
-    held; the oldest is evicted first, so a series without repeats costs
-    one dictionary insert per window and no more memory than the cap.
-    Each window is looked up in the memo first.  The misses, each
-    distinct content once, are gathered into a block of at most
-    ``BLOCK_WINDOWS`` rows; a full block, and the last one, go through one
-    :func:`~ospfrqa.rqa.measures_for_series` call, and their results
-    enter the memo and fill every window that waited for them.  Only a
-    window held in neither the memo nor the pending block reaches either
-    of that function's engines (the equality-class engine for integer
-    windows in its regime, the float path otherwise).
+    :func:`_window_ids` labels each window by its exact counts.  The
+    distinct windows, in order of first occurrence, are quantified in
+    blocks of ``BLOCK_WINDOWS`` by one ``measures_for_series`` call each,
+    and every window takes the measures and flags of its distinct window,
+    which equal a recompute bit for bit.
     """
     counts = np.asarray(series.counts, dtype=float)
     w = config.window_bins
@@ -177,59 +161,57 @@ def sliding_rqa(series: CountSeries, config: DetectorConfig) -> MeasureSeries:
         raise SeriesTooShortError(
             f"series has {counts.size} bins; need at least window_bins={w}"
         )
-    ends = np.arange(w - 1, counts.size, config.step_bins)
+    windows = sliding_window_view(counts, w)[:: config.step_bins]
+    ids = _window_ids(series.counts, w)[:: config.step_bins]
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # distinct windows by first occurrence
     params = config.embed
-    columns = np.empty((len(MEASURE_NAMES), ends.size))
-    flags = np.zeros((2, ends.size), dtype=bool)  # degenerate, epsilon warning
+    columns = np.empty((len(MEASURE_NAMES), first.size))
+    flags = np.zeros((2, first.size), dtype=bool)  # degenerate, epsilon warning
     # Threshold guidance: epsilon should stay within 10% of the phase-space
     # diameter.  The z-scored 1-D range (max-min)/sigma is an exact lower
     # bound on the diameter and is always >= 2 (Popoviciu), so the default
     # epsilon=0.2 can never trip this; larger thresholds get the exact check.
     eps_limit = params.epsilon * 10.0
-    memo: dict[bytes, tuple[np.ndarray, bool, bool]] = {}
-    pending: dict[bytes, int] = {}  # a miss's window bytes -> its row of block
-    block = np.empty((BLOCK_WINDOWS, w))
-    waiting: list[tuple[int, int]] = []  # (window index, row of block)
-
-    def flush():
-        values, degenerate = measures_for_series(block[: len(pending)], params)
-        warn = np.zeros(len(pending), dtype=bool)
+    for lo in range(0, order.size, BLOCK_WINDOWS):
+        distinct = order[lo : lo + BLOCK_WINDOWS]
+        block = windows[first[distinct]]
+        values, degenerate = measures_for_series(block, params)
+        columns[:, distinct] = values.T
+        flags[0, distinct] = degenerate
         if eps_limit > 2.0:
             for r in np.flatnonzero(~degenerate):
-                warn[r] = _epsilon_warning(block[r], params, eps_limit)
-        for key, r in pending.items():
-            if len(memo) >= MEMO_WINDOWS:
-                del memo[next(iter(memo))]
-            memo[key] = (values[r], degenerate[r], warn[r])
-        index, rows = np.array(waiting).T
-        columns[:, index] = values[rows].T
-        flags[:, index] = degenerate[rows], warn[rows]
-        pending.clear()
-        waiting.clear()
-
-    for i, window in enumerate(sliding_window_view(counts, w)[:: config.step_bins]):
-        key = window.tobytes()
-        hit = memo.get(key)
-        if hit is not None:
-            columns[:, i], flags[0, i], flags[1, i] = hit
-            continue
-        r = pending.get(key)
-        if r is None:
-            r = pending[key] = len(pending)
-            block[r] = window
-        waiting.append((i, r))
-        if len(pending) == BLOCK_WINDOWS:
-            flush()
-    if pending:
-        flush()
+                flags[1, distinct[r]] = _epsilon_warning(block[r], params, eps_limit)
+    columns, flags = columns[:, inverse], flags[:, inverse]
     return MeasureSeries(
-        window_end_bins=ends,
+        window_end_bins=np.arange(w - 1, counts.size, config.step_bins),
         values=dict(zip(MEASURE_NAMES, columns)),
         bin_size_s=series.bin_size_s,
         start_us=series.start_us,
         degenerate_windows=int(flags[0].sum()),
         epsilon_warnings=int(flags[1].sum()),
     )
+
+
+def _window_ids(counts: np.ndarray, w: int) -> np.ndarray:
+    """One integer per length-``w`` window of ``counts``, equal for two
+    windows exactly when they hold the same counts.
+
+    Prefix doubling, as in suffix-array construction (Manber & Myers 1993):
+    ``rank[i]`` identifies the span of ``span`` counts starting at bin i.
+    Two spans of length ``span + shift`` are equal exactly when their
+    overlapping halves, starting ``shift`` apart, are equal pairwise, so
+    re-ranking the pairs of ranks extends the span exactly.  A pair code
+    is below N**2 for N bins, which int64 holds.
+    """
+    rank = np.unique(counts, return_inverse=True)[1]
+    span = 1
+    while span < w:
+        shift = min(span, w - span)
+        pairs = rank[:-shift] * (rank.max() + 1) + rank[shift:]
+        rank = np.unique(pairs, return_inverse=True)[1]
+        span += shift
+    return rank
 
 
 def _epsilon_warning(window: np.ndarray, params: EmbedParams, eps_limit: float) -> bool:
@@ -255,36 +237,29 @@ def detect(measures: MeasureSeries, config: DetectorConfig) -> list[Alert]:
     windows, so alerts are causal: truncating the series after a window
     never changes the alerts at or before it.
     """
-    n = len(measures)
-    b = config.baseline_bins
-    if n <= b:
-        return []
     scores, medians = deviation_scores(measures, config)
-    enabled = list(scores)
-
+    if not scores:
+        return []
+    # Warm-up scores are zero and k_mad > 0, so no warm-up window fires.
+    fired = np.stack(list(scores.values())) >= config.k_mad
+    deviant = fired.any(axis=0)
     alerts: list[Alert] = []
-    in_run = False
-    for i in range(b, n):
-        fired = [name for name in enabled if scores[name][i] >= config.k_mad]
-        if fired and not in_run:
-            triggered = tuple(
-                TriggeredMeasure(
-                    name=name,
-                    value=float(measures.values[name][i]),
-                    baseline_median=float(medians[name][i]),
-                    deviation_score=float(scores[name][i]),
-                )
-                for name in fired
+    for i in np.flatnonzero(deviant & ~np.r_[False, deviant[:-1]]):
+        triggered = tuple(
+            TriggeredMeasure(
+                name=name,
+                value=float(measures.values[name][i]),
+                baseline_median=float(medians[name][i]),
+                deviation_score=float(scores[name][i]),
             )
-            alerts.append(Alert(
-                bin_index=int(measures.window_end_bins[i]),
-                time_s=measures.time_s(i),
-                triggered=triggered,
-                severity=max(t.deviation_score for t in triggered),
-            ))
-            in_run = True
-        elif not fired:
-            in_run = False
+            for name, hit in zip(scores, fired[:, i]) if hit
+        )
+        alerts.append(Alert(
+            bin_index=int(measures.window_end_bins[i]),
+            time_s=measures.time_s(i),
+            triggered=triggered,
+            severity=max(t.deviation_score for t in triggered),
+        ))
     return alerts
 
 

@@ -567,6 +567,8 @@ def read_series_csv(path) -> CountSeries:
                 ) from None
             if idx != len(counts):
                 raise ValueError(f"{where}: bin index {idx}, expected {len(counts)}")
+            if not 0 <= count < 2**63:
+                raise ValueError(f"{where}: count {count_s} is outside 0..2**63-1")
             if t_prev is None:
                 t_first = t_s
             elif not t_s > t_prev:

@@ -453,9 +453,6 @@ class _Engine:
                 for link, peer in adj if peer not in topo.hosts]
             for n, adj in self.neighbors.items()
         }
-        self.ports: dict[tuple[str, str], Link] = {}  # (node, iface) -> first link
-        for l in reversed(topo.links):
-            self.ports[(l.node_a, l.iface_a)] = self.ports[(l.node_b, l.iface_b)] = l
 
     # -- scheduling helpers --
 
@@ -565,7 +562,7 @@ class _Engine:
             self.push(arrival_us, sender, "ack", (inst, age, True))
 
     def set_iface(self, node: str, t_us: int, iface: str, up: bool):
-        link = self.ports[(node, iface)]
+        link = self.topo.find_link(node, iface)
         if link.up == up:
             self.warnings.append(
                 f"t={t_us / 1e6:.3f}s: {node}.{iface} already {'up' if up else 'down'}; no-op"

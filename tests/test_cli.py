@@ -343,6 +343,18 @@ class TestDetect:
         assert "line 252: uneven spacing" in capsys.readouterr().err
         assert not (tmp_path / "d" / "measures.csv").exists()
 
+    @pytest.mark.parametrize("command", ["detect", "params"])
+    @pytest.mark.parametrize("count", ["-4", "9" * 30])
+    def test_count_outside_int64_exits_2(self, tmp_path, capsys, command, count):
+        path = tmp_path / "bad_count.csv"
+        rows = [f"{i},{10 * i},{i % 3}" for i in range(300)]
+        rows[50] = f"50,500,{count}"
+        path.write_text("bin_index,t_start_s,count\n" + "\n".join(rows) + "\n")
+        out = ("--out", tmp_path / "d") if command == "detect" else ()
+        assert run_cli(command, path, *out) == 2
+        assert f"{path}: line 52: count {count} is outside" in capsys.readouterr().err
+        assert not (tmp_path / "d" / "measures.csv").exists()
+
     def test_fail_on_alert_fires(self, tmp_path):
         rng = np.random.default_rng(1)
         counts = rng.poisson(0.05, size=900)

@@ -140,15 +140,28 @@ class TestSlidingRqaMemo:
         step=st.integers(min_value=1, max_value=4),
         epsilon=st.sampled_from([0.2, 0.3, 0.45, 0.7]),
         norm=st.sampled_from(["euclidean", "maximum"]),
-        cap=st.sampled_from([1, 3, detect.MEMO_WINDOWS]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_memo_equals_per_window_recompute(self, counts, window, step, epsilon, norm, cap):
+    def test_memo_equals_per_window_recompute(self, counts, window, step, epsilon, norm):
         cfg = DetectorConfig(window_bins=window, step_bins=step,
                              embed=rqa.EmbedParams(epsilon=epsilon, norm=norm))
-        with mock.patch.object(detect, "MEMO_WINDOWS", cap):
-            ms = detect.sliding_rqa(count_series(counts), cfg)
+        ms = detect.sliding_rqa(count_series(counts), cfg)
         assert_matches_reference(ms, counts, cfg)
+
+    @given(
+        counts=small_counts,
+        window=st.integers(min_value=1, max_value=30),
+        step=st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_window_ids_equal_exactly_when_counts_equal(self, counts, window, step):
+        counts = np.asarray(counts, dtype=np.int64)
+        keys = [counts[i : i + window].tobytes()
+                for i in range(0, counts.size - window + 1, step)]
+        ids = detect._window_ids(counts, window)[::step].tolist()
+        assert len(ids) == len(keys)
+        # The pairing (id, content) is one to one: equal ids exactly when equal counts.
+        assert len(set(zip(ids, keys))) == len(set(ids)) == len(set(keys))
 
     @given(
         counts=small_counts,
@@ -184,19 +197,19 @@ class TestSlidingRqaMemo:
         assert len(ms) == 41
         assert rows_computed(spy) == 4  # the period of the series
 
-    def test_eviction_past_the_cap(self):
-        # More distinct windows than the memo holds, then window 0 again at
-        # the end: it was evicted, so it is computed a second time.
+    def test_window_recurring_after_4096_distinct_windows_computed_once(self):
+        # More than 4,096 distinct windows, then window 0 again at the end:
+        # nothing is evicted, so it is not computed a second time.
         rng = np.random.default_rng(4)
-        head = rng.integers(0, 10, size=detect.MEMO_WINDOWS + 200)
+        head = rng.integers(0, 10, size=4096 + 200)
         counts = np.concatenate([head, head[:10]])
         windows = [counts[i : i + 10].tobytes() for i in range(counts.size - 9)]
-        assert len(set(windows)) == len(windows) - 1 > detect.MEMO_WINDOWS
+        assert len(set(windows)) == len(windows) - 1 > 4096
         cfg = DetectorConfig(window_bins=10)
         with mock.patch.object(detect, "measures_for_series",
                                wraps=rqa.measures_for_series) as spy:
             ms = detect.sliding_rqa(count_series(counts), cfg)
-        assert rows_computed(spy) == len(windows)
+        assert rows_computed(spy) == len(windows) - 1
         assert_matches_reference(ms, counts, cfg)
 
 
@@ -360,6 +373,55 @@ class TestDeviationScores:
         if offset <= 0:
             assert not scores["rr"].any() and not medians["rr"].any()
         assert_scores_match_oracle({"rr": v}, flat_config())
+
+
+def in_run_reference(measures, config):
+    """detect as a scan over windows that tracks whether a deviant run is open."""
+    n, b = len(measures), config.baseline_bins
+    if n <= b:
+        return []
+    scores, medians = detect.deviation_scores(measures, config)
+    alerts, in_run = [], False
+    for i in range(b, n):
+        fired = [name for name in scores if scores[name][i] >= config.k_mad]
+        if fired and not in_run:
+            triggered = tuple(
+                detect.TriggeredMeasure(
+                    name=name,
+                    value=float(measures.values[name][i]),
+                    baseline_median=float(medians[name][i]),
+                    deviation_score=float(scores[name][i]),
+                )
+                for name in fired
+            )
+            alerts.append(Alert(
+                bin_index=int(measures.window_end_bins[i]),
+                time_s=measures.time_s(i),
+                triggered=triggered,
+                severity=max(t.deviation_score for t in triggered),
+            ))
+            in_run = True
+        elif not fired:
+            in_run = False
+    return alerts
+
+
+class TestAlertCollapse:
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=0, max_value=160),
+        baseline=st.integers(min_value=10, max_value=40),
+        k_mad=st.sampled_from([0.5, 1.0, 3.0, 6.0, 20.0]),
+        floor_scale=st.sampled_from([1e-3, 1.0]),
+        enabled=st.sets(st.sampled_from(rqa.MEASURE_NAMES)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_window_scan(self, data, n, baseline, k_mad, floor_scale, enabled):
+        ms = synthetic_measures({name: np.resize(data.draw(plateaus), n)
+                                 for name in rqa.MEASURE_NAMES})
+        cfg = DetectorConfig(baseline_bins=baseline, k_mad=k_mad, floor_scale=floor_scale,
+                             measures_enabled=tuple(sorted(enabled)))
+        assert detect.detect(ms, cfg) == in_run_reference(ms, cfg)
 
 
 class TestSerialization:
