@@ -4,10 +4,10 @@ Each window of the binned count series is z-normalized, embedded and
 quantified on its own.  Quiet OSPF traffic is sparse and periodic, so the
 same window contents recur many times along a series; ``sliding_rqa``
 therefore labels every window with an exact id of its counts, computed
-for the whole series at once by prefix doubling, and quantifies each
-distinct window only once.  A repeated window takes the results of its
-first occurrence, which are identical to a recompute because the
-per-window computation depends on nothing else.  The distinct windows go
+for the whole series at once by prefix doubling (``rqa._tuple_ids``),
+and quantifies each distinct window only once.  A repeated window takes
+the results of its first occurrence, identical to a recompute because
+the per-window computation depends on nothing else.  The distinct windows go
 in blocks of at most ``BLOCK_WINDOWS`` rows, each quantified by one
 :func:`~ospfrqa.rqa.measures_for_series` call, whose rows equal the
 windows quantified one at a time, bit for bit (see :mod:`ospfrqa.rqa`).
@@ -45,6 +45,7 @@ from .rqa import (
     MEASURE_NAMES,
     EmbedParams,
     SeriesTooShortError,
+    _tuple_ids,
     embed,
     measures_for_series,
     phase_space_diameter,
@@ -149,7 +150,7 @@ def sliding_rqa(series: CountSeries, config: DetectorConfig) -> MeasureSeries:
     conventions and are tallied, as are windows whose threshold exceeds
     10% of the phase-space diameter guidance.
 
-    :func:`_window_ids` labels each window by its exact counts.  The
+    ``rqa._tuple_ids`` labels each window by its exact counts.  The
     distinct windows, in order of first occurrence, are quantified in
     blocks of ``BLOCK_WINDOWS`` by one ``measures_for_series`` call each,
     and every window takes the measures and flags of its distinct window,
@@ -162,7 +163,7 @@ def sliding_rqa(series: CountSeries, config: DetectorConfig) -> MeasureSeries:
             f"series has {counts.size} bins; need at least window_bins={w}"
         )
     windows = sliding_window_view(counts, w)[:: config.step_bins]
-    ids = _window_ids(series.counts, w)[:: config.step_bins]
+    ids = _tuple_ids(series.counts, w)[:: config.step_bins]
     _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     order = np.argsort(first)  # distinct windows by first occurrence
     params = config.embed
@@ -191,27 +192,6 @@ def sliding_rqa(series: CountSeries, config: DetectorConfig) -> MeasureSeries:
         degenerate_windows=int(flags[0].sum()),
         epsilon_warnings=int(flags[1].sum()),
     )
-
-
-def _window_ids(counts: np.ndarray, w: int) -> np.ndarray:
-    """One integer per length-``w`` window of ``counts``, equal for two
-    windows exactly when they hold the same counts.
-
-    Prefix doubling, as in suffix-array construction (Manber & Myers 1993):
-    ``rank[i]`` identifies the span of ``span`` counts starting at bin i.
-    Two spans of length ``span + shift`` are equal exactly when their
-    overlapping halves, starting ``shift`` apart, are equal pairwise, so
-    re-ranking the pairs of ranks extends the span exactly.  A pair code
-    is below N**2 for N bins, which int64 holds.
-    """
-    rank = np.unique(counts, return_inverse=True)[1]
-    span = 1
-    while span < w:
-        shift = min(span, w - span)
-        pairs = rank[:-shift] * (rank.max() + 1) + rank[shift:]
-        rank = np.unique(pairs, return_inverse=True)[1]
-        span += shift
-    return rank
 
 
 def _epsilon_warning(window: np.ndarray, params: EmbedParams, eps_limit: float) -> bool:

@@ -551,38 +551,40 @@ def read_series_csv(path) -> CountSeries:
         if header != "bin_index,t_start_s,count":
             raise ValueError(f"{path}: unexpected CSV header {header!r}")
         t_prev = None
+        where = f"{path}: line "  # formatted once, not once per line
         for line_no, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
                 continue
-            where = f"{path}: line {line_no}"
             try:
                 idx_s, t_text, count_s = line.split(",")
                 idx, t_s, count = int(idx_s), float(t_text), int(count_s)
-                if not math.isfinite(t_s):
-                    raise ValueError(t_text)
+                # int() and float() also take signs, blanks, "_" and non-ASCII digits.
+                if (not (line.isascii() and idx_s.isdigit() and (count_s.isdigit() or count < 0))
+                        or "_" in t_text or not math.isfinite(t_s)):
+                    raise ValueError(line)
             except ValueError:
                 raise ValueError(
-                    f"{where}: expected bin_index,t_start_s,count, got {line!r}"
+                    f"{where}{line_no}: expected bin_index,t_start_s,count, got {line!r}"
                 ) from None
             if idx != len(counts):
-                raise ValueError(f"{where}: bin index {idx}, expected {len(counts)}")
+                raise ValueError(f"{where}{line_no}: bin index {idx}, expected {len(counts)}")
             if not 0 <= count < 2**63:
-                raise ValueError(f"{where}: count {count_s} is outside 0..2**63-1")
+                raise ValueError(f"{where}{line_no}: count {count_s} is outside 0..2**63-1")
             if t_prev is None:
                 t_first = t_s
             elif not t_s > t_prev:
-                raise ValueError(f"{where}: time {t_text} s does not increase")
+                raise ValueError(f"{where}{line_no}: time {t_text} s does not increase")
             elif idx == 1:
                 bin_size = round(t_s - t_first)
                 if bin_size < 1 or abs(t_s - t_first - bin_size) > SPACING_TOL_S:
                     raise ValueError(
-                        f"{where}: bin spacing {t_s - t_first:g} s is not a "
+                        f"{where}{line_no}: bin spacing {t_s - t_first:g} s is not a "
                         f"whole number of seconds"
                     )
             elif abs(t_s - (t_first + idx * bin_size)) > SPACING_TOL_S:
                 raise ValueError(
-                    f"{where}: uneven spacing, time {t_text} s where "
+                    f"{where}{line_no}: uneven spacing, time {t_text} s where "
                     f"{t_first + idx * bin_size:.6f} s was expected"
                 )
             t_prev = t_s

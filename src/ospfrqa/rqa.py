@@ -43,12 +43,12 @@ line-length histograms P(l), P(v) and P(w):
   differ by at least one count in some coordinate, which is at least
   ``1 / sigma`` after z-normalization under both norms.  When
   ``epsilon * sigma <= 1 - 1e-9``, R is therefore exactly the equality
-  matrix ``R[i, j] = [v_i == v_j]``.  The engine maps each delay vector to
-  an integer symbol and reads the three histograms from the symbol
-  sequence without building R.  Its guard also requires
-  ``max - min <= 2**20`` of the window, which keeps the rounding of the
-  float path inside the 1e-9 margin.  Any other window takes the float
-  path, so no convention depends on which engine ran.
+  matrix ``R[i, j] = [v_i == v_j]``.  The engine reads the three
+  histograms, without building R, from the ids of the delay vectors that
+  :func:`_tuple_ids` gives, as it gives ``sliding_rqa`` its window ids.
+  Its guard also requires ``max - min <= 2**20`` of the window, which
+  keeps the rounding of the float path inside the 1e-9 margin.  Any other
+  window takes the float path, so no convention depends on which ran.
 
 Windows are evaluated in blocks (many recurrence blocks per kernel call,
 as in PyRQA, Rawald, Sips & Marwan 2017): :func:`measures_for_series`
@@ -91,11 +91,6 @@ BLOCK_ELEMENTS = 1 << 20
 # the margin of 1e-9 / sd.
 EQUALITY_MARGIN = 1.0 - 1e-9
 EQUALITY_MAX_SPAN = float(1 << 20)
-
-# Largest packed code space of a block (all its rows together) whose
-# symbols are counted with np.bincount, 512 KB of counts; larger spaces are
-# relabelled densely with np.unique, which sorts the block's codes.
-SYMBOL_TABLE = 1 << 16
 
 
 class SeriesTooShortError(ValueError):
@@ -590,6 +585,44 @@ def measures_for_series(
 # from one row into the next and the runs of all rows are read at once.
 
 
+def _dense_rank(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ranks of the values of an int array, in value order, and their counts.
+
+    Values in 0..a.size are counted in a table no larger than ``a``; any
+    others are sorted by ``np.unique``.
+    """
+    top = int(a.max(initial=-1))
+    if top > a.size or a.min(initial=0) < 0:
+        _, ranks, counts = np.unique(a, return_inverse=True, return_counts=True)
+        return ranks.reshape(a.shape), counts
+    counts = np.bincount(a.ravel())
+    present = counts != 0
+    return (np.cumsum(present) - 1)[a], counts[present]
+
+
+def _tuple_ids(c: np.ndarray, length: int, stride: int = 1) -> np.ndarray:
+    """Dense ids of the tuples ``(c[i], c[i + stride], ..., c[i + (length - 1) * stride])``.
+
+    Along the last axis of the int array ``c``: id ``[..., i]`` is that of
+    the tuple starting at ``c[..., i]``, and two ids are equal exactly when
+    their tuples are, wherever they start.  A window of w counts is
+    ``length = w, stride = 1``, a delay vector ``length = m, stride = tau``.
+    Prefix doubling (Manber & Myers 1993): a tuple of ``span + step``
+    coordinates is the pair of its first ``span`` coordinates and its
+    ``span`` coordinates from ``step`` on, so re-ranking pairs of ranks
+    extends the ids exactly.  With K ranks a pair code is below K**2, and K
+    is at most the element count, so no code overflows int64.
+    """
+    rank, counts = _dense_rank(c)
+    span = 1
+    while span < length:
+        step = min(span, length - span)
+        rank, counts = _dense_rank(rank[..., : -step * stride] * counts.size
+                                   + rank[..., step * stride :])
+        span += step
+    return rank
+
+
 def _symbols(x: np.ndarray, sd: np.ndarray, params: EmbedParams):
     """``(rows, codes, counts)`` for the rows of a block in the equality regime.
 
@@ -608,25 +641,8 @@ def _symbols(x: np.ndarray, sd: np.ndarray, params: EmbedParams):
     rows = np.flatnonzero(inside)
     if rows.size == 0:
         return None
-    # Mixed-radix packing of the m coordinates, in one base for the block.
-    # A code space that would let the row offsets pass 2**62 is relabelled
-    # densely first, so codes stay exact int64 for every m.
-    c = (x[rows] - lo[rows, None]).astype(np.int64)
-    base = int(span[rows].max()) + 1
-    e, n = rows.size, params.n_points(x.shape[1])
-    codes, size = c[:, :n], base
-    for k in range(1, params.m):
-        if e * size * base > 1 << 62:
-            labels, codes = np.unique(codes, return_inverse=True)
-            codes, size = codes.reshape(e, n), labels.size
-        codes = codes * base + c[:, k * params.tau : k * params.tau + n]
-        size *= base
-    codes = codes + np.arange(e)[:, None] * size
-    if e * size > SYMBOL_TABLE:
-        _, codes, counts = np.unique(codes, return_inverse=True, return_counts=True)
-        codes = codes.reshape(e, n)
-    else:
-        counts = np.bincount(codes.ravel())
+    ids = _tuple_ids((x[rows] - lo[rows, None]).astype(np.int64), params.m, params.tau)
+    codes, counts = _dense_rank(ids + np.arange(rows.size)[:, None] * (int(ids.max()) + 1))
     return rows, codes, counts
 
 

@@ -355,6 +355,23 @@ class TestDetect:
         assert f"{path}: line 52: count {count} is outside" in capsys.readouterr().err
         assert not (tmp_path / "d" / "measures.csv").exists()
 
+    # Fields that int() and float() read as the right value but that the
+    # writer never writes: "_" separators, non-ASCII digits, signs, blanks.
+    @pytest.mark.parametrize("row", [
+        "50,500.000000,1_0", "50,500.000000,٣", "50,500.000000,+1", "50,500.000000, 2",
+        "٥٠,500.000000,1", "50 ,500.000000,1", "50,50_0.000000,1", "50,٥00.000000,1",
+    ])
+    def test_numbers_the_writer_never_writes_exit_2(self, tmp_path, capsys, row):
+        path = tmp_path / "loose.csv"
+        rows = [f"{i},{10 * i}.000000,{i % 3}" for i in range(300)]
+        rows[50] = row
+        path.write_text("bin_index,t_start_s,count\n" + "\n".join(rows) + "\n",
+                        encoding="utf-8")
+        assert run_cli("detect", path, "--out", tmp_path / "d") == 2
+        assert (f"{path}: line 52: expected bin_index,t_start_s,count, got {row!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "d" / "measures.csv").exists()
+
     def test_fail_on_alert_fires(self, tmp_path):
         rng = np.random.default_rng(1)
         counts = rng.poisson(0.05, size=900)

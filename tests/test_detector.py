@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -127,6 +127,26 @@ small_counts = st.one_of(
 )
 
 
+INT64_EDGES = [-(2**63), -(2**63 - 1), 2**63 - 1]
+
+# Four distinct int64 values that the 0..3 of small_counts stand for: 0..3
+# themselves, which rqa._tuple_ids ranks through its table of counts, or
+# negative or wide values up to the int64 extremes, which it ranks through
+# np.unique.
+alphabets = st.one_of(
+    st.just([0, 1, 2, 3]),
+    st.just([-3, -2, -1, 0]),
+    st.just([INT64_EDGES[0], -1, 0, INT64_EDGES[2]]),
+    st.lists(st.one_of(st.sampled_from(INT64_EDGES), st.integers(-(2**63), 2**63 - 1)),
+             min_size=4, max_size=4, unique=True),
+)
+
+
+def rank_branch(c):
+    """The branch that ranks the values of ``c`` in ``rqa._dense_rank``."""
+    return "table" if 0 <= c.min() and c.max() <= c.size else "np.unique"
+
+
 def rows_computed(spy):
     """Windows quantified through a spy on ``measures_for_series``, which is
     called with a block of windows."""
@@ -148,20 +168,46 @@ class TestSlidingRqaMemo:
         ms = detect.sliding_rqa(count_series(counts), cfg)
         assert_matches_reference(ms, counts, cfg)
 
-    @given(
-        counts=small_counts,
-        window=st.integers(min_value=1, max_value=30),
-        step=st.integers(min_value=1, max_value=4),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_window_ids_equal_exactly_when_counts_equal(self, counts, window, step):
-        counts = np.asarray(counts, dtype=np.int64)
-        keys = [counts[i : i + window].tobytes()
-                for i in range(0, counts.size - window + 1, step)]
-        ids = detect._window_ids(counts, window)[::step].tolist()
-        assert len(ids) == len(keys)
-        # The pairing (id, content) is one to one: equal ids exactly when equal counts.
+    @given(counts=small_counts, alphabet=alphabets,
+           shape=st.one_of(st.tuples(st.integers(1, 30), st.just(1)),
+                           st.tuples(st.integers(1, 4), st.integers(1, 4))),
+           rows=st.integers(1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_window_ids_equal_exactly_when_counts_equal(self, counts, alphabet, shape, rows):
+        # rqa._tuple_ids gives the window ids (length w, stride 1) and the
+        # equality engine's delay-vector ids (length m, stride tau), along the
+        # last axis of a series or of a block of rows.
+        length, stride = shape
+        span = (length - 1) * stride + 1
+        rows = min(rows, len(counts) // span)
+        values = np.array(alphabet, dtype=np.int64)[counts]
+        c = values if rows == 1 else values[: values.size // rows * rows].reshape(rows, -1)
+        ids = rqa._tuple_ids(c, length, stride)
+        starts = c.shape[-1] - span + 1
+        assert ids.shape == c.shape[:-1] + (starts,)
+        c2 = c.reshape(rows, -1)
+        keys = [c2[r, i : i + span : stride].tobytes() for r in range(rows) for i in range(starts)]
+        ids = ids.ravel().tolist()
+        # The pairing (id, content) is one to one: equal ids exactly when equal
+        # tuples, also across rows; and the ids are dense.
         assert len(set(zip(ids, keys))) == len(set(ids)) == len(set(keys))
+        assert sorted(set(ids)) == list(range(len(set(ids))))
+        event(f"tuples: {'windows' if stride == 1 and length > 4 else 'delay vectors'}")
+        event(f"first rank: {rank_branch(c)}")
+
+    @given(counts=small_counts, alphabet=alphabets,
+           window=st.integers(min_value=10, max_value=30),
+           step=st.integers(min_value=1, max_value=4))
+    @settings(max_examples=40, deadline=None)
+    def test_any_int64_counts_equal_per_window_recompute(self, counts, alphabet, window, step):
+        # Negative counts and counts at the int64 extremes, as a CountSeries
+        # built through the API holds them; the window ids are taken of the
+        # int64 counts and the measures of their floats.
+        values = np.array(alphabet, dtype=np.int64)[counts]
+        cfg = DetectorConfig(window_bins=window, step_bins=step)
+        ms = detect.sliding_rqa(count_series(values), cfg)
+        assert_matches_reference(ms, values, cfg)
+        event(f"first rank: {rank_branch(values)}")
 
     @given(
         counts=small_counts,

@@ -410,7 +410,10 @@ EDGE_FACTORS = [1 - 1e-6, 1 - 2e-9, 1 - 1e-9, 1 - 5e-10, 1.0, 1 + 1e-9, 1 + 1e-6
 @st.composite
 def equality_cases(draw):
     tau, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    alphabet = draw(st.lists(st.integers(0, 6), min_size=2, max_size=4, unique=True))
+    # Counts up to 6 are ranked through rqa._dense_rank's table, and counts
+    # spread up to the guard's 2**20 mostly through np.unique.
+    high = draw(st.sampled_from([6, 2**20]))
+    alphabet = draw(st.lists(st.integers(0, high), min_size=2, max_size=4, unique=True))
     x = np.array(draw(st.lists(st.sampled_from(alphabet), min_size=(m - 1) * tau + 2,
                                max_size=60)), dtype=float)
     x += draw(st.integers(-3, 3))
@@ -425,18 +428,18 @@ def equality_cases(draw):
 
 
 class TestEqualityEngine:
-    @given(equality_cases(), st.booleans())
+    @given(equality_cases())
     @settings(max_examples=300, deadline=None)
-    def test_matches_float_path_bit_for_bit(self, case, relabel):
-        # relabel sends the symbols through np.unique instead of np.bincount.
+    def test_matches_float_path_bit_for_bit(self, case):
         x, params = case
-        with mock.patch.object(rqa, "SYMBOL_TABLE", 0 if relabel else rqa.SYMBOL_TABLE):
-            got, equality, want, rm = both_engines(x, params)
+        got, equality, want, rm = both_engines(x, params)
         assert got.as_tuple() == want.as_tuple()
         _, sd = rqa._centered(x)
         assert equality == (params.epsilon * sd <= 1 - 1e-9)
         event(f"equality engine: {equality}")
         if equality:
+            c = x - x.min()
+            event(f"first rank: {'table' if c.max() <= c.size else 'np.unique'}")
             # The reason it is exact: R is the equality matrix of the vectors.
             assert np.array_equal(rm, equality_matrix(x, params.tau, params.m))
 
@@ -489,7 +492,8 @@ class TestEqualityEngine:
 
     @pytest.mark.parametrize("high, m, tau", [(2, 10, 1), (2**20, 5, 2), (3, 40, 1)])
     def test_large_code_spaces(self, high, m, tau):
-        # (high + 1)**m passes SYMBOL_TABLE, and for the last two 2**62.
+        # The delay-vector ids take 4, 3 and 6 doubling steps; counts up to
+        # 2**20 are ranked through np.unique from the first step on.
         rng = np.random.default_rng(m)
         x = np.tile(rng.integers(0, high + 1, size=20), 6).astype(float)
         x[-7:] = rng.integers(0, high + 1, size=7)
