@@ -57,8 +57,9 @@ OUT_DIR_HELP = f"output dir (default ${ENV_OUT})"
 # settings as attributes; a default of None means "not set".
 COMMANDS = {
     "simulate": ("run the LSA-flooding simulator", (
-        Option("topology", str, help="shipped name (paper16/topo20/topo35) or file path"),
-        Option("scenario", str, "quiet", "quiet, paper-failure, paper-attacks, or a JSON file"),
+        Option("topology", str,
+               help=f"shipped name ({'/'.join(sim._SHIPPED_TOPOLOGIES)}) or file path"),
+        Option("scenario", str, "quiet", f"{', '.join(sim.CANNED_SCENARIOS)}, or a JSON file"),
         Option("duration", float, help="simulated seconds", minimum=0.0),
         Option("seed", int, 0),
         Option("jitter", float, sim.REFRESH_JITTER_S, "refresh jitter in seconds", minimum=0.0),

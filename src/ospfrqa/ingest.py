@@ -15,6 +15,7 @@ format; both paths give the same result for the same input.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -63,11 +64,7 @@ class MalformedPacketError(ValueError):
 
 
 class LogFormatError(ValueError):
-    """Bad line in an LSA event log; carries the 1-based line number."""
-
-    def __init__(self, path, line_no: int, message: str):
-        super().__init__(f"{path}: line {line_no}: {message}")
-        self.line_no = line_no
+    """Bad line in an LSA event log; the message names the path and line."""
 
 
 @dataclass(frozen=True)
@@ -104,15 +101,10 @@ class EventFilter:
     include_acks: bool = False
 
     def matches(self, ev: LsaEvent) -> bool:
-        if ev.is_ack and not self.include_acks:
-            return False
-        if self.monitor is not None and ev.monitor != self.monitor:
-            return False
-        if self.origin is not None and ev.adv_router != self.origin:
-            return False
-        if self.ls_types is not None and ev.ls_type not in self.ls_types:
-            return False
-        return True
+        return ((self.include_acks or not ev.is_ack)
+                and (self.monitor is None or ev.monitor == self.monitor)
+                and (self.origin is None or ev.adv_router == self.origin)
+                and (self.ls_types is None or ev.ls_type in self.ls_types))
 
 
 @dataclass
@@ -149,7 +141,8 @@ def read_pcap(path) -> tuple[int, Iterator[PcapRecord]]:
     ``truncated`` flag set.  A file that does not start with the classic
     magic raises :class:`UnsupportedFormatError`; a record that ends
     mid-header or mid-body terminates the stream by raising
-    :class:`TruncatedPcapError` after the prior records were yielded.
+    :class:`TruncatedPcapError`, naming the path and the record's number
+    (from 1), after the prior records were yielded.
 
     The global header is read and the file closed before this returns;
     iterating the records opens the file again.  So a stream that is never
@@ -178,13 +171,14 @@ def read_pcap(path) -> tuple[int, Iterator[PcapRecord]]:
         with open(path, "rb") as f:
             f.seek(24)
             buf, off = b"", 0
-            while True:
+            for k in itertools.count(1):
                 if off + 16 > len(buf):
                     buf, off = buf[off:] + f.read(max(PCAP_READ_BYTES, 16)), 0
                     if not buf:
                         return
                     if len(buf) < 16:
-                        raise TruncatedPcapError("record header cut short at end of file")
+                        raise TruncatedPcapError(
+                            f"{path}: record {k}: record header cut short at end of file")
                 ts_sec, ts_usec, incl_len, orig_len = record_header.unpack_from(buf, off)
                 end = off + 16 + incl_len
                 if end > len(buf):
@@ -192,8 +186,8 @@ def read_pcap(path) -> tuple[int, Iterator[PcapRecord]]:
                     off, end = 0, 16 + incl_len
                     if end > len(buf):
                         raise TruncatedPcapError(
-                            f"record body cut short: expected {incl_len} bytes, "
-                            f"got {len(buf) - 16}"
+                            f"{path}: record {k}: record body cut short: "
+                            f"expected {incl_len} bytes, got {len(buf) - 16}"
                         )
                 yield PcapRecord(ts_sec * 1_000_000 + ts_usec, buf[off + 16:end],
                                  incl_len < orig_len)
@@ -292,10 +286,15 @@ def _decode_lsa_header(frame: bytes, at: int, ts_us: int, monitor: str,
 
 
 def extract_pcap_events(path, monitor: str) -> Iterator[LsaEvent]:
-    """Stream LSA events out of a capture file, stamping the monitor name."""
+    """Stream LSA events out of a capture file, stamping the monitor name.
+    A frame's parse error names the path, the record (from 1) and any snaplen cut."""
     link_type, records = read_pcap(path)
-    for rec in records:
-        yield from parse_ospf_packet(rec.data, link_type, rec.ts_us, monitor)
+    try:
+        for k, rec in enumerate(records, start=1):
+            yield from parse_ospf_packet(rec.data, link_type, rec.ts_us, monitor)
+    except (MalformedPacketError, UnsupportedFormatError) as e:
+        cut = " (the capture's snaplen cut this frame short)" if rec.truncated else ""
+        raise type(e)(f"{path}: record {k}: {e}{cut}") from None
 
 
 # --- JSON-lines event log --------------------------------------------------
@@ -371,7 +370,7 @@ def read_lsa_log(path) -> Iterator[LsaEvent]:
                     event = LsaEvent(int(ts), text[mon], int(ls_type), text[adv], text[ls_id],
                                      int(age), int(seq), ack == b"true")
             except ValueError as e:
-                raise LogFormatError(path, line_no, str(e)) from None
+                raise LogFormatError(f"{path}: line {line_no}: {e}") from None
             if event is not None:
                 yield event
 
@@ -396,16 +395,8 @@ def _parse_log_line(raw: bytes) -> LsaEvent | None:
     missing = [k for k in LOG_FIELDS if k not in rec]
     if missing:
         raise ValueError(f"missing fields: {', '.join(missing)}")
-    return LsaEvent(
-        ts_us=_expect(rec, "ts_us", int),
-        monitor=_expect(rec, "monitor", str),
-        ls_type=_expect(rec, "ls_type", int),
-        adv_router=_expect(rec, "adv_router", str),
-        ls_id=_expect(rec, "ls_id", str),
-        ls_age=_expect(rec, "ls_age", int),
-        ls_seq=_expect(rec, "ls_seq", int),
-        is_ack=_expect(rec, "is_ack", bool),
-    )
+    kinds = (int, str, int, str, str, int, int, bool)  # LOG_FIELDS are LsaEvent's fields
+    return LsaEvent(*[_expect(rec, key, kind) for key, kind in zip(LOG_FIELDS, kinds)])
 
 
 def _expect(rec, key, kind):
@@ -536,14 +527,20 @@ def write_csv_columns(path, header: str, row: str, columns: list[np.ndarray],
             f.write("".join([row % values for values in zip(*chunk)]))
 
 
+# The t_start_s column as write_series_csv writes it (``%.6f``), one a line.
+_SERIES_TIMES = re.compile(r"-?(?:0|[1-9][0-9]*)\.[0-9]{6}(?:\n-?(?:0|[1-9][0-9]*)\.[0-9]{6})*")
+
+
 def read_series_csv(path) -> CountSeries:
     """Read back a CountSeries CSV written by :func:`write_series_csv`.
 
-    Bin indices must run 0, 1, 2, ... and start times must increase in
-    even steps of a whole number of seconds (within ``SPACING_TOL_S``);
-    anything else raises ``ValueError`` naming the path and line.
+    Bin indices must run 0, 1, 2, ... and start times, in the writer's
+    ``%.6f`` form, must increase in even steps of a whole number of seconds
+    (within ``SPACING_TOL_S``); anything else raises ``ValueError`` naming
+    the path and line.
     """
     counts: list[int] = []
+    times: list[str] = []
     t_first = 0.0
     bin_size = 1
     with open(path, encoding="utf-8") as f:
@@ -559,9 +556,10 @@ def read_series_csv(path) -> CountSeries:
             try:
                 idx_s, t_text, count_s = line.split(",")
                 idx, t_s, count = int(idx_s), float(t_text), int(count_s)
-                # int() and float() also take signs, blanks, "_" and non-ASCII digits.
+                # int() and float() also take signs, blanks, "_" and non-ASCII
+                # digits; times are checked against the writer's form below.
                 if (not (line.isascii() and idx_s.isdigit() and (count_s.isdigit() or count < 0))
-                        or "_" in t_text or not math.isfinite(t_s)):
+                        or not math.isfinite(t_s)):
                     raise ValueError(line)
             except ValueError:
                 raise ValueError(
@@ -589,6 +587,14 @@ def read_series_csv(path) -> CountSeries:
                 )
             t_prev = t_s
             counts.append(count)
+            times.append(t_text)
     if not counts:
         raise ValueError(f"{path}: empty series")
+    if _SERIES_TIMES.fullmatch("\n".join(times)) is None:
+        # One scan for the whole column; only a failure looks for the line.
+        j = next(j for j, t in enumerate(times) if _SERIES_TIMES.fullmatch(t) is None)
+        with open(path, encoding="utf-8") as f:
+            line_no, line = [(n, l.strip()) for n, l in enumerate(f, start=1) if l.strip()][j + 1]
+        raise ValueError(f"{path}: line {line_no}: expected bin_index,t_start_s,count, "
+                         f"got {line!r}")
     return CountSeries(int(round(t_first * 1e6)), bin_size, np.array(counts))

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass, field, replace
@@ -51,11 +52,23 @@ INITIAL_SEQ = -(2**31) + 1  # 0x80000001 as a signed 32-bit value
 # at which a router accepts new instances of one LSA.  Each strike is a heap
 # entry, so this bounds an attack to one strike per second of its duration.
 MIN_STRIKE_PERIOD_S = 1.0
+_SHIPPED_TOPOLOGIES = ("paper16", "topo20", "topo35")  # in src/ospfrqa/topologies
 
-SCENARIO_KINDS = (
-    "iface_down", "iface_up",
-    "attack_disguised", "attack_adjacency_spoof", "attack_partition",
-)
+# Scenario kind -> (subject key -> what it names, params key -> default).
+# A subject key names a router, a host, or, as ``node`` and ``iface``
+# together, the end of a link; the first one names the node the event
+# strikes at.  An attack strikes once per ``period_s`` for ``duration_s``;
+# an interface event, which takes neither, strikes once.
+SCENARIO_KINDS = {
+    "iface_down": ({"node": "link end", "iface": "link end"}, {}),
+    "iface_up": ({"node": "link end", "iface": "link end"}, {}),
+    "attack_disguised": ({"attacker": "router", "victim": "router"},
+                         {"period_s": 60.0, "duration_s": 1200.0}),
+    "attack_adjacency_spoof": ({"host": "host"}, {"period_s": 30.0, "duration_s": 1200.0,
+                                                  "phantom_id": "10.99.0.99"}),
+    "attack_partition": ({"router": "router"}, {"period_s": 60.0, "duration_s": 1200.0,
+                                                "drop_links": ()}),
+}
 
 
 class TopologyError(ValueError):
@@ -112,9 +125,6 @@ class Topology:
     def router_id(self, name: str) -> str:
         return self._ids[name]
 
-    def originates(self, name: str) -> bool:
-        return name in self.routers
-
     def find_link(self, node: str, iface: str) -> Link | None:
         for l in self.links:
             if (l.node_a, l.iface_a) == (node, iface) or (l.node_b, l.iface_b) == (node, iface):
@@ -139,15 +149,13 @@ class Topology:
                 if (node, iface) in used_ifaces:
                     problems.append(f"interface {node}.{iface} used by more than one link")
                 used_ifaces.add((node, iface))
-            if l.delay_lo_ms < 0 or l.delay_hi_ms < l.delay_lo_ms:
-                problems.append(f"link {l.key()} has a bad delay range")
         for host, router in self.hosts.items():
             if router not in self.routers:
                 problems.append(f"host {host!r} attached to unknown router {router!r}")
         for m in self.monitors:
             if m.node not in self._order or m.node in self.hosts:
                 problems.append(f"monitor {m.name!r} attached to unknown node {m.node!r}")
-            elif m.stub and self.originates(m.node):
+            elif m.stub and m.node in self.routers:
                 problems.append(
                     f"monitor {m.name!r} is marked stub but node {m.node!r} originates LSAs"
                 )
@@ -163,8 +171,9 @@ def parse_topology(text: str, name: str = "unnamed") -> Topology:
     Sections: ``[routers]`` (name followed by its interfaces), ``[stubs]``
     (non-originating OSPF speakers, same shape), ``[hosts]`` (name and
     attachment router), ``[links]`` (endpoints plus an optional delay
-    range in ms), ``[monitors]`` (name, node, ``stub`` or ``transit``).
-    ``#`` starts a comment.
+    range in ms, finite with 0 <= lo <= hi), ``[monitors]`` (name, node,
+    ``stub`` or ``transit``).  ``#`` starts a comment.  A node named twice
+    in a section, or an interface twice in a row, is an error.
     """
     parts = {"routers": {}, "stubs": {}, "hosts": {}, "links": [], "monitors": []}
     section = None
@@ -178,7 +187,11 @@ def parse_topology(text: str, name: str = "unnamed") -> Topology:
                 raise TopologyError(f"line {line_no}: unknown section [{section}]")
             continue
         fields = line.split()
+        if section in ("routers", "stubs", "hosts") and fields[0] in parts[section]:
+            raise TopologyError(f"line {line_no}: {fields[0]} named twice in [{section}]")
         if section in ("routers", "stubs"):
+            if len(set(fields[1:])) < len(fields) - 1:
+                raise TopologyError(f"line {line_no}: {fields[0]} declares an interface twice")
             parts[section][fields[0]] = fields[1:]
         elif section == "hosts":
             if len(fields) != 2:
@@ -189,8 +202,14 @@ def parse_topology(text: str, name: str = "unnamed") -> Topology:
                 raise TopologyError(
                     f"line {line_no}: links rows are '<a> <ifa> <b> <ifb> [lo_ms hi_ms]'"
                 )
-            delays = (float(fields[4]), float(fields[5])) if len(fields) == 6 else DEFAULT_DELAY_RANGE_MS
-            parts["links"].append(Link(fields[0], fields[1], fields[2], fields[3], *delays))
+            try:
+                lo, hi = map(float, fields[4:]) if fields[4:] else DEFAULT_DELAY_RANGE_MS
+            except ValueError:
+                lo = hi = math.nan
+            if not 0 <= lo <= hi < math.inf:
+                raise TopologyError(f"line {line_no}: delays must be finite numbers with "
+                                    f"0 <= lo <= hi, got {' '.join(fields[4:])}")
+            parts["links"].append(Link(*fields[:4], lo, hi))
         elif section == "monitors":
             if len(fields) != 3 or fields[2] not in ("stub", "transit"):
                 raise TopologyError(
@@ -222,15 +241,19 @@ def topology_to_text(topo: Topology) -> str:
 
 
 def load_topology(path) -> Topology:
-    """Load and validate a topology file; canned names resolve to shipped files."""
+    """Load and validate a topology file (a shipped one by name); errors name it."""
     from importlib.resources import files
 
     text_path = str(path)
-    if text_path in ("paper16", "topo20", "topo35"):
+    if text_path in _SHIPPED_TOPOLOGIES:
         text = files("ospfrqa.topologies").joinpath(f"{text_path}.topo").read_text()
+    else:
+        with open(text_path, encoding="utf-8") as f:
+            text = f.read()
+    try:
         return parse_topology(text, name=text_path)
-    with open(text_path, encoding="utf-8") as f:
-        return parse_topology(f.read(), name=text_path)
+    except TopologyError as e:
+        raise TopologyError(f"{text_path}: {e}") from None
 
 
 # --- scenarios --------------------------------------------------------------
@@ -254,7 +277,7 @@ def scenario_to_json(events: list[ScenarioEvent]) -> str:
 
 def scenario_from_json(text: str) -> list[ScenarioEvent]:
     """Events from a JSON list of ``{time_s, kind, subject, params}``
-    objects; :func:`validate_scenario` checks their values."""
+    objects and no other keys; :func:`validate_scenario` checks their values."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
@@ -266,10 +289,11 @@ def scenario_from_json(text: str) -> list[ScenarioEvent]:
         if not isinstance(rec, dict):
             raise ScenarioError(f"event {i}: expected a JSON object, got {rec!r}")
         missing = {"time_s", "kind", "subject"} - set(rec)
-        if missing:
-            raise ScenarioError(f"event {i}: missing {sorted(missing)}")
-        events.append(ScenarioEvent(rec["time_s"], rec["kind"], rec["subject"],
-                                    rec.get("params", {})))
+        extra = [k for k in rec if k not in ("time_s", "kind", "subject", "params")]
+        if missing or extra:
+            raise ScenarioError(f"event {i}: missing {sorted(missing)}" if missing
+                                else f"event {i}: {extra[0]}: not an event key")
+        events.append(ScenarioEvent(**rec))
     return events
 
 
@@ -277,15 +301,28 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+# Params key -> (test of a value given for it, what the value must be).
+_PARAM_CHECKS = {
+    "period_s": (lambda v: _is_number(v) and MIN_STRIKE_PERIOD_S <= v <= sys.float_info.max,
+                 f"a finite number of at least {MIN_STRIKE_PERIOD_S:g} s (MinLSArrival)"),
+    "duration_s": (lambda v: _is_number(v) and 0 <= v <= sys.float_info.max,
+                   "a finite number >= 0"),
+    "phantom_id": (lambda v: isinstance(v, str), "a string"),
+    "drop_links": (lambda v: isinstance(v, list) and all(isinstance(l, str) for l in v),
+                   "a list of strings"),
+}
+
+
 def validate_scenario(events: list[ScenarioEvent], topo: Topology, duration_s: float) -> None:
-    """Raise ScenarioError naming each bad event and key.  Events need a
-    known kind, a number ``time_s`` in [0, duration_s] in sorted order, a
-    ``subject`` object naming an existing link or node, and a ``params``
-    object: ``period_s`` finite and at least ``MIN_STRIKE_PERIOD_S``,
-    ``duration_s`` finite and >= 0,
-    ``phantom_id`` a string, ``drop_links`` a list of strings."""
-    problems = []
+    """Raise ScenarioError naming each bad event and key.  Each event needs
+    a kind of ``SCENARIO_KINDS``, a number ``time_s`` in [0, duration_s] in
+    sorted order, a ``subject`` object naming what the kind's entry asks
+    for, and a ``params`` object of keys of that entry whose values pass
+    ``_PARAM_CHECKS``.  Keys the kind does not take are named in the
+    event's own key order."""
+    problems = [] if duration_s >= 0 else [f"duration_s: {duration_s!r} is negative"]
     last_t = -1.0
+    names = {"router": topo.routers, "host": topo.hosts}
     for i, ev in enumerate(events):
         if ev.kind not in SCENARIO_KINDS:
             problems.append(f"event {i}: unknown kind {ev.kind!r}")
@@ -300,35 +337,23 @@ def validate_scenario(events: list[ScenarioEvent], topo: Topology, duration_s: f
             key = "params" if isinstance(ev.subject, dict) else "subject"
             problems.append(f"event {i}: {key}: expected an object, got {getattr(ev, key)!r}")
             continue
-        # Subjects name nodes, so they must be strings (and hashable).
-        names = {k: v for k, v in ev.subject.items() if isinstance(v, str)}
-        if ev.kind in ("iface_down", "iface_up"):
-            node, iface = ev.subject.get("node"), ev.subject.get("iface")
-            if topo.find_link(node, iface) is None:
-                problems.append(f"event {i}: no link at {node}.{iface}")
-        elif ev.kind == "attack_disguised":
-            for role in ("attacker", "victim"):
-                if names.get(role) not in topo.routers:
-                    problems.append(f"event {i}: {role} {ev.subject.get(role)!r} is not a router")
-        elif ev.kind == "attack_adjacency_spoof":
-            if names.get("host") not in topo.hosts:
-                problems.append(f"event {i}: host {ev.subject.get('host')!r} unknown")
-        elif ev.kind == "attack_partition":
-            if names.get("router") not in topo.routers:
-                problems.append(f"event {i}: router {ev.subject.get('router')!r} is not a router")
-        period, duration = ev.params.get("period_s", 1.0), ev.params.get("duration_s", 0.0)
-        if not (_is_number(period) and MIN_STRIKE_PERIOD_S <= period <= sys.float_info.max):
-            problems.append(f"event {i}: period_s: expected a finite number of at least "
-                            f"{MIN_STRIKE_PERIOD_S:g} s (MinLSArrival), got {period!r}")
-        if not (_is_number(duration) and 0 <= duration <= sys.float_info.max):
-            problems.append(f"event {i}: duration_s: expected a finite number >= 0, "
-                            f"got {duration!r}")
-        if not isinstance(ev.params.get("phantom_id", ""), str):
-            problems.append(f"event {i}: phantom_id: expected a string, "
-                            f"got {ev.params['phantom_id']!r}")
-        links = ev.params.get("drop_links", [])
-        if not (isinstance(links, list) and all(isinstance(l, str) for l in links)):
-            problems.append(f"event {i}: drop_links: expected a list of strings, got {links!r}")
+        subjects, defaults = SCENARIO_KINDS[ev.kind]
+        problems += [f"event {i}: {key}: not a subject key of {ev.kind}"
+                     for key in ev.subject if key not in subjects]
+        for key, what in subjects.items():
+            value = ev.subject.get(key)
+            # Subjects name nodes, so they must be strings (and hashable).
+            if what in names and not (isinstance(value, str) and value in names[what]):
+                problems.append(f"event {i}: {key} {value!r} is not a {what}")
+        ends = [ev.subject.get(key) for key, what in subjects.items() if what == "link end"]
+        if ends and topo.find_link(*ends) is None:
+            problems.append(f"event {i}: no link at {'.'.join(map(str, ends))}")
+        for key, value in ev.params.items():
+            if key not in defaults:
+                problems.append(f"event {i}: {key}: not a params key of {ev.kind}")
+            elif not _PARAM_CHECKS[key][0](value):
+                problems.append(f"event {i}: {key}: expected {_PARAM_CHECKS[key][1]}, "
+                                f"got {value!r}")
     if problems:
         raise ScenarioError("; ".join(problems))
 
@@ -338,18 +363,11 @@ def scenario_paper_failure(start_s: float = 14400.0, spacing_s: float = 14400.0)
     apart, a joint shutdown of abr1.eth0 and r6.eth1 (isolating r14), and a
     closing joint restore of both."""
     t = [start_s + k * spacing_s for k in range(6)]
-    abr1 = {"node": "abr1", "iface": "eth0"}
-    r6 = {"node": "r6", "iface": "eth1"}
-    return [
-        ScenarioEvent(t[0], "iface_down", abr1),
-        ScenarioEvent(t[1], "iface_up", abr1),
-        ScenarioEvent(t[2], "iface_down", abr1),
-        ScenarioEvent(t[3], "iface_up", abr1),
-        ScenarioEvent(t[4], "iface_down", abr1),
-        ScenarioEvent(t[4], "iface_down", r6),
-        ScenarioEvent(t[5], "iface_up", abr1),
-        ScenarioEvent(t[5], "iface_up", r6),
-    ]
+    abr1, r6 = {"node": "abr1", "iface": "eth0"}, {"node": "r6", "iface": "eth1"}
+    script = [(0, "iface_down", abr1), (1, "iface_up", abr1), (2, "iface_down", abr1),
+              (3, "iface_up", abr1), (4, "iface_down", abr1), (4, "iface_down", r6),
+              (5, "iface_up", abr1), (5, "iface_up", r6)]
+    return [ScenarioEvent(t[k], kind, subject) for k, kind, subject in script]
 
 
 def scenario_paper_attacks(duration_each_s: float = 1200.0) -> list[ScenarioEvent]:
@@ -369,17 +387,6 @@ def scenario_paper_attacks(duration_each_s: float = 1200.0) -> list[ScenarioEven
                        "drop_links": ["eth0"]}),
     ]
 
-
-# Attack kind -> (subject key naming the node that strikes, default period
-# in seconds, the arguments of each strike drawn from the scenario event).
-# Every attack strikes once per period for ``duration_s`` (default 1200 s).
-ATTACK_SCHEDULES = {
-    "attack_disguised": ("attacker", 60.0, lambda ev: (ev.subject["victim"],)),
-    "attack_adjacency_spoof": ("host", 30.0,
-                               lambda ev: (ev.params.get("phantom_id", "10.99.0.99"),)),
-    "attack_partition": ("router", 60.0,
-                         lambda ev: (list(ev.params.get("drop_links", [])),)),
-}
 
 CANNED_SCENARIOS = {
     "quiet": lambda: [],
@@ -456,10 +463,11 @@ class _Engine:
 
     # -- scheduling helpers --
 
-    def push(self, t_us: int, node: str, kind: str, payload: tuple):
+    def push(self, t_us: int, node: str, handler, payload: tuple):
+        """Schedule ``handler(node, t_us, *payload)``."""
         self.counter += 1
         order = self.topo._order.get(node, len(self.topo._order))
-        heapq.heappush(self.heap, (t_us, order, self.counter, kind, node, payload))
+        heapq.heappush(self.heap, (t_us, order, self.counter, handler, node, payload))
 
     def link_delay_us(self, link: Link) -> int:
         """A delay drawn uniformly from the link's range, as ``randrange(lo,
@@ -487,14 +495,14 @@ class _Engine:
 
     def flood(self, node: str, t_us: int, inst: _Instance, age: int, skip_link: Link | None):
         # ``push`` and ``link_delay_us`` inlined.
-        getrandbits, heap = self.rng.getrandbits, self.heap
+        getrandbits, heap, deliver = self.rng.getrandbits, self.heap, self.deliver
         for link, peer, order, lo, width, bits in self.flood_targets[node]:
             if link.up and t_us >= link.forming_until_us and link is not skip_link:
                 r = getrandbits(bits)
                 while r >= width:
                     r = getrandbits(bits)
                 self.counter += 1
-                heapq.heappush(heap, (t_us + lo + r, order, self.counter, "deliver", peer,
+                heapq.heappush(heap, (t_us + lo + r, order, self.counter, deliver, peer,
                                       (node, inst, age, link)))
 
     def refresh(self, node: str, t_us: int, epoch: int):
@@ -503,8 +511,6 @@ class _Engine:
             self.originate(node, t_us)
 
     def originate(self, node: str, t_us: int, digest: str | None = None):
-        if node not in self.topo.routers:
-            return
         self.own_seq[node] += 1
         rid = self.rids[node]
         inst = _Instance(rid, 1, rid, self.own_seq[node], digest or self.link_digest(node))
@@ -515,7 +521,7 @@ class _Engine:
         interval_us = int(REFRESH_INTERVAL_S * 1e6)
         refresh_at = t_us + interval_us + self.rng.randint(-self.jitter_us, self.jitter_us)
         if refresh_at <= self.duration_us:
-            self.push(refresh_at, node, "refresh", (self.refresh_epoch[node],))
+            self.push(refresh_at, node, self.refresh, (self.refresh_epoch[node],))
 
     def link_digest(self, node: str) -> str:
         up = sorted(peer for link, peer in self.neighbors[node] if link.up)
@@ -559,9 +565,10 @@ class _Engine:
             return
         arrival_us = t_us + self.link_delay_us(via)
         if sender in self.taps:
-            self.push(arrival_us, sender, "ack", (inst, age, True))
+            self.push(arrival_us, sender, self.record, (inst, age, True))
 
-    def set_iface(self, node: str, t_us: int, iface: str, up: bool):
+    def set_iface(self, node: str, t_us: int, ev: ScenarioEvent):
+        iface, up = ev.subject["iface"], ev.kind == "iface_up"
         link = self.topo.find_link(node, iface)
         if link.up == up:
             self.warnings.append(
@@ -571,11 +578,15 @@ class _Engine:
         link.up = up
         if up:
             link.forming_until_us = t_us + int(RESYNC_DELAY_S * 1e6)
-            self.push(link.forming_until_us, link.node_a, "resync", (link,))
+            self.push(link.forming_until_us, link.node_a, self.resync, (link,))
+        followup_us = t_us + int(REORIGINATION_FOLLOWUP_S * 1e6)
         for end in (link.node_a, link.node_b):
             if end in self.topo.routers:
-                self.push(t_us, end, "originate", (None,))
-                self.push(t_us + int(REORIGINATION_FOLLOWUP_S * 1e6), end, "originate", (None,))
+                self.push(t_us, end, self.originate, (None,))
+                if followup_us <= self.duration_us:  # originations stop at the end
+                    self.push(followup_us, end, self.originate, (None,))
+
+    iface_down = iface_up = set_iface
 
     def resync(self, node: str, t_us: int, link: Link):
         """Database exchange after an adjacency forms: each side requests the
@@ -590,18 +601,19 @@ class _Engine:
                 if peer_entry is None or entry.seq > peer_entry.seq:
                     inst = _Instance(key[2], key[0], key[1], entry.seq, entry.digest)
                     age = self.entry_age(entry, t_us) + 1
-                    self.push(t_us + self.link_delay_us(link), dst, "deliver",
+                    self.push(t_us + self.link_delay_us(link), dst, self.deliver,
                               (src, inst, age, link))
 
     # -- attacks --
 
-    def attack_disguised(self, attacker: str, t_us: int, victim: str):
+    def attack_disguised(self, attacker: str, t_us: int, ev: ScenarioEvent):
+        victim = ev.subject["victim"]
         vid = self.topo.router_id(victim)
         base_seq = self.own_seq[victim]
         trigger = _Instance(vid, 1, vid, base_seq + 1, "forged-trigger")
         disguised = _Instance(vid, 1, vid, base_seq + 2, "forged-disguised")
-        self.push(t_us, attacker, "inject", (trigger,))
-        self.push(t_us + int(DISGUISED_LAG_S * 1e6), attacker, "inject", (disguised,))
+        self.push(t_us, attacker, self.do_inject, (trigger,))
+        self.push(t_us + int(DISGUISED_LAG_S * 1e6), attacker, self.do_inject, (disguised,))
 
     def do_inject(self, node: str, t_us: int, inst: _Instance):
         """Install a crafted instance at the compromised node and flood it."""
@@ -612,60 +624,43 @@ class _Engine:
         self.record(node, t_us, inst, 0, is_ack=False)
         self.flood(node, t_us, inst, age=1, skip_link=None)
 
-    def attack_adjacency_spoof(self, host: str, t_us: int, phantom_id: str):
+    def attack_adjacency_spoof(self, host: str, t_us: int, ev: ScenarioEvent):
         # host attachments are implicit links; sample the default delay range
-        router = self.topo.hosts[host]
+        router, phantom_id = self.topo.hosts[host], ev.params["phantom_id"]
         self.phantom_seq[phantom_id] = self.phantom_seq.get(phantom_id, INITIAL_SEQ - 1) + 1
         inst = _Instance(phantom_id, 1, phantom_id, self.phantom_seq[phantom_id], "phantom")
         lo, hi = DEFAULT_DELAY_RANGE_MS
         delay = self.rng.randint(int(lo * 1000), int(hi * 1000))
-        self.push(t_us + delay, router, "deliver", (host, inst, 1, None))
+        self.push(t_us + delay, router, self.deliver, (host, inst, 1, None))
 
-    def attack_partition(self, router: str, t_us: int, drop_links: list[str]):
-        digest = f"{router}:falsified(-{','.join(sorted(drop_links))})"
-        self.push(t_us, router, "originate", (digest,))
+    def attack_partition(self, router: str, t_us: int, ev: ScenarioEvent):
+        digest = f"{router}:falsified(-{','.join(sorted(ev.params['drop_links']))})"
+        self.push(t_us, router, self.originate, (digest,))
 
     # -- main loop --
 
     def schedule_scenario(self, events: list[ScenarioEvent]):
+        """Push each event's strikes, up to the run's end, to the engine
+        method named by its kind, with the kind's defaults merged in."""
         for ev in events:
+            subjects, defaults = SCENARIO_KINDS[ev.kind]
+            ev = replace(ev, params={**defaults, **ev.params})
+            node, strike = ev.subject[next(iter(subjects))], getattr(self, ev.kind)
+            period = float(ev.params.get("period_s", MIN_STRIKE_PERIOD_S))
             t_us = int(ev.time_s * 1e6)
-            if ev.kind in ("iface_down", "iface_up"):
-                self.push(t_us, ev.subject["node"], "iface", (ev.subject["iface"], ev.kind == "iface_up"))
-                continue
-            subject_key, default_period_s, strike_args = ATTACK_SCHEDULES[ev.kind]
-            period = float(ev.params.get("period_s", default_period_s))
-            duration = float(ev.params.get("duration_s", 1200.0))
-            args = strike_args(ev)
-            for k in range(max(int(duration / period), 1)):
+            for k in range(max(int(ev.params.get("duration_s", 0.0) / period), 1)):
                 strike_us = t_us + int(k * period * 1e6)
                 if strike_us > self.duration_us:
-                    break  # it would lapse unrun, as attack events do after the end
-                self.push(strike_us, ev.subject[subject_key], ev.kind, args)
+                    break  # attacks stop at the end
+                self.push(strike_us, node, strike, (ev,))
 
     def run(self) -> None:
-        # Event kind -> (handler called as handler(node, t_us, *payload),
-        # whether the event lapses once the run's duration has passed).
-        handlers = {
-            "originate": (self.originate, True),
-            "refresh": (self.refresh, True),
-            "deliver": (self.deliver, False),
-            "ack": (self.record, False),
-            "iface": (self.set_iface, True),
-            "resync": (self.resync, False),
-            "inject": (self.do_inject, False),
-            "attack_disguised": (self.attack_disguised, True),
-            "attack_adjacency_spoof": (self.attack_adjacency_spoof, True),
-            "attack_partition": (self.attack_partition, True),
-        }
         for node in self.topo.routers:
-            self.push(0, node, "originate", (None,))
-        heap, end_us = self.heap, self.duration_us
+            self.push(0, node, self.originate, (None,))
+        heap = self.heap
         while heap:
-            t_us, _order, _c, kind, node, payload = heapq.heappop(heap)
-            handler, lapses = handlers[kind]
-            if t_us <= end_us or not lapses:
-                handler(node, t_us, *payload)
+            t_us, _order, _c, handler, node, payload = heapq.heappop(heap)
+            handler(node, t_us, *payload)
 
 
 def run(topology: Topology, scenario: list[ScenarioEvent], duration_s: float,
@@ -713,8 +708,7 @@ def random_topology(n_transit: int, n_stub: int, seed: int,
         candidates = [r for r in routers[:i] if degree[r] < max_degree - 1]
         parent = rng.choice(candidates or routers[:i])
         connect(routers[i], parent)
-    attempts = 0
-    added = 0
+    attempts = added = 0
     existing = {frozenset(l) for l in links}
     while added < extra_links and attempts < 50 * (extra_links + 1):
         attempts += 1
@@ -726,12 +720,9 @@ def random_topology(n_transit: int, n_stub: int, seed: int,
         existing.add(frozenset((a, b)))
         connect(a, b)
         added += 1
-    stub_home = {}
     for s in stubs:
         candidates = [r for r in routers if degree[r] < max_degree]
-        home = rng.choice(candidates or routers)
-        stub_home[s] = home
-        connect(home, s)
+        connect(rng.choice(candidates or routers), s)
 
     ifaces = {n: [] for n in routers + stubs}
     topo_links = []

@@ -149,6 +149,25 @@ class TestSimulate:
         ({"time_s": True}, "time_s"),
         ({"params": {"period_s": 1e-3}}, "period_s"),  # below MinLSArrival
         ({"params": {"period_s": 0.999}}, "period_s"),
+        # Event, subject and params keys that the event or its kind does not take.
+        ({"parms": {"period_s": 30}}, "parms"),
+        ({"subject": {"router": "r8", "host": "host2"}}, "host"),
+        ({"params": {"perod_s": 5}}, "perod_s"),
+        ({"kind": "attack_disguised", "subject": {"attacker": "r8", "victim": "r9", "x": 1},
+          "params": {}}, "x"),
+        ({"kind": "attack_disguised", "subject": {"attacker": "r8", "victim": "r9"},
+          "params": {"drop_links": []}}, "drop_links"),
+        ({"kind": "attack_adjacency_spoof", "subject": {"host": "host2", "router": "r8"},
+          "params": {}}, "router"),
+        ({"kind": "attack_adjacency_spoof", "subject": {"host": "host2"},
+          "params": {"drop_links": ["eth0"]}}, "drop_links"),
+        ({"kind": "iface_down", "subject": {"node": "abr1", "iface": "eth0", "up": True},
+          "params": {}}, "up"),
+        ({"kind": "iface_down", "subject": {"node": "abr1", "iface": "eth0"}}, "period_s"),
+        ({"kind": "iface_up", "subject": {"node": "abr1", "iface": "eth0", "peer": "r6"},
+          "params": {}}, "peer"),
+        ({"kind": "iface_up", "subject": {"node": "abr1", "iface": "eth0"},
+          "params": {"phantom_id": "10.0.0.1"}}, "phantom_id"),
     ])
     def test_malformed_scenario_event_exits_2_naming_it(self, tmp_path, capsys, change, key):
         good = {"time_s": 10, "kind": "attack_partition", "subject": {"router": "r8"},
@@ -356,10 +375,14 @@ class TestDetect:
         assert not (tmp_path / "d" / "measures.csv").exists()
 
     # Fields that int() and float() read as the right value but that the
-    # writer never writes: "_" separators, non-ASCII digits, signs, blanks.
+    # writer never writes: "_" separators, non-ASCII digits, signs, blanks,
+    # exponents, leading zeros, and other than six decimals.
     @pytest.mark.parametrize("row", [
         "50,500.000000,1_0", "50,500.000000,٣", "50,500.000000,+1", "50,500.000000, 2",
         "٥٠,500.000000,1", "50 ,500.000000,1", "50,50_0.000000,1", "50,٥00.000000,1",
+        # Times other than %.6f of the start: float() reads all of these as 500.
+        "50,+500.000000,1", "50, 500.000000,1", "50,5e2,1", "50,500.,1", "50,500,1",
+        "50,0500.000000,1", "50,500.0000000,1",
     ])
     def test_numbers_the_writer_never_writes_exit_2(self, tmp_path, capsys, row):
         path = tmp_path / "loose.csv"

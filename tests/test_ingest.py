@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import io
 import json
+import re
 import struct
 import sys
 import warnings
@@ -488,7 +489,8 @@ class TestPcap:
         path.write_bytes(pcap_bytes([(1, b"xy")]) + b"\x00\x01\x02")
         _, it = ingest.read_pcap(path)
         assert next(it).data == b"xy"
-        with pytest.raises(ingest.TruncatedPcapError):
+        with pytest.raises(ingest.TruncatedPcapError, match=re.escape(
+                f"{path}: record 2: record header cut short at end of file")):
             next(it)
 
     @pytest.mark.parametrize("consumed", [0, 1, 2])
@@ -617,6 +619,20 @@ class TestParseOspf:
         for _ in range(3):
             ingest.parse_ospf_packet(other, 1)
         assert ingest.parse_ospf_packet(good, 1) == alone
+
+    @pytest.mark.parametrize("snapped, note", [
+        (0, ""), (40, " (the capture's snaplen cut this frame short)")])
+    def test_extract_names_file_and_record_of_a_bad_frame(self, tmp_path, snapped, note):
+        good = eth_frame(ipv4_packet(ospf_packet(4, ls_update([lsa_header()]))))
+        bad = good[:-8]  # the OSPF length field now runs past the frame
+        path = tmp_path / "bad.pcap"
+        blob = pcap_bytes([(1, good), (2, good)])
+        blob += struct.pack("<IIII", 0, 3, len(bad), len(bad) + snapped) + bad
+        path.write_bytes(blob)
+        with pytest.raises(ingest.MalformedPacketError) as err:
+            list(ingest.extract_pcap_events(path, monitor="tap"))
+        assert str(err.value) == (f"{path}: record 3: OSPF length field 48 inconsistent "
+                                  f"with frame at offset 36{note}")
 
     def test_extract_from_file(self, tmp_path):
         frames = [

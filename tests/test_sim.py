@@ -62,6 +62,29 @@ m a stub
         with pytest.raises(sim.TopologyError, match="eth9"):
             sim.parse_topology(text)
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("[routers]\na eth0\nb eth0\n[links]\na eth0 b eth0 abc 5\n", 5,
+         "delays must be finite numbers with 0 <= lo <= hi, got abc 5"),
+        ("[routers]\na eth0\nb eth0\n[links]\na eth0 b eth0 nan inf\n", 5,
+         "delays must be finite numbers with 0 <= lo <= hi, got nan inf"),
+        ("[routers]\na eth0\nb eth0\n[links]\na eth0 b eth0 1 inf\n", 5,
+         "delays must be finite numbers with 0 <= lo <= hi, got 1 inf"),
+        ("[routers]\na eth0\nb eth0\n[links]\na eth0 b eth0 -1 5\n", 5,
+         "delays must be finite numbers with 0 <= lo <= hi, got -1 5"),
+        ("[routers]\na eth0\nb eth0\n[links]\na eth0 b eth0 9 5\n", 5,
+         "delays must be finite numbers with 0 <= lo <= hi, got 9 5"),
+        ("[routers]\nr1 eth0 eth0\n", 2, "r1 declares an interface twice"),
+        ("[routers]\na eth0\nb eth0\na eth1\n", 4, "a named twice in [routers]"),
+        ("[stubs]\ns eth0\ns eth1\n", 3, "s named twice in [stubs]"),
+        ("[routers]\na eth0\n[hosts]\nh a\nh a\n", 5, "h named twice in [hosts]"),
+    ])
+    def test_malformed_file_names_path_and_line(self, tmp_path, text, line, message):
+        path = tmp_path / "bad.topo"
+        path.write_text(text)
+        with pytest.raises(sim.TopologyError) as err:
+            sim.load_topology(path)
+        assert str(err.value) == f"{path}: line {line}: {message}"
+
     def test_paper16_ships_expected_monitors(self):
         topo = sim.load_topology("paper16")
         assert len(topo.nodes()) >= 16
@@ -114,6 +137,30 @@ class TestScenarios:
         bad = [sim.ScenarioEvent(10.0, "iface_down", {"node": "a", "iface": "eth7"})]
         with pytest.raises(sim.ScenarioError, match="eth7"):
             sim.validate_scenario(bad, topo, 100.0)
+
+    def test_unknown_keys_named_in_the_event_order(self):
+        # The keys are neither sorted nor in set order: as the event lists them.
+        topo = sim.load_topology("paper16")
+        bad = [
+            sim.ScenarioEvent(10.0, "attack_disguised",
+                              {"victim": "r9", "zz": 1, "attacker": "r8", "aa": 2},
+                              {"perod_s": 5, "duration_s": 60, "drop_links": []}),
+            sim.ScenarioEvent(20.0, "iface_down", {"node": "abr1", "iface": "eth0"},
+                              {"drop_links": ["eth0"]}),
+        ]
+        with pytest.raises(sim.ScenarioError) as err:
+            sim.validate_scenario(bad, topo, 100.0)
+        assert str(err.value) == "; ".join([
+            "event 0: zz: not a subject key of attack_disguised",
+            "event 0: aa: not a subject key of attack_disguised",
+            "event 0: perod_s: not a params key of attack_disguised",
+            "event 0: drop_links: not a params key of attack_disguised",
+            "event 1: drop_links: not a params key of iface_down",
+        ])
+
+    def test_negative_duration_rejected(self):
+        with pytest.raises(sim.ScenarioError, match="negative"):
+            sim.run(two_routers_plus_stub(), [], -1.0, seed=0)
 
     def test_validation_rejects_out_of_range_time(self):
         topo = two_routers_plus_stub()
@@ -434,6 +481,19 @@ PINNED_PAPER16_PAST_THE_END = {
     'r15': '9ddeb68428aa3c85', 'r16': '11f7369d9d15c250',
 }
 
+# Taken from the simulator whose heap entries carried event-kind strings
+# and lapse flags.
+PINNED_PAPER16_END_OF_RUN_1200 = {
+    'rcs1': '59d85cd2c38c0186', 'r7': 'fdd7eb538c7b55e8', 'r11': '3eadf9897fb01111',
+    'r12': '00e498aa53e34222', 'r13': '37b7f6d63d7a5671', 'r14': '579f3ae2e9b3dbdc',
+    'r15': '3d94f3315f9f88d6', 'r16': '023a4a6e506514fc',
+}
+PINNED_PAPER16_END_OF_RUN_1201 = {
+    'rcs1': '06ecabae416240b1', 'r7': 'c0df8432d08fdd50', 'r11': 'c3a66f6893dd68ee',
+    'r12': 'b31115edb2004aa1', 'r13': 'b79040d60beba49d', 'r14': '579f3ae2e9b3dbdc',
+    'r15': '0e617ba9e7db3c9f', 'r16': 'fd1c023b0958d14d',
+}
+
 
 class TestPinnedLogs:
     def test_ring_with_transit_tap_records_acks(self):
@@ -450,6 +510,26 @@ class TestPinnedLogs:
         scenario = sim.scenario_paper_attacks(duration_each_s=300.0)
         res = sim.run(sim.load_topology("paper16"), scenario, 10000, seed=2)
         assert log_digests(res.logs) == PINNED_PAPER16_ATTACKS
+
+    @pytest.mark.parametrize("duration_s, pinned", [
+        (1200.0, PINNED_PAPER16_END_OF_RUN_1200), (1201.0, PINNED_PAPER16_END_OF_RUN_1201)])
+    def test_events_at_the_end_of_the_run(self, duration_s, pinned):
+        # Interface changes in the run's last 10 s, whose 10 s follow-up
+        # originations fall past the end (at 1201 s one lands on it), and
+        # every attack kind striking each second through the end.
+        strikes = {"period_s": 1.0, "duration_s": 100.0}
+        scenario = [
+            sim.ScenarioEvent(1150.0, "attack_disguised", {"attacker": "r8", "victim": "r9"},
+                              strikes),
+            sim.ScenarioEvent(1160.0, "attack_adjacency_spoof", {"host": "host2"}, strikes),
+            sim.ScenarioEvent(1170.0, "attack_partition", {"router": "r8"},
+                              {**strikes, "drop_links": ["eth0"]}),
+            sim.ScenarioEvent(1191.0, "iface_down", {"node": "abr1", "iface": "eth0"}),
+            sim.ScenarioEvent(1195.0, "iface_up", {"node": "abr1", "iface": "eth0"}),
+            sim.ScenarioEvent(1200.0, "iface_down", {"node": "r6", "iface": "eth1"}),
+        ]
+        res = sim.run(sim.load_topology("paper16"), scenario, duration_s, seed=4)
+        assert log_digests(res.logs) == pinned
 
     @pytest.mark.parametrize("attack_s", [500.0, 1e12])
     def test_attacks_striking_past_the_end(self, attack_s):
