@@ -16,6 +16,9 @@ of strictly prior windows: the deviation score is the distance from the
 baseline median in units of the baseline MAD, and a window alerts when
 any enabled measure's score reaches ``k_mad``.  Contiguous deviant
 windows collapse into a single alert stamped at the run's first window.
+Medians and MADs are exact, from sorted baselines, and recomputed only
+where a baseline's multiset changes; ``write_measures_csv`` formats the
+measures once per distinct window.
 
 Quiet OSPF traffic makes the raw MAD useless as a scale: the measure
 series of a refresh-only count series is piecewise constant, so the MAD
@@ -57,8 +60,8 @@ from .rqa import (
 # covers many windows while the block's temporaries stay small.
 BLOCK_WINDOWS = 64
 
-# Baseline rows scored per numpy call: bounds the temporary copies that
-# np.median makes of the (windows x baseline_bins) view.
+# Changed baselines sorted per numpy call: bounds the (rows x
+# baseline_bins) copy that they are gathered and sorted in.
 SCORE_CHUNK_ROWS = 2048
 
 # Per-measure deviation-score floors, calibrated on quiet per-originator
@@ -118,6 +121,8 @@ class MeasureSeries:
     start_us: int
     degenerate_windows: int = 0
     epsilon_warnings: int = 0
+    # Window -> distinct-window row, as sliding_rqa found them.
+    _distinct: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return int(self.window_end_bins.size)
@@ -191,6 +196,7 @@ def sliding_rqa(series: CountSeries, config: DetectorConfig) -> MeasureSeries:
         start_us=series.start_us,
         degenerate_windows=int(flags[0].sum()),
         epsilon_warnings=int(flags[1].sum()),
+        _distinct=inverse,
     )
 
 
@@ -251,6 +257,8 @@ def deviation_scores(
     Both dicts are keyed by the enabled measures in ``MEASURE_NAMES``
     order.  Scores and medians for window indices inside the warm-up are
     zero, so a series of at most ``baseline_bins`` windows scores all zero.
+    A zero median is +0.0, as from ``np.median``; baselines are sorted only
+    where their multiset changes.
     The deviant set {i : score >= k} can only shrink as k grows; the alert
     count can occasionally rise with k when a long deviant run splits,
     which is why sensitivity comparisons should look at scores, not alert
@@ -263,18 +271,27 @@ def deviation_scores(
     medians = {name: np.zeros(n) for name in enabled}
     if n <= b:
         return scores, medians
+    mid = slice((b - 1) // 2, b // 2 + 1)  # the one or two middle columns
     for name in enabled:
         v = measures.values[name]
         floor = max(config.floors.get(name, 1e-6) * config.floor_scale, 1e-6)
-        # Row j of the view is the baseline of window b + j.
+        # Row j of the view is the baseline of window b + j; it holds row
+        # j - 1's multiset unless the value entering differs from the leaving.
         baselines = sliding_window_view(v, b)[: n - b]
-        for lo in range(0, n - b, SCORE_CHUNK_ROWS):
-            base = baselines[lo : lo + SCORE_CHUNK_ROWS]
-            med = np.median(base, axis=1)
-            mad = np.median(np.abs(base - med[:, None]), axis=1)
-            i = slice(b + lo, b + lo + base.shape[0])
-            medians[name][i] = med
-            scores[name][i] = np.abs(v[i] - med) / np.maximum(mad, floor)
+        changed = np.r_[True, v[b : n - 1] != v[: n - b - 1]]
+        fill, changed = np.cumsum(changed) - 1, np.flatnonzero(changed)  # fill[j]: j's scored row
+        med, scale = np.empty((2, changed.size))
+        for lo in range(0, changed.size, SCORE_CHUNK_ROWS):
+            rows = slice(lo, lo + SCORE_CHUNK_ROWS)
+            base = baselines[changed[rows]]
+            base.sort(axis=1)
+            # As in np.median: np.mean turns -0.0 to +0.0, and a NaN (sorted last) wins.
+            m = np.where(np.isnan(base[:, -1]), np.nan, np.mean(base[:, mid], axis=1))
+            np.abs(base - m[:, None], out=base)
+            base.sort(axis=1)
+            med[rows], scale[rows] = m, np.maximum(np.mean(base[:, mid], axis=1), floor)
+        medians[name][b:] = med[fill]
+        scores[name][b:] = np.abs(v[b:] - medians[name][b:]) / scale[fill]
     return scores, medians
 
 
@@ -296,14 +313,25 @@ def analyze_run(
 
 
 def write_measures_csv(path, measures: MeasureSeries) -> None:
-    """Plot-ready CSV: ``window_end_bin,t_s`` then the nine measure columns."""
+    """Plot-ready CSV: ``window_end_bin,t_s`` then the nine measure columns,
+    formatted once per distinct window where ``sliding_rqa`` found repeats."""
     ends = measures.window_end_bins
     # The same float arithmetic as MeasureSeries.time_s, one column at once.
     times = measures.start_us / 1e6 + (ends + 1) * measures.bin_size_s
-    write_csv_columns(path, "window_end_bin,t_s," + ",".join(MEASURE_NAMES),
-                      "%d,%.6f," + ",".join(["%.12g"] * len(MEASURE_NAMES)) + "\n",
-                      [ends, times, *(measures.values[name] for name in MEASURE_NAMES)],
-                      CSV_CHUNK_ROWS)
+    header = "window_end_bin,t_s," + ",".join(MEASURE_NAMES)
+    fields = ",".join(["%.12g"] * len(MEASURE_NAMES)) + "\n"
+    columns = [measures.values[name] for name in MEASURE_NAMES]
+    if measures._distinct is not None:
+        _, first, row = np.unique(measures._distinct, return_index=True, return_inverse=True)
+        # Some window repeats, and the values were not edited since.
+        if first.size < ends.size and all(c[first[row]].tobytes() == c.tobytes()
+                                          for c in columns):
+            texts = np.empty(first.size, dtype=object)
+            for lo in range(0, first.size, CSV_CHUNK_ROWS):
+                part = [c[first[lo : lo + CSV_CHUNK_ROWS]].tolist() for c in columns]
+                texts[lo : lo + CSV_CHUNK_ROWS] = [fields % v for v in zip(*part)]
+            columns, fields = [texts[row]], "%s"
+    write_csv_columns(path, header, "%d,%.6f," + fields, [ends, times, *columns], CSV_CHUNK_ROWS)
 
 
 def write_alerts_jsonl(path, alerts: list[Alert]) -> None:

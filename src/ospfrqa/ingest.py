@@ -289,10 +289,12 @@ def extract_pcap_events(path, monitor: str) -> Iterator[LsaEvent]:
     """Stream LSA events out of a capture file, stamping the monitor name.
     A frame's parse error names the path, the record (from 1) and any snaplen cut."""
     link_type, records = read_pcap(path)
+    if link_type not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IPV4):
+        raise UnsupportedFormatError(f"{path}: unsupported link type {link_type}")
     try:
         for k, rec in enumerate(records, start=1):
             yield from parse_ospf_packet(rec.data, link_type, rec.ts_us, monitor)
-    except (MalformedPacketError, UnsupportedFormatError) as e:
+    except MalformedPacketError as e:
         cut = " (the capture's snaplen cut this frame short)" if rec.truncated else ""
         raise type(e)(f"{path}: record {k}: {e}{cut}") from None
 

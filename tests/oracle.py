@@ -164,14 +164,15 @@ def deviation_scores(values, baseline_bins, floor, floor_scale=1.0):
 
     Window i >= baseline_bins is scored against the ``baseline_bins``
     values before it: |v[i] - median| / max(MAD, floor * floor_scale, 1e-6).
-    Earlier windows score 0 with median 0.
+    Earlier windows score 0 with median 0.  A zero median is +0.0, never
+    -0.0, the convention the written alerts already hold.
     """
     v = [float(x) for x in values]
     scores = [0.0] * len(v)
     medians = [0.0] * len(v)
     for i in range(baseline_bins, len(v)):
         base = v[i - baseline_bins : i]
-        med = statistics.median(base)
+        med = statistics.median(base) + 0.0  # -0.0 + 0.0 is +0.0
         mad = statistics.median([abs(x - med) for x in base])
         medians[i] = med
         scores[i] = abs(v[i] - med) / max(mad, floor * floor_scale, 1e-6)

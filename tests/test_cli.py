@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -211,6 +212,21 @@ class TestExtract:
                        "--out", out) == 0
         series = ingest.read_series_csv(out)
         assert series.counts.tolist() == [0] * 60
+
+    @pytest.mark.parametrize("link_type", [1, 105])
+    def test_header_only_capture(self, tmp_path, capsys, link_type):
+        pcap = tmp_path / "empty.pcap"
+        pcap.write_bytes(struct.pack("<IHHiIII", ingest.PCAP_MAGIC, 2, 4, 0, 0, 65535,
+                                     link_type))
+        out = tmp_path / "empty.csv"
+        code = run_cli("extract", "--pcap", pcap, "--monitor", "m", "--bin", "10",
+                       "--t0", "0", "--t1", "600", "--out", out)
+        if link_type == 1:  # Ethernet: an empty capture is an all-zero series
+            assert code == 0
+            assert ingest.read_series_csv(out).counts.tolist() == [0] * 60
+        else:
+            assert code == 2 and not out.exists()
+            assert f"{pcap}: unsupported link type 105" in capsys.readouterr().err
 
     def test_range_lands_on_the_microsecond_given(self, tmp_path, capsys):
         # 132770.186 * 1e6 is 132770185999.99998 in binary floating point; the

@@ -1,5 +1,6 @@
 """Sliding-window analysis and change-detector behavior."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,12 @@ def synthetic_measures(values_by_name, bin_size=10):
         bin_size_s=bin_size,
         start_us=0,
     )
+
+
+def csv_bytes(tmp_path, measures):
+    path = tmp_path / "measures.csv"
+    detect.write_measures_csv(path, measures)
+    return path.read_bytes()
 
 
 def flat_config(**kw):
@@ -378,7 +385,7 @@ def assert_scores_match_oracle(values, cfg):
 
 
 plateaus = st.lists(
-    st.tuples(st.sampled_from([0.0, 0.1, 0.125, 0.5, 0.5004, 3.0]),
+    st.tuples(st.sampled_from([-0.0, 0.0, 0.1, 0.125, 0.5, 0.5004, 3.0]),
               st.integers(min_value=1, max_value=40)),
     min_size=1, max_size=20,
 ).map(lambda runs: [v for v, k in runs for _ in range(k)])
@@ -409,6 +416,43 @@ class TestDeviationScores:
         rr = 0.5 + np.round(rng.normal(size=n), 1) * 0.01  # many zero MADs
         cfg = flat_config(baseline_bins=60, floor_scale=2.5)
         assert_scores_match_oracle({"rr": rr}, cfg)
+
+    @pytest.mark.parametrize("baseline", [10, 11])
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_reuse_across_chunk_edges(self, baseline, chunk):
+        # Plateaus of 1-7 windows, so the scored rows of one chunk end
+        # inside a plateau and the next chunk starts after a reused stretch.
+        rng = np.random.default_rng(baseline * 10 + chunk)
+        runs = rng.choice([-0.0, 0.0, 0.25, 0.5, 2.0], 40), rng.integers(1, 8, 40)
+        rr = np.repeat(*runs)
+        cfg = flat_config(baseline_bins=baseline, floor_scale=0.5)
+        with mock.patch.object(detect, "SCORE_CHUNK_ROWS", chunk):
+            assert_scores_match_oracle({"rr": rr}, cfg)
+
+    @pytest.mark.parametrize("baseline", [10, 11])
+    @pytest.mark.parametrize("rr", [np.linspace(0.0, 1.0, 90),  # every baseline changes
+                                    np.full(90, 0.3),  # only the first one
+                                    np.full(90, -0.0)])
+    def test_every_or_no_baseline_changed(self, baseline, rr):
+        with mock.patch.object(detect, "SCORE_CHUNK_ROWS", 7):
+            assert_scores_match_oracle({"rr": rr}, flat_config(baseline_bins=baseline,
+                                                               floor_scale=3.0))
+
+    @pytest.mark.parametrize("chunk", [1, 4, detect.SCORE_CHUNK_ROWS])
+    def test_nan_baselines_score_as_np_median_does(self, chunk):
+        b = 11
+        rr = np.repeat([0.5, 0.25, 0.5, 1.0, 0.5], 12)
+        rr[[20, 21, 44]] = np.nan
+        with mock.patch.object(detect, "SCORE_CHUNK_ROWS", chunk):
+            scores, medians = detect.deviation_scores(synthetic_measures({"rr": rr}),
+                                                      flat_config(baseline_bins=b))
+        base = np.lib.stride_tricks.sliding_window_view(rr, b)[:-1]
+        med = np.median(base, axis=1)
+        mad = np.median(np.abs(base - med[:, None]), axis=1)
+        assert np.isnan(med).any() and not np.isnan(med).all()
+        assert medians["rr"][b:].tobytes() == med.tobytes()
+        assert scores["rr"][b:].tobytes() == (np.abs(rr[b:] - med)
+                                              / np.maximum(mad, 0.01)).tobytes()
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_series_at_the_baseline_length(self, offset):
@@ -494,6 +538,29 @@ class TestSerialization:
             rows.append(",".join([str(int(ms.window_end_bins[i])), f"{ms.time_s(i):.6f}"]
                                  + [f"{ms.values[n][i]:.12g}" for n in rqa.MEASURE_NAMES]))
         assert path.read_text() == "\n".join(rows) + "\n"
+
+    @pytest.mark.parametrize("step", [1, 2, 3, 4])
+    def test_measures_csv_same_with_and_without_distinct_rows(self, tmp_path, step):
+        cfg = DetectorConfig(window_bins=20, step_bins=step)
+        ms = detect.sliding_rqa(count_series([1, 0, 0, 2, 0, 1, 0, 0, 2, 3] * 30,
+                                             start_us=123_457), cfg)
+        assert ms._distinct.max() + 1 < len(ms)  # windows repeat
+        assert csv_bytes(tmp_path, ms) == csv_bytes(tmp_path, replace(ms, _distinct=None))
+
+    @pytest.mark.parametrize("case", ["repeats", "stale", "no repeat"])
+    def test_measures_csv_of_a_synthetic_distinct_index(self, tmp_path, case):
+        rng = np.random.default_rng(5)
+        table = np.array([[-0.0, np.nan, 1e-300], [np.inf, 0.0, 1.2345678901234567e300],
+                          [0.5, 0.5, 0.5]]).repeat(3, axis=1)  # (row, measure)
+        rows = rng.integers(0, 3, 50)
+        if case == "no repeat":
+            table, rows = rng.normal(size=(50, 9)), rng.permutation(50)
+        values = table[rows].T
+        if case == "stale":  # a value that no longer matches its row's
+            values[:, 17] = 0.125
+        ms = MeasureSeries(np.arange(7, 57), dict(zip(rqa.MEASURE_NAMES, values)), 10, 0,
+                           _distinct=rows)
+        assert csv_bytes(tmp_path, ms) == csv_bytes(tmp_path, replace(ms, _distinct=None))
 
     def test_alerts_jsonl_round_trip(self, tmp_path):
         alerts = [Alert(

@@ -634,6 +634,15 @@ class TestParseOspf:
         assert str(err.value) == (f"{path}: record 3: OSPF length field 48 inconsistent "
                                   f"with frame at offset 36{note}")
 
+    @pytest.mark.parametrize("records", [[], [(1, b"\x00" * 40)]])
+    def test_extract_refuses_unsupported_link_type_before_any_record(self, tmp_path,
+                                                                      records):
+        path = tmp_path / "wifi.pcap"
+        path.write_bytes(pcap_bytes(records, link_type=105))
+        with pytest.raises(ingest.UnsupportedFormatError) as err:
+            list(ingest.extract_pcap_events(path, monitor="tap"))
+        assert str(err.value) == f"{path}: unsupported link type 105"
+
     def test_extract_from_file(self, tmp_path):
         frames = [
             (1_000_000, eth_frame(ipv4_packet(ospf_packet(4, ls_update([lsa_header()]))))),

@@ -12,7 +12,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from ospfrqa import detect, rqa
+from ospfrqa import detect, ingest, rqa
 
 
 class TestZnormalize:
@@ -566,6 +566,14 @@ class TestBlocks:
         symbols = rqa._symbols(block, rqa._centered(block)[1], params)
         event(f"equality rows: {'none' if symbols is None else 'all' if symbols[0].size == len(block) else 'some'}")
 
+    @given(window_blocks())
+    @settings(max_examples=100, deadline=None)
+    def test_measures_are_finite(self, case):
+        # Baseline scoring sorts the measures, and a sort puts NaN last
+        # where np.median returns it: an empty ratio must give 0, not NaN.
+        values, _ = rqa.measures_for_series(*case)
+        assert np.isfinite(values).all()
+
     def test_block_shapes(self):
         params = rqa.EmbedParams()
         values, degenerate = rqa.measures_for_series(np.zeros((0, 20)), params)
@@ -589,6 +597,18 @@ def test_line_statistics_of_any_matrix_match_oracle(rows, theiler, l_min, v_min)
     assert white == oracle.histogram(oracle.white_lengths(rows))
     assert_matches_oracle(rqa.rqa_measures(rm, l_min, v_min, theiler),
                           oracle.measures(rows, l_min, v_min, theiler))
+
+
+@given(st.lists(st.integers(0, 6), min_size=10, max_size=60), st.integers(10, 20),
+       st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from([0.05, 0.2, 1.0, 3.0]), NORMS)
+@settings(max_examples=100, deadline=None)
+def test_sliding_rqa_measures_are_finite(counts, w, step, tau, m, eps, norm):
+    counts = np.resize(counts, max(len(counts), w))
+    cfg = detect.DetectorConfig(window_bins=w, step_bins=step,
+                                embed=rqa.EmbedParams(tau=tau, m=m, epsilon=eps, norm=norm))
+    ms = detect.sliding_rqa(ingest.CountSeries(0, 10, counts), cfg)
+    assert all(np.isfinite(v).all() for v in ms.values.values())
 
 
 def test_oracle_imports_no_package_module():
