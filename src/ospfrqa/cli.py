@@ -216,7 +216,7 @@ def resolve_origin(origin: str | None, topology: sim.Topology | None) -> str | N
     if origin is None:
         return None
     parts = origin.split(".")
-    if len(parts) == 4 and all(p.isdigit() and int(p) <= 255 for p in parts):
+    if len(parts) == 4 and all(p.isascii() and p.isdigit() and int(p) <= 255 for p in parts):
         return origin
     if topology is None:
         raise CliError(

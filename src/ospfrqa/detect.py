@@ -17,8 +17,8 @@ baseline median in units of the baseline MAD, and a window alerts when
 any enabled measure's score reaches ``k_mad``.  Contiguous deviant
 windows collapse into a single alert stamped at the run's first window.
 Medians and MADs are exact, from sorted baselines, and recomputed only
-where a baseline's multiset changes; ``write_measures_csv`` formats the
-measures once per distinct window.
+where a baseline's multiset changes; ``write_measures_csv`` formats each
+distinct row of measures once per chunk of rows.
 
 Quiet OSPF traffic makes the raw MAD useless as a scale: the measure
 series of a refresh-only count series is piecewise constant, so the MAD
@@ -36,14 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ingest import (
-    CSV_CHUNK_ROWS,
-    CountSeries,
-    EventFilter,
-    LsaEvent,
-    bin_series,
-    write_csv_columns,
-)
+from .ingest import CSV_CHUNK_ROWS, CountSeries, EventFilter, LsaEvent, bin_series
 from .rqa import (
     MEASURE_NAMES,
     EmbedParams,
@@ -121,8 +114,6 @@ class MeasureSeries:
     start_us: int
     degenerate_windows: int = 0
     epsilon_warnings: int = 0
-    # Window -> distinct-window row, as sliding_rqa found them.
-    _distinct: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return int(self.window_end_bins.size)
@@ -196,7 +187,6 @@ def sliding_rqa(series: CountSeries, config: DetectorConfig) -> MeasureSeries:
         start_us=series.start_us,
         degenerate_windows=int(flags[0].sum()),
         epsilon_warnings=int(flags[1].sum()),
-        _distinct=inverse,
     )
 
 
@@ -313,25 +303,26 @@ def analyze_run(
 
 
 def write_measures_csv(path, measures: MeasureSeries) -> None:
-    """Plot-ready CSV: ``window_end_bin,t_s`` then the nine measure columns,
-    formatted once per distinct window where ``sliding_rqa`` found repeats."""
+    """Plot-ready CSV: ``window_end_bin,t_s`` then the nine measure columns.
+
+    Rows go ``CSV_CHUNK_ROWS`` at a time.  Within a chunk, rows whose nine
+    values have the same bits (so -0.0, +0.0 and each NaN stay apart) share
+    one text, formatted once per distinct row."""
     ends = measures.window_end_bins
     # The same float arithmetic as MeasureSeries.time_s, one column at once.
     times = measures.start_us / 1e6 + (ends + 1) * measures.bin_size_s
-    header = "window_end_bin,t_s," + ",".join(MEASURE_NAMES)
     fields = ",".join(["%.12g"] * len(MEASURE_NAMES)) + "\n"
-    columns = [measures.values[name] for name in MEASURE_NAMES]
-    if measures._distinct is not None:
-        _, first, row = np.unique(measures._distinct, return_index=True, return_inverse=True)
-        # Some window repeats, and the values were not edited since.
-        if first.size < ends.size and all(c[first[row]].tobytes() == c.tobytes()
-                                          for c in columns):
-            texts = np.empty(first.size, dtype=object)
-            for lo in range(0, first.size, CSV_CHUNK_ROWS):
-                part = [c[first[lo : lo + CSV_CHUNK_ROWS]].tolist() for c in columns]
-                texts[lo : lo + CSV_CHUNK_ROWS] = [fields % v for v in zip(*part)]
-            columns, fields = [texts[row]], "%s"
-    write_csv_columns(path, header, "%d,%.6f," + fields, [ends, times, *columns], CSV_CHUNK_ROWS)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("window_end_bin,t_s," + ",".join(MEASURE_NAMES) + "\n")
+        for lo in range(0, ends.size, CSV_CHUNK_ROWS):
+            rows = slice(lo, lo + CSV_CHUNK_ROWS)
+            block = np.stack([measures.values[name][rows] for name in MEASURE_NAMES], axis=1)
+            # Each row's bytes as one key: rows with equal keys print alike.
+            keys = block.view(np.dtype((np.void, block[0].nbytes))).ravel()
+            _, first, row = np.unique(keys, return_index=True, return_inverse=True)
+            texts = [fields % tuple(v) for v in block[first].tolist()]
+            f.write("".join(["%d,%.6f,%s" % (end, t, texts[i]) for end, t, i
+                             in zip(ends[rows].tolist(), times[rows].tolist(), row.tolist())]))
 
 
 def write_alerts_jsonl(path, alerts: list[Alert]) -> None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import re
 import struct
 from dataclasses import dataclass
@@ -449,7 +448,7 @@ def write_series_csv(path, series: CountSeries) -> None:
     """CountSeries CSV: header ``bin_index,t_start_s,count``.
 
     ``t_start_s`` is ``"%.6f" % (start_us / 1e6 + k * bin_size_s)``: the
-    per-value ``%`` path of :func:`write_csv_columns`, which defines the
+    per-value ``%`` path, ``CSV_CHUNK_ROWS`` rows at a time, defines the
     format.  A series with an integer start and bin size, every bin start
     in [0, ``SERIES_TIME_GUARD_US``) (2^32 s) and every bin index and count
     in [0, 2^32), as every series the pipeline writes, is rendered from
@@ -467,8 +466,11 @@ def write_series_csv(path, series: CountSeries) -> None:
             and n <= 2**32 and 0 <= counts.min(initial=0) and counts.max(initial=0) < 2**32):
         idx = np.arange(n)
         times = start_us / 1e6 + idx * bin_s
-        write_csv_columns(path, "bin_index,t_start_s,count", "%d,%.6f,%d\n",
-                          [idx, times, counts], CSV_CHUNK_ROWS)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("bin_index,t_start_s,count\n")
+            for lo in range(0, n, CSV_CHUNK_ROWS):  # Python numbers, as a per-row loop prints
+                chunk = [c[lo:lo + CSV_CHUNK_ROWS].tolist() for c in (idx, times, counts)]
+                f.write("".join(["%d,%.6f,%d\n" % values for values in zip(*chunk)]))
         return
     # Bin starts are linear in k, so all of them lie between the first and
     # the last; bin k starts (start_s + k * bin_s) s and start_frac µs.
@@ -515,34 +517,18 @@ def _ascii_rows(n_rows: int, fields: list) -> bytes:
     return chars[keep].tobytes()
 
 
-def write_csv_columns(path, header: str, row: str, columns: list[np.ndarray],
-                      chunk_rows: int) -> None:
-    """Write ``header``, then ``row % values`` for each row of ``columns``.
-
-    Rows are formatted ``chunk_rows`` at a time, from Python numbers, so
-    each value prints as it would from a per-row loop.
-    """
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(header + "\n")
-        for start in range(0, len(columns[0]), chunk_rows):
-            chunk = [c[start:start + chunk_rows].tolist() for c in columns]
-            f.write("".join([row % values for values in zip(*chunk)]))
-
-
-# The t_start_s column as write_series_csv writes it (``%.6f``), one a line.
-_SERIES_TIMES = re.compile(r"-?(?:0|[1-9][0-9]*)\.[0-9]{6}(?:\n-?(?:0|[1-9][0-9]*)\.[0-9]{6})*")
-
-
 def read_series_csv(path) -> CountSeries:
     """Read back a CountSeries CSV written by :func:`write_series_csv`.
 
-    Bin indices must run 0, 1, 2, ... and start times, in the writer's
-    ``%.6f`` form, must increase in even steps of a whole number of seconds
-    (within ``SPACING_TOL_S``); anything else raises ``ValueError`` naming
-    the path and line.
+    Each row must be ASCII ``bin_index,t_start_s,count``, with the time in
+    the writer's ``%.6f`` form.  Bin indices must run 0, 1, 2, ... and start
+    times must increase in even steps of a whole number of seconds (within
+    ``SPACING_TOL_S``).  Anything else raises ``ValueError`` naming the path
+    and the first line that breaks the format.
     """
+    # A negative count matches too, so that it gets the range message; -0 does not.
+    row_form = re.compile(r"([0-9]+),(-?(?:0|[1-9][0-9]*)\.[0-9]{6}),([0-9]+|-0*[1-9][0-9]*)")
     counts: list[int] = []
-    times: list[str] = []
     t_first = 0.0
     bin_size = 1
     with open(path, encoding="utf-8") as f:
@@ -555,18 +541,13 @@ def read_series_csv(path) -> CountSeries:
             line = line.strip()
             if not line:
                 continue
-            try:
-                idx_s, t_text, count_s = line.split(",")
-                idx, t_s, count = int(idx_s), float(t_text), int(count_s)
-                # int() and float() also take signs, blanks, "_" and non-ASCII
-                # digits; times are checked against the writer's form below.
-                if (not (line.isascii() and idx_s.isdigit() and (count_s.isdigit() or count < 0))
-                        or not math.isfinite(t_s)):
-                    raise ValueError(line)
-            except ValueError:
+            row = row_form.fullmatch(line)
+            if row is None:
                 raise ValueError(
                     f"{where}{line_no}: expected bin_index,t_start_s,count, got {line!r}"
-                ) from None
+                )
+            idx_s, t_text, count_s = row.groups()
+            idx, t_s, count = int(idx_s), float(t_text), int(count_s)
             if idx != len(counts):
                 raise ValueError(f"{where}{line_no}: bin index {idx}, expected {len(counts)}")
             if not 0 <= count < 2**63:
@@ -589,14 +570,6 @@ def read_series_csv(path) -> CountSeries:
                 )
             t_prev = t_s
             counts.append(count)
-            times.append(t_text)
     if not counts:
         raise ValueError(f"{path}: empty series")
-    if _SERIES_TIMES.fullmatch("\n".join(times)) is None:
-        # One scan for the whole column; only a failure looks for the line.
-        j = next(j for j, t in enumerate(times) if _SERIES_TIMES.fullmatch(t) is None)
-        with open(path, encoding="utf-8") as f:
-            line_no, line = [(n, l.strip()) for n, l in enumerate(f, start=1) if l.strip()][j + 1]
-        raise ValueError(f"{path}: line {line_no}: expected bin_index,t_start_s,count, "
-                         f"got {line!r}")
     return CountSeries(int(round(t_first * 1e6)), bin_size, np.array(counts))

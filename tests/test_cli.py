@@ -194,6 +194,21 @@ class TestExtract:
                        "--origin", "abr1", "--out", out) == 2
         assert "topology" in capsys.readouterr().err
 
+    # Digits that str.isdigit() takes but a router id never holds: Arabic-Indic
+    # digits (which int() reads as 10) and a superscript (which int() refuses).
+    @pytest.mark.parametrize("origin", ["\u0661\u0660.0.0.1", "1\u00b2.0.0.1"],
+                             ids=["arabic-indic", "superscript"])
+    @pytest.mark.parametrize("topology, message", [
+        ((), "is not a dotted-quad router id"),
+        (("--topology", "paper16"), "not present in topology"),
+    ], ids=["no-topology", "topology"])
+    def test_origin_with_non_ascii_digits_exits_2(self, quiet_run, tmp_path, capsys, origin,
+                                                   topology, message):
+        assert run_cli("extract", "--log", quiet_run / "events_rcs1.jsonl", "--origin", origin,
+                       *topology, "--out", tmp_path / "x.csv") == 2
+        assert f"origin {origin!r} {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_origin_name_resolution(self, quiet_run, tmp_path):
         out = tmp_path / "abr1.csv"
         assert run_cli("extract", "--log", quiet_run / "events_rcs1.jsonl",
@@ -371,8 +386,8 @@ class TestDetect:
 
     def test_uneven_series_exits_2(self, tmp_path, capsys):
         path = tmp_path / "uneven.csv"
-        rows = [f"{i},{10 * i},{i % 3}" for i in range(300)]
-        rows[250] = "250,2505,1"
+        rows = [f"{i},{10 * i}.000000,{i % 3}" for i in range(300)]
+        rows[250] = "250,2505.000000,1"
         path.write_text("bin_index,t_start_s,count\n" + "\n".join(rows) + "\n")
         assert run_cli("detect", path, "--out", tmp_path / "d") == 2
         assert "line 252: uneven spacing" in capsys.readouterr().err
@@ -382,8 +397,8 @@ class TestDetect:
     @pytest.mark.parametrize("count", ["-4", "9" * 30])
     def test_count_outside_int64_exits_2(self, tmp_path, capsys, command, count):
         path = tmp_path / "bad_count.csv"
-        rows = [f"{i},{10 * i},{i % 3}" for i in range(300)]
-        rows[50] = f"50,500,{count}"
+        rows = [f"{i},{10 * i}.000000,{i % 3}" for i in range(300)]
+        rows[50] = f"50,500.000000,{count}"
         path.write_text("bin_index,t_start_s,count\n" + "\n".join(rows) + "\n")
         out = ("--out", tmp_path / "d") if command == "detect" else ()
         assert run_cli(command, path, *out) == 2

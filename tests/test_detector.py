@@ -1,11 +1,10 @@
 """Sliding-window analysis and change-detector behavior."""
 
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -31,6 +30,42 @@ def csv_bytes(tmp_path, measures):
     path = tmp_path / "measures.csv"
     detect.write_measures_csv(path, measures)
     return path.read_bytes()
+
+
+def per_row_csv(measures):
+    """``measures.csv`` as a plain loop over the rows writes it."""
+    lines = ["window_end_bin,t_s," + ",".join(rqa.MEASURE_NAMES) + "\n"]
+    for i in range(len(measures)):
+        values = tuple(measures.values[name][i] for name in rqa.MEASURE_NAMES)
+        lines.append("%d,%.6f," % (measures.window_end_bins[i], measures.time_s(i))
+                     + ",".join(["%.12g"] * 9) % values + "\n")
+    return "".join(lines).encode()
+
+
+# Values whose bits differ where their text may not: both zeros, NaNs of
+# both signs and with a payload, both infinities, and subnormals.
+SPECIAL_FLOATS = [0.0, -0.0, np.nan, np.copysign(np.nan, -1.0),
+                  float(np.array(0x7FF8_0000_0000_0001).view(float)), np.inf, -np.inf,
+                  5e-324, -2.5e-310, 1e-300, 1.2345678901234567e300, 0.5]
+# Three rows of them, each value in three of the nine measures.
+SPECIAL_TABLE = [[-0.0, np.nan, 1e-300] * 3, [np.inf, 0.0, 1.2345678901234567e300] * 3,
+                 [0.5] * 9]
+measure_rows = st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+                        min_size=9, max_size=9)
+
+
+@st.composite
+def row_pools(draw):
+    """One to five rows of nine measures, most of them the first row with
+    one value negated (so -0.0 beside 0.0, say)."""
+    first = draw(measure_rows)
+    pool = [first]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        row = list(first) if draw(st.booleans()) else draw(measure_rows)
+        j = draw(st.integers(min_value=0, max_value=8))
+        row[j] = -row[j]
+        pool.append(row)
+    return pool
 
 
 def flat_config(**kw):
@@ -539,28 +574,38 @@ class TestSerialization:
                                  + [f"{ms.values[n][i]:.12g}" for n in rqa.MEASURE_NAMES]))
         assert path.read_text() == "\n".join(rows) + "\n"
 
+    @given(pool=row_pools(),
+           picks=st.lists(st.integers(min_value=0, max_value=4), max_size=40),
+           chunk=st.sampled_from([1, 2, 3, 7]),
+           start_us=st.sampled_from([0, 123_457, 1_700_000_000_123_457]),
+           bin_size=st.sampled_from([1, 10]))
+    @example(pool=SPECIAL_TABLE, picks=[0, 1, 2, 1, 0, 0, 2, 2, 1, 0], chunk=3, start_us=0,
+             bin_size=10)
+    @example(pool=[[0.0] * 9, [0.0] * 8 + [-0.0]], picks=[0, 1, 1, 0], chunk=7, start_us=0,
+             bin_size=1)
+    @settings(max_examples=200, deadline=None)
+    def test_measures_csv_equals_per_row_reference(self, tmp_path_factory, pool, picks, chunk,
+                                                   start_us, bin_size):
+        table = np.array([pool[i % len(pool)] for i in picks]).reshape(len(picks), 9)
+        ms = MeasureSeries(np.arange(7, 7 + len(picks)), dict(zip(rqa.MEASURE_NAMES, table.T)),
+                           bin_size, start_us)
+        with mock.patch.object(detect, "CSV_CHUNK_ROWS", chunk):
+            assert csv_bytes(tmp_path_factory.getbasetemp(), ms) == per_row_csv(ms)
+
     @pytest.mark.parametrize("step", [1, 2, 3, 4])
-    def test_measures_csv_same_with_and_without_distinct_rows(self, tmp_path, step):
+    def test_measures_csv_of_sliding_rqa_and_of_edited_values(self, tmp_path, step):
         cfg = DetectorConfig(window_bins=20, step_bins=step)
         ms = detect.sliding_rqa(count_series([1, 0, 0, 2, 0, 1, 0, 0, 2, 3] * 30,
                                              start_us=123_457), cfg)
-        assert ms._distinct.max() + 1 < len(ms)  # windows repeat
-        assert csv_bytes(tmp_path, ms) == csv_bytes(tmp_path, replace(ms, _distinct=None))
-
-    @pytest.mark.parametrize("case", ["repeats", "stale", "no repeat"])
-    def test_measures_csv_of_a_synthetic_distinct_index(self, tmp_path, case):
-        rng = np.random.default_rng(5)
-        table = np.array([[-0.0, np.nan, 1e-300], [np.inf, 0.0, 1.2345678901234567e300],
-                          [0.5, 0.5, 0.5]]).repeat(3, axis=1)  # (row, measure)
-        rows = rng.integers(0, 3, 50)
-        if case == "no repeat":
-            table, rows = rng.normal(size=(50, 9)), rng.permutation(50)
-        values = table[rows].T
-        if case == "stale":  # a value that no longer matches its row's
-            values[:, 17] = 0.125
-        ms = MeasureSeries(np.arange(7, 57), dict(zip(rqa.MEASURE_NAMES, values)), 10, 0,
-                           _distinct=rows)
-        assert csv_bytes(tmp_path, ms) == csv_bytes(tmp_path, replace(ms, _distinct=None))
+        table = np.stack([ms.values[name] for name in rqa.MEASURE_NAMES], axis=1)
+        assert len(np.unique(table, axis=0)) < len(ms)  # windows repeat
+        with mock.patch.object(detect, "CSV_CHUNK_ROWS", 7):
+            assert csv_bytes(tmp_path, ms) == per_row_csv(ms)
+            # Repeated rows edited apart, and distinct rows edited alike.
+            ms.values["rr"][3] = -0.0
+            ms.values["det"][::5] = np.nan
+            ms.values["tt"][:] = 0.125
+            assert csv_bytes(tmp_path, ms) == per_row_csv(ms)
 
     def test_alerts_jsonl_round_trip(self, tmp_path):
         alerts = [Alert(

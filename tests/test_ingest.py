@@ -385,15 +385,24 @@ class TestBinning:
         assert path.read_text() == oracle.series_csv(-1, 1, counts)
 
     @pytest.mark.parametrize("rows, line, message", [
-        (["0,0,1", "1,10,0", "2,35,2", "3,37,0"], 4, "uneven spacing"),
-        (["0,0,1", "1,10,0", "3,30,2"], 4, "bin index 3, expected 2"),
-        (["1,0,1", "2,10,0"], 2, "bin index 1, expected 0"),
-        (["0,0,1", "1,10,0", "2,10,2"], 4, "does not increase"),
-        (["0,10,1", "1,0,0"], 3, "does not increase"),
-        (["0,0,1", "1,0.4,0"], 3, "not a whole number"),
-        (["0,0,1", "1,12.5,0"], 3, "not a whole number"),
-        (["0,0,1", "1,10"], 3, "expected bin_index,t_start_s,count"),
-        (["0,0,1", "1,inf,0"], 3, "expected bin_index,t_start_s,count"),
+        (["0,0.000000,1", "1,10.000000,0", "2,35.000000,2", "3,37.000000,0"], 4,
+         "uneven spacing"),
+        (["0,0.000000,1", "1,10.000000,0", "3,30.000000,2"], 4, "bin index 3, expected 2"),
+        (["1,0.000000,1", "2,10.000000,0"], 2, "bin index 1, expected 0"),
+        (["0,0.000000,1", "1,10.000000,0", "2,10.000000,2"], 4, "does not increase"),
+        (["0,10.000000,1", "1,0.000000,0"], 3, "does not increase"),
+        (["0,0.000000,1", "1,0.400000,0"], 3, "not a whole number"),
+        (["0,0.000000,1", "1,12.500000,0"], 3, "not a whole number"),
+        (["0,0.000000,1", "1,10.000000"], 3, "expected bin_index,t_start_s,count"),
+        (["0,0.000000,1", "1,inf,0"], 3, "expected bin_index,t_start_s,count"),
+        # The first line that breaks the format is named, whatever follows it.
+        (["0,0.000000,1", "1,1e1,0", "2,20.000000,0", "9,30.000000,0"], 3,
+         "expected bin_index,t_start_s,count"),
+        (["0,0.000000,1", "1,10.0,0", "2,20.000000,0", "junk"], 3,
+         "expected bin_index,t_start_s,count"),
+        (["0,0.000000,1", "1,10.000000,-0", "2,20.000000,-05"], 3,
+         "expected bin_index,t_start_s,count"),
+        (["0,0.000000,1", "1,10.000000,-05"], 3, "count -05 is outside"),
     ])
     def test_csv_rejects_malformed_rows(self, tmp_path, rows, line, message):
         path = tmp_path / "bad.csv"

@@ -1,4 +1,5 @@
-"""Every public function, class and method of the package is used by the package."""
+"""Every public function, class and method of the package is used by the package,
+and no public dataclass carries a private field."""
 
 import ast
 import fnmatch
@@ -66,3 +67,27 @@ def test_allowlist_has_no_stale_entries():
     stale = [pattern for pattern in UNREFERENCED_ALLOWED
              if not fnmatch.filter(unused, pattern)]
     assert stale == []
+
+
+def private_dataclass_fields(package: Path) -> list[str]:
+    """``module.Class._field`` for each field whose name starts with ``_``
+    that a public ``@dataclass`` class of the package declares."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+                continue
+            found += [f"{path.stem}.{node.name}.{item.target.id}" for item in node.body
+                      if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                      and item.target.id.startswith("_")]
+    return found
+
+
+def test_public_dataclasses_have_no_private_fields():
+    # A private field of a public data type is state handed from one
+    # function to another behind the type's documented fields.
+    package = Path(ospfrqa.__file__).resolve().parent
+    assert private_dataclass_fields(package) == []
