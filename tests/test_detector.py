@@ -593,19 +593,41 @@ class TestSerialization:
             assert csv_bytes(tmp_path_factory.getbasetemp(), ms) == per_row_csv(ms)
 
     @pytest.mark.parametrize("step", [1, 2, 3, 4])
-    def test_measures_csv_of_sliding_rqa_and_of_edited_values(self, tmp_path, step):
+    def test_measures_csv_same_with_and_without_distinct_rows(self, tmp_path, step):
         cfg = DetectorConfig(window_bins=20, step_bins=step)
         ms = detect.sliding_rqa(count_series([1, 0, 0, 2, 0, 1, 0, 0, 2, 3] * 30,
                                              start_us=123_457), cfg)
         table = np.stack([ms.values[name] for name in rqa.MEASURE_NAMES], axis=1)
         assert len(np.unique(table, axis=0)) < len(ms)  # windows repeat
-        with mock.patch.object(detect, "CSV_CHUNK_ROWS", 7):
-            assert csv_bytes(tmp_path, ms) == per_row_csv(ms)
-            # Repeated rows edited apart, and distinct rows edited alike.
-            ms.values["rr"][3] = -0.0
-            ms.values["det"][::5] = np.nan
-            ms.values["tt"][:] = 0.125
-            assert csv_bytes(tmp_path, ms) == per_row_csv(ms)
+        # Chunks of 7 share the text of repeated rows; chunks of 1 have no
+        # repeats, so each row is formatted alone.
+        for chunk in (7, 1):
+            with mock.patch.object(detect, "CSV_CHUNK_ROWS", chunk):
+                assert csv_bytes(tmp_path, ms) == per_row_csv(ms)
+        # Repeated rows edited apart, and distinct rows edited alike.
+        ms.values["rr"][3] = -0.0
+        ms.values["det"][::5] = np.nan
+        ms.values["tt"][:] = 0.125
+        for chunk in (7, 1):
+            with mock.patch.object(detect, "CSV_CHUNK_ROWS", chunk):
+                assert csv_bytes(tmp_path, ms) == per_row_csv(ms)
+
+    @pytest.mark.parametrize("case", ["repeats", "stale", "no repeat"])
+    def test_measures_csv_of_a_synthetic_distinct_index(self, tmp_path, case):
+        # Each row is the table row that a synthetic index picks.
+        rng = np.random.default_rng(5)
+        table = np.array([[-0.0, np.nan, 1e-300], [np.inf, 0.0, 1.2345678901234567e300],
+                          [0.5, 0.5, 0.5]]).repeat(3, axis=1)  # (row, measure)
+        rows = rng.integers(0, 3, 50)
+        if case == "no repeat":
+            table, rows = rng.normal(size=(50, 9)), rng.permutation(50)
+        values = table[rows].T
+        if case == "stale":  # a row that no longer equals the table row it was picked from
+            values[:, 17] = 0.125
+        ms = MeasureSeries(np.arange(7, 57), dict(zip(rqa.MEASURE_NAMES, values)), 10, 0)
+        for chunk in (7, detect.CSV_CHUNK_ROWS):
+            with mock.patch.object(detect, "CSV_CHUNK_ROWS", chunk):
+                assert csv_bytes(tmp_path, ms) == per_row_csv(ms)
 
     def test_alerts_jsonl_round_trip(self, tmp_path):
         alerts = [Alert(
