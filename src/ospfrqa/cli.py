@@ -22,6 +22,7 @@ variable supplies a default output directory.
 from __future__ import annotations
 
 import argparse
+import ipaddress
 import json
 import math
 import os
@@ -215,9 +216,12 @@ def resolve_origin(origin: str | None, topology: sim.Topology | None) -> str | N
     """Origins may be dotted-quad router ids or node names (with a topology)."""
     if origin is None:
         return None
-    parts = origin.split(".")
-    if len(parts) == 4 and all(p.isascii() and p.isdigit() and int(p) <= 255 for p in parts):
+    try:
+        # Rejects leading zeros: router ids are matched as strings.
+        ipaddress.IPv4Address(origin)
         return origin
+    except ValueError:
+        pass
     if topology is None:
         raise CliError(
             f"origin {origin!r} is not a dotted-quad router id; "
@@ -317,6 +321,7 @@ def cmd_extract(args) -> int:
 
 def cmd_params(args) -> int:
     s = resolve_settings(args)
+    rqa.EmbedParams(epsilon=s.epsilon)  # rejects epsilon <= 0, as detect does
     series = ingest.read_series_csv(args.series)
     x = series.counts.astype(float)
 

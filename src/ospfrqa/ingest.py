@@ -33,8 +33,6 @@ OSPF_LS_UPDATE = 4
 OSPF_LS_ACK = 5
 
 LSA_HEADER_LEN = 20
-# Bytes read from a pcap file at a time (more when one record is larger).
-PCAP_READ_BYTES = 1 << 20
 # CSV rows formatted per write: whole-column formatting is about twice as
 # fast as formatting value by value, and chunks keep the strings it builds
 # to about 1.5 MB.
@@ -165,32 +163,23 @@ def read_pcap(path) -> tuple[int, Iterator[PcapRecord]]:
     record_header = struct.Struct(endian + "IIII")
 
     def gen() -> Iterator[PcapRecord]:
-        # Records are cut from ``buf``, which holds at most PCAP_READ_BYTES
-        # plus the unread part of one record.
         with open(path, "rb") as f:
             f.seek(24)
-            buf, off = b"", 0
             for k in itertools.count(1):
-                if off + 16 > len(buf):
-                    buf, off = buf[off:] + f.read(max(PCAP_READ_BYTES, 16)), 0
-                    if not buf:
-                        return
-                    if len(buf) < 16:
-                        raise TruncatedPcapError(
-                            f"{path}: record {k}: record header cut short at end of file")
-                ts_sec, ts_usec, incl_len, orig_len = record_header.unpack_from(buf, off)
-                end = off + 16 + incl_len
-                if end > len(buf):
-                    buf = buf[off:] + f.read(max(end - len(buf), PCAP_READ_BYTES))
-                    off, end = 0, 16 + incl_len
-                    if end > len(buf):
-                        raise TruncatedPcapError(
-                            f"{path}: record {k}: record body cut short: "
-                            f"expected {incl_len} bytes, got {len(buf) - 16}"
-                        )
-                yield PcapRecord(ts_sec * 1_000_000 + ts_usec, buf[off + 16:end],
-                                 incl_len < orig_len)
-                off = end
+                header = f.read(16)
+                if not header:
+                    return
+                if len(header) < 16:
+                    raise TruncatedPcapError(
+                        f"{path}: record {k}: record header cut short at end of file")
+                ts_sec, ts_usec, incl_len, orig_len = record_header.unpack(header)
+                data = f.read(incl_len)
+                if len(data) < incl_len:
+                    raise TruncatedPcapError(
+                        f"{path}: record {k}: record body cut short: "
+                        f"expected {incl_len} bytes, got {len(data)}"
+                    )
+                yield PcapRecord(ts_sec * 1_000_000 + ts_usec, data, incl_len < orig_len)
 
     return link_type, gen()
 

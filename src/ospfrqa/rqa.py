@@ -29,13 +29,12 @@ Conventions (documented so results are comparable across tools):
   that meet the relevant minimum length;
 * any measure whose denominator is empty is defined as 0.
 
-Two engines compute the measures of a window in
-:func:`measures_for_series`, and both feed one reducer over the
-line-length histograms P(l), P(v) and P(w):
+Two engines build the line-length histograms P(l), P(v) and P(w) of a
+window, and one reducer turns histograms into the nine measures:
 
 * the float path builds R from the z-scored delay vectors exactly as the
-  conventions above say.  It is the definition, and
-  :func:`rqa_measures` always uses it on the matrix it is given;
+  conventions above say and reads its lines.  It is the definition, and
+  :func:`rqa_measures` reduces the histograms of the matrix it is given;
 * the equality-class engine is a shortcut for integer windows (symbolic
   recurrence, Caballero-Pintado et al., Chaos 2018).  Take a window of
   integers whose population sd, the sd that :func:`znormalize` divides
@@ -52,18 +51,20 @@ line-length histograms P(l), P(v) and P(w):
 
 Windows are evaluated in blocks (many recurrence blocks per kernel call,
 as in PyRQA, Rawald, Sips & Marwan 2017): :func:`measures_for_series`
-takes a ``(B, w)`` block, and a single window is a block of one.  One
-vectorized pass per block centers the rows, applies the equality guard,
-symbolizes the rows inside it, histograms their vertical and white runs
-(``np.bincount`` with per-row offsets) and reduces every row's histograms
-to its measures; only the O(n**2) diagonal scan, and the float path of
-rows outside the guard, loop over rows.  Each row gets the bits it would
-get alone: integer sums are exact and every ratio divides two of them
-once, and each entropy ``-(p * np.log(p)).sum()`` is taken over the
-row's nonzero counts in ascending length order.  numpy sums a row of k
-terms in a fixed pairwise order, which padding rows with zeros to a
-common width would change, so the reducer groups rows by their count k
-of nonzero lengths and sums each group as a contiguous (rows, k) block.
+takes a ``(B, w)`` block, and a single window is passed as a block of
+one.  Both engines write into one (3, B, n + 1) histogram stack per
+block.  One vectorized pass centers the rows, applies the equality guard,
+symbolizes the rows inside it and histograms their vertical and white
+runs (``np.bincount`` with per-row offsets); only the O(n**2) diagonal
+scan, and the float path of rows outside the guard, loop over rows.  A
+single reducer call then gives every row its measures, with the bits the
+row gets in a block of one: integer sums are exact and every ratio
+divides two of them once, and each entropy ``-(p * np.log(p)).sum()`` is
+taken over the row's nonzero counts in ascending length order.  numpy
+sums a row of k terms in a fixed pairwise order, which padding rows with
+zeros to a common width would change, so the reducer groups rows by their
+count k of nonzero lengths and sums each group as a contiguous (rows, k)
+block.
 """
 
 from __future__ import annotations
@@ -257,9 +258,8 @@ def _pairwise_folds(sources, counts, norm):
     step = min(max(1, BLOCK_ELEMENTS // width), counts[0])
     # Two work slots, for a scalar block and the running fold, from one
     # allocation per call.  Allocated apart, glibc's malloc returned the
-    # freed ~640 KB of each 200-bin window to the system and faulted it back
-    # in for the next: 700k page faults and a third more time for
-    # sliding_rqa over the attacks-3seed series.
+    # freed ~640 KB of a 200-bin window to the system and faulted it back
+    # in for the next window of the float path.
     slot_size = (step + max(shifts)) * width
     slots = np.empty(2 * slot_size).reshape(2, slot_size)
     for start in range(0, counts[0], step):
@@ -375,10 +375,11 @@ def _run_bounds(stream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edges[0::2], edges[1::2]
 
 
-def _line_histograms(rm: np.ndarray, theiler: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _line_histograms(rm: np.ndarray, theiler: int) -> np.ndarray:
     """Diagonal, vertical and interior white-vertical length histograms of rm.
 
-    Each is a ``np.bincount`` array: entry l counts the lines of length l.
+    A (3, n + 1) stack of ``np.bincount`` arrays, in that family order:
+    entry ``[f, l]`` counts the lines of family f and length l.
     """
     n = rm.shape[0]
     w = max(theiler, 1)
@@ -392,19 +393,19 @@ def _line_histograms(rm: np.ndarray, theiler: int) -> tuple[np.ndarray, np.ndarr
         out = diags[1 + half * rows * n : 1 + (half + 1) * rows * n].reshape(rows, n)
         out[...] = buf.reshape(n, 2 * n + 1)[:, w:n].T
     starts, ends = _run_bounds(diags)
-    dh = np.bincount(ends - starts)
+    dh = np.bincount(ends - starts, minlength=n + 1)
 
     # Column j of rm is row j of the stream, followed by a False.
     cols = np.zeros(1 + n * (n + 1), dtype=bool)
     cols[1:].reshape(n, n + 1)[:, :n] = rm.T
     starts, ends = _run_bounds(cols)
-    vh = np.bincount(ends - starts)
+    vh = np.bincount(ends - starts, minlength=n + 1)
     # White runs must be flanked by recurrence points on both sides: they
     # are the gaps between successive runs of one column.  A gap before the
     # first or after the last run touches the border and is censored.
     same = (ends[:-1] - 2) // (n + 1) == (starts[1:] - 1) // (n + 1)
-    wh = np.bincount(starts[1:][same] - ends[:-1][same])
-    return dh, vh, wh
+    wh = np.bincount(starts[1:][same] - ends[:-1][same], minlength=n + 1)
+    return np.stack([dh, vh, wh])
 
 
 def _lines(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -493,12 +494,8 @@ def rqa_measures(rm: np.ndarray, l_min: int = 2, v_min: int = 2, theiler: int = 
         raise ValueError("recurrence matrix must be square")
     if l_min < 2 or v_min < 2:
         raise ValueError("l_min and v_min must be >= 2")
-    hists = _line_histograms(rm, theiler)
-    h = np.zeros((3, 1, max(hist.size for hist in hists)), dtype=np.int64)
-    for family, hist in enumerate(hists):
-        h[family, 0, : hist.size] = hist
-    row = _measures_from_histograms(np.array([np.count_nonzero(rm)]), rm.shape[0], h,
-                                    l_min, v_min)[0]
+    row = _measures_from_histograms(np.array([np.count_nonzero(rm)]), rm.shape[0],
+                                    _line_histograms(rm, theiler)[:, None], l_min, v_min)[0]
     return RqaMeasures(*row.tolist())
 
 
@@ -527,52 +524,50 @@ def constant_window_measures(n_points: int) -> RqaMeasures:
     )
 
 
-def measures_for_series(
-    values, params: EmbedParams
-) -> tuple[RqaMeasures, bool] | tuple[np.ndarray, np.ndarray]:
-    """Z-normalize, embed, threshold and quantify a window or a block of windows.
+def measures_for_series(block, params: EmbedParams) -> tuple[np.ndarray, np.ndarray]:
+    """Z-normalize, embed, threshold and quantify a ``(B, w)`` block of windows.
 
-    ``values`` is one window (1-D) or a ``(B, w)`` block of windows of one
-    length; a window is quantified as a block of one.  For a window the
-    result is ``(measures, degenerate)``; for a block it is a ``(B, 9)``
-    array of measures in ``MEASURE_NAMES`` order and a ``(B,)`` bool array
-    of degenerate flags.  Each row equals the row quantified alone, bit for
-    bit.
+    Returns a ``(B, 9)`` array of measures in ``MEASURE_NAMES`` order and a
+    ``(B,)`` bool array of degenerate flags.  A single window is the block
+    of one ``window[None]``; each row gets the bits it gets in a block of
+    one, whatever the other rows of its block.
 
     Degenerate (zero-variance) rows short-circuit to
     :func:`constant_window_measures` so quiet OSPF stretches never fault.
-    The rows in the equality regime go through one vectorized pass per
-    block (module docstring); the rest take the float path one at a time,
-    into the same reducer.
+    Every other row's line-length histograms go into one (3, B, n + 1)
+    stack, the equality regime's from one vectorized pass and the rest from
+    the float path one row at a time, and one reducer call turns the stack
+    into measures (module docstring).
     """
-    x = np.asarray(values, dtype=float)
-    block = x[None] if x.ndim == 1 else x
-    if block.ndim != 2:
-        raise ValueError("measures_for_series expects a window or a (B, w) block of windows")
-    w = block.shape[1]
+    x = np.asarray(block, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"measures_for_series expects a (B, w) block of windows, not a "
+                         f"{x.ndim}-D array; pass a single window as window[None]")
+    b, w = x.shape
     if w < params.min_series_length():
         raise SeriesTooShortError(
             f"window of {w} bins cannot be embedded with tau={params.tau}, "
             f"m={params.m}; need at least {params.min_series_length()}"
         )
-    centered, sd = _centered(block)
+    centered, sd = _centered(x)
     n = params.n_points(w)
-    out = np.empty((block.shape[0], len(MEASURE_NAMES)))
+    h = np.zeros((3, b, n + 1), dtype=np.int64)
+    rm_sum = np.zeros(b, dtype=np.int64)
     degenerate = sd == 0.0
-    out[degenerate] = constant_window_measures(n).as_tuple()
     float_rows = ~degenerate
-    symbols = _symbols(block, sd, params)
+    symbols = _symbols(x, sd, params)
     if symbols is not None:
         rows, codes, counts = symbols
-        out[rows] = _equality_measures(codes, counts, params.theiler, params.l_min, params.v_min)
+        h[:, rows], rm_sum[rows] = _equality_histograms(codes, counts, params.theiler)
         float_rows[rows] = False
     # The recurrence matrix of embed(z, tau, m), built from z directly.
     shifts = range(0, params.m * params.tau, params.tau)
     for r in np.flatnonzero(float_rows):
         rm = _recurrence([(centered[r] / sd[r], shifts)], n, params.epsilon, params.norm)
-        out[r] = rqa_measures(rm, params.l_min, params.v_min, params.theiler).as_tuple()
-    if x.ndim == 1:
-        return RqaMeasures(*out[0].tolist()), bool(degenerate[0])
+        h[:, r] = _line_histograms(rm, params.theiler)
+        rm_sum[r] = np.count_nonzero(rm)
+    out = _measures_from_histograms(rm_sum, n, h, params.l_min, params.v_min)
+    out[degenerate] = constant_window_measures(n).as_tuple()
     return out, degenerate
 
 
@@ -697,9 +692,13 @@ def _diagonal_histograms(codes: np.ndarray, theiler: int) -> np.ndarray:
     return dh
 
 
-def _equality_measures(codes: np.ndarray, counts: np.ndarray, theiler: int,
-                       l_min: int, v_min: int) -> np.ndarray:
-    """The nine measures of the equality matrix of each row of symbols, as (E, 9)."""
+def _equality_histograms(codes: np.ndarray, counts: np.ndarray,
+                         theiler: int) -> tuple[np.ndarray, np.ndarray]:
+    """Line-length histograms of the equality matrix of each row of symbols.
+
+    A (3, E, n + 1) stack, in the family order of :func:`_line_histograms`,
+    and each row's number of recurrence points.
+    """
     e, n = codes.shape
     flat = codes.ravel()
     # Vertical: each run of symbol s in a row is one vertical line in each
@@ -718,8 +717,7 @@ def _equality_measures(codes: np.ndarray, counts: np.ndarray, theiler: int,
     same = symbol[after] == symbol[before]
     after, before = after[same], before[same]
     wh = _row_histograms(row[after], starts[after] - ends[before], weight[after], e, n + 1)
-    h = np.stack([_diagonal_histograms(codes, theiler), vh, wh])
-    return _measures_from_histograms(counts[codes].sum(axis=1), n, h, l_min, v_min)
+    return np.stack([_diagonal_histograms(codes, theiler), vh, wh]), counts[codes].sum(axis=1)
 
 
 # --- embedding-parameter estimation ---------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -209,6 +210,20 @@ class TestExtract:
         assert f"origin {origin!r} {message}" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    # Router ids are matched as strings, so a dotted quad with a leading zero
+    # would keep no event at all.
+    @pytest.mark.parametrize("origin", ["010.0.0.1", "10.0.0.01"])
+    @pytest.mark.parametrize("topology, message", [
+        ((), "is not a dotted-quad router id"),
+        (("--topology", "paper16"), "not present in topology"),
+    ], ids=["no-topology", "topology"])
+    def test_origin_with_leading_zeros_exits_2(self, quiet_run, tmp_path, capsys, origin,
+                                               topology, message):
+        assert run_cli("extract", "--log", quiet_run / "events_rcs1.jsonl", "--monitor", "rcs1",
+                       "--origin", origin, *topology, "--out", tmp_path / "x.csv") == 2
+        assert f"origin {origin!r} {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_origin_name_resolution(self, quiet_run, tmp_path):
         out = tmp_path / "abr1.csv"
         assert run_cli("extract", "--log", quiet_run / "events_rcs1.jsonl",
@@ -326,6 +341,16 @@ class TestParams:
         ingest.write_series_csv(path, ingest.CountSeries(0, 10, np.arange(5)))
         assert run_cli("params", path) == 2
         assert "too short" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epsilon", ["-1", "0"])
+    def test_non_positive_epsilon_exits_2_before_estimating(self, tmp_path, capsys, epsilon):
+        path = write_small_series(tmp_path / "s.csv")
+        with mock.patch.object(rqa, "mutual_information",
+                               side_effect=AssertionError("estimation ran")):
+            assert run_cli("params", path, "--epsilon", epsilon, "--json") == 2
+        captured = capsys.readouterr()
+        assert "epsilon must be > 0" in captured.err
+        assert captured.out == ""
 
     def test_json_report_pinned(self, tmp_path, capsys):
         # Frozen output: MI, FNN (nearest neighbors with lowest-index ties)

@@ -1,8 +1,10 @@
 """Every public function, class and method of the package is used by the package,
-and no public dataclass carries a private field."""
+every module-level constant is read by it, and no public dataclass carries a
+private field."""
 
 import ast
 import fnmatch
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -91,3 +93,38 @@ def test_public_dataclasses_have_no_private_fields():
     # function to another behind the type's documented fields.
     package = Path(ospfrqa.__file__).resolve().parent
     assert private_dataclass_fields(package) == []
+
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def unread_constants(package: Path) -> list[str]:
+    """``module.NAME`` for each module-level constant (an UPPER_CASE name,
+    with or without a leading ``_``, assigned at the top of a module) whose
+    name the package never loads, as a name or an attribute."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    reads = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                for name in ast.walk(target):
+                    if (isinstance(name, ast.Name) and CONSTANT.fullmatch(name.id)
+                            and name.id not in reads):
+                        unread.append(f"{module}.{name.id}")
+    return unread
+
+
+def test_every_module_constant_is_read():
+    # A constant nothing reads is a setting that no longer sets anything.
+    package = Path(ospfrqa.__file__).resolve().parent
+    assert unread_constants(package) == []

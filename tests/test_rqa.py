@@ -186,6 +186,13 @@ class TestRqaMeasures:
         assert all(a <= b + 1e-15 for a, b in zip(rrs, rrs[1:]))
 
 
+def window_measures(x, params):
+    """``measures_for_series`` of one window as a block of one: its row of
+    measures and whether it is degenerate."""
+    (values,), (degenerate,) = rqa.measures_for_series(np.asarray(x, dtype=float)[None], params)
+    return values, bool(degenerate)
+
+
 class TestConstantWindow:
     def test_matches_all_ones_matrix_except_pinned_det(self):
         for n in (5, 20, 199):
@@ -201,17 +208,18 @@ class TestConstantWindow:
 
     def test_measures_for_series_degenerate(self):
         params = rqa.EmbedParams()
-        m, degenerate = rqa.measures_for_series(np.zeros(50), params)
+        values, degenerate = window_measures(np.zeros(50), params)
         assert degenerate
-        assert m.rr == 1.0 and m.det == 1.0
+        assert values.tobytes() == np.array(rqa.constant_window_measures(49).as_tuple()).tobytes()
+        assert values[0] == 1.0 and values[1] == 1.0  # rr and det
 
     def test_measures_for_series_shift_invariant(self):
         params = rqa.EmbedParams()
         rng = np.random.default_rng(11)
         counts = rng.poisson(1.0, size=60).astype(float)
-        a, _ = rqa.measures_for_series(counts, params)
-        b, _ = rqa.measures_for_series(counts + 7, params)
-        assert a == b
+        a, _ = window_measures(counts, params)
+        b, _ = window_measures(counts + 7, params)
+        assert a.tobytes() == b.tobytes()
 
 
 class TestPhaseSpaceDiameter:
@@ -238,10 +246,10 @@ class TestPhaseSpaceDiameter:
 def test_measures_shift_invariant_property(counts, shift):
     params = rqa.EmbedParams()
     x = np.asarray(counts, dtype=float)
-    a, da = rqa.measures_for_series(x, params)
-    b, db = rqa.measures_for_series(x + shift, params)
+    a, da = window_measures(x, params)
+    b, db = window_measures(x + shift, params)
     assert da == db
-    assert a == b
+    assert a.tobytes() == b.tobytes()
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -346,14 +354,14 @@ class TestDistanceKernels:
         assume(not degenerate)
         params = rqa.EmbedParams(tau=tau, m=m, epsilon=eps, norm=norm)
         with mock.patch.object(rqa, "_symbols", return_value=None), \
-                mock.patch.object(rqa, "rqa_measures", wraps=rqa.rqa_measures) as spy:
-            rqa.measures_for_series(x, params)
+                mock.patch.object(rqa, "_line_histograms", wraps=rqa._line_histograms) as spy:
+            window_measures(x, params)
         rm = spy.call_args.args[0]
         want = oracle.recurrence(oracle.embed_points(z.tolist(), tau, m), eps, norm)
         assert rm.astype(int).tolist() == want
-        got, _ = rqa.measures_for_series(x, params)
-        assert_matches_oracle(got, oracle.measures(want, params.l_min, params.v_min,
-                                                   params.theiler))
+        got, _ = window_measures(x, params)
+        assert_matches_oracle(rqa.RqaMeasures(*got.tolist()),
+                              oracle.measures(want, params.l_min, params.v_min, params.theiler))
 
     @given(trajectories(), NORMS, BLOCKS)
     @settings(max_examples=100, deadline=None)
@@ -379,15 +387,16 @@ class TestDistanceKernels:
 
 
 def both_engines(x, params):
-    """``measures_for_series`` as it runs, whether the equality engine ran, and
-    the float path's measures and recurrence matrix."""
-    with mock.patch.object(rqa, "rqa_measures", wraps=rqa.rqa_measures) as spy:
-        got, degenerate = rqa.measures_for_series(x, params)
+    """The measures of window x as ``measures_for_series`` computes them, whether
+    the equality engine ran (no recurrence matrix reached the line
+    statistics), and the float path's measures and recurrence matrix."""
+    with mock.patch.object(rqa, "_line_histograms", wraps=rqa._line_histograms) as spy:
+        got, degenerate = window_measures(x, params)
     assert not degenerate
     equality = spy.call_count == 0
     with mock.patch.object(rqa, "_symbols", return_value=None), \
-            mock.patch.object(rqa, "rqa_measures", wraps=rqa.rqa_measures) as spy:
-        want, _ = rqa.measures_for_series(x, params)
+            mock.patch.object(rqa, "_line_histograms", wraps=rqa._line_histograms) as spy:
+        want, _ = window_measures(x, params)
     return got, equality, want, spy.call_args.args[0]
 
 
@@ -433,7 +442,7 @@ class TestEqualityEngine:
     def test_matches_float_path_bit_for_bit(self, case):
         x, params = case
         got, equality, want, rm = both_engines(x, params)
-        assert got.as_tuple() == want.as_tuple()
+        assert got.tobytes() == want.tobytes()
         _, sd = rqa._centered(x)
         assert equality == (params.epsilon * sd <= 1 - 1e-9)
         event(f"equality engine: {equality}")
@@ -451,7 +460,7 @@ class TestEqualityEngine:
         for params, expect in ((inside, True), (outside, False)):
             got, equality, want, _ = both_engines(x, params)
             assert equality == expect
-            assert got == want
+            assert got.tobytes() == want.tobytes()
 
     def test_beyond_guard_takes_float_path(self):
         # epsilon * sd = 1.05: unequal points one count apart recur.
@@ -460,7 +469,7 @@ class TestEqualityEngine:
         params = rqa.EmbedParams(m=1, epsilon=1.05 / sd)
         got, equality, want, rm = both_engines(x, params)
         assert not equality
-        assert got == want
+        assert got.tobytes() == want.tobytes()
         assert not np.array_equal(rm, equality_matrix(x, 1, 1))
 
     def test_non_integer_window_takes_float_path(self):
@@ -471,7 +480,7 @@ class TestEqualityEngine:
         assert symbols_of(x, params) is None
         got, equality, want, _ = both_engines(x, params)
         assert not equality
-        assert got == want
+        assert got.tobytes() == want.tobytes()
 
     def test_non_finite_window_takes_float_path(self):
         x = np.array([0.0, 1.0, np.inf, 0.0, 1.0, 0.0])
@@ -488,7 +497,7 @@ class TestEqualityEngine:
         assert (symbols_of(x, params) is not None) == expect
         got, equality, want, _ = both_engines(x, params)
         assert equality == expect
-        assert got == want
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("high, m, tau", [(2, 10, 1), (2**20, 5, 2), (3, 40, 1)])
     def test_large_code_spaces(self, high, m, tau):
@@ -501,7 +510,7 @@ class TestEqualityEngine:
         params = rqa.EmbedParams(tau=tau, m=m, epsilon=0.9 / sd, theiler=2)
         got, equality, want, rm = both_engines(x, params)
         assert equality
-        assert got == want
+        assert got.tobytes() == want.tobytes()
         assert np.array_equal(rm, equality_matrix(x, tau, m))
 
 
@@ -549,15 +558,16 @@ class TestBlocks:
     @given(window_blocks())
     @settings(max_examples=200, deadline=None)
     def test_each_row_equals_the_row_alone_and_the_float_path(self, case):
+        # "Alone" is each row as a block of one.
         block, params = case
-        alone = [rqa.measures_for_series(row, params) for row in block]
-        want = np.array([measures.as_tuple() for measures, _ in alone])
+        alone = [window_measures(row, params) for row in block]
+        want = np.array([values for values, _ in alone])
         want_degenerate = np.array([degenerate for _, degenerate in alone])
         with mock.patch.object(rqa, "_symbols", return_value=None):
             forced, forced_degenerate = rqa.measures_for_series(block, params)
         assert forced.tobytes() == want.tobytes()
         assert np.array_equal(forced_degenerate, want_degenerate)
-        for size in (1, 3, detect.BLOCK_WINDOWS):
+        for size in (3, detect.BLOCK_WINDOWS):
             parts = [rqa.measures_for_series(block[i : i + size], params)
                      for i in range(0, len(block), size)]
             got = np.concatenate([values for values, _ in parts])
@@ -580,6 +590,8 @@ class TestBlocks:
         assert values.shape == (0, len(rqa.MEASURE_NAMES)) and degenerate.shape == (0,)
         with pytest.raises(ValueError, match="block of windows"):
             rqa.measures_for_series(np.zeros((2, 3, 20)), params)
+        with pytest.raises(ValueError, match=r"pass a single window as window\[None\]"):
+            rqa.measures_for_series(np.zeros(20), params)
         with pytest.raises(rqa.SeriesTooShortError, match="window of 2 bins"):
             rqa.measures_for_series(np.zeros((3, 2)), rqa.EmbedParams(m=3))
 
