@@ -438,17 +438,17 @@ def _lines(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lines, points, entropy
 
 
-def _measures_from_histograms(rm_sum: np.ndarray, n: int, h: np.ndarray,
-                              l_min: int, v_min: int) -> np.ndarray:
+def _measures_from_histograms(n: int, h: np.ndarray, l_min: int, v_min: int) -> np.ndarray:
     """The nine measures of B windows from their line-length histograms, as (B, 9).
 
     ``h`` is (3, B, width): the diagonal, vertical and white-vertical
     ``np.bincount``-style histograms of each window (entry l counts the
-    lines of length l; trailing zeros are free), and ``rm_sum`` each
-    window's number of recurrence points.  Every ratio is of two exact
-    integer sums, divided once, and each entropy sees the nonzero counts in
-    ascending length order (see :func:`_lines`), so any two ways of
-    building the same histograms give the same bits.
+    lines of length l; trailing zeros are free).  Every recurrence point
+    lies on exactly one vertical line, so RR is read from the vertical
+    histogram.  Every ratio is of two exact integer sums, divided once,
+    and each entropy sees the nonzero counts in ascending length order
+    (see :func:`_lines`), so any two ways of building the same histograms
+    give the same bits.
     """
     b, width = h.shape[1:]
     lengths = np.arange(width)
@@ -463,7 +463,7 @@ def _measures_from_histograms(rm_sum: np.ndarray, n: int, h: np.ndarray,
     ratios = np.divide(num, den, out=np.zeros(num.shape), where=den != 0)
 
     out = np.empty((b, len(MEASURE_NAMES)))
-    out[:, 0] = rm_sum / float(n * n)
+    out[:, 0] = (h[1] @ lengths) / float(n * n)
     out[:, 2] = l_max
     out[:, [1, 3, 5, 7]] = ratios.T
     out[:, [4, 6, 8]] = entropy.T
@@ -494,8 +494,8 @@ def rqa_measures(rm: np.ndarray, l_min: int = 2, v_min: int = 2, theiler: int = 
         raise ValueError("recurrence matrix must be square")
     if l_min < 2 or v_min < 2:
         raise ValueError("l_min and v_min must be >= 2")
-    row = _measures_from_histograms(np.array([np.count_nonzero(rm)]), rm.shape[0],
-                                    _line_histograms(rm, theiler)[:, None], l_min, v_min)[0]
+    row = _measures_from_histograms(rm.shape[0], _line_histograms(rm, theiler)[:, None],
+                                    l_min, v_min)[0]
     return RqaMeasures(*row.tolist())
 
 
@@ -552,21 +552,19 @@ def measures_for_series(block, params: EmbedParams) -> tuple[np.ndarray, np.ndar
     centered, sd = _centered(x)
     n = params.n_points(w)
     h = np.zeros((3, b, n + 1), dtype=np.int64)
-    rm_sum = np.zeros(b, dtype=np.int64)
     degenerate = sd == 0.0
     float_rows = ~degenerate
     symbols = _symbols(x, sd, params)
     if symbols is not None:
         rows, codes, counts = symbols
-        h[:, rows], rm_sum[rows] = _equality_histograms(codes, counts, params.theiler)
+        h[:, rows] = _equality_histograms(codes, counts, params.theiler)
         float_rows[rows] = False
     # The recurrence matrix of embed(z, tau, m), built from z directly.
     shifts = range(0, params.m * params.tau, params.tau)
     for r in np.flatnonzero(float_rows):
         rm = _recurrence([(centered[r] / sd[r], shifts)], n, params.epsilon, params.norm)
         h[:, r] = _line_histograms(rm, params.theiler)
-        rm_sum[r] = np.count_nonzero(rm)
-    out = _measures_from_histograms(rm_sum, n, h, params.l_min, params.v_min)
+    out = _measures_from_histograms(n, h, params.l_min, params.v_min)
     out[degenerate] = constant_window_measures(n).as_tuple()
     return out, degenerate
 
@@ -692,12 +690,10 @@ def _diagonal_histograms(codes: np.ndarray, theiler: int) -> np.ndarray:
     return dh
 
 
-def _equality_histograms(codes: np.ndarray, counts: np.ndarray,
-                         theiler: int) -> tuple[np.ndarray, np.ndarray]:
+def _equality_histograms(codes: np.ndarray, counts: np.ndarray, theiler: int) -> np.ndarray:
     """Line-length histograms of the equality matrix of each row of symbols.
 
-    A (3, E, n + 1) stack, in the family order of :func:`_line_histograms`,
-    and each row's number of recurrence points.
+    A (3, E, n + 1) stack, in the family order of :func:`_line_histograms`.
     """
     e, n = codes.shape
     flat = codes.ravel()
@@ -717,7 +713,7 @@ def _equality_histograms(codes: np.ndarray, counts: np.ndarray,
     same = symbol[after] == symbol[before]
     after, before = after[same], before[same]
     wh = _row_histograms(row[after], starts[after] - ends[before], weight[after], e, n + 1)
-    return np.stack([_diagonal_histograms(codes, theiler), vh, wh]), counts[codes].sum(axis=1)
+    return np.stack([_diagonal_histograms(codes, theiler), vh, wh])
 
 
 # --- embedding-parameter estimation ---------------------------------------

@@ -1,11 +1,16 @@
 """Deterministic discrete-event simulation of OSPF LSA flooding.
 
-The model is traffic-focused: routers originate type-1 LSAs at boot, on a
-refresh timer, and on interface state changes, and flood them reliably
-over point-to-point links with per-message sampled delays.  SPF and the
-forwarding plane are not modeled; failures and attacks matter only through
-the LSA update patterns they create, which is exactly what the detector
-consumes.
+The model is traffic-focused: routers originate type-1 router-LSAs at
+boot, on a refresh timer (every REFRESH_INTERVAL_S, plus or minus a
+jitter of at most that interval), and on interface state changes, and
+flood them reliably over point-to-point links with per-message sampled
+delays.  SPF, the forwarding plane and LSA content are not modeled;
+failures and attacks matter only through the LSA update patterns they
+create, which is exactly what the detector consumes.  Every instance,
+forged or phantom ones included, is a router-LSA whose link state ID is
+its advertising router, so it is identified by (origin, sequence number)
+and each LSDB is keyed by origin.  A partition attack's ``drop_links``
+therefore labels the attack and changes no traffic.
 
 Node roles:
 
@@ -33,6 +38,7 @@ arrivals at its monitors.
 from __future__ import annotations
 
 import heapq
+import ipaddress
 import json
 import math
 import random
@@ -117,7 +123,9 @@ class Topology:
     def __post_init__(self):
         order = list(self.routers) + list(self.stubs) + list(self.hosts)
         self._order = {name: i for i, name in enumerate(order)}
-        self._ids = {name: f"10.0.0.{i + 1}" for i, name in enumerate(order)}
+        # Consecutive IPv4 addresses from 10.0.0.1: the 256th node is 10.0.1.0.
+        first = ipaddress.IPv4Address("10.0.0.1")
+        self._ids = {name: str(first + i) for i, name in enumerate(order)}
 
     def nodes(self) -> list[str]:
         return list(self._order)
@@ -403,16 +411,6 @@ class _DbEntry:
     seq: int
     age_at_install: int
     installed_us: int
-    digest: str
-
-
-@dataclass(frozen=True)
-class _Instance:
-    origin: str      # advertising router id (dotted quad)
-    ls_type: int
-    ls_id: str
-    seq: int
-    digest: str
 
 
 @dataclass
@@ -431,7 +429,8 @@ class _Engine:
         self.heap: list[tuple] = []
         self.counter = 0
         self.warnings: list[str] = []
-        self.db: dict[str, dict[tuple, _DbEntry]] = {n: {} for n in topo.nodes()}
+        # Each node's LSDB, keyed by the advertising router id (module docstring).
+        self.db: dict[str, dict[str, _DbEntry]] = {n: {} for n in topo.nodes()}
         self.own_seq: dict[str, int] = {n: INITIAL_SEQ - 1 for n in topo.routers}
         self.refresh_epoch: dict[str, int] = {n: 0 for n in topo.routers}
         self.phantom_seq: dict[str, int] = {}
@@ -448,17 +447,15 @@ class _Engine:
             lo = int(l.delay_lo_ms * 1000)
             width = int(l.delay_hi_ms * 1000) + 1 - lo
             self.delay_draw[id(l)] = (lo, width, width.bit_length())
-        # Each node's (link, peer) in topology link order, the order in which
-        # a flood draws its delays.
-        self.neighbors = {n: [(l, l.other(n)) for l in topo.links if n in (l.node_a, l.node_b)]
-                          for n in topo.nodes()}
-        # The same without hosts, as (link, peer, peer's heap order,
+        # Each node's OSPF peers in topology link order, the order in which a
+        # flood draws its delays, as (link, peer, peer's heap order,
         # *delay_draw): what ``flood`` needs to push without calling ``push``
         # or ``link_delay_us``.
         self.flood_targets = {
-            n: [(link, peer, topo._order[peer], *self.delay_draw[id(link)])
-                for link, peer in adj if peer not in topo.hosts]
-            for n, adj in self.neighbors.items()
+            n: [(l, l.other(n), topo._order[l.other(n)], *self.delay_draw[id(l)])
+                for l in topo.links
+                if n in (l.node_a, l.node_b) and l.other(n) not in topo.hosts]
+            for n in topo.nodes()
         }
 
     # -- scheduling helpers --
@@ -466,8 +463,8 @@ class _Engine:
     def push(self, t_us: int, node: str, handler, payload: tuple):
         """Schedule ``handler(node, t_us, *payload)``."""
         self.counter += 1
-        order = self.topo._order.get(node, len(self.topo._order))
-        heapq.heappush(self.heap, (t_us, order, self.counter, handler, node, payload))
+        heapq.heappush(self.heap, (t_us, self.topo._order[node], self.counter, handler, node,
+                                   payload))
 
     def link_delay_us(self, link: Link) -> int:
         """A delay drawn uniformly from the link's range, as ``randrange(lo,
@@ -480,12 +477,11 @@ class _Engine:
             r = getrandbits(bits)
         return lo + r
 
-    def record(self, node: str, ts_us: int, inst: _Instance, age: int, is_ack: bool):
+    def record(self, node: str, ts_us: int, origin: str, seq: int, age: int, is_ack: bool):
         for tap in self.taps.get(node, ()):
             self.logs[tap].append(LsaEvent(
-                ts_us=ts_us, monitor=tap, ls_type=inst.ls_type,
-                adv_router=inst.origin, ls_id=inst.ls_id,
-                ls_age=min(age, 3600), ls_seq=inst.seq, is_ack=is_ack,
+                ts_us=ts_us, monitor=tap, ls_type=1, adv_router=origin, ls_id=origin,
+                ls_age=min(age, 3600), ls_seq=seq, is_ack=is_ack,
             ))
 
     def entry_age(self, entry: _DbEntry, now_us: int) -> int:
@@ -493,7 +489,8 @@ class _Engine:
 
     # -- protocol actions --
 
-    def flood(self, node: str, t_us: int, inst: _Instance, age: int, skip_link: Link | None):
+    def flood(self, node: str, t_us: int, origin: str, seq: int, age: int,
+              skip_link: Link | None):
         # ``push`` and ``link_delay_us`` inlined.
         getrandbits, heap, deliver = self.rng.getrandbits, self.heap, self.deliver
         for link, peer, order, lo, width, bits in self.flood_targets[node]:
@@ -503,56 +500,52 @@ class _Engine:
                     r = getrandbits(bits)
                 self.counter += 1
                 heapq.heappush(heap, (t_us + lo + r, order, self.counter, deliver, peer,
-                                      (node, inst, age, link)))
+                                      (node, origin, seq, age, link)))
 
     def refresh(self, node: str, t_us: int, epoch: int):
         # A refresh timer lapses once a newer origination has restarted it.
         if epoch == self.refresh_epoch[node]:
             self.originate(node, t_us)
 
-    def originate(self, node: str, t_us: int, digest: str | None = None):
+    def originate(self, node: str, t_us: int):
         self.own_seq[node] += 1
-        rid = self.rids[node]
-        inst = _Instance(rid, 1, rid, self.own_seq[node], digest or self.link_digest(node))
-        self.db[node][(inst.ls_type, inst.ls_id, inst.origin)] = _DbEntry(inst.seq, 0, t_us, inst.digest)
-        self.record(node, t_us, inst, 0, is_ack=False)
-        self.flood(node, t_us, inst, age=1, skip_link=None)
+        rid, seq = self.rids[node], self.own_seq[node]
+        self.db[node][rid] = _DbEntry(seq, 0, t_us)
+        self.record(node, t_us, rid, seq, 0, is_ack=False)
+        self.flood(node, t_us, rid, seq, age=1, skip_link=None)
         self.refresh_epoch[node] += 1
         interval_us = int(REFRESH_INTERVAL_S * 1e6)
         refresh_at = t_us + interval_us + self.rng.randint(-self.jitter_us, self.jitter_us)
         if refresh_at <= self.duration_us:
             self.push(refresh_at, node, self.refresh, (self.refresh_epoch[node],))
 
-    def link_digest(self, node: str) -> str:
-        up = sorted(peer for link, peer in self.neighbors[node] if link.up)
-        return f"{node}:{','.join(up)}"
-
-    def deliver(self, node: str, t_us: int, sender: str, inst: _Instance, age: int, via: Link):
+    def deliver(self, node: str, t_us: int, sender: str, origin: str, seq: int, age: int,
+                via: Link):
         if node in self.taps:
-            self.record(node, t_us, inst, age, is_ack=False)
+            self.record(node, t_us, origin, seq, age, is_ack=False)
         # Fight-back: an originator seeing a fresher instance of its own LSA
         # immediately advertises a newer one that cancels it.
-        if inst.origin == self.rids.get(node):
-            if inst.seq > self.own_seq[node]:
-                self.own_seq[node] = inst.seq
+        if origin == self.rids.get(node):
+            if seq > self.own_seq[node]:
+                self.own_seq[node] = seq
                 self.originate(node, t_us)
                 return
-        key = (inst.ls_type, inst.ls_id, inst.origin)
-        entry = self.db[node].get(key)
-        if entry is None or inst.seq > entry.seq:
-            self.db[node][key] = _DbEntry(inst.seq, age, t_us, inst.digest)
-            self.send_ack(node, sender, t_us, inst, age, via)
-            self.flood(node, t_us, inst, age=age + 1, skip_link=via)
-        elif inst.seq == entry.seq:
+        entry = self.db[node].get(origin)
+        if entry is None or seq > entry.seq:
+            self.db[node][origin] = _DbEntry(seq, age, t_us)
+            self.send_ack(node, sender, t_us, origin, seq, age, via)
+            self.flood(node, t_us, origin, seq, age=age + 1, skip_link=via)
+        elif seq == entry.seq:
             # Same instance racing in from both sides: the copy with the
             # smaller age is accepted and acknowledged, the other discarded.
             if age < self.entry_age(entry, t_us):
-                self.db[node][key] = _DbEntry(inst.seq, age, t_us, inst.digest)
-                self.send_ack(node, sender, t_us, inst, age, via)
+                self.db[node][origin] = _DbEntry(seq, age, t_us)
+                self.send_ack(node, sender, t_us, origin, seq, age, via)
         # Older instances are silently dropped; the fight-back path already
         # covers falsification freshness, so no flood-back is modeled.
 
-    def send_ack(self, node: str, sender: str, t_us: int, inst: _Instance, age: int, via: Link):
+    def send_ack(self, node: str, sender: str, t_us: int, origin: str, seq: int, age: int,
+                 via: Link):
         """Acknowledge an accepted instance back to the OSPF speaker that sent it.
 
         An ack only matters where a tap records it, so it is scheduled only
@@ -565,7 +558,7 @@ class _Engine:
             return
         arrival_us = t_us + self.link_delay_us(via)
         if sender in self.taps:
-            self.push(arrival_us, sender, self.record, (inst, age, True))
+            self.push(arrival_us, sender, self.record, (origin, seq, age, True))
 
     def set_iface(self, node: str, t_us: int, ev: ScenarioEvent):
         iface, up = ev.subject["iface"], ev.kind == "iface_up"
@@ -582,9 +575,9 @@ class _Engine:
         followup_us = t_us + int(REORIGINATION_FOLLOWUP_S * 1e6)
         for end in (link.node_a, link.node_b):
             if end in self.topo.routers:
-                self.push(t_us, end, self.originate, (None,))
+                self.push(t_us, end, self.originate, ())
                 if followup_us <= self.duration_us:  # originations stop at the end
-                    self.push(followup_us, end, self.originate, (None,))
+                    self.push(followup_us, end, self.originate, ())
 
     iface_down = iface_up = set_iface
 
@@ -596,13 +589,12 @@ class _Engine:
         for src, dst in ((link.node_a, link.node_b), (link.node_b, link.node_a)):
             if src in self.topo.hosts or dst in self.topo.hosts:
                 continue
-            for key, entry in sorted(self.db[src].items()):
-                peer_entry = self.db[dst].get(key)
+            for origin, entry in sorted(self.db[src].items()):
+                peer_entry = self.db[dst].get(origin)
                 if peer_entry is None or entry.seq > peer_entry.seq:
-                    inst = _Instance(key[2], key[0], key[1], entry.seq, entry.digest)
                     age = self.entry_age(entry, t_us) + 1
                     self.push(t_us + self.link_delay_us(link), dst, self.deliver,
-                              (src, inst, age, link))
+                              (src, origin, entry.seq, age, link))
 
     # -- attacks --
 
@@ -610,32 +602,31 @@ class _Engine:
         victim = ev.subject["victim"]
         vid = self.topo.router_id(victim)
         base_seq = self.own_seq[victim]
-        trigger = _Instance(vid, 1, vid, base_seq + 1, "forged-trigger")
-        disguised = _Instance(vid, 1, vid, base_seq + 2, "forged-disguised")
-        self.push(t_us, attacker, self.do_inject, (trigger,))
-        self.push(t_us + int(DISGUISED_LAG_S * 1e6), attacker, self.do_inject, (disguised,))
+        self.push(t_us, attacker, self.do_inject, (vid, base_seq + 1))
+        self.push(t_us + int(DISGUISED_LAG_S * 1e6), attacker, self.do_inject,
+                  (vid, base_seq + 2))
 
-    def do_inject(self, node: str, t_us: int, inst: _Instance):
+    def do_inject(self, node: str, t_us: int, origin: str, seq: int):
         """Install a crafted instance at the compromised node and flood it."""
-        key = (inst.ls_type, inst.ls_id, inst.origin)
-        entry = self.db[node].get(key)
-        if entry is None or inst.seq > entry.seq:
-            self.db[node][key] = _DbEntry(inst.seq, 0, t_us, inst.digest)
-        self.record(node, t_us, inst, 0, is_ack=False)
-        self.flood(node, t_us, inst, age=1, skip_link=None)
+        entry = self.db[node].get(origin)
+        if entry is None or seq > entry.seq:
+            self.db[node][origin] = _DbEntry(seq, 0, t_us)
+        self.record(node, t_us, origin, seq, 0, is_ack=False)
+        self.flood(node, t_us, origin, seq, age=1, skip_link=None)
 
     def attack_adjacency_spoof(self, host: str, t_us: int, ev: ScenarioEvent):
         # host attachments are implicit links; sample the default delay range
         router, phantom_id = self.topo.hosts[host], ev.params["phantom_id"]
         self.phantom_seq[phantom_id] = self.phantom_seq.get(phantom_id, INITIAL_SEQ - 1) + 1
-        inst = _Instance(phantom_id, 1, phantom_id, self.phantom_seq[phantom_id], "phantom")
         lo, hi = DEFAULT_DELAY_RANGE_MS
         delay = self.rng.randint(int(lo * 1000), int(hi * 1000))
-        self.push(t_us + delay, router, self.deliver, (host, inst, 1, None))
+        self.push(t_us + delay, router, self.deliver,
+                  (host, phantom_id, self.phantom_seq[phantom_id], 1, None))
 
     def attack_partition(self, router: str, t_us: int, ev: ScenarioEvent):
-        digest = f"{router}:falsified(-{','.join(sorted(ev.params['drop_links']))})"
-        self.push(t_us, router, self.originate, (digest,))
+        # The falsified instance differs only in content, which is not
+        # modelled: each strike is one re-origination.
+        self.push(t_us, router, self.originate, ())
 
     # -- main loop --
 
@@ -656,7 +647,7 @@ class _Engine:
 
     def run(self) -> None:
         for node in self.topo.routers:
-            self.push(0, node, self.originate, (None,))
+            self.push(0, node, self.originate, ())
         heap = self.heap
         while heap:
             t_us, _order, _c, handler, node, payload = heapq.heappop(heap)
@@ -669,8 +660,13 @@ def run(topology: Topology, scenario: list[ScenarioEvent], duration_s: float,
 
     Identical arguments produce byte-identical logs.  Origination stops at
     ``duration_s`` but in-flight floods drain fully, so per-monitor totals
-    of a quiet run conserve exactly.
+    of a quiet run conserve exactly.  A refresh jitter outside [0,
+    REFRESH_INTERVAL_S] raises ValueError: a refresh could then fall
+    before the origination that scheduled it.
     """
+    if not 0 <= refresh_jitter_s <= REFRESH_INTERVAL_S:
+        raise ValueError(f"refresh jitter {refresh_jitter_s!r} s outside "
+                         f"[0, {REFRESH_INTERVAL_S:g}] s")
     # Shallow copy whose links carry fresh state.
     topo = replace(topology, links=[replace(l, up=True) for l in topology.links])
     validate_scenario(scenario, topo, duration_s)

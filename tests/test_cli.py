@@ -589,6 +589,13 @@ class TestRanges:
         assert f"{cfg}:1: {key} = {value!r}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_jitter_past_the_refresh_interval_exits_2_before_writing(self, tmp_path, capsys):
+        # A refresh could fall before the origination that scheduled it.
+        assert run_cli("simulate", *self.args("simulate", tmp_path), "--jitter", "2500") == 2
+        assert "refresh jitter 2500.0 s outside [0, 1800] s" in capsys.readouterr().err
+        assert list((tmp_path / "o").iterdir()) == []
+        assert run_cli("simulate", *self.args("simulate", tmp_path), "--jitter", "1800") == 0
+
     def test_minimum_itself_is_accepted(self, tmp_path):
         assert run_cli("simulate", "--topology", "paper16", "--duration", "0",
                        "--jitter", "0", "--out", tmp_path / "o") == 0

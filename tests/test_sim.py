@@ -1,7 +1,9 @@
 """Simulator behavior: flooding semantics, determinism, scenarios, attacks."""
 
 import hashlib
+import ipaddress
 import json
+import math
 import random
 
 import pytest
@@ -105,6 +107,13 @@ m a stub
         assert back.stubs == topo.stubs
         assert [l.key() for l in back.links] == [l.key() for l in topo.links]
 
+    def test_router_ids_stay_dotted_quads_past_255_nodes(self):
+        topo = sim.random_topology(300, 2, 1)
+        ids = [topo.router_id(n) for n in topo.nodes()]
+        assert len({ipaddress.IPv4Address(rid) for rid in ids}) == len(ids) == 302
+        # The first 255 keep the ids every shipped topology has always had.
+        assert ids[:256] == [f"10.0.0.{i}" for i in range(1, 256)] + ["10.0.1.0"]
+
 
 class TestScenarios:
     def test_failure_script_shape(self):
@@ -162,6 +171,13 @@ class TestScenarios:
         with pytest.raises(sim.ScenarioError, match="negative"):
             sim.run(two_routers_plus_stub(), [], -1.0, seed=0)
 
+    @pytest.mark.parametrize("jitter", [-1.0, 1800.5, 2500.0, math.nan])
+    def test_refresh_jitter_outside_the_interval_rejected(self, jitter):
+        # Past the 1800 s refresh interval a refresh could be scheduled
+        # before the origination that set it, running the clock backwards.
+        with pytest.raises(ValueError, match="refresh jitter"):
+            sim.run(sim.load_topology("paper16"), [], 20000, seed=3, refresh_jitter_s=jitter)
+
     def test_validation_rejects_out_of_range_time(self):
         topo = two_routers_plus_stub()
         bad = [sim.ScenarioEvent(500.0, "iface_down", {"node": "a", "iface": "eth0"})]
@@ -173,6 +189,21 @@ def serialize(logs):
     return json.dumps(
         {m: [e.__dict__ for e in evs] for m, evs in logs.items()}, sort_keys=True
     )
+
+
+PAPER16 = sim.load_topology("paper16")
+# (kind, subject, params) of every scenario kind on paper16.
+PAPER16_EVENTS = [
+    ("iface_down", {"node": "abr1", "iface": "eth0"}, {}),
+    ("iface_up", {"node": "abr1", "iface": "eth0"}, {}),
+    ("iface_down", {"node": "r6", "iface": "eth1"}, {}),
+    ("iface_up", {"node": "r6", "iface": "eth1"}, {}),
+    ("attack_disguised", {"attacker": "r8", "victim": "r9"},
+     {"period_s": 30.0, "duration_s": 300.0}),
+    ("attack_adjacency_spoof", {"host": "host2"}, {"period_s": 20.0, "duration_s": 200.0}),
+    ("attack_partition", {"router": "r8"},
+     {"period_s": 60.0, "duration_s": 300.0, "drop_links": ["eth0"]}),
+]
 
 
 class TestRun:
@@ -278,6 +309,22 @@ tapc c transit
         assert len(arrivals) == 2
         assert sorted(e.ls_age for e in arrivals) == [1, 2]
 
+    @given(seed=st.integers(0, 2**32), jitter=st.floats(0.0, sim.REFRESH_INTERVAL_S),
+           scenario=st.lists(st.tuples(st.floats(0.0, 3000.0), st.sampled_from(PAPER16_EVENTS)),
+                             max_size=6))
+    @example(seed=3, jitter=sim.REFRESH_INTERVAL_S, scenario=[])
+    @settings(max_examples=40, deadline=None)
+    def test_logs_are_time_ordered_router_lsas(self, seed, jitter, scenario):
+        # Every instance is a router-LSA whose link state ID is its
+        # advertising router, so (origin, seq) identifies it; and with the
+        # jitter within the refresh interval no monitor's clock runs back.
+        events = [sim.ScenarioEvent(t, *ev) for t, ev in sorted(scenario, key=lambda e: e[0])]
+        res = sim.run(PAPER16, events, 4000, seed, refresh_jitter_s=jitter)
+        for mon, log in res.logs.items():
+            ts = [e.ts_us for e in log]
+            assert ts == sorted(ts), mon
+            assert all(e.ls_type == 1 and e.ls_id == e.adv_router for e in log), mon
+
 
 class TestFloodDelayDraw:
     @given(seed=st.integers(0, 2**64), lo_ms=st.integers(0, 50), rounds=st.integers(1, 3),
@@ -295,9 +342,8 @@ class TestFloodDelayDraw:
         topo = sim.Topology(routers={"c": [l.iface_a for l in links]},
                             stubs={l.node_b: ["eth0"] for l in links}, links=links)
         engine = sim._Engine(topo, seed, 10.0)
-        inst = sim._Instance("10.0.0.1", 1, "10.0.0.1", 1, "d")
         for _ in range(rounds):
-            engine.flood("c", 0, inst, 1, None)
+            engine.flood("c", 0, "10.0.0.1", 1, 1, None)
         drawn = [entry[0] for entry in sorted(engine.heap, key=lambda entry: entry[2])]
         ref = random.Random(seed)
         assert drawn == [ref.randrange(start, stop) for _ in range(rounds)
@@ -401,6 +447,16 @@ class TestAttacks:
         top = max(e.ls_seq for e in res.logs["rcs1"]
                   if e.adv_router == r8 and e.ts_us < 800_000_000)
         assert top == max(in_attack)
+
+    def test_partition_drop_links_changes_no_traffic(self):
+        # LSA content is not modelled: the dropped links label the attack.
+        def logs(drop_links):
+            scenario = [sim.ScenarioEvent(
+                500.0, "attack_partition", {"router": "r8"},
+                {"period_s": 60.0, "duration_s": 300.0, "drop_links": drop_links},
+            )]
+            return serialize(sim.run(PAPER16, scenario, 2000, seed=6).logs)
+        assert logs([]) == logs(["eth0"]) == logs(["eth0", "eth1", "eth2"])
 
 
 class TestTotals:
