@@ -1,7 +1,15 @@
 """OSPF anomaly detection with recurrence quantification analysis."""
 
 from .detect import Alert, DetectorConfig, MeasureSeries, analyze_run, sliding_rqa
-from .ingest import CountSeries, EventFilter, LsaEvent, bin_series, read_lsa_log, write_lsa_log
+from .ingest import (
+    CountSeries,
+    EventColumns,
+    EventFilter,
+    LsaEvent,
+    bin_series,
+    read_lsa_log,
+    write_lsa_log,
+)
 from .rqa import (
     MEASURE_NAMES,
     EmbedParams,

@@ -204,12 +204,11 @@ def resolve_settings(args, echo_only=()) -> SimpleNamespace:
 
 
 def resolve_out_dir(out: str | None) -> Path:
+    """The output directory; the command creates it once it has output."""
     out = out or os.environ.get(ENV_OUT)
     if not out:
         raise CliError("no output directory: pass --out or set OSPFRQA_OUT")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(out)
 
 
 def resolve_origin(origin: str | None, topology: sim.Topology | None) -> str | None:
@@ -254,7 +253,7 @@ def cmd_simulate(args) -> int:
     result = sim.run(topo, scenario, s.duration, s.seed, refresh_jitter_s=s.jitter)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-
+    out_dir.mkdir(parents=True, exist_ok=True)
     for monitor, events in result.logs.items():
         ingest.write_lsa_log(out_dir / f"events_{monitor}.jsonl", events)
     manifest = {
@@ -288,11 +287,11 @@ def cmd_extract(args) -> int:
     ls_types = frozenset(args.ls_type) if args.ls_type else None
 
     if s.log is not None:
-        events = list(ingest.read_lsa_log(s.log))
+        events = ingest.read_log_columns(s.log)
     else:
         if s.monitor is None:
             raise CliError("--monitor is required with --pcap (names the capture point)")
-        events = list(ingest.extract_pcap_events(s.pcap, s.monitor))
+        events = ingest.read_pcap_columns(s.pcap, s.monitor)
 
     flt = ingest.EventFilter(
         monitor=s.monitor,
@@ -301,11 +300,12 @@ def cmd_extract(args) -> int:
         include_acks=s.include_acks,
     )
     if s.t0 is None:
-        first = min((e.ts_us for e in events), default=0)
+        first = int(events.ts_us.min()) if len(events) else 0
         t0_us = (first // (s.bin * 1_000_000)) * s.bin * 1_000_000
     else:
         t0_us = round(s.t0 * 1e6)
-    t1_us = round(s.t1 * 1e6) if s.t1 is not None else max((e.ts_us for e in events), default=0) + 1
+    last = int(events.ts_us.max()) if len(events) else 0
+    t1_us = round(s.t1 * 1e6) if s.t1 is not None else last + 1
 
     series = ingest.bin_series(events, flt, s.bin, t0_us, t1_us)
     ingest.write_series_csv(s.out, series)
@@ -387,7 +387,7 @@ def cmd_detect(args) -> int:
     )
     measure_series = detect_mod.sliding_rqa(series, cfg)
     alerts = detect_mod.detect(measure_series, cfg)
-
+    out_dir.mkdir(parents=True, exist_ok=True)
     detect_mod.write_measures_csv(out_dir / "measures.csv", measure_series)
     detect_mod.write_alerts_jsonl(out_dir / "alerts.jsonl", alerts)
     write_config_echo(out_dir / "run_config.cfg", s, series=args.series,

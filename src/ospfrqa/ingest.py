@@ -2,20 +2,27 @@
 
 Two input paths: classic pcap capture files (tcpdump output) holding raw
 OSPF packets, and the JSON-lines event log that the simulator writes and
-every other part of the pipeline exchanges.  Both converge on
-:class:`LsaEvent`; :func:`bin_series` then produces the uniformly binned
-counts the recurrence analysis consumes.
+every other part of the pipeline exchanges.  Each has a per-event
+definition, :func:`extract_pcap_events` and :func:`read_lsa_log`, which
+yields :class:`LsaEvent` objects and words every error, and a columnar
+reader, :func:`read_pcap_columns` and :func:`read_log_columns`, which
+parses a whole file at once into the :class:`EventColumns` that
+:func:`bin_series` counts into the uniformly binned series the
+recurrence analysis consumes.
 
-The log reader and the series CSV writer have a fast path for what the
-pipeline produces: lines as :func:`write_lsa_log` writes them, and series
-from time 0 on with counts below 2^32.  Any other input takes the plain
-path beside it (``json.loads``, ``%`` formatting), which defines the
-format; both paths give the same result for the same input.
+The columnar readers parse in bulk what the pipeline produces: a log
+whose every line is as :func:`write_lsa_log` writes it, and pcap frames
+of the two one-LSA Ethernet layouts.  A log with any other line goes
+through the per-line definition as a whole; any other frame goes through
+:func:`parse_ospf_packet` on its own.  Both paths therefore give the same
+events and the same error messages for the same file.  The series CSV
+writer likewise has a fast path for series from time 0 on with counts
+below 2^32, beside the plain ``%`` formatting that defines the format.
 """
 
 from __future__ import annotations
 
-import itertools
+import ipaddress
 import json
 import re
 import struct
@@ -84,6 +91,51 @@ class LsaEvent:
             raise ValueError(f"ls_age must be in [0, 3600], got {self.ls_age}")
 
 
+@dataclass(frozen=True, eq=False)
+class EventColumns:
+    """What binning reads of a set of events, one array per field.
+
+    ``ts_us`` is int64 (object when a time lies outside int64), ``ls_type``
+    int64 and ``is_ack`` bool; ``monitor`` and ``adv_router`` hold each
+    event's index into the tuples ``monitors`` and ``routers`` of the
+    distinct names.  The events are in no particular order.
+    """
+
+    ts_us: np.ndarray
+    ls_type: np.ndarray
+    is_ack: np.ndarray
+    monitor: np.ndarray
+    monitors: tuple[str, ...]
+    adv_router: np.ndarray
+    routers: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return int(self.ts_us.size)
+
+    @classmethod
+    def from_events(cls, events: Iterable[LsaEvent]) -> EventColumns:
+        """The columns of ``events``, in their order."""
+        events = list(events)
+        ts = [ev.ts_us for ev in events]
+        try:
+            ts_us = np.array(ts, dtype=np.int64)
+        except OverflowError:
+            ts_us = np.array(ts, dtype=object)
+        monitor, monitors = _coded([ev.monitor for ev in events])
+        adv_router, routers = _coded([ev.adv_router for ev in events])
+        return cls(ts_us, np.array([ev.ls_type for ev in events], dtype=np.int64),
+                   np.array([ev.is_ack for ev in events], dtype=bool),
+                   monitor, monitors, adv_router, routers)
+
+
+def _coded(values: Iterable) -> tuple[np.ndarray, tuple]:
+    """Each value's index into the tuple of the distinct values, which is
+    in order of first appearance."""
+    index: dict = {}
+    codes = [index.setdefault(v, len(index)) for v in values]
+    return np.array(codes, dtype=np.intp), tuple(index)
+
+
 @dataclass(frozen=True)
 class EventFilter:
     """Event selector: monitoring point, advertising router, LSA types.
@@ -97,11 +149,16 @@ class EventFilter:
     ls_types: frozenset[int] | None = None
     include_acks: bool = False
 
-    def matches(self, ev: LsaEvent) -> bool:
-        return ((self.include_acks or not ev.is_ack)
-                and (self.monitor is None or ev.monitor == self.monitor)
-                and (self.origin is None or ev.adv_router == self.origin)
-                and (self.ls_types is None or ev.ls_type in self.ls_types))
+    def mask(self, events: EventColumns) -> np.ndarray:
+        """Which of the events the filter selects, as a bool array."""
+        keep = np.ones(len(events), dtype=bool) if self.include_acks else ~events.is_ack
+        for name, codes, names in ((self.monitor, events.monitor, events.monitors),
+                                   (self.origin, events.adv_router, events.routers)):
+            if name is not None:
+                keep &= codes == (names.index(name) if name in names else -1)
+        if self.ls_types is not None:
+            keep &= np.isin(events.ls_type, list(self.ls_types))
+        return keep
 
 
 @dataclass
@@ -142,12 +199,26 @@ def read_pcap(path) -> tuple[int, Iterator[PcapRecord]]:
     (from 1), after the prior records were yielded.
 
     The global header is read and the file closed before this returns;
-    iterating the records opens the file again.  So a stream that is never
-    iterated holds no open file, and one dropped part-way closes its file
-    when the generator is finalized.
+    iterating the records reads the whole file again, at the first
+    record, and closes it at once.  So a stream holds no open file.
     """
     with open(path, "rb") as f:
-        head = f.read(24)
+        endian, link_type = _pcap_header(f.read(24), path)
+
+    def gen() -> Iterator[PcapRecord]:
+        with open(path, "rb") as f:
+            blob = f.read()
+        records, cut_short = _record_table(blob, endian, path)
+        for off, incl_len, orig_len, ts_us in records.tolist():
+            yield PcapRecord(ts_us, blob[off:off + incl_len], incl_len < orig_len)
+        if cut_short is not None:
+            raise cut_short
+
+    return link_type, gen()
+
+
+def _pcap_header(head: bytes, path) -> tuple[str, int]:
+    """The byte order (a struct prefix) and the link type of a global header."""
     if len(head) < 24:
         raise UnsupportedFormatError(f"{path}: too short for a pcap global header")
     magic = struct.unpack("<I", head[:4])[0]
@@ -159,29 +230,34 @@ def read_pcap(path) -> tuple[int, Iterator[PcapRecord]]:
         raise UnsupportedFormatError(
             f"{path}: bad magic 0x{magic:08x}; only classic pcap is supported"
         )
-    link_type = struct.unpack(endian + "I", head[20:])[0]
-    record_header = struct.Struct(endian + "IIII")
+    return endian, struct.unpack(endian + "I", head[20:24])[0]
 
-    def gen() -> Iterator[PcapRecord]:
-        with open(path, "rb") as f:
-            f.seek(24)
-            for k in itertools.count(1):
-                header = f.read(16)
-                if not header:
-                    return
-                if len(header) < 16:
-                    raise TruncatedPcapError(
-                        f"{path}: record {k}: record header cut short at end of file")
-                ts_sec, ts_usec, incl_len, orig_len = record_header.unpack(header)
-                data = f.read(incl_len)
-                if len(data) < incl_len:
-                    raise TruncatedPcapError(
-                        f"{path}: record {k}: record body cut short: "
-                        f"expected {incl_len} bytes, got {len(data)}"
-                    )
-                yield PcapRecord(ts_sec * 1_000_000 + ts_usec, data, incl_len < orig_len)
 
-    return link_type, gen()
+def _record_table(blob: bytes, endian: str, path) -> tuple[np.ndarray, TruncatedPcapError | None]:
+    """One int64 row ``(data offset, incl_len, orig_len, ts_us)`` per whole
+    record of the pcap file ``blob``, in order, and the error of a record
+    cut short after them (naming its number, from 1), if there is one."""
+    incl_at = struct.Struct(endian + "I").unpack_from
+    starts, off, size = [], 24, len(blob)
+    while off + 16 <= size:
+        end = off + 16 + incl_at(blob, off + 8)[0]
+        if end > size:
+            break
+        starts.append(off)
+        off = end
+    starts = np.array(starts, dtype=np.int64)
+    header = np.frombuffer(blob, dtype=np.uint8)[starts[:, None] + np.arange(16)]
+    ts_sec, ts_usec, incl_len, orig_len = header.view(endian + "u4").astype(np.int64).T
+    table = np.stack([starts + 16, incl_len, orig_len, ts_sec * 1_000_000 + ts_usec], axis=1)
+    k = starts.size + 1
+    if off == size:
+        return table, None
+    if off + 16 > size:
+        return table, TruncatedPcapError(
+            f"{path}: record {k}: record header cut short at end of file")
+    return table, TruncatedPcapError(
+        f"{path}: record {k}: record body cut short: "
+        f"expected {incl_at(blob, off + 8)[0]} bytes, got {size - off - 16}")
 
 
 _OSPF_HEADER = struct.Struct(">BBH")  # version, packet type, packet length
@@ -279,12 +355,81 @@ def extract_pcap_events(path, monitor: str) -> Iterator[LsaEvent]:
     link_type, records = read_pcap(path)
     if link_type not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IPV4):
         raise UnsupportedFormatError(f"{path}: unsupported link type {link_type}")
+    for k, rec in enumerate(records, start=1):
+        yield from _record_events(path, k, rec.data, rec.truncated, link_type, rec.ts_us, monitor)
+
+
+def _record_events(path, k: int, frame: bytes, truncated: bool, link_type: int, ts_us: int,
+                   monitor: str) -> list[LsaEvent]:
+    """:func:`parse_ospf_packet` on the frame of record ``k``, with the path,
+    the record and any snaplen cut named in its error."""
     try:
-        for k, rec in enumerate(records, start=1):
-            yield from parse_ospf_packet(rec.data, link_type, rec.ts_us, monitor)
+        return parse_ospf_packet(frame, link_type, ts_us, monitor)
     except MalformedPacketError as e:
-        cut = " (the capture's snaplen cut this frame short)" if rec.truncated else ""
+        cut = " (the capture's snaplen cut this frame short)" if truncated else ""
         raise type(e)(f"{path}: record {k}: {e}{cut}") from None
+
+
+# The two frame layouts the pipeline's pcap writers produce, as (OSPF
+# packet type, frame length): Ethernet, IPv4 with a 20-byte header
+# (IHL 5), protocol 89, a 24-byte OSPFv2 header, then for an LS Update a
+# count of 1 and one bare LSA header, for an LS Ack one LSA header.
+_BULK_LAYOUTS = ((OSPF_LS_UPDATE, 82), (OSPF_LS_ACK, 78))
+
+
+def read_pcap_columns(path, monitor: str) -> EventColumns:
+    """The events of :func:`extract_pcap_events` as columns, or its error.
+
+    In an Ethernet capture, the records whose frames have a layout of
+    ``_BULK_LAYOUTS`` are decoded together at fixed offsets; those whose
+    IPv4 and OSPF headers, OSPF length, LSA count, LSA length, LS type and
+    age are as :func:`parse_ospf_packet` accepts for that layout give their
+    events.  Such a frame parses without error, so a snaplen cut, which
+    only words an error, does not matter for it.  Every other record (raw
+    IPv4, other lengths, any frame that fails a check) goes through
+    :func:`parse_ospf_packet` on its own, in record order.  So the first
+    bad record, or else a cut-short tail, raises the per-record error.
+    """
+    with open(path, "rb") as f:
+        blob = f.read()
+    endian, link_type = _pcap_header(blob[:24], path)
+    if link_type not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IPV4):
+        raise UnsupportedFormatError(f"{path}: unsupported link type {link_type}")
+    records, cut_short = _record_table(blob, endian, path)
+    off, incl_len, orig_len, ts_us = records.T
+    buf = np.frombuffer(blob, dtype=np.uint8)
+    bulk = np.zeros(off.size, dtype=bool)
+    parts = []  # (ts_us, ls_type, is_ack, adv_router as an integer) per layout
+    for ptype, size in _BULK_LAYOUTS if link_type == LINKTYPE_ETHERNET else ():
+        rows = np.flatnonzero(incl_len == size)
+        f = buf[off[rows, None] + np.arange(size)].astype(np.int64)
+        lsa = size - LSA_HEADER_LEN  # offset of the LSA header
+        age, ls_type = f[:, lsa] << 8 | f[:, lsa + 1], f[:, lsa + 3]
+        ok = ((f[:, 12] == 0x08) & (f[:, 13] == 0x00) & (f[:, 14] == 0x45)
+              & (f[:, 23] == OSPF_PROTO) & (f[:, 34] == 2) & (f[:, 35] == ptype)
+              & (f[:, 36] << 8 | f[:, 37] == size - 34)  # OSPF runs to the frame's end
+              & (age <= 3600) & (ls_type >= 1) & (ls_type <= 5))
+        if ptype == OSPF_LS_UPDATE:
+            ok &= ((f[:, 58:62] == (0, 0, 0, 1)).all(axis=1)
+                   & (f[:, lsa + 18] << 8 | f[:, lsa + 19] == LSA_HEADER_LEN))
+        bulk[rows[ok]] = True
+        parts.append((ts_us[rows[ok]], ls_type[ok], np.full(ok.sum(), ptype == OSPF_LS_ACK),
+                      f[ok, lsa + 8:lsa + 12] @ (1 << 24, 1 << 16, 1 << 8, 1)))
+    rest = [ev for i in np.flatnonzero(~bulk).tolist()
+            for ev in _record_events(path, i + 1, blob[off[i]:off[i] + incl_len[i]],
+                                     incl_len[i] < orig_len[i], link_type, int(ts_us[i]),
+                                     monitor)]
+    if cut_short is not None:
+        raise cut_short
+    parts.append((np.array([ev.ts_us for ev in rest], dtype=np.int64),
+                  np.array([ev.ls_type for ev in rest], dtype=np.int64),
+                  np.array([ev.is_ack for ev in rest], dtype=bool),
+                  np.array([int(ipaddress.IPv4Address(ev.adv_router)) for ev in rest],
+                           dtype=np.int64)))
+    ts, ls_type, is_ack, adv = (np.concatenate(column) for column in zip(*parts))
+    adv_router, routers = _coded(adv.tolist())
+    return EventColumns(ts, ls_type, is_ack, np.zeros(ts.size, dtype=np.intp), (monitor,),
+                        adv_router, tuple(str(ipaddress.IPv4Address(r)) for r in routers))
 
 
 # --- JSON-lines event log --------------------------------------------------
@@ -304,14 +449,6 @@ class _JsonStrings(dict):
         return text
 
 
-class _AsciiText(dict):
-    """Memo of ``bytes.decode`` per value, so equal strings are shared."""
-
-    def __missing__(self, raw):
-        self[raw] = text = raw.decode("ascii")
-        return text
-
-
 def write_lsa_log(path, events: Iterable[LsaEvent]) -> int:
     """Write events as JSON lines; returns the number written."""
     q = _JsonStrings()
@@ -325,44 +462,64 @@ def write_lsa_log(path, events: Iterable[LsaEvent]) -> int:
 
 # Exactly the lines that ``write_lsa_log`` emits for ASCII strings free of
 # quotes, backslashes and control characters, and integers of at most 18
-# digits: the fields in LOG_FIELDS order, compact separators, an optional
-# newline.  On such a line the captured groups are the values ``json.loads``
-# returns, so it can skip the JSON parser.
-_JSON_INT = rb"(-?(?:0|[1-9][0-9]{0,17}))"
-_JSON_ASCII = rb'"([\x20\x21\x23-\x5b\x5d-\x7e]*)"'
+# digits (so within int64): the fields in LOG_FIELDS order, compact
+# separators, the newline.  On such a line the groups capture the values
+# ``json.loads`` returns for the fields binning reads.  A match starts at
+# a line start (``^`` under MULTILINE) and ends at its newline, and no
+# field can hold a newline, so it is one whole line.
+_JSON_INT = rb"-?(?:0|[1-9][0-9]{0,17})"
+_JSON_ASCII = rb"[\x20\x21\x23-\x5b\x5d-\x7e]*"  # between the quotes
 _CANONICAL_LINE = re.compile(
-    rb'\{"ts_us":%s,"monitor":%s,"ls_type":%s,"adv_router":%s,"ls_id":%s,'
-    rb'"ls_age":%s,"ls_seq":%s,"is_ack":(true|false)\}\n?'
-    % (_JSON_INT, _JSON_ASCII, _JSON_INT, _JSON_ASCII, _JSON_ASCII, _JSON_INT, _JSON_INT))
+    rb'^\{"ts_us":(%s),"monitor":"(%s)","ls_type":(%s),"adv_router":"(%s)","ls_id":"%s",'
+    rb'"ls_age":(%s),"ls_seq":%s,"is_ack":(true|false)\}\n'
+    % (_JSON_INT, _JSON_ASCII, _JSON_INT, _JSON_ASCII, _JSON_ASCII, _JSON_INT, _JSON_INT),
+    re.MULTILINE)
 
 
 def read_lsa_log(path) -> Iterator[LsaEvent]:
     """Stream events back from a JSON-lines log, validating each line.
 
-    A line as :func:`write_lsa_log` writes it (see ``_CANONICAL_LINE``) is
-    read by one regular-expression match; every other line, blank lines,
-    whitespace, escapes, non-ASCII text, extra, missing or duplicate keys
-    included, goes through ``json.loads`` and the field checks, which stay
-    the definition of the format.  Both give the same event for the same
-    line, and ``LsaEvent`` validates either.  A bad line raises
-    :class:`LogFormatError` naming the path and the line.
+    Each line goes through ``json.loads`` and the field checks, which are
+    the definition of the format; blank lines are skipped.  A bad line
+    raises :class:`LogFormatError` naming the path and the line.
     """
-    canonical = _CANONICAL_LINE.fullmatch
-    text = _AsciiText()
     with open(path, "rb") as f:
         for line_no, raw in enumerate(f, start=1):
-            m = canonical(raw)
             try:
-                if m is None:
-                    event = _parse_log_line(raw)
-                else:
-                    ts, mon, ls_type, adv, ls_id, age, seq, ack = m.groups()
-                    event = LsaEvent(int(ts), text[mon], int(ls_type), text[adv], text[ls_id],
-                                     int(age), int(seq), ack == b"true")
+                event = _parse_log_line(raw)
             except ValueError as e:
                 raise LogFormatError(f"{path}: line {line_no}: {e}") from None
             if event is not None:
                 yield event
+
+
+def read_log_columns(path) -> EventColumns:
+    """The events of :func:`read_lsa_log` as columns, or its error.
+
+    When every line of the file (the last one may lack its newline) is a
+    ``_CANONICAL_LINE`` and every LS type and age passes ``LsaEvent``'s
+    checks, the columns come from one ``findall`` over the file's bytes.
+    Any other file is read by :func:`read_lsa_log` as a whole, so a bad
+    line gets the message of the definition.
+    """
+    with open(path, "rb") as f:
+        blob = f.read()
+    if blob and not blob.endswith(b"\n"):
+        blob += b"\n"
+    rows = _CANONICAL_LINE.findall(blob)
+    if len(rows) == blob.count(b"\n"):  # each match is one whole line
+        n = len(rows)
+        ts, monitor, ls_type, adv_router, ls_age, is_ack = zip(*rows) if n else [()] * 6
+        ls_type = np.fromiter(map(int, ls_type), np.int64, n)
+        ls_age = np.fromiter(map(int, ls_age), np.int64, n)
+        if ((ls_type >= 1) & (ls_type <= 5) & (ls_age >= 0) & (ls_age <= 3600)).all():
+            monitor, monitors = _coded(monitor)
+            adv_router, routers = _coded(adv_router)
+            return EventColumns(np.fromiter(map(int, ts), np.int64, n), ls_type,
+                                np.fromiter(map(b"true".__eq__, is_ack), bool, n),
+                                monitor, tuple(m.decode("ascii") for m in monitors),
+                                adv_router, tuple(r.decode("ascii") for r in routers))
+    return EventColumns.from_events(read_lsa_log(path))
 
 
 def _parse_log_line(raw: bytes) -> LsaEvent | None:
@@ -403,7 +560,7 @@ def _expect(rec, key, kind):
 
 
 def bin_series(
-    events: Iterable[LsaEvent],
+    events: EventColumns,
     flt: EventFilter,
     bin_size_s: int,
     t0_us: int,
@@ -420,17 +577,13 @@ def bin_series(
     if bin_size_s < 1:
         raise ValueError("bin size must be >= 1 second")
     bin_us = bin_size_s * 1_000_000
-    n_bins = -((t0_us - t1_us) // bin_us)  # ceil of duration / bin
-    counts = np.zeros(n_bins, dtype=np.int64)
-    dropped = 0
-    for ev in events:
-        if not flt.matches(ev):
-            continue
-        if not t0_us <= ev.ts_us < t1_us:
-            dropped += 1
-            continue
-        counts[(ev.ts_us - t0_us) // bin_us] += 1
-    return CountSeries(t0_us, bin_size_s, counts, dropped)
+    counts = np.zeros(-((t0_us - t1_us) // bin_us), dtype=np.int64)  # ceil of duration / bin
+    ts = events.ts_us[flt.mask(events)]
+    inside = ts[(ts >= t0_us) & (ts < t1_us)]
+    if inside.size:  # else t0 may lie outside int64, where the subtraction overflows
+        per_bin = np.bincount(((inside - t0_us) // bin_us).astype(np.intp))
+        counts[:per_bin.size] = per_bin
+    return CountSeries(t0_us, bin_size_s, counts, ts.size - inside.size)
 
 
 def write_series_csv(path, series: CountSeries) -> None:

@@ -309,13 +309,22 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_router_id(value) -> bool:
+    """Whether ``value`` is an IPv4 address string in the canonical dotted
+    form, the only form ``extract --origin`` selects and a pcap carries."""
+    try:
+        return isinstance(value, str) and str(ipaddress.IPv4Address(value)) == value
+    except ValueError:
+        return False
+
+
 # Params key -> (test of a value given for it, what the value must be).
 _PARAM_CHECKS = {
     "period_s": (lambda v: _is_number(v) and MIN_STRIKE_PERIOD_S <= v <= sys.float_info.max,
                  f"a finite number of at least {MIN_STRIKE_PERIOD_S:g} s (MinLSArrival)"),
     "duration_s": (lambda v: _is_number(v) and 0 <= v <= sys.float_info.max,
                    "a finite number >= 0"),
-    "phantom_id": (lambda v: isinstance(v, str), "a string"),
+    "phantom_id": (_is_router_id, "a dotted-quad router id such as 10.99.0.99"),
     "drop_links": (lambda v: isinstance(v, list) and all(isinstance(l, str) for l in v),
                    "a list of strings"),
 }

@@ -1,8 +1,8 @@
-"""Brute-force references for the recurrence measures, the scoring and
-the file formats.
+"""Brute-force references for the recurrence measures, the scoring, the
+binning and the file formats.
 
 Everything here is deliberately naive: explicit python loops over matrix
-cells, diagonals, columns and baseline windows, and plain ``math`` and
+cells, diagonals, columns, baseline windows and events, and plain ``math`` and
 ``statistics`` arithmetic; files are written one row and read one record
 at a time.  It shares no code with the package's vectorized and bulk
 implementations so the two can check each other.
@@ -225,3 +225,45 @@ def pcap_records(blob):
                         incl_len < orig_len))
         off += 16 + incl_len
     return records, False
+
+
+def lsa_pcap(events):
+    """A little-endian Ethernet pcap holding, per event, one frame: an LS
+    Update with that one LSA header, or an LS Ack for an ack event."""
+    out = [struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)]
+    for e in events:
+        lsa = struct.pack(">HBB4s4siHH", e.ls_age, 0, e.ls_type, _ip(e.ls_id),
+                          _ip(e.adv_router), e.ls_seq, 0, 20)
+        ptype, body = (5, lsa) if e.is_ack else (4, struct.pack(">I", 1) + lsa)
+        ospf = struct.pack(">BBH4s4sHH8s", 2, ptype, 24 + len(body), _ip(e.adv_router),
+                           bytes(4), 0, 0, bytes(8)) + body
+        ip = struct.pack(">BBHHHBBH4s4s", 0x45, 0, 20 + len(ospf), 0, 0, 1, 89, 0,
+                         bytes([10, 0, 0, 1]), bytes([224, 0, 0, 5])) + ospf
+        frame = b"\x01\x00\x5e\x00\x00\x05" + b"\x02" * 6 + b"\x08\x00" + ip
+        out.append(struct.pack("<IIII", e.ts_us // 1_000_000, e.ts_us % 1_000_000,
+                               len(frame), len(frame)) + frame)
+    return b"".join(out)
+
+
+def _ip(dotted):
+    return bytes(int(part) for part in dotted.split("."))
+
+
+def bin_series(events, flt, bin_size_s, t0_us, t1_us):
+    """Count the events that ``flt`` selects into half-open bins from t0,
+    one event at a time: ``(counts, dropped)``, where ``dropped`` counts the
+    selected events outside [t0, t1)."""
+    bin_us = bin_size_s * 1_000_000
+    counts = [0] * -((t0_us - t1_us) // bin_us)
+    dropped = 0
+    for ev in events:
+        if not ((flt.include_acks or not ev.is_ack)
+                and (flt.monitor is None or ev.monitor == flt.monitor)
+                and (flt.origin is None or ev.adv_router == flt.origin)
+                and (flt.ls_types is None or ev.ls_type in flt.ls_types)):
+            continue
+        if not t0_us <= ev.ts_us < t1_us:
+            dropped += 1
+            continue
+        counts[(ev.ts_us - t0_us) // bin_us] += 1
+    return counts, dropped

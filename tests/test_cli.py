@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracle
 from ospfrqa import detect, ingest, rqa
 from ospfrqa.cli import build_parser, format_setting, main
 
@@ -133,6 +134,7 @@ class TestSimulate:
                        "--scenario", scenario_path,
                        "--duration", "1200", "--out", tmp_path / "x") == 2
         assert "ghost" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("change, key", [
         ({"params": {"period_s": 0}}, "period_s"),
@@ -170,6 +172,10 @@ class TestSimulate:
           "params": {}}, "peer"),
         ({"kind": "iface_up", "subject": {"node": "abr1", "iface": "eth0"},
           "params": {"phantom_id": "10.0.0.1"}}, "phantom_id"),
+        # A phantom router id that extract --origin could never select.
+        *[({"kind": "attack_adjacency_spoof", "subject": {"host": "host2"},
+            "params": {"phantom_id": phantom}}, "phantom_id")
+          for phantom in (5, "not-a-router", "010.99.0.99", "10.99.0.256")],
     ])
     def test_malformed_scenario_event_exits_2_naming_it(self, tmp_path, capsys, change, key):
         good = {"time_s": 10, "kind": "attack_partition", "subject": {"router": "r8"},
@@ -179,6 +185,17 @@ class TestSimulate:
         assert run_cli("simulate", "--topology", "paper16", "--duration", "100",
                        "--scenario", scenario_path, "--out", tmp_path / "x") == 2
         assert f"event 1: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_spoof_with_a_dotted_quad_phantom_simulates(self, tmp_path):
+        scenario_path = tmp_path / "spoof.json"
+        scenario_path.write_text(json.dumps([{
+            "time_s": 10, "kind": "attack_adjacency_spoof", "subject": {"host": "host2"},
+            "params": {"period_s": 30, "duration_s": 60, "phantom_id": "10.99.0.99"}}]))
+        assert run_cli("simulate", "--topology", "paper16", "--duration", "100",
+                       "--scenario", scenario_path, "--out", tmp_path / "x") == 0
+        log = (tmp_path / "x" / "events_rcs1.jsonl").read_text()
+        assert '"adv_router":"10.99.0.99"' in log
 
     def test_scenario_event_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         scenario_path = tmp_path / "bad.json"
@@ -188,7 +205,41 @@ class TestSimulate:
         assert "event 0: expected a JSON object" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def attack_capture(tmp_path_factory):
+    """rcs1's event log of a paper-attacks run, and a pcap of the same events."""
+    out = tmp_path_factory.mktemp("attack_sim")
+    assert run_cli("simulate", "--topology", "paper16", "--scenario", "paper-attacks",
+                   "--duration", "12000", "--seed", "1", "--out", out) == 0
+    log = out / "events_rcs1.jsonl"
+    pcap = out / "rcs1.pcap"
+    pcap.write_bytes(oracle.lsa_pcap(ingest.read_lsa_log(log)))
+    return log, pcap
+
+
+def summary_counts(text):
+    """The bin and event counts of an extract summary line, without its path."""
+    return text.rsplit(" -> ", 1)[0]
+
+
 class TestExtract:
+    @pytest.mark.parametrize("flags", [
+        [], ["--origin", "10.99.0.99"], ["--origin", "r9", "--topology", "paper16"],
+        ["--ls-type", "1"], ["--ls-type", "3"], ["--include-acks"],
+        ["--t0", "2000", "--t1", "5500"],
+    ], ids=["monitor-only", "phantom-origin", "named-origin", "ls-type-1", "ls-type-3",
+            "include-acks", "range"])
+    def test_log_and_pcap_of_the_same_events_extract_alike(self, attack_capture, tmp_path,
+                                                          capsys, flags):
+        log, pcap = attack_capture
+        common = ["--monitor", "rcs1", "--bin", "10", *flags]
+        assert run_cli("extract", "--log", log, *common, "--out", tmp_path / "log.csv") == 0
+        from_log = capsys.readouterr().out
+        assert run_cli("extract", "--pcap", pcap, *common, "--out", tmp_path / "pcap.csv") == 0
+        from_pcap = capsys.readouterr().out
+        assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "pcap.csv").read_bytes()
+        assert summary_counts(from_log) == summary_counts(from_pcap)
+
     def test_origin_by_name_requires_topology(self, quiet_run, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert run_cli("extract", "--log", quiet_run / "events_rcs1.jsonl",
@@ -593,7 +644,7 @@ class TestRanges:
         # A refresh could fall before the origination that scheduled it.
         assert run_cli("simulate", *self.args("simulate", tmp_path), "--jitter", "2500") == 2
         assert "refresh jitter 2500.0 s outside [0, 1800] s" in capsys.readouterr().err
-        assert list((tmp_path / "o").iterdir()) == []
+        assert not (tmp_path / "o").exists()
         assert run_cli("simulate", *self.args("simulate", tmp_path), "--jitter", "1800") == 0
 
     def test_minimum_itself_is_accepted(self, tmp_path):

@@ -8,6 +8,7 @@ import re
 import struct
 import sys
 import warnings
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import oracle
 from ospfrqa import ingest
-from ospfrqa.ingest import EventFilter, LsaEvent
+from ospfrqa.ingest import EventColumns, EventFilter, LsaEvent
 
 
 def make_event(**kw):
@@ -195,27 +196,51 @@ def read_log_by_json_path(blob):
     return events, None
 
 
+# The fields binning reads, which are the ones EventColumns keeps.
+BINNED_FIELDS = ("ts_us", "monitor", "ls_type", "adv_router", "is_ack")
+
+
+def column_events(cols):
+    """The events of ``cols`` as a multiset of their typed binned fields."""
+    names = {"monitor": cols.monitors, "adv_router": cols.routers}
+    columns = [[names[f][i] for i in getattr(cols, f).tolist()] if f in names
+               else getattr(cols, f).tolist() for f in BINNED_FIELDS]
+    return Counter(tuple((type(v), v) for v in row) for row in zip(*columns))
+
+
 def typed(events):
-    return [[(type(v), v) for v in dataclasses.astuple(e)] for e in events]
+    return Counter(tuple((type(getattr(e, f)), getattr(e, f)) for f in BINNED_FIELDS)
+                   for e in events)
 
 
 def assert_reads_as_json_path(path, blob):
-    """``read_lsa_log`` yields what the JSON path yields for ``blob``, then
-    fails, if it does, with the same message."""
+    """``read_log_columns`` gives the events the JSON path gives for
+    ``blob``, or fails, if that does, with the same message."""
     path.write_bytes(blob)
     expected, message = read_log_by_json_path(blob)
-    got = []
     try:
-        for event in ingest.read_lsa_log(path):
-            got.append(event)
+        got = ingest.read_log_columns(path)
     except ingest.LogFormatError as e:
         assert message is not None and str(e) == f"{path}: {message}", blob
     else:
         assert message is None, blob
-    assert typed(got) == typed(expected), blob
+        assert column_events(got) == typed(expected), blob
+
+
+CANONICAL = (b'{"ts_us":5,"monitor":"m","ls_type":1,"adv_router":"10.0.0.1",'
+             b'"ls_id":"10.0.0.1","ls_age":0,"ls_seq":1,"is_ack":false}\n')
 
 
 class TestLogFastPath:
+    def test_canonical_file_is_read_in_bulk(self, tmp_path):
+        events = [make_event(ts_us=t, monitor=f"r{t % 3}", ls_type=1 + t % 5, ls_age=t * 300,
+                             is_ack=t % 2 == 0) for t in range(13)]
+        path = tmp_path / "canonical.jsonl"
+        ingest.write_lsa_log(path, events)
+        with mock.patch.object(ingest, "read_lsa_log", side_effect=AssertionError):
+            cols = ingest.read_log_columns(path)
+        assert column_events(cols) == typed(events)
+
     @given(st.lists(log_line_bytes(), min_size=1, max_size=6), st.booleans())
     @settings(max_examples=400, deadline=None)
     def test_matches_json_path_line_by_line(self, tmp_path_factory, lines, cut_last_newline):
@@ -244,36 +269,73 @@ class TestLogFastPath:
          b'"ls_age":1,"ls_seq":1,"is_ack":true}\n', False),
     ], ids=["no-newline-minus-zero", "edge-values", "bad-ls-type", "bad-ls-age", "raw-del"])
     def test_edge_lines_read_as_json_path(self, tmp_path, line, canonical):
-        # LsaEvent still rejects a bad type or age on a canonical line.
-        assert bool(ingest._CANONICAL_LINE.fullmatch(line)) == canonical
+        # LsaEvent still rejects a bad type or age on a canonical line.  The
+        # columns reader gives a last line its missing newline.
+        assert bool(ingest._CANONICAL_LINE.fullmatch(line.rstrip(b"\n") + b"\n")) == canonical
         assert_reads_as_json_path(tmp_path / "edge.jsonl", line)
+
+    @pytest.mark.parametrize("blob", [
+        b"x" + CANONICAL,
+        CANONICAL + b"\n" + CANONICAL,
+        CANONICAL + b"\n",
+        CANONICAL.replace(b"\n", b"\r\n") * 2,
+        CANONICAL + CANONICAL.rstrip(b"\n"),
+        b"\n",
+    ], ids=["junk-before-a-record", "blank-line", "blank-last-line", "crlf", "no-final-newline",
+            "only-a-newline"])
+    def test_files_that_do_not_tile_read_as_json_path(self, tmp_path, blob):
+        # Each line holds at most one match of the pattern, at its start: a
+        # record glued to the one before it is no match of its own.
+        assert_reads_as_json_path(tmp_path / "tile.jsonl", blob)
+
+    def test_two_records_on_a_line_are_not_valid_json(self, tmp_path):
+        # Were the newline optional, the two records would tile the line.
+        path = tmp_path / "glued.jsonl"
+        path.write_bytes(CANONICAL + CANONICAL.rstrip(b"\n") + CANONICAL)
+        with pytest.raises(ingest.LogFormatError, match=re.escape(
+                f"{path}: line 2: not valid JSON (Extra data)")):
+            ingest.read_log_columns(path)
+
+
+def bin_events(events, *args):
+    return ingest.bin_series(EventColumns.from_events(events), *args)
+
+
+ROUTERS = ["10.0.0.1", "10.0.0.9", "192.168.1.200"]
+
+event_filters = st.builds(
+    EventFilter,
+    monitor=st.sampled_from([None, "rcs1", "r7", "absent"]),
+    origin=st.sampled_from([None, *ROUTERS, "absent"]),
+    ls_types=st.one_of(st.none(), st.frozensets(st.integers(0, 6))),
+    include_acks=st.booleans(),
+)
 
 
 class TestBinning:
     def test_two_events_first_bin(self):
         events = [make_event(ts_us=500_000), make_event(ts_us=9_900_000)]
-        s = ingest.bin_series(events, EventFilter(), 10, 0, 30_000_000)
+        s = bin_events(events, EventFilter(), 10, 0, 30_000_000)
         assert s.counts.tolist() == [2, 0, 0]
 
     def test_boundary_is_half_open(self):
-        s = ingest.bin_series([make_event(ts_us=10_000_000)], EventFilter(), 10, 0, 30_000_000)
+        s = bin_events([make_event(ts_us=10_000_000)], EventFilter(), 10, 0, 30_000_000)
         assert s.counts.tolist() == [0, 1, 0]
 
     def test_no_matching_events(self):
-        s = ingest.bin_series([make_event(monitor="other")],
-                              EventFilter(monitor="m1"), 10, 0, 50_000_000)
+        s = bin_events([make_event(monitor="other")], EventFilter(monitor="m1"), 10, 0, 50_000_000)
         assert s.counts.tolist() == [0] * 5
 
     def test_acks_excluded_by_default(self):
         events = [make_event(is_ack=True), make_event()]
-        s = ingest.bin_series(events, EventFilter(), 10, 0, 10_000_000)
+        s = bin_events(events, EventFilter(), 10, 0, 10_000_000)
         assert s.counts.sum() == 1
-        s2 = ingest.bin_series(events, EventFilter(include_acks=True), 10, 0, 10_000_000)
+        s2 = bin_events(events, EventFilter(include_acks=True), 10, 0, 10_000_000)
         assert s2.counts.sum() == 2
 
     def test_out_of_range_dropped_and_reported(self):
         events = [make_event(ts_us=-5), make_event(ts_us=40_000_000), make_event(ts_us=1)]
-        s = ingest.bin_series(events, EventFilter(), 10, 0, 40_000_000)
+        s = bin_events(events, EventFilter(), 10, 0, 40_000_000)
         assert s.counts.sum() == 1
         assert s.dropped == 2
 
@@ -284,8 +346,22 @@ class TestBinning:
     @settings(max_examples=80, deadline=None)
     def test_conservation_property(self, times, bin_size):
         events = [make_event(ts_us=t) for t in times]
-        s = ingest.bin_series(events, EventFilter(), bin_size, 0, 40_000_000)
+        s = bin_events(events, EventFilter(), bin_size, 0, 40_000_000)
         assert int(s.counts.sum()) + s.dropped == len(times)
+
+    @given(st.lists(st.builds(
+        LsaEvent, ts_us=st.one_of(st.integers(-10**8, 10**9),
+                                  st.sampled_from([-(2**63) - 1, 2**63, 2**70])),
+        monitor=st.sampled_from(["rcs1", "r7", "r14"]), ls_type=st.integers(1, 5),
+        adv_router=st.sampled_from(ROUTERS), ls_id=st.just("10.0.0.1"), ls_age=st.just(1),
+        ls_seq=st.just(1), is_ack=st.booleans()), max_size=40),
+        event_filters, st.integers(1, 30), st.integers(-10**8, 5 * 10**8),
+        st.integers(1, 6 * 10**8))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_event_reference(self, events, flt, bin_size, t0_us, span_us):
+        s = bin_events(events, flt, bin_size, t0_us, t0_us + span_us)
+        assert (s.counts.tolist(), s.dropped) == oracle.bin_series(
+            events, flt, bin_size, t0_us, t0_us + span_us)
 
     def test_csv_round_trip(self, tmp_path):
         s = ingest.CountSeries(0, 10, np.array([1, 0, 4, 2]))
@@ -661,6 +737,133 @@ class TestParseOspf:
         events = list(ingest.extract_pcap_events(path, monitor="tap"))
         assert [e.ts_us for e in events] == [1_000_000, 3_000_000]
         assert all(e.monitor == "tap" for e in events)
+
+
+@st.composite
+def lsa_headers(draw):
+    return lsa_header(ls_age=draw(st.integers(0, 3600)), ls_type=draw(st.integers(1, 5)),
+                      adv=draw(st.sampled_from(ROUTERS)),
+                      seq=draw(st.integers(-(2**31), 2**31 - 1)))
+
+
+@st.composite
+def capture_records(draw):
+    """``(link type, endian, records)`` of a capture mixing the two common
+    frame layouts with uncommon frames, and at most one bad frame or a cut
+    to append; a record is ``(ts_us, frame, orig_len)``."""
+    link_type = draw(st.sampled_from([ingest.LINKTYPE_ETHERNET] * 3 + [ingest.LINKTYPE_RAW_IPV4]))
+    records = []
+    for _ in range(draw(st.integers(0, 8))):
+        hdr = draw(lsa_headers())
+        kind = draw(st.sampled_from(["update", "ack", "update", "ack", "multi-lsa",
+                                     "snaplen-cut", "two-acks", "not-ospf", "hello"]))
+        ospf = {"update": ospf_packet(4, ls_update([hdr])), "ack": ospf_packet(5, hdr),
+                "snaplen-cut": ospf_packet(4, ls_update([hdr])),
+                "multi-lsa": ospf_packet(4, ls_update([hdr, draw(lsa_headers())],
+                                                      bodies={0: b"\x00" * 4})),
+                "two-acks": ospf_packet(5, hdr + draw(lsa_headers())),
+                "hello": ospf_packet(1, b"\x00" * 20), "not-ospf": b"\x00" * 28}[kind]
+        ip = ipv4_packet(ospf, proto=6 if kind == "not-ospf" else 89)
+        frame = eth_frame(ip) if link_type == ingest.LINKTYPE_ETHERNET else ip
+        records.append((draw(st.integers(0, 100 * 10**6)), frame,
+                        len(frame) + (4 if kind == "snaplen-cut" else 0)))
+    return link_type, draw(st.sampled_from(["<", ">"])), records
+
+
+# Edits that take a common frame off its layout (frame offsets of an LS
+# Update): some make it malformed, some only uncommon.
+FRAME_EDITS = {
+    "ls-type-0": lambda f: f[:65] + b"\x00" + f[66:],
+    "ls-type-6": lambda f: f[:65] + b"\x06" + f[66:],
+    "age-3601": lambda f: f[:62] + struct.pack(">H", 3601) + f[64:],
+    "ospf-length-47": lambda f: f[:36] + struct.pack(">H", 47) + f[38:],
+    "ospf-length-49": lambda f: f[:36] + struct.pack(">H", 49) + f[38:],
+    "lsa-count-2": lambda f: f[:58] + struct.pack(">I", 2) + f[62:],
+    "lsa-count-0": lambda f: f[:58] + struct.pack(">I", 0) + f[62:],
+    "lsa-length-19": lambda f: f[:80] + struct.pack(">H", 19) + f[82:],
+    "lsa-length-21": lambda f: f[:80] + struct.pack(">H", 21) + f[82:],
+    "ethertype-arp": lambda f: f[:12] + b"\x08\x06" + f[14:],
+    "ethertype-vlan": lambda f: f[:12] + b"\x81\x00" + f[14:],
+    "ihl-6": lambda f: f[:14] + b"\x46" + f[15:],
+    "protocol-6": lambda f: f[:23] + b"\x06" + f[24:],
+    "ospf-version-3": lambda f: f[:34] + b"\x03" + f[35:],
+    "ospf-type-ack": lambda f: f[:35] + b"\x05" + f[36:],
+    "ospf-type-hello": lambda f: f[:35] + b"\x01" + f[36:],
+    "cut-short": lambda f: f[:-8],
+}
+
+
+def binned_or_error(read, path, flt):
+    """``(counts, dropped)`` of a capture read by ``read`` and binned, or
+    the type and text of the error reading it raised."""
+    try:
+        return read(path, flt)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def per_record(path, flt):
+    return oracle.bin_series(list(ingest.extract_pcap_events(path, "tap")), flt,
+                             10, 10 * 10**6, 90 * 10**6)
+
+
+def by_columns(path, flt):
+    s = ingest.bin_series(ingest.read_pcap_columns(path, "tap"), flt, 10, 10 * 10**6, 90 * 10**6)
+    return s.counts.tolist(), s.dropped
+
+
+class TestPcapColumns:
+    @given(capture_records(), st.data(), event_filters.map(
+        lambda f: dataclasses.replace(f, monitor=None if f.monitor is None else "tap")))
+    @settings(max_examples=300, deadline=None)
+    def test_columns_match_per_record_path(self, tmp_path_factory, capture, data, flt):
+        link_type, endian, records = capture
+        fault = data.draw(st.sampled_from([None, "cut tail", *FRAME_EDITS]))
+        if fault in FRAME_EDITS:
+            frame = FRAME_EDITS[fault](eth_frame(ipv4_packet(ospf_packet(
+                4, ls_update([data.draw(lsa_headers())])))))
+            if link_type == ingest.LINKTYPE_RAW_IPV4:
+                frame = frame[14:]
+            at = data.draw(st.integers(0, len(records)))
+            records.insert(at, (data.draw(st.integers(0, 100 * 10**6)), frame, len(frame)))
+        blob = struct.pack(endian + "IHHiIII", ingest.PCAP_MAGIC, 2, 4, 0, 0, 65535, link_type)
+        for ts_us, frame, orig_len in records:
+            blob += struct.pack(endian + "IIII", ts_us // 10**6, ts_us % 10**6, len(frame),
+                                orig_len) + frame
+        if fault == "cut tail":
+            blob = blob[:len(blob) - data.draw(st.integers(1, 60))] if records else blob + b"\0"
+        path = tmp_path_factory.getbasetemp() / "mixed.pcap"
+        path.write_bytes(blob)
+        assert binned_or_error(by_columns, path, flt) == binned_or_error(per_record, path, flt)
+
+    @pytest.mark.parametrize("edit", FRAME_EDITS)
+    def test_each_frame_edit_matches_per_record_path(self, tmp_path, edit):
+        good = eth_frame(ipv4_packet(ospf_packet(4, ls_update([lsa_header()]))))
+        ack = eth_frame(ipv4_packet(ospf_packet(5, lsa_header(ls_age=3600, ls_type=5))))
+        path = tmp_path / "edited.pcap"
+        path.write_bytes(pcap_bytes([(15 * 10**6, good), (25 * 10**6, FRAME_EDITS[edit](good)),
+                                     (35 * 10**6, ack)]))
+        flt = EventFilter(include_acks=True)
+        assert binned_or_error(by_columns, path, flt) == binned_or_error(per_record, path, flt)
+
+    def test_common_frames_are_decoded_in_bulk(self, tmp_path):
+        events = [make_event(ts_us=t * 10**6, monitor="tap", ls_type=1 + t % 5, is_ack=t % 3 == 0,
+                             adv_router=ROUTERS[t % 3], ls_age=t * 300) for t in range(13)]
+        path = tmp_path / "common.pcap"
+        path.write_bytes(oracle.lsa_pcap(events))
+        with mock.patch.object(ingest, "parse_ospf_packet", side_effect=AssertionError):
+            cols = ingest.read_pcap_columns(path, "tap")
+        assert column_events(cols) == typed(events)
+
+    @pytest.mark.parametrize("endian", ["<", ">"])
+    def test_first_error_in_record_order_wins_over_a_cut_tail(self, tmp_path, endian):
+        good = eth_frame(ipv4_packet(ospf_packet(4, ls_update([lsa_header()]))))
+        blob = pcap_bytes([(1, good), (2, FRAME_EDITS["ls-type-6"](good)), (3, good)], endian)
+        path = tmp_path / "bad.pcap"
+        path.write_bytes(blob[:-1])
+        with pytest.raises(ingest.MalformedPacketError, match=re.escape(
+                f"{path}: record 2: LSA type 6 out of range at offset 65")):
+            ingest.read_pcap_columns(path, "tap")
 
 
 # --- fuzzing: malformed input raises only the documented error types -----

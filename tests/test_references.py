@@ -16,6 +16,8 @@ UNREFERENCED_ALLOWED = {
     "sim.topology_to_text": "wrote the shipped topo20 and topo35 topology files",
     "sim.scenario_to_json": "writes the scenario files that scenario_from_json reads",
     "rqa.RqaMeasures.as_dict": "library call for reading one window's measures by name",
+    "ingest.extract_pcap_events": "the per-record definition of reading a capture, which "
+                                  "read_pcap_columns must match; library call for events",
 }
 
 
