@@ -22,6 +22,7 @@ variable supplies a default output directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import ipaddress
 import json
 import math
@@ -401,6 +402,7 @@ def cmd_detect(args) -> int:
 # --- wiring -----------------------------------------------------------------
 
 
+@functools.cache  # built on the first call, then shared by every call of main
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ospfrqa",
@@ -418,11 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--" + opt.name.replace("_", "-"), dest=opt.name,
                            help=help_text, **kind)
         p.add_argument("--config", help="key=value settings file")
-        # Looked up at call time, so a replaced module attribute is used.
-        p.set_defaults(func=globals()[f"cmd_{command}"])
 
     sub.choices["extract"].add_argument(
-        "--ls-type", dest="ls_type", type=int, action="append", choices=range(1, 6),
+        "--ls-type", dest="ls_type", type=int, action="append", choices=ingest.LS_TYPES,
         help="restrict to LSA type (repeatable)")
     sub.choices["params"].add_argument("--json", action="store_true",
                                        help="machine-readable output")
@@ -434,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up at call time, so a replaced module attribute is used.
+        return globals()[f"cmd_{args.command}"](args)
     except (CliError, OSError, ValueError) as e:
         # Every error class of the package subclasses ValueError.
         print(f"error: {e}", file=sys.stderr)

@@ -15,9 +15,11 @@ whose every line is as :func:`write_lsa_log` writes it, and pcap frames
 of the two one-LSA Ethernet layouts.  A log with any other line goes
 through the per-line definition as a whole; any other frame goes through
 :func:`parse_ospf_packet` on its own.  Both paths therefore give the same
-events and the same error messages for the same file.  The series CSV
-writer likewise has a fast path for series from time 0 on with counts
-below 2^32, beside the plain ``%`` formatting that defines the format.
+events and the same error messages for the same file.  Either pcap
+reader reads a capture whole, once, through one record table.  The
+series CSV writer likewise has a fast path for series from time 0 on
+with counts below 2^32, beside the plain ``%`` formatting that defines
+the format.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ OSPF_LS_UPDATE = 4
 OSPF_LS_ACK = 5
 
 LSA_HEADER_LEN = 20
+LS_TYPES = range(1, 6)  # RFC 2328: router, network, two summaries, AS-external
+MAX_AGE = 3600  # seconds: RFC 2328 MaxAge, the oldest age an LSA can have
 # CSV rows formatted per write: whole-column formatting is about twice as
 # fast as formatting value by value, and chunks keep the strings it builds
 # to about 1.5 MB.
@@ -85,10 +89,10 @@ class LsaEvent:
     is_ack: bool = False
 
     def __post_init__(self):
-        if self.ls_type not in (1, 2, 3, 4, 5):
-            raise ValueError(f"ls_type must be 1-5, got {self.ls_type}")
-        if not 0 <= self.ls_age <= 3600:
-            raise ValueError(f"ls_age must be in [0, 3600], got {self.ls_age}")
+        if self.ls_type not in LS_TYPES:
+            raise ValueError(f"ls_type must be {LS_TYPES[0]}-{LS_TYPES[-1]}, got {self.ls_type}")
+        if not 0 <= self.ls_age <= MAX_AGE:
+            raise ValueError(f"ls_age must be in [0, {MAX_AGE}], got {self.ls_age}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,63 +184,30 @@ class CountSeries:
 # --- pcap ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PcapRecord:
-    ts_us: int
-    data: bytes
-    truncated: bool
-
-
-def read_pcap(path) -> tuple[int, Iterator[PcapRecord]]:
-    """Open a classic pcap file: its link type, and a stream of its records.
-
-    Handles both byte orders; timestamps come back in microseconds.
-    Frames shortened by the capture snaplen are passed through with the
-    ``truncated`` flag set.  A file that does not start with the classic
-    magic raises :class:`UnsupportedFormatError`; a record that ends
-    mid-header or mid-body terminates the stream by raising
-    :class:`TruncatedPcapError`, naming the path and the record's number
-    (from 1), after the prior records were yielded.
-
-    The global header is read and the file closed before this returns;
-    iterating the records reads the whole file again, at the first
-    record, and closes it at once.  So a stream holds no open file.
-    """
+def _read_capture(path) -> tuple[bytes, int, np.ndarray, TruncatedPcapError | None]:
+    """A classic pcap file of either byte order, read whole and once: its
+    bytes, its link type (Ethernet or raw IPv4, else UnsupportedFormatError),
+    its :func:`_record_table` and the error of a record cut short."""
     with open(path, "rb") as f:
-        endian, link_type = _pcap_header(f.read(24), path)
-
-    def gen() -> Iterator[PcapRecord]:
-        with open(path, "rb") as f:
-            blob = f.read()
-        records, cut_short = _record_table(blob, endian, path)
-        for off, incl_len, orig_len, ts_us in records.tolist():
-            yield PcapRecord(ts_us, blob[off:off + incl_len], incl_len < orig_len)
-        if cut_short is not None:
-            raise cut_short
-
-    return link_type, gen()
-
-
-def _pcap_header(head: bytes, path) -> tuple[str, int]:
-    """The byte order (a struct prefix) and the link type of a global header."""
-    if len(head) < 24:
+        blob = f.read()
+    if len(blob) < 24:
         raise UnsupportedFormatError(f"{path}: too short for a pcap global header")
-    magic = struct.unpack("<I", head[:4])[0]
-    if magic == PCAP_MAGIC:
-        endian = "<"
-    elif struct.unpack(">I", head[:4])[0] == PCAP_MAGIC:
-        endian = ">"
-    else:
+    magic = struct.unpack_from("<I", blob)[0]
+    endian = "<" if magic == PCAP_MAGIC else ">"
+    if struct.unpack_from(endian + "I", blob)[0] != PCAP_MAGIC:
         raise UnsupportedFormatError(
-            f"{path}: bad magic 0x{magic:08x}; only classic pcap is supported"
-        )
-    return endian, struct.unpack(endian + "I", head[20:24])[0]
+            f"{path}: bad magic 0x{magic:08x}; only classic pcap is supported")
+    link_type = struct.unpack_from(endian + "I", blob, 20)[0]
+    if link_type not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IPV4):
+        raise UnsupportedFormatError(f"{path}: unsupported link type {link_type}")
+    return (blob, link_type, *_record_table(blob, endian, path))
 
 
 def _record_table(blob: bytes, endian: str, path) -> tuple[np.ndarray, TruncatedPcapError | None]:
     """One int64 row ``(data offset, incl_len, orig_len, ts_us)`` per whole
     record of the pcap file ``blob``, in order, and the error of a record
-    cut short after them (naming its number, from 1), if there is one."""
+    cut short after them (naming its number, from 1), if there is one.
+    A frame that the capture's snaplen cut short has ``incl_len < orig_len``."""
     incl_at = struct.Struct(endian + "I").unpack_from
     starts, off, size = [], 24, len(blob)
     while off + 16 <= size:
@@ -341,9 +312,9 @@ def _decode_lsa_header(frame: bytes, at: int, ts_us: int, monitor: str,
     """The event of the LSA header at offset ``at``, and the LSA's length."""
     h = _LSA_HEADER.unpack_from(frame, at)
     ls_age, ls_type = h[0], h[2]
-    if ls_type not in (1, 2, 3, 4, 5):
+    if ls_type not in LS_TYPES:
         raise MalformedPacketError(f"LSA type {ls_type} out of range at offset {at + 3}")
-    if ls_age > 3600:
+    if ls_age > MAX_AGE:
         raise MalformedPacketError(f"LS age {ls_age} exceeds MaxAge at offset {at}")
     return LsaEvent(ts_us, monitor, ls_type, "%d.%d.%d.%d" % h[7:11], "%d.%d.%d.%d" % h[3:7],
                     ls_age, h[11], is_ack), h[13]
@@ -351,23 +322,30 @@ def _decode_lsa_header(frame: bytes, at: int, ts_us: int, monitor: str,
 
 def extract_pcap_events(path, monitor: str) -> Iterator[LsaEvent]:
     """Stream LSA events out of a capture file, stamping the monitor name.
-    A frame's parse error names the path, the record (from 1) and any snaplen cut."""
-    link_type, records = read_pcap(path)
-    if link_type not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IPV4):
-        raise UnsupportedFormatError(f"{path}: unsupported link type {link_type}")
-    for k, rec in enumerate(records, start=1):
-        yield from _record_events(path, k, rec.data, rec.truncated, link_type, rec.ts_us, monitor)
+
+    The capture is read whole, once, through one record table, before the
+    first event.  A frame's parse error names the path, the record (from 1)
+    and any snaplen cut; a record cut short at the end of the file raises
+    :class:`TruncatedPcapError` after the events before it.
+    """
+    blob, link_type, records, cut_short = _read_capture(path)
+    yield from _record_events(path, blob, link_type, records, np.arange(len(records)), monitor)
+    if cut_short is not None:
+        raise cut_short
 
 
-def _record_events(path, k: int, frame: bytes, truncated: bool, link_type: int, ts_us: int,
-                   monitor: str) -> list[LsaEvent]:
-    """:func:`parse_ospf_packet` on the frame of record ``k``, with the path,
-    the record and any snaplen cut named in its error."""
-    try:
-        return parse_ospf_packet(frame, link_type, ts_us, monitor)
-    except MalformedPacketError as e:
-        cut = " (the capture's snaplen cut this frame short)" if truncated else ""
-        raise type(e)(f"{path}: record {k}: {e}{cut}") from None
+def _record_events(path, blob: bytes, link_type: int, records: np.ndarray, rows: np.ndarray,
+                   monitor: str) -> Iterator[LsaEvent]:
+    """:func:`parse_ospf_packet` on the frames of the ``rows`` of the record
+    table, in order, with the path, the record (from 1) and any snaplen cut
+    named in an error."""
+    for k, (off, incl_len, orig_len, ts_us) in zip((rows + 1).tolist(), records[rows].tolist()):
+        try:
+            events = parse_ospf_packet(blob[off:off + incl_len], link_type, ts_us, monitor)
+        except MalformedPacketError as e:
+            cut = " (the capture's snaplen cut this frame short)" if incl_len < orig_len else ""
+            raise type(e)(f"{path}: record {k}: {e}{cut}") from None
+        yield from events
 
 
 # The two frame layouts the pipeline's pcap writers produce, as (OSPF
@@ -390,13 +368,8 @@ def read_pcap_columns(path, monitor: str) -> EventColumns:
     :func:`parse_ospf_packet` on its own, in record order.  So the first
     bad record, or else a cut-short tail, raises the per-record error.
     """
-    with open(path, "rb") as f:
-        blob = f.read()
-    endian, link_type = _pcap_header(blob[:24], path)
-    if link_type not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IPV4):
-        raise UnsupportedFormatError(f"{path}: unsupported link type {link_type}")
-    records, cut_short = _record_table(blob, endian, path)
-    off, incl_len, orig_len, ts_us = records.T
+    blob, link_type, records, cut_short = _read_capture(path)
+    off, incl_len, _, ts_us = records.T
     buf = np.frombuffer(blob, dtype=np.uint8)
     bulk = np.zeros(off.size, dtype=bool)
     parts = []  # (ts_us, ls_type, is_ack, adv_router as an integer) per layout
@@ -408,17 +381,14 @@ def read_pcap_columns(path, monitor: str) -> EventColumns:
         ok = ((f[:, 12] == 0x08) & (f[:, 13] == 0x00) & (f[:, 14] == 0x45)
               & (f[:, 23] == OSPF_PROTO) & (f[:, 34] == 2) & (f[:, 35] == ptype)
               & (f[:, 36] << 8 | f[:, 37] == size - 34)  # OSPF runs to the frame's end
-              & (age <= 3600) & (ls_type >= 1) & (ls_type <= 5))
+              & np.isin(ls_type, LS_TYPES) & (age <= MAX_AGE))
         if ptype == OSPF_LS_UPDATE:
             ok &= ((f[:, 58:62] == (0, 0, 0, 1)).all(axis=1)
                    & (f[:, lsa + 18] << 8 | f[:, lsa + 19] == LSA_HEADER_LEN))
         bulk[rows[ok]] = True
         parts.append((ts_us[rows[ok]], ls_type[ok], np.full(ok.sum(), ptype == OSPF_LS_ACK),
                       f[ok, lsa + 8:lsa + 12] @ (1 << 24, 1 << 16, 1 << 8, 1)))
-    rest = [ev for i in np.flatnonzero(~bulk).tolist()
-            for ev in _record_events(path, i + 1, blob[off[i]:off[i] + incl_len[i]],
-                                     incl_len[i] < orig_len[i], link_type, int(ts_us[i]),
-                                     monitor)]
+    rest = list(_record_events(path, blob, link_type, records, np.flatnonzero(~bulk), monitor))
     if cut_short is not None:
         raise cut_short
     parts.append((np.array([ev.ts_us for ev in rest], dtype=np.int64),
@@ -512,7 +482,7 @@ def read_log_columns(path) -> EventColumns:
         ts, monitor, ls_type, adv_router, ls_age, is_ack = zip(*rows) if n else [()] * 6
         ls_type = np.fromiter(map(int, ls_type), np.int64, n)
         ls_age = np.fromiter(map(int, ls_age), np.int64, n)
-        if ((ls_type >= 1) & (ls_type <= 5) & (ls_age >= 0) & (ls_age <= 3600)).all():
+        if (np.isin(ls_type, LS_TYPES) & (ls_age >= 0) & (ls_age <= MAX_AGE)).all():
             monitor, monitors = _coded(monitor)
             adv_router, routers = _coded(adv_router)
             return EventColumns(np.fromiter(map(int, ts), np.int64, n), ls_type,
@@ -577,6 +547,8 @@ def bin_series(
     if bin_size_s < 1:
         raise ValueError("bin size must be >= 1 second")
     bin_us = bin_size_s * 1_000_000
+    if bin_us >= 2**63:  # bins are counted in int64 microseconds
+        raise ValueError(f"bin size {bin_size_s} s is too large: at most {(2**63 - 1) // 10**6} s")
     counts = np.zeros(-((t0_us - t1_us) // bin_us), dtype=np.int64)  # ceil of duration / bin
     ts = events.ts_us[flt.mask(events)]
     inside = ts[(ts >= t0_us) & (ts < t1_us)]

@@ -45,7 +45,7 @@ import random
 import sys
 from dataclasses import dataclass, field, replace
 
-from .ingest import LsaEvent
+from .ingest import MAX_AGE, LsaEvent
 
 REFRESH_INTERVAL_S = 1800.0
 REFRESH_JITTER_S = 30.0
@@ -490,11 +490,11 @@ class _Engine:
         for tap in self.taps.get(node, ()):
             self.logs[tap].append(LsaEvent(
                 ts_us=ts_us, monitor=tap, ls_type=1, adv_router=origin, ls_id=origin,
-                ls_age=min(age, 3600), ls_seq=seq, is_ack=is_ack,
+                ls_age=min(age, MAX_AGE), ls_seq=seq, is_ack=is_ack,
             ))
 
     def entry_age(self, entry: _DbEntry, now_us: int) -> int:
-        return min(entry.age_at_install + (now_us - entry.installed_us) // 1_000_000, 3600)
+        return min(entry.age_at_install + (now_us - entry.installed_us) // 1_000_000, MAX_AGE)
 
     # -- protocol actions --
 

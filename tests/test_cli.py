@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
-from ospfrqa import detect, ingest, rqa
+from ospfrqa import cli, detect, ingest, rqa
 from ospfrqa.cli import build_parser, format_setting, main
 
 
@@ -689,7 +689,7 @@ topology = paper16
 """
 
 # Arguments that are not settings: they have no config key and no echo.
-FLAG_ONLY = {"command", "func", "config", "json", "ls_type", "series"}
+FLAG_ONLY = {"command", "config", "json", "ls_type", "series"}
 # Echoed for the record and accepted, unused, from a config file.
 ECHO_ONLY = {"detect": {"series"}}
 
@@ -707,6 +707,14 @@ class TestOptionTable:
         assert run_cli("simulate", "--topology", "paper16", "--scenario", "paper-failure",
                        "--duration", "115200", "--seed", "11", "--out", out) == 0
         assert (out / "run_config.cfg").read_text() == PINNED_SIMULATE_ECHO.format(out=out)
+
+    def test_main_runs_the_cmd_function_bound_at_call_time(self, monkeypatch):
+        # Tracers replace cli.cmd_* by name; the parser is built once.
+        ran = []
+        monkeypatch.setattr(cli, "cmd_detect", lambda args: ran.append(args.series) or 0)
+        assert run_cli("detect", "a.csv") == 0
+        assert run_cli("detect", "b.csv") == 0
+        assert ran == ["a.csv", "b.csv"]
 
     @pytest.mark.parametrize("command", ["simulate", "extract", "params", "detect"])
     def test_flags_config_keys_and_echo_agree(self, tmp_path, capsys, command):
@@ -771,6 +779,20 @@ class TestOptionTable:
         assert run_cli("extract", "--log", log, "--bin", bin_size, "--out", out) == 2
         err = capsys.readouterr().err
         assert "bin" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_extract_bin_past_int64_microseconds_exits_2(self, tmp_path, capsys, via_config):
+        log = tmp_path / "one.jsonl"
+        ingest.write_lsa_log(log, [ingest.LsaEvent(5_000_000, "m1", 1, "10.0.0.1",
+                                                   "10.0.0.1", 3, 1, False)])
+        cfg = tmp_path / "bin.cfg"
+        cfg.write_text("bin = 9223372036855\n")
+        bin_args = ("--config", cfg) if via_config else ("--bin", "9223372036855")
+        out = tmp_path / "x.csv"
+        assert run_cli("extract", "--log", log, *bin_args, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "bin size 9223372036855 s is too large" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_detect_on_directory_exits_2(self, tmp_path, capsys):

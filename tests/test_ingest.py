@@ -333,6 +333,14 @@ class TestBinning:
         s2 = bin_events(events, EventFilter(include_acks=True), 10, 0, 10_000_000)
         assert s2.counts.sum() == 2
 
+    @pytest.mark.parametrize("bin_size", [9_223_372_036_855, 10**20])
+    def test_bin_past_int64_microseconds_names_the_bin_size(self, bin_size):
+        events = [make_event(ts_us=5_000_000)]
+        widest = bin_events(events, EventFilter(), 9_223_372_036_854, 0, 10_000_000)
+        assert widest.counts.tolist() == [1]
+        with pytest.raises(ValueError, match=f"bin size {bin_size} s is too large"):
+            bin_events(events, EventFilter(), bin_size, 0, 10_000_000)
+
     def test_out_of_range_dropped_and_reported(self):
         events = [make_event(ts_us=-5), make_event(ts_us=40_000_000), make_event(ts_us=1)]
         s = bin_events(events, EventFilter(), 10, 0, 40_000_000)
@@ -541,17 +549,18 @@ class TestPcap:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.pcap"
         path.write_bytes(pcap_bytes([]))
-        link_type, records = ingest.read_pcap(path)
+        _, link_type, records, _ = ingest._read_capture(path)
         assert link_type == 1
-        assert list(records) == []
+        assert records.tolist() == []
 
     def test_single_record_timestamp(self, tmp_path):
         path = tmp_path / "one.pcap"
         path.write_bytes(pcap_bytes([(10_000_005, b"\x01\x02")]))
-        recs = list(ingest.read_pcap(path)[1])
+        recs = read_records(path)[0]
         assert len(recs) == 1
-        assert recs[0].ts_us == 10_000_005
-        assert recs[0].data == b"\x01\x02"
+        ts_us, data, _ = recs[0]
+        assert ts_us == 10_000_005
+        assert data == b"\x01\x02"
 
     def test_byte_swapped_twin(self, tmp_path):
         frame = eth_frame(ipv4_packet(ospf_packet(4, ls_update([lsa_header()]))))
@@ -559,36 +568,36 @@ class TestPcap:
         swapped = tmp_path / "swapped.pcap"
         native.write_bytes(pcap_bytes([(123456, frame)], endian="<"))
         swapped.write_bytes(pcap_bytes([(123456, frame)], endian=">"))
-        a = list(ingest.read_pcap(native)[1])
-        b = list(ingest.read_pcap(swapped)[1])
+        a = read_records(native)
+        b = read_records(swapped)
         assert a == b
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pcap"
         path.write_bytes(b"\xde\xad\xbe\xef" + b"\x00" * 20)
         with pytest.raises(ingest.UnsupportedFormatError, match="magic"):
-            ingest.read_pcap(path)
+            ingest._read_capture(path)
 
     def test_truncated_record_header(self, tmp_path):
         path = tmp_path / "trunc.pcap"
         path.write_bytes(pcap_bytes([(1, b"xy")]) + b"\x00\x01\x02")
-        _, it = ingest.read_pcap(path)
-        assert next(it).data == b"xy"
+        assert read_records(path)[0][0][1] == b"xy"
         with pytest.raises(ingest.TruncatedPcapError, match=re.escape(
                 f"{path}: record 2: record header cut short at end of file")):
-            next(it)
+            list(ingest.extract_pcap_events(path, monitor="tap"))
 
     @pytest.mark.parametrize("consumed", [0, 1, 2])
     def test_dropped_reader_leaves_no_open_file(self, tmp_path, monkeypatch, consumed):
         # An unclosed file warns from its finalizer, where the warning can
         # only reach sys.unraisablehook; collect it there as well.
+        frame = eth_frame(ipv4_packet(ospf_packet(4, ls_update([lsa_header()]))))
         path = tmp_path / "three.pcap"
-        path.write_bytes(pcap_bytes([(1, b"a"), (2, b"b"), (3, b"c")]))
+        path.write_bytes(pcap_bytes([(1, frame), (2, frame), (3, frame)]))
         unraisable = []
         monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResourceWarning)
-            _, it = ingest.read_pcap(path)
+            it = ingest.extract_pcap_events(path, monitor="tap")
             for _ in range(consumed):
                 next(it)
             del it
@@ -600,8 +609,8 @@ class TestPcap:
         data = struct.pack("<IHHiIII", ingest.PCAP_MAGIC, 2, 4, 0, 0, 4, 1)
         data += struct.pack("<IIII", 0, 0, 4, 100) + b"abcd"
         path.write_bytes(data)
-        rec = next(ingest.read_pcap(path)[1])
-        assert rec.truncated
+        _, _, truncated = read_records(path)[0][0]
+        assert truncated
 
     @pytest.mark.parametrize("endian", ["<", ">"])
     def test_cut_at_every_byte_gives_prior_records_then_error(self, tmp_path, endian):
@@ -632,15 +641,12 @@ class TestPcap:
 
 
 def read_records(path):
-    """The records read before the stream ended, and whether it ended
-    with TruncatedPcapError."""
-    records = []
-    try:
-        for rec in ingest.read_pcap(path)[1]:
-            records.append((rec.ts_us, rec.data, rec.truncated))
-    except ingest.TruncatedPcapError:
-        return records, True
-    return records, False
+    """The ``(ts_us, data, snaplen cut)`` of each row of the capture's record
+    table, and whether a record was cut short after them."""
+    blob, _, table, cut_short = ingest._read_capture(path)
+    records = [(ts_us, blob[off:off + incl_len], incl_len < orig_len)
+               for off, incl_len, orig_len, ts_us in table.tolist()]
+    return records, cut_short is not None
 
 
 class TestParseOspf:

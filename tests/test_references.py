@@ -12,7 +12,7 @@ import ospfrqa
 
 # Public names that nothing in the package refers to, and why they stay.
 UNREFERENCED_ALLOWED = {
-    "cli.cmd_*": "build_parser looks each command up through globals()",
+    "cli.cmd_*": "main looks each command up through globals() at call time",
     "sim.topology_to_text": "wrote the shipped topo20 and topo35 topology files",
     "sim.scenario_to_json": "writes the scenario files that scenario_from_json reads",
     "rqa.RqaMeasures.as_dict": "library call for reading one window's measures by name",

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from ospfrqa import sim
+from ospfrqa import ingest, sim
 
 
 def two_routers_plus_stub() -> sim.Topology:
@@ -324,6 +324,7 @@ tapc c transit
             ts = [e.ts_us for e in log]
             assert ts == sorted(ts), mon
             assert all(e.ls_type == 1 and e.ls_id == e.adv_router for e in log), mon
+            assert all(e.ls_age <= ingest.MAX_AGE for e in log), mon
 
 
 class TestFloodDelayDraw:
