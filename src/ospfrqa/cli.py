@@ -255,15 +255,16 @@ def cmd_simulate(args) -> int:
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for monitor, events in result.logs.items():
-        ingest.write_lsa_log(out_dir / f"events_{monitor}.jsonl", events)
+    # From the rows: reading ``result.logs`` would build an LsaEvent per row.
+    for monitor, rows in result.rows.items():
+        ingest.write_log_rows(out_dir / f"events_{monitor}.jsonl", rows)
     manifest = {
         "topology": s.topology,
         "scenario": s.scenario,
         "duration_s": s.duration,
         "seed": s.seed,
         "refresh_jitter_s": s.jitter,
-        "monitor_totals": sim.total_event_counts(result.logs),
+        "monitor_totals": sim.total_event_counts(result.rows),
         "router_ids": {n: topo.router_id(n) for n in topo.nodes()},
         "warnings": result.warnings,
     }
@@ -271,7 +272,7 @@ def cmd_simulate(args) -> int:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     write_config_echo(out_dir / "run_config.cfg", s, out=out_dir)
-    print(f"wrote {len(result.logs)} monitor logs to {out_dir}")
+    print(f"wrote {len(result.rows)} monitor logs to {out_dir}")
     return 0
 
 

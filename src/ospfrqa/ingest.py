@@ -29,6 +29,7 @@ import json
 import re
 import struct
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -419,18 +420,23 @@ class _JsonStrings(dict):
         return text
 
 
-def write_lsa_log(path, events: Iterable[LsaEvent]) -> int:
-    """Write events as JSON lines; returns the number written."""
+def write_log_rows(path, rows: Iterable[tuple]) -> int:
+    """Write tuples of the LOG_FIELDS values as JSON lines; returns the number written."""
     q = _JsonStrings()
-    lines = [_LOG_LINE % (ev.ts_us, q[ev.monitor], ev.ls_type, q[ev.adv_router], q[ev.ls_id],
-                          ev.ls_age, ev.ls_seq, "true" if ev.is_ack else "false")
-             for ev in events]
+    lines = [_LOG_LINE % (ts_us, q[monitor], ls_type, q[adv_router], q[ls_id], ls_age, ls_seq,
+                          "true" if is_ack else "false")
+             for ts_us, monitor, ls_type, adv_router, ls_id, ls_age, ls_seq, is_ack in rows]
     with open(path, "w", encoding="utf-8") as f:
         f.write("".join(lines))
     return len(lines)
 
 
-# Exactly the lines that ``write_lsa_log`` emits for ASCII strings free of
+def write_lsa_log(path, events: Iterable[LsaEvent]) -> int:
+    """Write events as JSON lines; returns the number written."""
+    return write_log_rows(path, map(attrgetter(*LOG_FIELDS), events))
+
+
+# Exactly the lines that ``write_log_rows`` emits for ASCII strings free of
 # quotes, backslashes and control characters, and integers of at most 18
 # digits (so within int64): the fields in LOG_FIELDS order, compact
 # separators, the newline.  On such a line the groups capture the values
@@ -552,7 +558,9 @@ def bin_series(
     counts = np.zeros(-((t0_us - t1_us) // bin_us), dtype=np.int64)  # ceil of duration / bin
     ts = events.ts_us[flt.mask(events)]
     inside = ts[(ts >= t0_us) & (ts < t1_us)]
-    if inside.size:  # else t0 may lie outside int64, where the subtraction overflows
+    if inside.size:  # offsets from t0 in Python ints where t0 or one lies outside int64
+        if t0_us < -2**63 or int(inside.max()) - t0_us >= 2**63:
+            inside = inside.astype(object)
         per_bin = np.bincount(((inside - t0_us) // bin_us).astype(np.intp))
         counts[:per_bin.size] = per_bin
     return CountSeries(t0_us, bin_size_s, counts, ts.size - inside.size)

@@ -22,9 +22,10 @@ Node roles:
 
 Monitors are passive taps on a node.  They record every LS Update arrival
 at the node, the node's own originations, and arriving acknowledgments
-(flagged ``is_ack``).  Runs are reproducible: one seeded generator is
-consumed in event order, times are integer microseconds, and heap ties
-break on (node order, scheduling sequence).
+(flagged ``is_ack``), each as a row, a tuple of the ``LOG_FIELDS`` values.
+Runs are reproducible: one seeded generator is consumed in event order,
+times are integer microseconds, and heap ties break on (node order,
+scheduling sequence).
 
 State changes emit two instances per endpoint (at the event instant and
 shortly after), mirroring the paired LSDB transitions a real interface
@@ -37,6 +38,7 @@ arrivals at its monitors.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import ipaddress
 import json
@@ -416,16 +418,14 @@ CANNED_SCENARIOS = {
 
 
 @dataclass
-class _DbEntry:
-    seq: int
-    age_at_install: int
-    installed_us: int
-
-
-@dataclass
 class RunResult:
-    logs: dict[str, list[LsaEvent]]
+    rows: dict[str, list[tuple]]  # monitor -> its rows, tuples of the LOG_FIELDS values
     warnings: list[str]
+
+    @functools.cached_property
+    def logs(self) -> dict[str, list[LsaEvent]]:
+        """Each monitor's rows as LsaEvent objects, built on the first read."""
+        return {mon: [LsaEvent(*row) for row in rows] for mon, rows in self.rows.items()}
 
 
 class _Engine:
@@ -438,19 +438,19 @@ class _Engine:
         self.heap: list[tuple] = []
         self.counter = 0
         self.warnings: list[str] = []
-        # Each node's LSDB, keyed by the advertising router id (module docstring).
-        self.db: dict[str, dict[str, _DbEntry]] = {n: {} for n in topo.nodes()}
+        # Each node's LSDB: advertising router id -> (seq, age, install time).
+        self.db: dict[str, dict[str, tuple]] = {n: {} for n in topo.nodes()}
         self.own_seq: dict[str, int] = {n: INITIAL_SEQ - 1 for n in topo.routers}
         self.refresh_epoch: dict[str, int] = {n: 0 for n in topo.routers}
         self.phantom_seq: dict[str, int] = {}
         self.taps: dict[str, list[str]] = {}
         for m in topo.monitors:
             self.taps.setdefault(m.node, []).append(m.name)
-        self.logs: dict[str, list[LsaEvent]] = {m.name: [] for m in topo.monitors}
+        self.rows: dict[str, list[tuple]] = {m.name: [] for m in topo.monitors}
         self.rids = {n: topo.router_id(n) for n in topo.routers}
-        self.speakers = set(topo._order).difference(topo.hosts)
         # id(link) -> (lowest delay in microseconds, number of possible
-        # delays, bits per draw); delays span [lo, hi] whole microseconds.
+        # delays, bits per draw).  Delays span [lo, hi] whole microseconds and
+        # are drawn by randrange's getrandbits rejection loop, minus its checks.
         self.delay_draw = {}
         for l in topo.links:
             lo = int(l.delay_lo_ms * 1000)
@@ -458,8 +458,7 @@ class _Engine:
             self.delay_draw[id(l)] = (lo, width, width.bit_length())
         # Each node's OSPF peers in topology link order, the order in which a
         # flood draws its delays, as (link, peer, peer's heap order,
-        # *delay_draw): what ``flood`` needs to push without calling ``push``
-        # or ``link_delay_us``.
+        # *delay_draw): what a flood needs to push without calling ``push``.
         self.flood_targets = {
             n: [(l, l.other(n), topo._order[l.other(n)], *self.delay_draw[id(l)])
                 for l in topo.links
@@ -475,32 +474,14 @@ class _Engine:
         heapq.heappush(self.heap, (t_us, self.topo._order[node], self.counter, handler, node,
                                    payload))
 
-    def link_delay_us(self, link: Link) -> int:
-        """A delay drawn uniformly from the link's range, as ``randrange(lo,
-        hi + 1)`` draws it: the same getrandbits rejection loop, without the
-        argument checks.  The generator stream is the same."""
-        lo, width, bits = self.delay_draw[id(link)]
-        getrandbits = self.rng.getrandbits
-        r = getrandbits(bits)
-        while r >= width:
-            r = getrandbits(bits)
-        return lo + r
-
     def record(self, node: str, ts_us: int, origin: str, seq: int, age: int, is_ack: bool):
         for tap in self.taps.get(node, ()):
-            self.logs[tap].append(LsaEvent(
-                ts_us=ts_us, monitor=tap, ls_type=1, adv_router=origin, ls_id=origin,
-                ls_age=min(age, MAX_AGE), ls_seq=seq, is_ack=is_ack,
-            ))
-
-    def entry_age(self, entry: _DbEntry, now_us: int) -> int:
-        return min(entry.age_at_install + (now_us - entry.installed_us) // 1_000_000, MAX_AGE)
+            self.rows[tap].append((ts_us, tap, 1, origin, origin, min(age, MAX_AGE), seq, is_ack))
 
     # -- protocol actions --
 
     def flood(self, node: str, t_us: int, origin: str, seq: int, age: int,
               skip_link: Link | None):
-        # ``push`` and ``link_delay_us`` inlined.
         getrandbits, heap, deliver = self.rng.getrandbits, self.heap, self.deliver
         for link, peer, order, lo, width, bits in self.flood_targets[node]:
             if link.up and t_us >= link.forming_until_us and link is not skip_link:
@@ -519,55 +500,62 @@ class _Engine:
     def originate(self, node: str, t_us: int):
         self.own_seq[node] += 1
         rid, seq = self.rids[node], self.own_seq[node]
-        self.db[node][rid] = _DbEntry(seq, 0, t_us)
+        self.db[node][rid] = (seq, 0, t_us)
         self.record(node, t_us, rid, seq, 0, is_ack=False)
         self.flood(node, t_us, rid, seq, age=1, skip_link=None)
         self.refresh_epoch[node] += 1
-        interval_us = int(REFRESH_INTERVAL_S * 1e6)
-        refresh_at = t_us + interval_us + self.rng.randint(-self.jitter_us, self.jitter_us)
+        jitter_us = self.rng.randint(-self.jitter_us, self.jitter_us)
+        refresh_at = t_us + int(REFRESH_INTERVAL_S * 1e6) + jitter_us
         if refresh_at <= self.duration_us:
             self.push(refresh_at, node, self.refresh, (self.refresh_epoch[node],))
 
     def deliver(self, node: str, t_us: int, sender: str, origin: str, seq: int, age: int,
                 via: Link):
-        if node in self.taps:
-            self.record(node, t_us, origin, seq, age, is_ack=False)
+        """An LS Update arrival, with ``record`` and ``flood`` inlined."""
+        for tap in self.taps.get(node, ()):
+            self.rows[tap].append((t_us, tap, 1, origin, origin, min(age, MAX_AGE), seq, False))
         # Fight-back: an originator seeing a fresher instance of its own LSA
         # immediately advertises a newer one that cancels it.
-        if origin == self.rids.get(node):
-            if seq > self.own_seq[node]:
-                self.own_seq[node] = seq
-                self.originate(node, t_us)
-                return
-        entry = self.db[node].get(origin)
-        if entry is None or seq > entry.seq:
-            self.db[node][origin] = _DbEntry(seq, age, t_us)
-            self.send_ack(node, sender, t_us, origin, seq, age, via)
-            self.flood(node, t_us, origin, seq, age=age + 1, skip_link=via)
-        elif seq == entry.seq:
-            # Same instance racing in from both sides: the copy with the
-            # smaller age is accepted and acknowledged, the other discarded.
-            if age < self.entry_age(entry, t_us):
-                self.db[node][origin] = _DbEntry(seq, age, t_us)
-                self.send_ack(node, sender, t_us, origin, seq, age, via)
-        # Older instances are silently dropped; the fight-back path already
-        # covers falsification freshness, so no flood-back is modeled.
-
-    def send_ack(self, node: str, sender: str, t_us: int, origin: str, seq: int, age: int,
-                 via: Link):
-        """Acknowledge an accepted instance back to the OSPF speaker that sent it.
-
-        An ack only matters where a tap records it, so it is scheduled only
-        when the sender is tapped.  Its link delay is drawn either way: the
-        generator stream, and so every later delay, stays the same as when
-        every ack was scheduled.  Skipped pushes keep the relative heap
-        order of the rest, since the scheduling counter only grows.
-        """
-        if sender not in self.speakers:
+        if origin == self.rids.get(node) and seq > self.own_seq[node]:
+            self.own_seq[node] = seq
+            self.originate(node, t_us)
             return
-        arrival_us = t_us + self.link_delay_us(via)
-        if sender in self.taps:
-            self.push(arrival_us, sender, self.record, (origin, seq, age, True))
+        db = self.db[node]
+        entry = db.get(origin)
+        reflood = entry is None or seq > entry[0]
+        # Same instance racing in from both sides: the copy with the smaller
+        # age is accepted and acknowledged, the other discarded.  Older
+        # instances are silently dropped; the fight-back path already covers
+        # falsification freshness, so no flood-back is modeled.
+        if not (reflood or seq == entry[0]
+                and age < min(entry[1] + (t_us - entry[2]) // 1_000_000, MAX_AGE)):
+            return
+        db[origin] = (seq, age, t_us)
+        getrandbits = self.rng.getrandbits
+        # The ack goes back over ``via`` to the OSPF speaker that sent the
+        # instance; a host sends over no link.  An ack only matters where a
+        # tap records it, so it is scheduled only when the sender is tapped.
+        # Its link delay is drawn either way: the generator stream, and so
+        # every later delay, stays as when every ack was scheduled.  Skipped
+        # pushes keep the heap order of the rest: the counter only grows.
+        if via is not None:
+            lo, width, bits = self.delay_draw[id(via)]
+            r = getrandbits(bits)
+            while r >= width:
+                r = getrandbits(bits)
+            if sender in self.taps:
+                self.push(t_us + lo + r, sender, self.record, (origin, seq, age, True))
+        if reflood:
+            age, counter, deliver = age + 1, self.counter, self.deliver
+            for link, peer, order, lo, width, bits in self.flood_targets[node]:
+                if link is not via and link.up and t_us >= link.forming_until_us:
+                    r = getrandbits(bits)
+                    while r >= width:
+                        r = getrandbits(bits)
+                    counter += 1
+                    heapq.heappush(self.heap, (t_us + lo + r, order, counter, deliver, peer,
+                                               (node, origin, seq, age, link)))
+            self.counter = counter
 
     def set_iface(self, node: str, t_us: int, ev: ScenarioEvent):
         iface, up = ev.subject["iface"], ev.kind == "iface_up"
@@ -595,15 +583,18 @@ class _Engine:
         entries its peer holds newer, producing one update per stale entry."""
         if not link.up:
             return
+        lo, width, bits = self.delay_draw[id(link)]
         for src, dst in ((link.node_a, link.node_b), (link.node_b, link.node_a)):
             if src in self.topo.hosts or dst in self.topo.hosts:
                 continue
-            for origin, entry in sorted(self.db[src].items()):
+            for origin, (seq, age, installed_us) in sorted(self.db[src].items()):
                 peer_entry = self.db[dst].get(origin)
-                if peer_entry is None or entry.seq > peer_entry.seq:
-                    age = self.entry_age(entry, t_us) + 1
-                    self.push(t_us + self.link_delay_us(link), dst, self.deliver,
-                              (src, origin, entry.seq, age, link))
+                if peer_entry is None or seq > peer_entry[0]:
+                    age = min(age + (t_us - installed_us) // 1_000_000, MAX_AGE) + 1
+                    r = self.rng.getrandbits(bits)
+                    while r >= width:
+                        r = self.rng.getrandbits(bits)
+                    self.push(t_us + lo + r, dst, self.deliver, (src, origin, seq, age, link))
 
     # -- attacks --
 
@@ -618,8 +609,8 @@ class _Engine:
     def do_inject(self, node: str, t_us: int, origin: str, seq: int):
         """Install a crafted instance at the compromised node and flood it."""
         entry = self.db[node].get(origin)
-        if entry is None or seq > entry.seq:
-            self.db[node][origin] = _DbEntry(seq, 0, t_us)
+        if entry is None or seq > entry[0]:
+            self.db[node][origin] = (seq, 0, t_us)
         self.record(node, t_us, origin, seq, 0, is_ack=False)
         self.flood(node, t_us, origin, seq, age=1, skip_link=None)
 
@@ -665,7 +656,7 @@ class _Engine:
 
 def run(topology: Topology, scenario: list[ScenarioEvent], duration_s: float,
         seed: int, refresh_jitter_s: float = REFRESH_JITTER_S) -> RunResult:
-    """Simulate the topology under a scenario; returns per-monitor event logs.
+    """Simulate the topology under a scenario; returns per-monitor event rows.
 
     Identical arguments produce byte-identical logs.  Origination stops at
     ``duration_s`` but in-flight floods drain fully, so per-monitor totals
@@ -682,12 +673,12 @@ def run(topology: Topology, scenario: list[ScenarioEvent], duration_s: float,
     engine = _Engine(topo, seed, duration_s, refresh_jitter_s)
     engine.schedule_scenario(scenario)
     engine.run()
-    return RunResult(logs=engine.logs, warnings=engine.warnings)
+    return RunResult(rows=engine.rows, warnings=engine.warnings)
 
 
-def total_event_counts(logs: dict[str, list[LsaEvent]]) -> dict[str, int]:
-    """Per-monitor totals of non-ack LSA events."""
-    return {mon: sum(1 for e in events if not e.is_ack) for mon, events in logs.items()}
+def total_event_counts(rows: dict[str, list[tuple]]) -> dict[str, int]:
+    """Per-monitor totals of non-ack LSA events, from a run's ``rows``."""
+    return {mon: sum(not row[-1] for row in log) for mon, log in rows.items()}  # [-1]: is_ack
 
 
 # --- generated topologies ---------------------------------------------------

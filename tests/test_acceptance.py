@@ -144,7 +144,7 @@ def test_criterion_5_conservation():
             extra_links=seed % 4, max_degree=4 + seed % 3,
         )
         res = sim.run(topo, [], 4000, seed=1000 + seed)
-        totals = sim.total_event_counts(res.logs)
+        totals = sim.total_event_counts(res.rows)
         assert len(set(totals.values())) == 1, (seed, totals)
         assert min(totals.values()) > 0
 

@@ -12,8 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
-from ospfrqa import cli, detect, ingest, rqa
+from ospfrqa import cli, detect, ingest, rqa, sim
 from ospfrqa.cli import build_parser, format_setting, main
+from test_sim import every_kind_scenario, ring_with_transit_tap
 
 
 def run_cli(*argv):
@@ -103,6 +104,26 @@ class TestSimulate:
                    for p in out.iterdir() if p.name != "run_config.cfg"}
         assert digests == PINNED_TOPO35_DAY
 
+    def test_logs_written_from_rows_equal_the_run_events(self, tmp_path):
+        # simulate writes each log from the run's rows, never reading its
+        # LsaEvent logs: writing those must give the same bytes, acks included.
+        topo, scenario = tmp_path / "ring.topo", tmp_path / "every.json"
+        topo.write_text(sim.topology_to_text(ring_with_transit_tap()))
+        scenario.write_text(sim.scenario_to_json(every_kind_scenario()))
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--topology", topo, "--scenario", scenario,
+                       "--duration", "4000", "--seed", "13", "--out", out) == 0
+        res = sim.run(sim.load_topology(topo), every_kind_scenario(), 4000, seed=13)
+        assert any(is_ack for *_, is_ack in res.rows["tapa"])
+        for mon, events in res.logs.items():
+            ingest.write_lsa_log(tmp_path / "events.jsonl", events)
+            assert ((out / f"events_{mon}.jsonl").read_bytes()
+                    == (tmp_path / "events.jsonl").read_bytes()), mon
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["monitor_totals"] == {
+            mon: sum(1 for row in rows if not row[ingest.LOG_FIELDS.index("is_ack")])
+            for mon, rows in res.rows.items()}
+
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         target = tmp_path / "envout"
         monkeypatch.setenv("OSPFRQA_OUT", str(target))
@@ -111,7 +132,6 @@ class TestSimulate:
         assert (target / "manifest.json").exists()
 
     def test_scenario_json_file(self, tmp_path):
-        from ospfrqa import sim
         scenario_path = tmp_path / "flap.json"
         scenario_path.write_text(sim.scenario_to_json([
             sim.ScenarioEvent(600.0, "iface_down", {"node": "abr1", "iface": "eth0"}),
@@ -125,7 +145,6 @@ class TestSimulate:
         assert manifest["scenario"].endswith("flap.json")
 
     def test_bad_scenario_subject_exits_2(self, tmp_path, capsys):
-        from ospfrqa import sim
         scenario_path = tmp_path / "bad.json"
         scenario_path.write_text(sim.scenario_to_json([
             sim.ScenarioEvent(600.0, "iface_down", {"node": "ghost", "iface": "eth0"}),
@@ -283,6 +302,16 @@ class TestExtract:
                        "--t0", "0", "--t1", "21600", "--out", out) == 0
         series = ingest.read_series_csv(out)
         assert series.counts.sum() > 0
+
+    def test_t0_below_int64_microseconds_bins_every_event(self, quiet_run, tmp_path):
+        # t0 = -9.3e18 us lies below int64; the events lie in its second bin.
+        out = tmp_path / "wide.csv"
+        assert run_cli("extract", "--log", quiet_run / "events_rcs1.jsonl",
+                       "--bin", "9000000000000", "--t0", "-9300000000000", "--out", out) == 0
+        total = json.loads((quiet_run / "manifest.json").read_text())["monitor_totals"]["rcs1"]
+        assert out.read_text().splitlines() == [
+            "bin_index,t_start_s,count", "0,-9300000000000.000000,0",
+            f"1,-300000000000.000000,{total}"]
 
     def test_ls_type_filter_and_empty_log(self, tmp_path):
         log = tmp_path / "empty.jsonl"

@@ -341,6 +341,17 @@ class TestBinning:
         with pytest.raises(ValueError, match=f"bin size {bin_size} s is too large"):
             bin_events(events, EventFilter(), bin_size, 0, 10_000_000)
 
+    @pytest.mark.parametrize("bin_size, t0_us, t1_us", [
+        (9_000_000_000_000, -9_300_000_000_000 * 10**6, 10**7),  # t0 below int64
+        (2**62 // 10**6, -(2**63) + 1, 2**63),  # t0 in int64, offsets past it
+    ])
+    def test_offsets_past_int64_bin_exactly(self, bin_size, t0_us, t1_us):
+        events = [make_event(ts_us=t) for t in (5_000_000, 9_000_000, 2**63 - 1, -(2**63))]
+        s = bin_events(events, EventFilter(), bin_size, t0_us, t1_us)
+        assert (s.counts.tolist(), s.dropped) == oracle.bin_series(
+            events, EventFilter(), bin_size, t0_us, t1_us)
+        assert s.counts.sum() == sum(t0_us <= ev.ts_us < t1_us for ev in events) > 0
+
     def test_out_of_range_dropped_and_reported(self):
         events = [make_event(ts_us=-5), make_event(ts_us=40_000_000), make_event(ts_us=1)]
         s = bin_events(events, EventFilter(), 10, 0, 40_000_000)

@@ -18,6 +18,8 @@ UNREFERENCED_ALLOWED = {
     "rqa.RqaMeasures.as_dict": "library call for reading one window's measures by name",
     "ingest.extract_pcap_events": "the per-record definition of reading a capture, which "
                                   "read_pcap_columns must match; library call for events",
+    "sim.RunResult.logs": "library call for a run's events, built from its rows on the first "
+                          "read; simulate writes the rows and reads no events",
 }
 
 

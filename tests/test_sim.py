@@ -243,7 +243,7 @@ class TestRun:
     def test_quiet_conservation_paper16(self):
         topo = sim.load_topology("paper16")
         res = sim.run(topo, [], 7200, seed=3)
-        totals = sim.total_event_counts(res.logs)
+        totals = sim.total_event_counts(res.rows)
         assert len(set(totals.values())) == 1
         assert totals["rcs1"] > 0
 
@@ -253,7 +253,7 @@ class TestRun:
                 n_transit=4 + seed, n_stub=3, seed=seed, extra_links=seed % 3
             )
             res = sim.run(topo, [], 4000, seed=seed + 100)
-            totals = sim.total_event_counts(res.logs)
+            totals = sim.total_event_counts(res.rows)
             assert len(set(totals.values())) == 1, (seed, totals)
 
     def test_age_at_least_hop_count(self):
@@ -350,6 +350,86 @@ class TestFloodDelayDraw:
         assert drawn == [ref.randrange(start, stop) for _ in range(rounds)
                          for start, stop in ranges]
         assert engine.rng.getstate() == ref.getstate()
+
+
+def triangle_with_taps() -> sim.Topology:
+    """Three routers on a triangle with fixed delays, a-b and b-c 1 ms and
+    a-c 5 ms, and a transit tap on each, so that every copy's fate shows."""
+    text = """
+[routers]
+a eth0 eth1
+b eth0 eth1
+c eth0 eth1
+[links]
+a eth0 b eth0 1 1
+b eth1 c eth0 1 1
+a eth1 c eth1 5 5
+[monitors]
+ta a transit
+tb b transit
+tc c transit
+"""
+    return sim.parse_topology(text, name="triangle")
+
+
+class TestDeliverBranches:
+    """Each outcome of an arrival, derived by hand: with fixed delays a copy
+    over a-c arrives 3 ms after the copy over a-b-c, and an accepted copy is
+    acknowledged back over its link, where the sender's tap records it."""
+
+    A, B = "10.0.0.1", "10.0.0.2"  # routers a and b
+    S = sim.INITIAL_SEQ
+    T = 1_000_000  # c forges a's LSA at 1 s, as seq S+1, then S+2 150 ms later
+
+    @pytest.fixture(scope="class")
+    def logs(self):
+        forge = sim.ScenarioEvent(1.0, "attack_disguised", {"attacker": "c", "victim": "a"},
+                                  {"period_s": 60.0, "duration_s": 1.0})
+        res = sim.run(triangle_with_taps(), [forge], 3.0, seed=0)
+        return {mon: [(e.ts_us, e.adv_router, e.ls_seq, e.ls_age, e.is_ack) for e in log]
+                for mon, log in res.logs.items()}
+
+    def test_younger_copy_is_accepted_and_acked(self, logs):
+        # a's boot LSA reaches c over a-b-c at 2 ms (age 2), then straight
+        # over a-c at 5 ms (age 1): the younger copy replaces the first, and
+        # its ack reaches a 5 ms later; an accepted copy of a known instance
+        # is not flooded on (b would see it at 6 ms).
+        A, S = self.A, self.S
+        tc = logs["tc"]
+        assert tc.index((2000, A, S, 2, False)) < tc.index((5000, A, S, 1, False))
+        assert (10000, A, S, 1, True) in logs["ta"]
+        assert (6000, A, S, 2, False) not in logs["tb"]
+
+    def test_older_copy_is_dropped_without_an_ack(self, logs):
+        # b's boot LSA reaches c straight at 1 ms (age 1), then over b-a-c
+        # at 6 ms (age 2): the older copy is dropped, so a, which sent it,
+        # records no ack for b's LSA, and c floods it nowhere.
+        B, S = self.B, self.S
+        tc = logs["tc"]
+        assert tc.index((1000, B, S, 1, False)) < tc.index((6000, B, S, 2, False))
+        assert [row for row in logs["ta"] if row[1] == B and row[4]] == []
+        assert logs["tb"].count((2000, B, S, 1, True)) == 2  # a and c each ack the copy b sent
+        assert [row for row in logs["tb"] if row[0] > 6000 and row[1] == B] == []
+
+    def test_fight_back_reoriginates(self, logs):
+        # The forged S+1 reaches a over c-b-a at T+2 ms: a re-originates its
+        # LSA as S+2 at once (age 0), acks nothing, and floods S+2 to b.
+        A, S, T = self.A, self.S, self.T
+        ta = logs["ta"]
+        assert ta.index((T + 2000, A, S + 1, 2, False)) + 1 == ta.index((T + 2000, A, S + 2, 0,
+                                                                         False))
+        assert (T + 3000, A, S + 1, 2, True) not in logs["tb"]
+        assert (T + 3000, A, S + 2, 1, False) in logs["tb"]
+
+    def test_lower_sequence_number_is_dropped(self, logs):
+        # The forged S+1 also reaches a straight over c-a at T+5 ms, after a
+        # holds S+2: it is dropped, so c records no ack for it and b never
+        # sees it from a.
+        A, S, T = self.A, self.S, self.T
+        assert (T + 5000, A, S + 1, 1, False) in logs["ta"]
+        assert [row for row in logs["tc"] if row[2] == S + 1 and row[4]] == [
+            (T + 2000, A, S + 1, 1, True)]  # b's ack of the forgery, and only that
+        assert [row for row in logs["tb"] if row[0] > T + 5000 and row[2] == S + 1] == []
 
 
 class TestIsolation:
@@ -468,7 +548,7 @@ class TestTotals:
     def test_isolated_monitor_counts_less(self):
         topo = sim.load_topology("paper16")
         res = sim.run(topo, sim.scenario_paper_failure(), 100000, seed=11)
-        totals = sim.total_event_counts(res.logs)
+        totals = sim.total_event_counts(res.rows)
         others = {m: c for m, c in totals.items() if m != "r14"}
         assert totals["r14"] < min(others.values())
 
