@@ -449,8 +449,7 @@ class _Engine:
         self.rows: dict[str, list[tuple]] = {m.name: [] for m in topo.monitors}
         self.rids = {n: topo.router_id(n) for n in topo.routers}
         # id(link) -> (lowest delay in microseconds, number of possible
-        # delays, bits per draw).  Delays span [lo, hi] whole microseconds and
-        # are drawn by randrange's getrandbits rejection loop, minus its checks.
+        # delays, bits per draw); delays span [lo, hi] whole microseconds.
         self.delay_draw = {}
         for l in topo.links:
             lo = int(l.delay_lo_ms * 1000)
@@ -458,7 +457,8 @@ class _Engine:
             self.delay_draw[id(l)] = (lo, width, width.bit_length())
         # Each node's OSPF peers in topology link order, the order in which a
         # flood draws its delays, as (link, peer, peer's heap order,
-        # *delay_draw): what a flood needs to push without calling ``push``.
+        # *delay_draw): what ``flood`` needs to push without calling ``push``
+        # or ``link_delay_us``.
         self.flood_targets = {
             n: [(l, l.other(n), topo._order[l.other(n)], *self.delay_draw[id(l)])
                 for l in topo.links
@@ -474,6 +474,17 @@ class _Engine:
         heapq.heappush(self.heap, (t_us, self.topo._order[node], self.counter, handler, node,
                                    payload))
 
+    def link_delay_us(self, link: Link) -> int:
+        """A delay drawn uniformly from the link's range, as ``randrange(lo,
+        hi + 1)`` draws it: the same getrandbits rejection loop, without the
+        argument checks.  The generator stream is the same."""
+        lo, width, bits = self.delay_draw[id(link)]
+        getrandbits = self.rng.getrandbits
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        return lo + r
+
     def record(self, node: str, ts_us: int, origin: str, seq: int, age: int, is_ack: bool):
         for tap in self.taps.get(node, ()):
             self.rows[tap].append((ts_us, tap, 1, origin, origin, min(age, MAX_AGE), seq, is_ack))
@@ -482,6 +493,7 @@ class _Engine:
 
     def flood(self, node: str, t_us: int, origin: str, seq: int, age: int,
               skip_link: Link | None):
+        # ``push`` and ``link_delay_us`` inlined.
         getrandbits, heap, deliver = self.rng.getrandbits, self.heap, self.deliver
         for link, peer, order, lo, width, bits in self.flood_targets[node]:
             if link.up and t_us >= link.forming_until_us and link is not skip_link:
@@ -504,16 +516,15 @@ class _Engine:
         self.record(node, t_us, rid, seq, 0, is_ack=False)
         self.flood(node, t_us, rid, seq, age=1, skip_link=None)
         self.refresh_epoch[node] += 1
-        jitter_us = self.rng.randint(-self.jitter_us, self.jitter_us)
-        refresh_at = t_us + int(REFRESH_INTERVAL_S * 1e6) + jitter_us
+        interval_us = int(REFRESH_INTERVAL_S * 1e6)
+        refresh_at = t_us + interval_us + self.rng.randint(-self.jitter_us, self.jitter_us)
         if refresh_at <= self.duration_us:
             self.push(refresh_at, node, self.refresh, (self.refresh_epoch[node],))
 
     def deliver(self, node: str, t_us: int, sender: str, origin: str, seq: int, age: int,
                 via: Link):
-        """An LS Update arrival, with ``record`` and ``flood`` inlined."""
-        for tap in self.taps.get(node, ()):
-            self.rows[tap].append((t_us, tap, 1, origin, origin, min(age, MAX_AGE), seq, False))
+        if node in self.taps:
+            self.record(node, t_us, origin, seq, age, is_ack=False)
         # Fight-back: an originator seeing a fresher instance of its own LSA
         # immediately advertises a newer one that cancels it.
         if origin == self.rids.get(node) and seq > self.own_seq[node]:
@@ -531,7 +542,6 @@ class _Engine:
                 and age < min(entry[1] + (t_us - entry[2]) // 1_000_000, MAX_AGE)):
             return
         db[origin] = (seq, age, t_us)
-        getrandbits = self.rng.getrandbits
         # The ack goes back over ``via`` to the OSPF speaker that sent the
         # instance; a host sends over no link.  An ack only matters where a
         # tap records it, so it is scheduled only when the sender is tapped.
@@ -539,23 +549,11 @@ class _Engine:
         # every later delay, stays as when every ack was scheduled.  Skipped
         # pushes keep the heap order of the rest: the counter only grows.
         if via is not None:
-            lo, width, bits = self.delay_draw[id(via)]
-            r = getrandbits(bits)
-            while r >= width:
-                r = getrandbits(bits)
+            arrival_us = t_us + self.link_delay_us(via)
             if sender in self.taps:
-                self.push(t_us + lo + r, sender, self.record, (origin, seq, age, True))
+                self.push(arrival_us, sender, self.record, (origin, seq, age, True))
         if reflood:
-            age, counter, deliver = age + 1, self.counter, self.deliver
-            for link, peer, order, lo, width, bits in self.flood_targets[node]:
-                if link is not via and link.up and t_us >= link.forming_until_us:
-                    r = getrandbits(bits)
-                    while r >= width:
-                        r = getrandbits(bits)
-                    counter += 1
-                    heapq.heappush(self.heap, (t_us + lo + r, order, counter, deliver, peer,
-                                               (node, origin, seq, age, link)))
-            self.counter = counter
+            self.flood(node, t_us, origin, seq, age + 1, skip_link=via)
 
     def set_iface(self, node: str, t_us: int, ev: ScenarioEvent):
         iface, up = ev.subject["iface"], ev.kind == "iface_up"
@@ -583,7 +581,6 @@ class _Engine:
         entries its peer holds newer, producing one update per stale entry."""
         if not link.up:
             return
-        lo, width, bits = self.delay_draw[id(link)]
         for src, dst in ((link.node_a, link.node_b), (link.node_b, link.node_a)):
             if src in self.topo.hosts or dst in self.topo.hosts:
                 continue
@@ -591,10 +588,8 @@ class _Engine:
                 peer_entry = self.db[dst].get(origin)
                 if peer_entry is None or seq > peer_entry[0]:
                     age = min(age + (t_us - installed_us) // 1_000_000, MAX_AGE) + 1
-                    r = self.rng.getrandbits(bits)
-                    while r >= width:
-                        r = self.rng.getrandbits(bits)
-                    self.push(t_us + lo + r, dst, self.deliver, (src, origin, seq, age, link))
+                    self.push(t_us + self.link_delay_us(link), dst, self.deliver,
+                              (src, origin, seq, age, link))
 
     # -- attacks --
 
@@ -677,7 +672,8 @@ def run(topology: Topology, scenario: list[ScenarioEvent], duration_s: float,
 
 
 def total_event_counts(rows: dict[str, list[tuple]]) -> dict[str, int]:
-    """Per-monitor totals of non-ack LSA events, from a run's ``rows``."""
+    """Per-monitor totals of non-ack LSA events, from ``RunResult.rows``
+    (tuples of the ``LOG_FIELDS`` values), not from ``RunResult.logs``."""
     return {mon: sum(not row[-1] for row in log) for mon, log in rows.items()}  # [-1]: is_ack
 
 
