@@ -7,10 +7,12 @@ therefore labels every window with an exact id of its counts, computed
 for the whole series at once by prefix doubling (``rqa._tuple_ids``),
 and quantifies each distinct window only once.  A repeated window takes
 the results of its first occurrence, identical to a recompute because
-the per-window computation depends on nothing else.  The distinct windows go
-in blocks of at most ``BLOCK_WINDOWS`` rows, each quantified by one
-:func:`~ospfrqa.rqa.measures_for_series` call, whose rows equal the
-windows quantified one at a time, bit for bit (see :mod:`ospfrqa.rqa`).
+the per-window computation depends on nothing else.  The distinct windows go,
+in position order, in blocks of at most ``BLOCK_WINDOWS``, each quantified
+by one :func:`~ospfrqa.rqa.measures_for_series` call on the stretch of the
+series that the block's windows cover; the results equal the windows
+quantified one at a time, bit for bit, while the diagonal lines that
+overlapping windows share are found once (see :mod:`ospfrqa.rqa`).
 The change detector then scans each measure against a rolling baseline
 of strictly prior windows: the deviation score is the distance from the
 baseline median in units of the baseline MAD, and a window alerts when
@@ -49,8 +51,8 @@ from .rqa import (
 )
 
 # Windows quantified per measures_for_series call: the distinct windows
-# go in blocks of at most this many rows, so one vectorized pass
-# covers many windows while the block's temporaries stay small.
+# go in blocks of at most this many starts, so one vectorized pass covers
+# the runs that many windows share while the temporaries stay small.
 BLOCK_WINDOWS = 64
 
 # Changed baselines sorted per numpy call: bounds the (rows x
@@ -102,6 +104,9 @@ class DetectorConfig:
         unknown = set(self.measures_enabled) - set(MEASURE_NAMES)
         if unknown:
             raise ValueError(f"unknown measures: {sorted(unknown)}")
+        repeated = {m for m in self.measures_enabled if self.measures_enabled.count(m) > 1}
+        if repeated:
+            raise ValueError(f"measures listed more than once: {sorted(repeated)}")
 
 
 @dataclass
@@ -147,10 +152,11 @@ def sliding_rqa(series: CountSeries, config: DetectorConfig) -> MeasureSeries:
     10% of the phase-space diameter guidance.
 
     ``rqa._tuple_ids`` labels each window by its exact counts.  The
-    distinct windows, in order of first occurrence, are quantified in
-    blocks of ``BLOCK_WINDOWS`` by one ``measures_for_series`` call each,
-    and every window takes the measures and flags of its distinct window,
-    which equal a recompute bit for bit.
+    distinct windows, in order of first occurrence (which is position
+    order), are quantified in blocks of ``BLOCK_WINDOWS`` by one
+    ``measures_for_series`` call each, on the counts from the block's first
+    start to its last window's end.  Every window takes the measures and
+    flags of its distinct window, which equal a recompute bit for bit.
     """
     counts = np.asarray(series.counts, dtype=float)
     w = config.window_bins
@@ -158,7 +164,6 @@ def sliding_rqa(series: CountSeries, config: DetectorConfig) -> MeasureSeries:
         raise SeriesTooShortError(
             f"series has {counts.size} bins; need at least window_bins={w}"
         )
-    windows = sliding_window_view(counts, w)[:: config.step_bins]
     ids = _tuple_ids(series.counts, w)[:: config.step_bins]
     _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     order = np.argsort(first)  # distinct windows by first occurrence
@@ -172,13 +177,16 @@ def sliding_rqa(series: CountSeries, config: DetectorConfig) -> MeasureSeries:
     eps_limit = params.epsilon * 10.0
     for lo in range(0, order.size, BLOCK_WINDOWS):
         distinct = order[lo : lo + BLOCK_WINDOWS]
-        block = windows[first[distinct]]
-        values, degenerate = measures_for_series(block, params)
+        starts = first[distinct] * config.step_bins
+        head = starts[0]
+        values, degenerate = measures_for_series(counts[head : starts[-1] + w], starts - head,
+                                                 w, params)
         columns[:, distinct] = values.T
         flags[0, distinct] = degenerate
         if eps_limit > 2.0:
             for r in np.flatnonzero(~degenerate):
-                flags[1, distinct[r]] = _epsilon_warning(block[r], params, eps_limit)
+                window = counts[starts[r] : starts[r] + w]
+                flags[1, distinct[r]] = _epsilon_warning(window, params, eps_limit)
     columns, flags = columns[:, inverse], flags[:, inverse]
     return MeasureSeries(
         window_end_bins=np.arange(w - 1, counts.size, config.step_bins),

@@ -49,22 +49,20 @@ window, and one reducer turns histograms into the nine measures:
   keeps the rounding of the float path inside the 1e-9 margin.  Any other
   window takes the float path, so no convention depends on which ran.
 
-Windows are evaluated in blocks (many recurrence blocks per kernel call,
-as in PyRQA, Rawald, Sips & Marwan 2017): :func:`measures_for_series`
-takes a ``(B, w)`` block, and a single window is passed as a block of
-one.  Both engines write into one (3, B, n + 1) histogram stack per
-block.  One vectorized pass centers the rows, applies the equality guard,
-symbolizes the rows inside it and histograms their vertical and white
-runs (``np.bincount`` with per-row offsets); only the O(n**2) diagonal
-scan, and the float path of rows outside the guard, loop over rows.  A
-single reducer call then gives every row its measures, with the bits the
-row gets in a block of one: integer sums are exact and every ratio
-divides two of them once, and each entropy ``-(p * np.log(p)).sum()`` is
-taken over the row's nonzero counts in ascending length order.  numpy
-sums a row of k terms in a fixed pairwise order, which padding rows with
-zeros to a common width would change, so the reducer groups rows by their
-count k of nonzero lengths and sums each group as a contiguous (rows, k)
-block.
+Windows are evaluated many per call (as PyRQA evaluates blocks, Rawald,
+Sips & Marwan 2017): :func:`measures_for_series` takes a count series and
+the starts of B windows, and both engines write into one (3, B, n + 1)
+histogram stack.  One vectorized pass centers the windows, applies the
+equality guard and histograms the vertical and white runs of the windows
+inside it; their diagonals come from the runs of the series' own delay
+vector matches, each run found once (:func:`_diagonal_runs`).  Only the
+float path loops over windows.  A single reducer call then gives each
+window the bits it gets alone: integer sums are exact, every ratio divides
+two of them once, and each entropy ``-(p * np.log(p)).sum()`` is taken
+over the window's nonzero counts in ascending length order.  numpy sums a
+row of k terms in a fixed pairwise order, which padding rows with zeros
+to a common width would change, so the reducer groups rows by their count
+k of nonzero lengths and sums each group as a contiguous (rows, k) block.
 """
 
 from __future__ import annotations
@@ -82,7 +80,9 @@ _TERM = {"euclidean": np.square, "maximum": np.abs}
 _FOLD = {"euclidean": np.add, "maximum": np.maximum}
 
 # Elements per row block of pairwise terms (8 MB of float64): bounds the
-# memory of the diameter and nearest-neighbor scans on long series.
+# memory of the diameter and nearest-neighbor scans on long series.  The
+# diagonal match scan takes a sixteenth as many cells at once, since a cell
+# and its share of the runs' temporaries take about 10 bytes.
 BLOCK_ELEMENTS = 1 << 20
 
 # Guard of the equality-class engine (module docstring): epsilon * sd must
@@ -92,6 +92,12 @@ BLOCK_ELEMENTS = 1 << 20
 # the margin of 1e-9 / sd.
 EQUALITY_MARGIN = 1.0 - 1e-9
 EQUALITY_MAX_SPAN = float(1 << 20)
+
+# Window starts at most this many bins apart share a segment of the
+# diagonal table (_diagonal_runs): a position between them costs a row of
+# n + 1 counts, far less than the n - 1 points a split repeats, and B
+# starts keep the table within SEGMENT_GAP * B rows.
+SEGMENT_GAP = 16
 
 
 class SeriesTooShortError(ValueError):
@@ -524,40 +530,45 @@ def constant_window_measures(n_points: int) -> RqaMeasures:
     )
 
 
-def measures_for_series(block, params: EmbedParams) -> tuple[np.ndarray, np.ndarray]:
-    """Z-normalize, embed, threshold and quantify a ``(B, w)`` block of windows.
+def measures_for_series(counts, starts, window_bins: int,
+                        params: EmbedParams) -> tuple[np.ndarray, np.ndarray]:
+    """Z-normalize, embed, threshold and quantify windows of one count series.
 
-    Returns a ``(B, 9)`` array of measures in ``MEASURE_NAMES`` order and a
-    ``(B,)`` bool array of degenerate flags.  A single window is the block
-    of one ``window[None]``; each row gets the bits it gets in a block of
-    one, whatever the other rows of its block.
-
-    Degenerate (zero-variance) rows short-circuit to
-    :func:`constant_window_measures` so quiet OSPF stretches never fault.
-    Every other row's line-length histograms go into one (3, B, n + 1)
-    stack, the equality regime's from one vectorized pass and the rest from
-    the float path one row at a time, and one reducer call turns the stack
-    into measures (module docstring).
+    Window r is ``counts[starts[r] : starts[r] + window_bins]``, and
+    ``starts`` must not decrease.  Returns a ``(B, 9)`` array of measures in
+    ``MEASURE_NAMES`` order and a ``(B,)`` bool array of degenerate flags.
+    Each window gets the bits it gets alone (``counts=window, starts=[0]``);
+    a (B, w) block of unrelated windows is ``block.ravel()`` with starts
+    ``np.arange(B) * w``.  Degenerate (zero-variance) windows short-circuit
+    to :func:`constant_window_measures` so quiet OSPF stretches never fault;
+    the others go through one histogram stack and reducer (module docstring).
     """
-    x = np.asarray(block, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"measures_for_series expects a (B, w) block of windows, not a "
-                         f"{x.ndim}-D array; pass a single window as window[None]")
-    b, w = x.shape
+    x = np.asarray(counts, dtype=float)
+    starts = np.asarray(starts)
+    w = window_bins
+    if x.ndim != 1 or starts.ndim != 1 or starts.size and starts.dtype.kind not in "iu":
+        raise ValueError("measures_for_series expects a 1-D series of counts and 1-D "
+                         "integer starts")
+    starts = starts.astype(np.int64)
     if w < params.min_series_length():
         raise SeriesTooShortError(
             f"window of {w} bins cannot be embedded with tau={params.tau}, "
             f"m={params.m}; need at least {params.min_series_length()}"
         )
-    centered, sd = _centered(x)
+    if starts.size and not (0 <= starts[0] and starts[-1] <= x.size - w
+                            and (np.diff(starts) >= 0).all()):
+        raise ValueError(f"window starts must be non-decreasing and within "
+                         f"0..{x.size - w} for {x.size} counts and {w}-bin windows")
+    windows = x[starts[:, None] + np.arange(w)]
+    centered, sd = _centered(windows)
     n = params.n_points(w)
-    h = np.zeros((3, b, n + 1), dtype=np.int64)
+    h = np.zeros((3, starts.size, n + 1), dtype=np.int64)
     degenerate = sd == 0.0
     float_rows = ~degenerate
-    symbols = _symbols(x, sd, params)
+    symbols = _symbols(x, windows, sd, params)
     if symbols is not None:
-        rows, codes, counts = symbols
-        h[:, rows] = _equality_histograms(codes, counts, params.theiler)
+        rows, ids = symbols
+        h[:, rows] = _equality_histograms(ids, starts[rows], n, params.theiler)
         float_rows[rows] = False
     # The recurrence matrix of embed(z, tau, m), built from z directly.
     shifts = range(0, params.m * params.tau, params.tau)
@@ -574,18 +585,18 @@ def measures_for_series(block, params: EmbedParams) -> tuple[np.ndarray, np.ndar
 # In the equality regime R[i, j] = [s_i == s_j] for the symbols s of the
 # delay vectors, so every column of one symbol is the same column and the
 # diagonals are the matches of the symbol sequence with its own shifts.
-# A block's rows get disjoint symbols, so a run of one symbol never crosses
-# from one row into the next and the runs of all rows are read at once.
+# For the vertical and white runs each window gets its own symbols, so a run
+# never crosses from one window into the next and the runs of all windows
+# are read at once; the diagonals are read from the series (_diagonal_runs).
 
 
 def _dense_rank(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ranks of the values of an int array, in value order, and their counts.
+    """Dense ranks of the values of a numeric array, in value order, and their counts.
 
-    Values in 0..a.size are counted in a table no larger than ``a``; any
-    others are sorted by ``np.unique``.
+    Integers in 0..a.size are counted in a table no larger than ``a``; any
+    other values are sorted by ``np.unique``.
     """
-    top = int(a.max(initial=-1))
-    if top > a.size or a.min(initial=0) < 0:
+    if a.dtype.kind == "f" or a.max(initial=-1) > a.size or a.min(initial=0) < 0:
         _, ranks, counts = np.unique(a, return_inverse=True, return_counts=True)
         return ranks.reshape(a.shape), counts
     counts = np.bincount(a.ravel())
@@ -596,7 +607,7 @@ def _dense_rank(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _tuple_ids(c: np.ndarray, length: int, stride: int = 1) -> np.ndarray:
     """Dense ids of the tuples ``(c[i], c[i + stride], ..., c[i + (length - 1) * stride])``.
 
-    Along the last axis of the int array ``c``: id ``[..., i]`` is that of
+    Along the last axis of the numeric array ``c``: id ``[..., i]`` is that of
     the tuple starting at ``c[..., i]``, and two ids are equal exactly when
     their tuples are, wherever they start.  A window of w counts is
     ``length = w, stride = 1``, a delay vector ``length = m, stride = tau``.
@@ -616,27 +627,21 @@ def _tuple_ids(c: np.ndarray, length: int, stride: int = 1) -> np.ndarray:
     return rank
 
 
-def _symbols(x: np.ndarray, sd: np.ndarray, params: EmbedParams):
-    """``(rows, codes, counts)`` for the rows of a block in the equality regime.
+def _symbols(x: np.ndarray, windows: np.ndarray, sd: np.ndarray, params: EmbedParams):
+    """``(rows, ids)`` for the windows of series ``x`` in the equality regime.
 
-    ``rows`` indexes the rows of ``x`` (a (B, w) block with sds ``sd``) that
-    hold integers, are not constant and pass the guard of the module
-    docstring.  ``codes[j, i]`` is the symbol of delay vector i of row
-    ``rows[j]``: equal within a row exactly when the vectors are equal, and
-    never shared between rows.  ``counts[s]`` is the number of points with
-    symbol s.  None when no row is in the regime, so the float path must
-    run for all of them.
+    ``rows`` indexes the rows of ``windows`` (a (B, w) gather of ``x`` with
+    sds ``sd``) that hold integers, are not constant and pass the guard of
+    the module docstring.  ``ids[i]`` is the id of the delay vector that
+    starts at ``x[i]``: equal exactly when the vectors are equal.  None when
+    no window is in the regime, so the float path must run for all of them.
     """
-    lo = x.min(axis=1)
-    span = x.max(axis=1) - lo
+    lo = windows.min(axis=1)
+    span = windows.max(axis=1) - lo
     inside = ((sd > 0.0) & (params.epsilon * sd <= EQUALITY_MARGIN)
-              & (span <= EQUALITY_MAX_SPAN) & (x == np.floor(x)).all(axis=1))
+              & (span <= EQUALITY_MAX_SPAN) & (windows == np.floor(windows)).all(axis=1))
     rows = np.flatnonzero(inside)
-    if rows.size == 0:
-        return None
-    ids = _tuple_ids((x[rows] - lo[rows, None]).astype(np.int64), params.m, params.tau)
-    codes, counts = _dense_rank(ids + np.arange(rows.size)[:, None] * (int(ids.max()) + 1))
-    return rows, codes, counts
+    return None if rows.size == 0 else (rows, _tuple_ids(x, params.m, params.tau))
 
 
 def _row_histograms(row: np.ndarray, length: np.ndarray, weight: np.ndarray,
@@ -646,74 +651,109 @@ def _row_histograms(row: np.ndarray, length: np.ndarray, weight: np.ndarray,
     return h.astype(np.int64).reshape(rows, width)
 
 
-def _diagonal_histograms(codes: np.ndarray, theiler: int) -> np.ndarray:
-    """Diagonal length histograms of the equality matrix of each row of symbols.
+def _diagonal_runs(ids: np.ndarray, starts: np.ndarray, n: int, theiler: int) -> np.ndarray:
+    """Diagonal length histograms of the equality matrices of windows of a series.
 
-    R is symmetric, so the diagonals -k repeat the diagonals k and only
-    k = 1 .. n - 1 are read, each once, in h = (n + 1) // 2 rows.  The n + 1
-    slots (the codes, then a -1 sentinel) are laid out cyclically; in rows
-    of width n + 2, row k - 1 of that layout, shifted by one, holds slot
-    (i + k) mod (n + 1) in column i.  Compared with the slots and a -2 it
-    holds diagonal k, a False (the sentinel), diagonal n + 1 - k and two
-    Falses.  For odd n the middle row holds diagonal h twice, and the
-    diagonals below w are excluded.  This O(n**2) scan runs row by row, in
-    buffers shared by the rows: stacked into one 3-D scan it ran slower.
+    Window r holds the delay vectors ``ids[starts[r] : starts[r] + n]``, and
+    ``starts`` does not decrease.  R is symmetric, so the diagonals k >= w =
+    max(theiler, 1) are counted twice.  Diagonal k of the window at s is
+    ``match_k[s : s + c]``, with c = n - k and ``match_k[i] = [ids[i] ==
+    ids[i + k]]``.  Each maximal run [a, b) of a match_k is found once and
+    gives each window at s = a - c + 1 .. b - 1 a line of length
+    ``min(b, s + c) - max(a, s)``, which steps by +1, 0, then -1 with s: in
+    a table with a row of n + 1 counts per position, three +1/-1 pairs along
+    strides n + 2, n + 1 and n, which a cumsum along each stride fills in.
+    The rows are the positions of segments, runs of starts at most
+    SEGMENT_GAP apart.
     """
-    e, n = codes.shape
-    local = codes - codes.min(axis=1, keepdims=True)
-    dtype = np.int16 if local.max() < 1 << 15 else np.int64
-    local = local.astype(dtype)
-    h = (n + 1) // 2
-    width = n + 2
-    cycle = np.empty((h + 1, n + 1), dtype=dtype)
-    cycle[:, n] = -1
-    key = np.full(width, -2, dtype=dtype)
-    key[n] = -1
-    diags = np.zeros(1 + h * width, dtype=bool)
-    lines = diags[1:].reshape(h, width)
-    shifted = cycle.reshape(-1)[1 : 1 + h * width].reshape(h, width)
-    dh = np.zeros((e, n + 1), dtype=np.int64)
-    for r in range(e):
-        cycle[:, :n] = local[r]
-        key[:n] = local[r]
-        np.equal(shifted, key, out=lines)
-        if 2 * h - 1 == n:
-            lines[h - 1, n - h + 1 :] = False
-        for d in range(1, min(max(theiler, 1), n)):
-            if d <= h:
-                lines[d - 1, : n - d] = False
-            else:
-                lines[n - d, d:] = False
-        starts, ends = _run_bounds(diags)
-        hist = np.bincount(ends - starts)
-        dh[r, : hist.size] = 2 * hist
-    return dh
+    w = max(theiler, 1)
+    if starts.size == 0 or w >= n:
+        return np.zeros((starts.size, n + 1), dtype=np.int64)
+    split = starts[1:] - starts[:-1] > SEGMENT_GAP
+    seg = np.concatenate(([0], split.cumsum()))  # segment of each start
+    u = starts[np.concatenate(([0], split.nonzero()[0] + 1))]  # first start of each segment
+    rows = np.concatenate((starts[:-1][split], starts[-1:])) - u + 1
+    q = rows + n - 1  # points of each segment
+    head = q.cumsum() - q + 1  # position of each segment's first point in g
+    p, z = int(q.sum()) + 1, (int(rows.sum()) + 2) * (n + 2)
+    # g: a sentinel, then the segments' points, ids offset per segment so no
+    # run crosses into the next; the distinct negatives never match.
+    g = -1 - np.arange(p + n)
+    g[1:p] = (ids.take(np.arange(1, p) + np.repeat(u - head, q))
+              + np.repeat(np.arange(u.size) * (int(ids.max()) + 1), q))
+    # phi[x], the table rows before position x, clips a range near a run to
+    # its segment's rows (a negative x reads the zero tail).  Row t of
+    # segment j is at t + 1 + j * (n - 1); a rising range takes the shift of
+    # the segment whose rows follow x, a falling one that of x's own.  The
+    # rising, flat and falling tables lie end to end, z apart, in table.
+    marks = np.zeros((3, p + n), dtype=np.int64)
+    marks[0, head + 1], marks[0, head + rows + 1] = 1, -1
+    marks[1, (head + rows)[:-1]] = marks[2, head[1:]] = n - 1
+    marks = marks.cumsum(axis=1)
+    phi = marks[0].cumsum()
+    phi[p:] = 0
+    clips = (phi * (n + 2) + 1 + marks[1], phi * (n + 1) + z, phi * n - 1 - marks[2] + 2 * z)
+    clips[0][p:] = 1
+    several = np.concatenate(([False], np.repeat(rows > 1, q)))
+    table = np.zeros(3 * z, dtype=np.int64)
+    step = max(1, BLOCK_ELEMENTS // 16 // p)
+    for k in range(w, n, step):
+        count = min(step, n - k)  # rows of m: match_k .. match_{k + count - 1}
+        m = np.equal(np.ndarray((count, p), g.dtype, g, k * g.itemsize, (g.itemsize,) * 2),
+                     g[:p])
+        run_start, run_end = _run_bounds(m.ravel())
+        j, a = np.divmod(run_start, p)
+        d, c = run_end - run_start, n - k - j
+        cr = c - a
+        k1, k2 = np.minimum(a + 1, d - cr), np.maximum(a + 1, d - cr)
+        flat = np.minimum(d, c)
+        plus, minus = [clips[1].take(k1) + flat], [clips[1].take(k2) + flat]
+        wide = several.take(a)  # a window alone in its segment holds its runs whole
+        if wide.any():
+            if not wide.all():
+                cr, a, d, k1, k2 = cr[wide], a[wide], d[wide], k1[wide], k2[wide]
+            b = a + d
+            plus += [clips[0].take(1 - cr) + cr, clips[2].take(k2) + b]
+            minus += [clips[0].take(k1) + cr, clips[2].take(b) + b]
+        # One count array alive at a time: two made glibc map fresh pages.
+        table += np.bincount(np.concatenate(plus), minlength=table.size)
+        table -= np.bincount(np.concatenate(minus), minlength=table.size)
+    size = int(rows.sum()) * (n + 1)
+    total = np.zeros(size, dtype=np.int64)
+    for i, s in enumerate((n + 2, n + 1, n)):
+        total += table[i * z : i * z + z // s * s].reshape(-1, s).cumsum(axis=0).ravel()[:size]
+    row = (rows.cumsum() - rows)[seg] + starts - u[seg]
+    return 2 * total.reshape(-1, n + 1)[row]
 
 
-def _equality_histograms(codes: np.ndarray, counts: np.ndarray, theiler: int) -> np.ndarray:
-    """Line-length histograms of the equality matrix of each row of symbols.
+def _equality_histograms(ids: np.ndarray, starts: np.ndarray, n: int, theiler: int) -> np.ndarray:
+    """Line-length histograms of the equality matrices of windows of a series.
 
-    A (3, E, n + 1) stack, in the family order of :func:`_line_histograms`.
+    Window r holds the delay vectors ``ids[starts[r] : starts[r] + n]``.  A
+    (3, E, n + 1) stack, in the family order of :func:`_line_histograms`.
     """
-    e, n = codes.shape
+    e = starts.size
+    dh = _diagonal_runs(ids, starts, n, theiler)  # first, while few temporaries are alive
+    codes, counts = _dense_rank(ids[starts[:, None] + np.arange(n)]
+                                + np.arange(e)[:, None] * (int(ids.max()) + 1))
     flat = codes.ravel()
     # Vertical: each run of symbol s in a row is one vertical line in each
     # of the counts[s] columns of s.
     change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [flat.size]))
-    symbol = flat[starts]
+    run_start = np.concatenate(([0], change))
+    run_end = np.concatenate((change, [flat.size]))
+    symbol = flat[run_start]
     weight = counts[symbol]
-    row = starts // n
-    vh = _row_histograms(row, ends - starts, weight, e, n + 1)
+    row = run_start // n
+    vh = _row_histograms(row, run_end - run_start, weight, e, n + 1)
     # White vertical: the gaps between successive runs of one symbol, again
     # once per column of that symbol; gaps at the borders are censored.
     order = np.argsort(symbol, kind="stable")
     after, before = order[1:], order[:-1]
     same = symbol[after] == symbol[before]
     after, before = after[same], before[same]
-    wh = _row_histograms(row[after], starts[after] - ends[before], weight[after], e, n + 1)
-    return np.stack([_diagonal_histograms(codes, theiler), vh, wh])
+    wh = _row_histograms(row[after], run_start[after] - run_end[before], weight[after], e, n + 1)
+    return np.stack([dh, vh, wh])
 
 
 # --- embedding-parameter estimation ---------------------------------------

@@ -552,6 +552,12 @@ class TestDetect:
         assert "measures = rr,w_entr" in cfg
         assert "floor_scale = 2" in cfg
 
+    def test_repeated_measure_exits_2_naming_it(self, quiet_series, tmp_path, capsys):
+        out = tmp_path / "repeated"
+        assert run_cli("detect", quiet_series, "--out", out, "--measures", "rr,det,rr") == 2
+        assert "measures listed more than once: ['rr']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_echo_round_trip(self, quiet_series, tmp_path):
         first = tmp_path / "first"
         assert run_cli("detect", quiet_series, "--out", first, "--baseline", "40") == 0

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -129,7 +129,7 @@ def per_window_reference(counts, cfg):
     rows, degenerate, eps_warn = [], 0, 0
     for end in range(w - 1, x.size, cfg.step_bins):
         window = x[end - w + 1 : end + 1]
-        (values,), (is_degenerate,) = rqa.measures_for_series(window[None], p)
+        (values,), (is_degenerate,) = rqa.measures_for_series(window, [0], w, p)
         rows.append(values)
         degenerate += is_degenerate
         if not is_degenerate and p.epsilon * 10.0 > 2.0:
@@ -190,8 +190,8 @@ def rank_branch(c):
 
 
 def rows_computed(spy):
-    """Windows quantified through a spy on ``measures_for_series``."""
-    return sum(len(call.args[0]) for call in spy.call_args_list)
+    """Windows quantified through a spy on ``measures_for_series``: its starts."""
+    return sum(len(call.args[1]) for call in spy.call_args_list)
 
 
 class TestSlidingRqaMemo:
@@ -199,15 +199,27 @@ class TestSlidingRqaMemo:
         counts=small_counts,
         window=st.integers(min_value=10, max_value=30),
         step=st.integers(min_value=1, max_value=4),
-        epsilon=st.sampled_from([0.2, 0.3, 0.45, 0.7]),
+        epsilon=st.sampled_from([0.2, 0.3, 0.45, 0.7, 1.0, 1.5]),
         norm=st.sampled_from(["euclidean", "maximum"]),
+        tau=st.integers(min_value=1, max_value=4),
+        m=st.integers(min_value=1, max_value=4),
+        theiler=st.integers(min_value=0, max_value=3),
     )
     @settings(max_examples=60, deadline=None)
-    def test_memo_equals_per_window_recompute(self, counts, window, step, epsilon, norm):
+    def test_memo_equals_per_window_recompute(self, counts, window, step, epsilon, norm,
+                                              tau, m, theiler):
+        # With counts 0..3, the larger epsilons put windows past the equality guard.
+        assume(window >= (m - 1) * tau + 2)
         cfg = DetectorConfig(window_bins=window, step_bins=step,
-                             embed=rqa.EmbedParams(epsilon=epsilon, norm=norm))
+                             embed=rqa.EmbedParams(tau=tau, m=m, epsilon=epsilon, norm=norm,
+                                                   theiler=theiler))
         ms = detect.sliding_rqa(count_series(counts), cfg)
         assert_matches_reference(ms, counts, cfg)
+        # And the definition: every window through the float path.
+        with mock.patch.object(rqa, "_symbols", return_value=None):
+            forced = detect.sliding_rqa(count_series(counts), cfg)
+        for name in rqa.MEASURE_NAMES:
+            assert ms.values[name].tobytes() == forced.values[name].tobytes(), name
 
     @given(counts=small_counts, alphabet=alphabets,
            shape=st.one_of(st.tuples(st.integers(1, 30), st.just(1)),
@@ -266,7 +278,7 @@ class TestSlidingRqaMemo:
         windows = {np.asarray(counts[i : i + window], dtype=float).tobytes()
                    for i in range(len(counts) - window + 1)}
         assert rows_computed(spy) == len(windows)
-        assert all(len(call.args[0]) <= block for call in spy.call_args_list)
+        assert all(len(call.args[1]) <= block for call in spy.call_args_list)
         assert_matches_reference(ms, counts, cfg)
 
     def test_epsilon_warnings_counted(self):

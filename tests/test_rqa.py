@@ -186,10 +186,18 @@ class TestRqaMeasures:
         assert all(a <= b + 1e-15 for a, b in zip(rrs, rrs[1:]))
 
 
+def block_measures(block, params):
+    """``measures_for_series`` of a (B, w) block of unrelated windows: the
+    raveled block, with a window starting every w counts."""
+    block = np.asarray(block, dtype=float)
+    b, w = block.shape
+    return rqa.measures_for_series(block.ravel(), np.arange(b) * w, w, params)
+
+
 def window_measures(x, params):
     """``measures_for_series`` of one window as a block of one: its row of
     measures and whether it is degenerate."""
-    (values,), (degenerate,) = rqa.measures_for_series(np.asarray(x, dtype=float)[None], params)
+    (values,), (degenerate,) = block_measures(np.asarray(x, dtype=float)[None], params)
     return values, bool(degenerate)
 
 
@@ -403,7 +411,7 @@ def both_engines(x, params):
 def symbols_of(x, params):
     """``rqa._symbols`` of one window, as a block of one."""
     block = x[None]
-    return rqa._symbols(block, rqa._centered(block)[1], params)
+    return rqa._symbols(x, block, rqa._centered(block)[1], params)
 
 
 def equality_matrix(x, tau, m):
@@ -514,6 +522,51 @@ class TestEqualityEngine:
         assert np.array_equal(rm, equality_matrix(x, tau, m))
 
 
+@st.composite
+def series_windows(draw):
+    """A small-alphabet series tiled from a pattern with edits, so that runs
+    cross and cover window edges, with tau, m, theiler, the window's points
+    n and non-decreasing window starts.  The gaps between starts are 0 (a
+    repeated start), 1 to 4, just under, at and past ``rqa.SEGMENT_GAP``
+    and far past it, so segments of one window, of many windows and
+    segments split at a gap all occur."""
+    tau, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = draw(st.integers(2, 30))
+    gap = rqa.SEGMENT_GAP
+    gaps = draw(st.lists(st.one_of(st.integers(0, 4), st.integers(gap - 1, gap + 1),
+                                   st.integers(gap + 2, 60)), max_size=30))
+    starts = draw(st.integers(0, 5)) + np.cumsum([0] + gaps)
+    size = int(starts[-1]) + n + (m - 1) * tau + draw(st.integers(0, 5))
+    pattern = draw(st.lists(st.integers(0, 3), min_size=1, max_size=8))
+    series = np.resize(np.array(pattern), size)
+    for at, value in draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, 3)),
+                                   max_size=6)):
+        series[at] = value
+    return series, tau, m, draw(st.integers(0, 3)), n, starts
+
+
+@given(series_windows(), st.sampled_from([1, 40, 400, None]))
+@settings(max_examples=200, deadline=None)
+def test_diagonal_runs_match_oracle(case, cells):
+    # cells: match cells scanned at once, down to one diagonal per scan;
+    # None keeps the default.
+    series, tau, m, theiler, n, starts = case
+    ids = rqa._tuple_ids(series, m, tau)
+    with mock.patch.object(rqa, "BLOCK_ELEMENTS", 16 * cells if cells else rqa.BLOCK_ELEMENTS):
+        got = rqa._diagonal_runs(ids, starts, n, theiler)
+    assert got.shape == (starts.size, n + 1)
+    for row, s in zip(got, starts):
+        rm = equality_matrix(series[s : s + n + (m - 1) * tau], tau, m).astype(int).tolist()
+        want = oracle.histogram(oracle.diagonal_lengths(rm, theiler))
+        assert {int(length): int(row[length]) for length in np.flatnonzero(row)} == want
+    gaps = np.diff(starts)
+    sizes = np.diff(np.r_[0, np.flatnonzero(gaps > rqa.SEGMENT_GAP) + 1, starts.size])
+    event(f"a segment of one window: {bool((sizes == 1).any())}")
+    event(f"a segment of many windows: {bool((sizes > 1).any())}")
+    at_split = np.isin(gaps, [rqa.SEGMENT_GAP, rqa.SEGMENT_GAP + 1]).any()
+    event(f"a gap at the split: {bool(at_split)}")
+
+
 # --- blocks of windows --------------------------------------------------------
 
 
@@ -564,16 +617,16 @@ class TestBlocks:
         want = np.array([values for values, _ in alone])
         want_degenerate = np.array([degenerate for _, degenerate in alone])
         with mock.patch.object(rqa, "_symbols", return_value=None):
-            forced, forced_degenerate = rqa.measures_for_series(block, params)
+            forced, forced_degenerate = block_measures(block, params)
         assert forced.tobytes() == want.tobytes()
         assert np.array_equal(forced_degenerate, want_degenerate)
         for size in (3, detect.BLOCK_WINDOWS):
-            parts = [rqa.measures_for_series(block[i : i + size], params)
+            parts = [block_measures(block[i : i + size], params)
                      for i in range(0, len(block), size)]
             got = np.concatenate([values for values, _ in parts])
             assert got.tobytes() == want.tobytes(), size
             assert np.array_equal(np.concatenate([d for _, d in parts]), want_degenerate), size
-        symbols = rqa._symbols(block, rqa._centered(block)[1], params)
+        symbols = rqa._symbols(block.ravel(), block, rqa._centered(block)[1], params)
         event(f"equality rows: {'none' if symbols is None else 'all' if symbols[0].size == len(block) else 'some'}")
 
     @given(window_blocks())
@@ -581,19 +634,22 @@ class TestBlocks:
     def test_measures_are_finite(self, case):
         # Baseline scoring sorts the measures, and a sort puts NaN last
         # where np.median returns it: an empty ratio must give 0, not NaN.
-        values, _ = rqa.measures_for_series(*case)
+        values, _ = block_measures(*case)
         assert np.isfinite(values).all()
 
     def test_block_shapes(self):
         params = rqa.EmbedParams()
-        values, degenerate = rqa.measures_for_series(np.zeros((0, 20)), params)
+        values, degenerate = block_measures(np.zeros((0, 20)), params)
         assert values.shape == (0, len(rqa.MEASURE_NAMES)) and degenerate.shape == (0,)
-        with pytest.raises(ValueError, match="block of windows"):
-            rqa.measures_for_series(np.zeros((2, 3, 20)), params)
-        with pytest.raises(ValueError, match=r"pass a single window as window\[None\]"):
-            rqa.measures_for_series(np.zeros(20), params)
+        for counts, starts in ((np.zeros((2, 20)), [0]), (np.zeros(20), [[0]]),
+                               (np.zeros(21), [0.5])):
+            with pytest.raises(ValueError, match="1-D series of counts and 1-D integer starts"):
+                rqa.measures_for_series(counts, starts, 20, params)
+        for starts in ([-1], [2], [0, 1, 0]):
+            with pytest.raises(ValueError, match=r"non-decreasing and within 0\.\.1 for 21"):
+                rqa.measures_for_series(np.zeros(21), starts, 20, params)
         with pytest.raises(rqa.SeriesTooShortError, match="window of 2 bins"):
-            rqa.measures_for_series(np.zeros((3, 2)), rqa.EmbedParams(m=3))
+            rqa.measures_for_series(np.zeros(6), [0, 2, 4], 2, rqa.EmbedParams(m=3))
 
 
 @given(st.integers(1, 12).flatmap(lambda n: st.lists(
