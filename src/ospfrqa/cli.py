@@ -255,9 +255,9 @@ def cmd_simulate(args) -> int:
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # From the rows: reading ``result.logs`` would build an LsaEvent per row.
+    # The rows are written as they are; ``result.logs`` would build an LsaEvent per row.
     for monitor, rows in result.rows.items():
-        ingest.write_log_rows(out_dir / f"events_{monitor}.jsonl", rows)
+        ingest.write_lsa_log(out_dir / f"events_{monitor}.jsonl", rows)
     manifest = {
         "topology": s.topology,
         "scenario": s.scenario,

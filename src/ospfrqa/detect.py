@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ingest import CSV_CHUNK_ROWS, CountSeries, EventColumns, EventFilter, LsaEvent, bin_series
+from .ingest import CSV_CHUNK_ROWS, CountSeries, EventColumns, EventFilter, bin_series
 from .rqa import (
     MEASURE_NAMES,
     EmbedParams,
@@ -294,14 +294,14 @@ def deviation_scores(
 
 
 def analyze_run(
-    events: list[LsaEvent],
+    events: list[tuple],
     flt: EventFilter,
     config: DetectorConfig,
     t0_us: int,
     t1_us: int,
     bin_size_s: int = 10,
 ) -> tuple[CountSeries, MeasureSeries, list[Alert]]:
-    """Bin, quantify and scan one monitor's event log end to end."""
+    """Bin, quantify and scan one monitor's events (LsaEvents or rows) end to end."""
     series = bin_series(EventColumns.from_events(events), flt, bin_size_s, t0_us, t1_us)
     measures = sliding_rqa(series, config)
     return series, measures, detect(measures, config)

@@ -2,13 +2,14 @@
 
 Two input paths: classic pcap capture files (tcpdump output) holding raw
 OSPF packets, and the JSON-lines event log that the simulator writes and
-every other part of the pipeline exchanges.  Each has a per-event
+every other part of the pipeline exchanges.  An event is an
+:class:`LsaEvent`, a named tuple of the ``LOG_FIELDS`` values; a
+simulator row is the same tuple unnamed.  Each input has a per-event
 definition, :func:`extract_pcap_events` and :func:`read_lsa_log`, which
-yields :class:`LsaEvent` objects and words every error, and a columnar
-reader, :func:`read_pcap_columns` and :func:`read_log_columns`, which
-parses a whole file at once into the :class:`EventColumns` that
-:func:`bin_series` counts into the uniformly binned series the
-recurrence analysis consumes.
+yields events and words every error, and a columnar reader,
+:func:`read_pcap_columns` and :func:`read_log_columns`, which parses a
+whole file at once into the :class:`EventColumns` that :func:`bin_series`
+counts into the uniformly binned series the recurrence analysis consumes.
 
 The columnar readers parse in bulk what the pipeline produces: a log
 whose every line is as :func:`write_lsa_log` writes it, and pcap frames
@@ -29,8 +30,7 @@ import json
 import re
 import struct
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -57,8 +57,6 @@ SERIES_CSV_BLOCK_ROWS = 1 << 14
 # microsecond from float seconds.
 SPACING_TOL_S = 1e-3
 
-LOG_FIELDS = ("ts_us", "monitor", "ls_type", "adv_router", "ls_id", "ls_age", "ls_seq", "is_ack")
-
 
 class UnsupportedFormatError(ValueError):
     """Input file is not a classic pcap."""
@@ -76,9 +74,9 @@ class LogFormatError(ValueError):
     """Bad line in an LSA event log; the message names the path and line."""
 
 
-@dataclass(frozen=True)
-class LsaEvent:
-    """One observed LSA update (or acknowledgment) at a monitoring point."""
+class LsaEvent(NamedTuple):
+    """One observed LSA update (or acknowledgment) at a monitoring point.
+    Construction checks nothing; the readers check what they read."""
 
     ts_us: int
     monitor: str
@@ -89,11 +87,8 @@ class LsaEvent:
     ls_seq: int
     is_ack: bool = False
 
-    def __post_init__(self):
-        if self.ls_type not in LS_TYPES:
-            raise ValueError(f"ls_type must be {LS_TYPES[0]}-{LS_TYPES[-1]}, got {self.ls_type}")
-        if not 0 <= self.ls_age <= MAX_AGE:
-            raise ValueError(f"ls_age must be in [0, {MAX_AGE}], got {self.ls_age}")
+
+LOG_FIELDS = LsaEvent._fields
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,18 +113,17 @@ class EventColumns:
         return int(self.ts_us.size)
 
     @classmethod
-    def from_events(cls, events: Iterable[LsaEvent]) -> EventColumns:
-        """The columns of ``events``, in their order."""
+    def from_events(cls, events: Iterable[tuple]) -> EventColumns:
+        """The columns of ``events``, LsaEvents or rows, in their order."""
         events = list(events)
-        ts = [ev.ts_us for ev in events]
+        ts, monitor, ls_type, adv_router, _, _, _, is_ack = zip(*events) if events else [()] * 8
         try:
             ts_us = np.array(ts, dtype=np.int64)
         except OverflowError:
             ts_us = np.array(ts, dtype=object)
-        monitor, monitors = _coded([ev.monitor for ev in events])
-        adv_router, routers = _coded([ev.adv_router for ev in events])
-        return cls(ts_us, np.array([ev.ls_type for ev in events], dtype=np.int64),
-                   np.array([ev.is_ack for ev in events], dtype=bool),
+        monitor, monitors = _coded(monitor)
+        adv_router, routers = _coded(adv_router)
+        return cls(ts_us, np.array(ls_type, dtype=np.int64), np.array(is_ack, dtype=bool),
                    monitor, monitors, adv_router, routers)
 
 
@@ -392,11 +386,10 @@ def read_pcap_columns(path, monitor: str) -> EventColumns:
     rest = list(_record_events(path, blob, link_type, records, np.flatnonzero(~bulk), monitor))
     if cut_short is not None:
         raise cut_short
-    parts.append((np.array([ev.ts_us for ev in rest], dtype=np.int64),
-                  np.array([ev.ls_type for ev in rest], dtype=np.int64),
-                  np.array([ev.is_ack for ev in rest], dtype=bool),
-                  np.array([int(ipaddress.IPv4Address(ev.adv_router)) for ev in rest],
-                           dtype=np.int64)))
+    ts, _, ls_type, adv, _, _, _, is_ack = zip(*rest) if rest else [()] * 8
+    parts.append((np.array(ts, dtype=np.int64), np.array(ls_type, dtype=np.int64),
+                  np.array(is_ack, dtype=bool),
+                  np.array([int(ipaddress.IPv4Address(a)) for a in adv], dtype=np.int64)))
     ts, ls_type, is_ack, adv = (np.concatenate(column) for column in zip(*parts))
     adv_router, routers = _coded(adv.tolist())
     return EventColumns(ts, ls_type, is_ack, np.zeros(ts.size, dtype=np.intp), (monitor,),
@@ -420,23 +413,18 @@ class _JsonStrings(dict):
         return text
 
 
-def write_log_rows(path, rows: Iterable[tuple]) -> int:
-    """Write tuples of the LOG_FIELDS values as JSON lines; returns the number written."""
+def write_lsa_log(path, events: Iterable[tuple]) -> int:
+    """Write events, LsaEvents or rows, as JSON lines; returns the number written."""
     q = _JsonStrings()
     lines = [_LOG_LINE % (ts_us, q[monitor], ls_type, q[adv_router], q[ls_id], ls_age, ls_seq,
                           "true" if is_ack else "false")
-             for ts_us, monitor, ls_type, adv_router, ls_id, ls_age, ls_seq, is_ack in rows]
+             for ts_us, monitor, ls_type, adv_router, ls_id, ls_age, ls_seq, is_ack in events]
     with open(path, "w", encoding="utf-8") as f:
         f.write("".join(lines))
     return len(lines)
 
 
-def write_lsa_log(path, events: Iterable[LsaEvent]) -> int:
-    """Write events as JSON lines; returns the number written."""
-    return write_log_rows(path, map(attrgetter(*LOG_FIELDS), events))
-
-
-# Exactly the lines that ``write_log_rows`` emits for ASCII strings free of
+# Exactly the lines that ``write_lsa_log`` emits for ASCII strings free of
 # quotes, backslashes and control characters, and integers of at most 18
 # digits (so within int64): the fields in LOG_FIELDS order, compact
 # separators, the newline.  On such a line the groups capture the values
@@ -473,10 +461,10 @@ def read_log_columns(path) -> EventColumns:
     """The events of :func:`read_lsa_log` as columns, or its error.
 
     When every line of the file (the last one may lack its newline) is a
-    ``_CANONICAL_LINE`` and every LS type and age passes ``LsaEvent``'s
-    checks, the columns come from one ``findall`` over the file's bytes.
-    Any other file is read by :func:`read_lsa_log` as a whole, so a bad
-    line gets the message of the definition.
+    ``_CANONICAL_LINE`` and every LS type and age passes the checks of
+    :func:`read_lsa_log`, the columns come from one ``findall`` over the
+    file's bytes.  Any other file is read by :func:`read_lsa_log` as a
+    whole, so a bad line gets the message of the definition.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -518,8 +506,13 @@ def _parse_log_line(raw: bytes) -> LsaEvent | None:
     missing = [k for k in LOG_FIELDS if k not in rec]
     if missing:
         raise ValueError(f"missing fields: {', '.join(missing)}")
-    kinds = (int, str, int, str, str, int, int, bool)  # LOG_FIELDS are LsaEvent's fields
-    return LsaEvent(*[_expect(rec, key, kind) for key, kind in zip(LOG_FIELDS, kinds)])
+    kinds = (int, str, int, str, str, int, int, bool)
+    event = LsaEvent(*[_expect(rec, key, kind) for key, kind in zip(LOG_FIELDS, kinds)])
+    if event.ls_type not in LS_TYPES:
+        raise ValueError(f"ls_type must be {LS_TYPES[0]}-{LS_TYPES[-1]}, got {event.ls_type}")
+    if not 0 <= event.ls_age <= MAX_AGE:
+        raise ValueError(f"ls_age must be in [0, {MAX_AGE}], got {event.ls_age}")
+    return event
 
 
 def _expect(rec, key, kind):

@@ -22,7 +22,7 @@ Node roles:
 
 Monitors are passive taps on a node.  They record every LS Update arrival
 at the node, the node's own originations, and arriving acknowledgments
-(flagged ``is_ack``), each as a row, a tuple of the ``LOG_FIELDS`` values.
+(flagged ``is_ack``), each as a row, a plain tuple shaped as an ``LsaEvent``.
 Runs are reproducible: one seeded generator is consumed in event order,
 times are integer microseconds, and heap ties break on (node order,
 scheduling sequence).
@@ -419,13 +419,13 @@ CANNED_SCENARIOS = {
 
 @dataclass
 class RunResult:
-    rows: dict[str, list[tuple]]  # monitor -> its rows, tuples of the LOG_FIELDS values
+    rows: dict[str, list[tuple]]  # monitor -> its rows, tuples shaped as LsaEvents
     warnings: list[str]
 
     @functools.cached_property
     def logs(self) -> dict[str, list[LsaEvent]]:
-        """Each monitor's rows as LsaEvent objects, built on the first read."""
-        return {mon: [LsaEvent(*row) for row in rows] for mon, rows in self.rows.items()}
+        """Each monitor's rows named as LsaEvents, built on the first read."""
+        return {mon: list(map(LsaEvent._make, rows)) for mon, rows in self.rows.items()}
 
 
 class _Engine:
@@ -673,7 +673,7 @@ def run(topology: Topology, scenario: list[ScenarioEvent], duration_s: float,
 
 def total_event_counts(rows: dict[str, list[tuple]]) -> dict[str, int]:
     """Per-monitor totals of non-ack LSA events, from ``RunResult.rows``
-    (tuples of the ``LOG_FIELDS`` values), not from ``RunResult.logs``."""
+    (or its ``logs``, which name the same tuples)."""
     return {mon: sum(not row[-1] for row in log) for mon, log in rows.items()}  # [-1]: is_ack
 
 

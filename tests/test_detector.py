@@ -8,7 +8,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from ospfrqa import detect, ingest, rqa
+from ospfrqa import detect, ingest, rqa, sim
 from ospfrqa.detect import Alert, DetectorConfig, MeasureSeries
 
 
@@ -668,3 +668,19 @@ class TestAnalyzeRun:
         assert len(series) == 300
         assert len(ms) == 271
         assert isinstance(alerts, list)
+
+    def test_rows_and_events_give_the_same_run(self):
+        # A simulator row is an LsaEvent left unnamed: analyze_run reads either.
+        topo = sim.load_topology("paper16")
+        res = sim.run(topo, sim.scenario_paper_attacks()[:1], 4000, seed=1)
+        flt = ingest.EventFilter(monitor="rcs1", origin=topo.router_id("r9"))
+        cfg = DetectorConfig(window_bins=30, baseline_bins=10)
+        (s1, m1, a1), (s2, m2, a2) = (detect.analyze_run(events, flt, cfg, 0, 4_000_000_000)
+                                      for events in (res.rows["rcs1"], res.logs["rcs1"]))
+        assert (s1.start_us, s1.dropped, s1.counts.tolist()) == (s2.start_us, s2.dropped,
+                                                                  s2.counts.tolist())
+        np.testing.assert_array_equal(m1.window_end_bins, m2.window_end_bins)
+        assert m1.values.keys() == m2.values.keys()
+        for name in m1.values:
+            np.testing.assert_array_equal(m1.values[name], m2.values[name])
+        assert a1 == a2 != []

@@ -49,14 +49,24 @@ event_strategy = st.builds(
 )
 
 
-class TestLsaEvent:
-    def test_rejects_bad_type(self):
-        with pytest.raises(ValueError, match="ls_type"):
-            make_event(ls_type=7)
+def assert_both_readers_reject(path, event, message):
+    """The constructor and the writer take ``event`` as it is; both log
+    readers reject its line with exactly ``message``."""
+    assert ingest.write_lsa_log(path, [event]) == 1
+    for read in (lambda p: list(ingest.read_lsa_log(p)), ingest.read_log_columns):
+        with pytest.raises(ingest.LogFormatError) as err:
+            read(path)
+        assert str(err.value) == f"{path}: line 1: {message}"
 
-    def test_rejects_bad_age(self):
-        with pytest.raises(ValueError, match="ls_age"):
-            make_event(ls_age=3601)
+
+class TestLsaEvent:
+    def test_rejects_bad_type(self, tmp_path):
+        assert_both_readers_reject(tmp_path / "type.jsonl", make_event(ls_type=7),
+                                   "ls_type must be 1-5, got 7")
+
+    def test_rejects_bad_age(self, tmp_path):
+        assert_both_readers_reject(tmp_path / "age.jsonl", make_event(ls_age=3601),
+                                   "ls_age must be in [0, 3600], got 3601")
 
 
 class TestLogRoundTrip:
@@ -128,7 +138,7 @@ class TestLogRoundTrip:
 
     @pytest.mark.parametrize("prefix, content, line", [
         (b"", b"\xff\xfe" + json.dumps({"ts_us": 0}).encode(), 1),
-        (b"", json.dumps(dataclasses.asdict(make_event())).encode("utf-16"), 1),
+        (b"", json.dumps(make_event()._asdict()).encode("utf-16"), 1),
         (b"\n", b'{"monitor": "m\xe9"}', 2),
     ], ids=["bom-bytes", "utf-16", "latin-1-on-line-2"])
     def test_bytes_that_are_not_utf8_report_file_and_line(self, tmp_path, prefix, content, line):
@@ -158,7 +168,7 @@ def log_line_bytes(draw):
         ls_type=st.integers(1, 5), adv_router=awkward_text, ls_id=awkward_text,
         ls_age=st.integers(0, 3600), ls_seq=st.integers(-(2**64), 2**64),
         is_ack=st.booleans())))
-    pairs = [[json.dumps(k), json.dumps(v)] for k, v in dataclasses.asdict(event).items()]
+    pairs = [[json.dumps(k), json.dumps(v)] for k, v in event._asdict().items()]
     sep = ","
     for _ in range(draw(st.integers(0, 2))):
         edit = draw(st.sampled_from(["value", "extra", "duplicate", "swap", "escaped key",
@@ -249,7 +259,7 @@ class TestLogFastPath:
                                   blob.rstrip(b"\n") if cut_last_newline else blob)
 
     def test_each_odd_value_in_each_field_matches_json_path(self, tmp_path):
-        base = dataclasses.asdict(make_event())
+        base = make_event()._asdict()
         for key in ingest.LOG_FIELDS:
             for raw in ODD_JSON_VALUES:
                 line = "{" + ",".join(f'"{k}":{raw if k == key else json.dumps(v)}'
@@ -269,7 +279,7 @@ class TestLogFastPath:
          b'"ls_age":1,"ls_seq":1,"is_ack":true}\n', False),
     ], ids=["no-newline-minus-zero", "edge-values", "bad-ls-type", "bad-ls-age", "raw-del"])
     def test_edge_lines_read_as_json_path(self, tmp_path, line, canonical):
-        # LsaEvent still rejects a bad type or age on a canonical line.  The
+        # The JSON path still rejects a bad type or age on a canonical line.  The
         # columns reader gives a last line its missing newline.
         assert bool(ingest._CANONICAL_LINE.fullmatch(line.rstrip(b"\n") + b"\n")) == canonical
         assert_reads_as_json_path(tmp_path / "edge.jsonl", line)
@@ -931,7 +941,7 @@ log_lines = st.one_of(
     st.text(max_size=60),
     json_values.map(json.dumps),
     st.fixed_dictionaries({k: json_values for k in ingest.LOG_FIELDS}).map(json.dumps),
-    st.builds(lambda e, k, v: json.dumps({**dataclasses.asdict(e), k: v}),
+    st.builds(lambda e, k, v: json.dumps({**e._asdict(), k: v}),
               event_strategy, st.sampled_from(ingest.LOG_FIELDS), json_values),
 )
 

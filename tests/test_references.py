@@ -1,9 +1,10 @@
 """Every public function, class and method of the package is used by the package,
-every module-level constant is read by it, and no public dataclass carries a
-private field."""
+every module-level constant is read by it, no public dataclass carries a
+private field, and every name the benchmark harness needs exists."""
 
 import ast
 import fnmatch
+import importlib
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -18,8 +19,8 @@ UNREFERENCED_ALLOWED = {
     "rqa.RqaMeasures.as_dict": "library call for reading one window's measures by name",
     "ingest.extract_pcap_events": "the per-record definition of reading a capture, which "
                                   "read_pcap_columns must match; library call for events",
-    "sim.RunResult.logs": "library call for a run's events, built from its rows on the first "
-                          "read; simulate writes the rows and reads no events",
+    "sim.RunResult.logs": "library call for a run's rows named as events, which the benchmark "
+                          "harness reads; simulate writes the rows as they are",
 }
 
 
@@ -132,3 +133,57 @@ def test_every_module_constant_is_read():
     # A constant nothing reads is a setting that no longer sets anything.
     package = Path(ospfrqa.__file__).resolve().parent
     assert unread_constants(package) == []
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPAN_TABLES = ("incl", "self_t", "calls")  # layertrace's totals, keyed by traced function
+
+
+def benchmark_names(directory: Path) -> set[str]:
+    """``module.name`` for each package name that the scripts in
+    ``directory`` need, read from their source without importing them:
+    each attribute read on an ``ospfrqa`` module they import, each name
+    they import from one, each key of ``OBSERVERS`` and each traced
+    function whose time or call count ``layertrace`` looks up by name."""
+    names = set()
+    for path in sorted(directory.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {}  # local name -> the dotted ospfrqa module it stands for
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "ospfrqa":
+                bound.update({a.asname or a.name: f"ospfrqa.{a.name}" for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ospfrqa."):
+                names.update(f"{node.module[8:]}.{a.name}" for a in node.names)
+            elif isinstance(node, ast.Import):
+                bound.update({a.asname or "ospfrqa": a.name if a.asname else "ospfrqa"
+                              for a in node.names if a.name.split(".")[0] == "ospfrqa"})
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attrs, base = [], node
+                while isinstance(base, ast.Attribute):
+                    attrs.insert(0, base.attr)
+                    base = base.value
+                if isinstance(base, ast.Name) and base.id in bound:
+                    parts = bound[base.id].split(".") + attrs
+                    if len(parts) >= 3:
+                        names.add(f"{parts[1]}.{parts[2]}")
+            elif (path.name == "layertrace.py" and isinstance(node, ast.Subscript)
+                  and isinstance(node.value, ast.Name) and node.value.id in SPAN_TABLES
+                  and isinstance(node.slice, ast.Constant)):
+                names.add(node.slice.value)
+            elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                  and any(isinstance(t, ast.Name) and t.id == "OBSERVERS" for t in node.targets)):
+                names.update(key.value for key in node.value.keys)
+    return names
+
+
+def test_every_name_the_benchmark_needs_exists():
+    # The harness lives outside the package and its tests, so without this a
+    # rename could pass every test and leave a benchmark metric reading 0.
+    names = benchmark_names(PERFBENCH)
+    assert {"cli.main", "ingest.LsaEvent", "ingest.write_lsa_log", "ingest.extract_pcap_events",
+            "sim.run", "detect.measures_for_series", "cli.cmd_detect"} <= names
+    missing = [name for name in sorted(names)
+               if not hasattr(importlib.import_module(f"ospfrqa.{name.split('.')[0]}"),
+                              name.split(".")[1])]
+    assert missing == []

@@ -187,7 +187,7 @@ class TestScenarios:
 
 def serialize(logs):
     return json.dumps(
-        {m: [e.__dict__ for e in evs] for m, evs in logs.items()}, sort_keys=True
+        {m: [e._asdict() for e in evs] for m, evs in logs.items()}, sort_keys=True
     )
 
 
@@ -372,6 +372,35 @@ tc c transit
     return sim.parse_topology(text, name="triangle")
 
 
+def square_with_taps() -> sim.Topology:
+    """Four routers on a square with fixed delays, a-b and b-d 1 ms, a-c and
+    c-d 2 ms, and a transit tap on each."""
+    text = """
+[routers]
+a eth0 eth1
+b eth0 eth1
+c eth0 eth1
+d eth0 eth1
+[links]
+a eth0 b eth0 1 1
+b eth1 d eth0 1 1
+a eth1 c eth0 2 2
+c eth1 d eth1 2 2
+[monitors]
+ta a transit
+tb b transit
+tc c transit
+td d transit
+"""
+    return sim.parse_topology(text, name="square")
+
+
+def tap_rows(res: sim.RunResult) -> dict[str, list[tuple]]:
+    """Each tap's events as (time, origin, seq, age, is_ack)."""
+    return {mon: [(e.ts_us, e.adv_router, e.ls_seq, e.ls_age, e.is_ack) for e in log]
+            for mon, log in res.logs.items()}
+
+
 class TestDeliverBranches:
     """Each outcome of an arrival, derived by hand: with fixed delays a copy
     over a-c arrives 3 ms after the copy over a-b-c, and an accepted copy is
@@ -385,9 +414,7 @@ class TestDeliverBranches:
     def logs(self):
         forge = sim.ScenarioEvent(1.0, "attack_disguised", {"attacker": "c", "victim": "a"},
                                   {"period_s": 60.0, "duration_s": 1.0})
-        res = sim.run(triangle_with_taps(), [forge], 3.0, seed=0)
-        return {mon: [(e.ts_us, e.adv_router, e.ls_seq, e.ls_age, e.is_ack) for e in log]
-                for mon, log in res.logs.items()}
+        return tap_rows(sim.run(triangle_with_taps(), [forge], 3.0, seed=0))
 
     def test_younger_copy_is_accepted_and_acked(self, logs):
         # a's boot LSA reaches c over a-b-c at 2 ms (age 2), then straight
@@ -430,6 +457,18 @@ class TestDeliverBranches:
         assert [row for row in logs["tc"] if row[2] == S + 1 and row[4]] == [
             (T + 2000, A, S + 1, 1, True)]  # b's ack of the forgery, and only that
         assert [row for row in logs["tb"] if row[0] > T + 5000 and row[2] == S + 1] == []
+
+    def test_equal_age_copy_is_dropped_without_an_ack(self):
+        # On the square, a's boot LSA reaches d over a-b-d at 2 ms and over
+        # a-c-d at 4 ms, both at age 2.  The held copy has not aged a whole
+        # second, so the second copy is no younger: it is dropped, and c,
+        # which sent it, records no ack for a's LSA, while b's copy was acked.
+        A, S = self.A, self.S
+        logs = tap_rows(sim.run(square_with_taps(), [], 1.0, seed=0))
+        td = logs["td"]
+        assert td.index((2000, A, S, 2, False)) < td.index((4000, A, S, 2, False))
+        assert (3000, A, S, 2, True) in logs["tb"]
+        assert [row for row in logs["tc"] if row[1] == A and row[4]] == []
 
 
 class TestIsolation:
