@@ -108,19 +108,22 @@ COMMANDS = {
 def read_config_file(path) -> dict[str, tuple[int, str]]:
     """``key -> (line number, raw value)`` for a flat ``key = value`` file."""
     values = {}
-    with open(path, encoding="utf-8") as f:
-        for line_no, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}:{line_no}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in values:
-                raise CliError(f"{path}:{line_no}: {key}: duplicate key "
-                               f"(first set on line {values[key][0]})")
-            values[key] = (line_no, value.strip())
+    # Split as text mode reads lines: at \n, \r and \r\n.
+    for line_no, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = ingest._utf8(raw).split("#", 1)[0].strip()
+        except ValueError as e:
+            raise CliError(f"{path}:{line_no}: {e}") from None
+        if not line:
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{line_no}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in values:
+            raise CliError(f"{path}:{line_no}: {key}: duplicate key "
+                           f"(first set on line {values[key][0]})")
+        values[key] = (line_no, value.strip())
     return values
 
 

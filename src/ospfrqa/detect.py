@@ -20,7 +20,7 @@ any enabled measure's score reaches ``k_mad``.  Contiguous deviant
 windows collapse into a single alert stamped at the run's first window.
 Medians and MADs are exact, from sorted baselines, and recomputed only
 where a baseline's multiset changes; ``write_measures_csv`` formats each
-distinct row of measures once per chunk of rows.
+distinct row of measures once per series.
 
 Quiet OSPF traffic makes the raw MAD useless as a scale: the measure
 series of a refresh-only count series is piecewise constant, so the MAD
@@ -39,6 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .ingest import CSV_CHUNK_ROWS, CountSeries, EventColumns, EventFilter, bin_series
+from .ingest import _ascii_rows, _exact_seconds
 from .rqa import (
     MEASURE_NAMES,
     EmbedParams,
@@ -313,24 +314,47 @@ def analyze_run(
 def write_measures_csv(path, measures: MeasureSeries) -> None:
     """Plot-ready CSV: ``window_end_bin,t_s`` then the nine measure columns.
 
-    Rows go ``CSV_CHUNK_ROWS`` at a time.  Within a chunk, rows whose nine
-    values have the same bits (so -0.0, +0.0 and each NaN stay apart) share
-    one text, formatted once per distinct row."""
+    Rows whose nine values have the same bits (so -0.0, +0.0 and each NaN
+    stay apart) share one text, formatted once per series: in the chunk of
+    ``CSV_CHUNK_ROWS`` rows where it first occurs, and kept only until its
+    last.  The heads ``window_end_bin,t_s,`` are rendered from integers where
+    the times print exactly, else by ``%``, and joined to the texts."""
     ends = measures.window_end_bins
-    # The same float arithmetic as MeasureSeries.time_s, one column at once.
-    times = measures.start_us / 1e6 + (ends + 1) * measures.bin_size_s
-    fields = ",".join(["%.12g"] * len(MEASURE_NAMES)) + "\n"
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("window_end_bin,t_s," + ",".join(MEASURE_NAMES) + "\n")
+    k = ends + 1  # window w ends as bin w + 1 starts
+    bits = [np.asarray(measures.values[name], float).view(np.uint64) for name in MEASURE_NAMES]
+    order = np.lexsort(bits)  # rows sorted by their bits, so that equal rows fall together
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = np.any([np.diff(c[order]) != 0 for c in bits], axis=0)
+    # Distinct rows numbered by first occurrence, the head of each run of the stable sort.
+    by_first = np.argsort(order[new])
+    row = np.empty_like(order)
+    row[order] = np.argsort(by_first)[np.cumsum(new) - 1]
+    first = order[new][by_first]
+    last = np.zeros_like(first)
+    np.maximum.at(last, row, np.arange(row.size))
+    texts = np.empty(first.size, dtype=object)
+    fields = b",".join([b"%.12g"] * len(MEASURE_NAMES)) + b"\n"
+    start_us, bin_s = measures.start_us, measures.bin_size_s
+    exact = 0 <= ends.min(initial=0) and _exact_seconds(start_us, bin_s, k)
+    start_s, frac = divmod(int(start_us), 1_000_000) if exact else (0, 0)
+    with open(path, "wb") as f:
+        f.write(("window_end_bin,t_s," + ",".join(MEASURE_NAMES) + "\n").encode())
         for lo in range(0, ends.size, CSV_CHUNK_ROWS):
-            rows = slice(lo, lo + CSV_CHUNK_ROWS)
-            block = np.stack([measures.values[name][rows] for name in MEASURE_NAMES], axis=1)
-            # Each row's bytes as one key: rows with equal keys print alike.
-            keys = block.view(np.dtype((np.void, block[0].nbytes))).ravel()
-            _, first, row = np.unique(keys, return_index=True, return_inverse=True)
-            texts = [fields % tuple(v) for v in block[first].tolist()]
-            f.write("".join(["%d,%.6f,%s" % (end, t, texts[i]) for end, t, i
-                             in zip(ends[rows].tolist(), times[rows].tolist(), row.tolist())]))
+            hi = lo + CSV_CHUNK_ROWS
+            rows, fresh = slice(lo, hi), slice(*np.searchsorted(first, [lo, hi]))
+            distinct = zip(*[c[first[fresh]].view(float).tolist() for c in bits])
+            texts[fresh] = [fields % v for v in distinct]
+            if exact:
+                heads = _ascii_rows(row[rows].size, [
+                    ends[rows], b",", start_s + k[rows] * int(bin_s), b".%06d,\n" % frac,
+                ]).split(b"\n")[:-1]
+            else:  # the float arithmetic of MeasureSeries.time_s
+                times = start_us / 1e6 + k[rows] * bin_s
+                heads = [b"%d,%.6f," % p for p in zip(ends[rows].tolist(), times.tolist())]
+            parts = [b""] * (2 * len(heads))
+            parts[::2], parts[1::2] = heads, texts[row[rows]].tolist()
+            f.write(b"".join(parts))
+            texts[last < hi] = None
 
 
 def write_alerts_jsonl(path, alerts: list[Alert]) -> None:

@@ -18,9 +18,9 @@ through the per-line definition as a whole; any other frame goes through
 :func:`parse_ospf_packet` on its own.  Both paths therefore give the same
 events and the same error messages for the same file.  Either pcap
 reader reads a capture whole, once, through one record table.  The
-series CSV writer likewise has a fast path for series from time 0 on
-with counts below 2^32, beside the plain ``%`` formatting that defines
-the format.
+series CSV likewise has a numpy path each way for the series that the
+pipeline writes (times in [0, 2^32 s), counts below 2^32), beside the
+plain ``%`` formatting and the line loop that define the format.
 """
 
 from __future__ import annotations
@@ -488,11 +488,7 @@ def read_log_columns(path) -> EventColumns:
 
 def _parse_log_line(raw: bytes) -> LsaEvent | None:
     """The event of one log line, None for a blank line; ValueError if bad."""
-    try:
-        line = raw.decode("utf-8").strip()
-    except UnicodeDecodeError as e:
-        raise ValueError(f"not valid UTF-8 (byte 0x{raw[e.start]:02x} "
-                         f"at column {e.start + 1})") from None
+    line = _utf8(raw).strip()
     if not line:
         return None
     try:
@@ -513,6 +509,15 @@ def _parse_log_line(raw: bytes) -> LsaEvent | None:
     if not 0 <= event.ls_age <= MAX_AGE:
         raise ValueError(f"ls_age must be in [0, {MAX_AGE}], got {event.ls_age}")
     return event
+
+
+def _utf8(raw: bytes) -> str:
+    """``raw`` decoded; ValueError naming the first byte that is not UTF-8."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"not valid UTF-8 (byte 0x{raw[e.start]:02x} "
+                         f"at column {e.start + 1})") from None
 
 
 def _expect(rec, key, kind):
@@ -564,21 +569,14 @@ def write_series_csv(path, series: CountSeries) -> None:
 
     ``t_start_s`` is ``"%.6f" % (start_us / 1e6 + k * bin_size_s)``: the
     per-value ``%`` path, ``CSV_CHUNK_ROWS`` rows at a time, defines the
-    format.  A series with an integer start and bin size, every bin start
-    in [0, ``SERIES_TIME_GUARD_US``) (2^32 s) and every bin index and count
-    in [0, 2^32), as every series the pipeline writes, is rendered from
-    integers by :func:`_ascii_rows` instead.  There the float is within
-    2^-21 s < 0.5 µs of the exact bin start ``start_us + k * bin_size_s *
-    10^6`` µs, so it prints as the exact decimal of that integer.
+    format.  A series whose bin starts print exactly (:func:`_exact_seconds`)
+    and whose counts lie in [0, 2^32), as every series the pipeline writes,
+    is rendered from integers by :func:`_ascii_rows` instead.
     """
     n = len(series)
     start_us, bin_s, counts = series.start_us, series.bin_size_s, series.counts
-    first = last = -1
-    if isinstance(start_us, (int, np.integer)) and isinstance(bin_s, (int, np.integer)):
-        first = int(start_us)
-        last = first + max(n - 1, 0) * int(bin_s) * 1_000_000
-    if not (0 <= min(first, last) and max(first, last) < SERIES_TIME_GUARD_US
-            and n <= 2**32 and 0 <= counts.min(initial=0) and counts.max(initial=0) < 2**32):
+    if not (_exact_seconds(start_us, bin_s, np.arange(n))
+            and 0 <= counts.min(initial=0) and counts.max(initial=0) < 2**32):
         idx = np.arange(n)
         times = start_us / 1e6 + idx * bin_s
         with open(path, "w", encoding="utf-8") as f:
@@ -587,9 +585,8 @@ def write_series_csv(path, series: CountSeries) -> None:
                 chunk = [c[lo:lo + CSV_CHUNK_ROWS].tolist() for c in (idx, times, counts)]
                 f.write("".join(["%d,%.6f,%d\n" % values for values in zip(*chunk)]))
         return
-    # Bin starts are linear in k, so all of them lie between the first and
-    # the last; bin k starts (start_s + k * bin_s) s and start_frac µs.
-    start_s, start_frac = divmod(first, 1_000_000)
+    # Bin k starts (start_s + k * bin_s) s and start_frac µs.
+    start_s, start_frac = divmod(int(start_us), 1_000_000)
     frac = b".%06d," % start_frac
     with open(path, "wb") as f:
         f.write(b"bin_index,t_start_s,count\n")
@@ -597,6 +594,18 @@ def write_series_csv(path, series: CountSeries) -> None:
             k = np.arange(lo, min(lo + SERIES_CSV_BLOCK_ROWS, n), dtype=np.int64)
             f.write(_ascii_rows(k.size, [k, b",", start_s + k * int(bin_s), frac,
                                          counts[lo:lo + k.size], b"\n"]))
+
+
+def _exact_seconds(start_us, bin_s, k: np.ndarray) -> bool:
+    """Whether ``k`` are integers in [0, 2^32) whose times ``"%.6f" % (start_us
+    / 1e6 + k * bin_s)`` print exactly: with integer start and bin size, they
+    do in [0, 2^32 s), where the float is within 2^-21 s < 0.5 µs of them."""
+    if not (k.dtype.kind in "iu" and isinstance(start_us, (int, np.integer))
+            and isinstance(bin_s, (int, np.integer))):
+        return False
+    lo, hi = int(k.min(initial=0)), int(k.max(initial=0))
+    times = [int(start_us) + j * int(bin_s) * 1_000_000 for j in (lo, hi)]
+    return 0 <= lo and hi < 2**32 and 0 <= min(times) and max(times) < SERIES_TIME_GUARD_US
 
 
 def _ascii_rows(n_rows: int, fields: list) -> bytes:
@@ -639,52 +648,99 @@ def read_series_csv(path) -> CountSeries:
     the writer's ``%.6f`` form.  Bin indices must run 0, 1, 2, ... and start
     times must increase in even steps of a whole number of seconds (within
     ``SPACING_TOL_S``).  Anything else raises ``ValueError`` naming the path
-    and the first line that breaks the format.
+    and the first line that breaks the format.  A file in the writer's own
+    form is parsed by numpy, any other by the line loop that defines it.
     """
+    with open(path, "rb") as f:
+        blob = f.read()
+    series = _series_from_bytes(blob)
+    return _read_series_lines(path, blob) if series is None else series
+
+
+def _series_from_bytes(blob: bytes) -> CountSeries | None:
+    """The series of a file in the writer's own form, else None: the exact
+    header, then lines ``index,seconds.micros,count\\n`` with indices 0..n-1,
+    counts below 10^18 and times in [0, 2^32 s) exactly a whole number of
+    seconds apart.  Fields are cut at ``,.,\\n`` and read right-aligned, as
+    :func:`_ascii_rows` lays them out, one digit column of a field at a time."""
+    header = b"bin_index,t_start_s,count\n"
+    if not blob.startswith(header) or not blob.endswith(b"\n") or len(blob) == len(header):
+        return None
+    body = np.frombuffer(blob, np.uint8)
+    is_sep = body == ord(",")
+    is_sep |= body == ord(".")
+    is_sep |= body == ord("\n")
+    seps = np.flatnonzero(is_sep)[3:]  # past the header's
+    if seps.size % 4 or (body[seps].reshape(-1, 4) != np.frombuffer(b",.,\n", np.uint8)).any():
+        return None
+    starts = np.r_[len(header) - 1, seps[:-1]]
+    values = []
+    for f, (least, most) in enumerate([(1, 18), (1, 18), (6, 6), (1, 18)]):
+        end = seps[f::4]
+        width = end - starts[f::4] - 1
+        if width.min() < least or width.max() > most:
+            return None
+        v = np.zeros(end.size, np.int64)
+        for j in range(1, int(width.max()) + 1):  # the j-th char from each field's end
+            digit = body[end - j] - np.uint8(ord("0"))  # inside the file: the header is longer
+            digit *= width >= j
+            if (digit > 9).any() or f == 1 and j > 1 and (digit[width == j] == 0).any():
+                return None  # not a digit, or seconds with a leading zero
+            v += digit * np.int64(10 ** (j - 1))
+        values.append(v)
+    index, seconds, micros, counts = values
+    us = seconds * 1_000_000 + micros
+    step = int(us[1] - us[0]) if index.size > 1 else 1_000_000
+    if (index != np.arange(index.size)).any() or step <= 0 or step % 1_000_000 \
+            or (us != us[0] + index * step).any() or seconds.max() >= 2**32:
+        return None
+    # Below 2^32 s this is the loop's round(float(time) * 1e6), within 0.5 µs.
+    return CountSeries(int(us[0]), step // 1_000_000, counts)
+
+
+def _read_series_lines(path, blob: bytes) -> CountSeries:
+    """The series of a CSV file's bytes, line by line: the definition of the
+    format, and of every error message."""
     # A negative count matches too, so that it gets the range message; -0 does not.
     row_form = re.compile(r"([0-9]+),(-?(?:0|[1-9][0-9]*)\.[0-9]{6}),([0-9]+|-0*[1-9][0-9]*)")
     counts: list[int] = []
     t_first = 0.0
     bin_size = 1
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != "bin_index,t_start_s,count":
-            raise ValueError(f"{path}: unexpected CSV header {header!r}")
-        t_prev = None
-        where = f"{path}: line "  # formatted once, not once per line
-        for line_no, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            row = row_form.fullmatch(line)
-            if row is None:
-                raise ValueError(
-                    f"{where}{line_no}: expected bin_index,t_start_s,count, got {line!r}"
-                )
-            idx_s, t_text, count_s = row.groups()
-            idx, t_s, count = int(idx_s), float(t_text), int(count_s)
-            if idx != len(counts):
-                raise ValueError(f"{where}{line_no}: bin index {idx}, expected {len(counts)}")
-            if not 0 <= count < 2**63:
-                raise ValueError(f"{where}{line_no}: count {count_s} is outside 0..2**63-1")
-            if t_prev is None:
-                t_first = t_s
-            elif not t_s > t_prev:
-                raise ValueError(f"{where}{line_no}: time {t_text} s does not increase")
-            elif idx == 1:
-                bin_size = round(t_s - t_first)
-                if bin_size < 1 or abs(t_s - t_first - bin_size) > SPACING_TOL_S:
-                    raise ValueError(
-                        f"{where}{line_no}: bin spacing {t_s - t_first:g} s is not a "
-                        f"whole number of seconds"
-                    )
-            elif abs(t_s - (t_first + idx * bin_size)) > SPACING_TOL_S:
-                raise ValueError(
-                    f"{where}{line_no}: uneven spacing, time {t_text} s where "
-                    f"{t_first + idx * bin_size:.6f} s was expected"
-                )
-            t_prev = t_s
-            counts.append(count)
+    t_prev = None
+    where = f"{path}: line "  # formatted once, not once per line
+    # Split as text mode reads lines: at \n, \r and \r\n.
+    for line_no, raw in enumerate(blob.splitlines() or [b""], start=1):
+        try:
+            line = _utf8(raw).strip()
+        except ValueError as e:
+            raise ValueError(f"{where}{line_no}: {e}") from None
+        if line_no == 1 and line != "bin_index,t_start_s,count":
+            raise ValueError(f"{path}: unexpected CSV header {line!r}")
+        if line_no == 1 or not line:
+            continue
+        row = row_form.fullmatch(line)
+        if row is None:
+            raise ValueError(f"{where}{line_no}: expected bin_index,t_start_s,count, got {line!r}")
+        idx_s, t_text, count_s = row.groups()
+        idx, t_s, count = int(idx_s), float(t_text), int(count_s)
+        if idx != len(counts):
+            raise ValueError(f"{where}{line_no}: bin index {idx}, expected {len(counts)}")
+        if not 0 <= count < 2**63:
+            raise ValueError(f"{where}{line_no}: count {count_s} is outside 0..2**63-1")
+        if t_prev is None:
+            t_first = t_s
+        elif not t_s > t_prev:
+            raise ValueError(f"{where}{line_no}: time {t_text} s does not increase")
+        elif idx == 1:
+            bin_size = round(t_s - t_first)
+            if bin_size < 1 or abs(t_s - t_first - bin_size) > SPACING_TOL_S:
+                raise ValueError(f"{where}{line_no}: bin spacing {t_s - t_first:g} s is not a "
+                                 f"whole number of seconds")
+        elif abs(t_s - (t_first + idx * bin_size)) > SPACING_TOL_S:
+            raise ValueError(f"{where}{line_no}: uneven spacing, time {t_text} s where "
+                             f"{t_first + idx * bin_size:.6f} s was expected")
+        t_prev = t_s
+        counts.append(count)
     if not counts:
         raise ValueError(f"{path}: empty series")
     return CountSeries(int(round(t_first * 1e6)), bin_size, np.array(counts))

@@ -531,6 +531,18 @@ class TestDetect:
                 in capsys.readouterr().err)
         assert not (tmp_path / "d" / "measures.csv").exists()
 
+    @pytest.mark.parametrize("command", ["detect", "params"])
+    def test_series_not_utf8_exits_2_naming_line_and_byte(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.csv"
+        rows = [f"{i},{10 * i}.000000,{i % 3}".encode() for i in range(300)]
+        rows[50] = b"50,500.000000,\xff"
+        path.write_bytes(b"bin_index,t_start_s,count\n" + b"\n".join(rows) + b"\n")
+        out = ("--out", tmp_path / "d") if command == "detect" else ()
+        assert run_cli(command, path, *out) == 2
+        assert capsys.readouterr().err == \
+            f"error: {path}: line 52: not valid UTF-8 (byte 0xff at column 15)\n"
+        assert not (tmp_path / "d" / "measures.csv").exists()
+
     def test_fail_on_alert_fires(self, tmp_path):
         rng = np.random.default_rng(1)
         counts = rng.poisson(0.05, size=900)
@@ -617,6 +629,24 @@ class TestStrictConfig:
         cfg.write_text("window = 2OO\n")
         assert run_cli("detect", quiet_series, "--out", tmp_path / "d", "--config", cfg) == 2
         assert f"{cfg}:1: window = '2OO'" in capsys.readouterr().err
+
+    def test_config_not_utf8_exits_2_naming_line_and_byte(self, quiet_series, tmp_path,
+                                                          capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"# r\xe9glages\r\nwindow = 100\r\nk_mad = 6\xff\r\n")
+        assert run_cli("detect", quiet_series, "--out", tmp_path / "d", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}:1: not valid UTF-8 (byte 0xe9 at column 4)\n"
+        cfg.write_bytes(b"window = 100\rk_mad = 6\xff\n")  # a lone CR ends a line too
+        assert run_cli("detect", quiet_series, "--out", tmp_path / "d", "--config", cfg) == 2
+        assert f"{cfg}:2: not valid UTF-8 (byte 0xff at column 10)" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_config_with_crlf_lines_reads_as_with_lf(self, quiet_series, tmp_path):
+        cfg = tmp_path / "crlf.cfg"
+        cfg.write_bytes(b"# settings\r\nwindow = 100\r\nmeasures = rr,det\r\n")
+        assert run_cli("detect", quiet_series, "--out", tmp_path / "d", "--config", cfg) == 0
+        assert "window = 100" in (tmp_path / "d" / "run_config.cfg").read_text()
 
     @pytest.mark.parametrize("value, expected", [
         ("true", 1), ("On", 1), ("YES", 1), ("1", 1),

@@ -1,5 +1,6 @@
 """Sliding-window analysis and change-detector behavior."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -639,6 +640,59 @@ class TestSerialization:
         for chunk in (7, detect.CSV_CHUNK_ROWS):
             with mock.patch.object(detect, "CSV_CHUNK_ROWS", chunk):
                 assert csv_bytes(tmp_path, ms) == per_row_csv(ms)
+
+    @pytest.mark.parametrize("chunk", [3, 7, detect.CSV_CHUNK_ROWS])
+    def test_measures_csv_equal_rows_across_chunk_boundaries(self, tmp_path, chunk):
+        # Rows 0, 5, 10, ... are equal and fall in different chunks; so do
+        # the -0.0/+0.0 and NaN rows beside them, which must keep their texts.
+        n = 2 * detect.CSV_CHUNK_ROWS + 11
+        table = np.array([[0.5] * 9, [-0.0] * 9, [0.0] * 9, [np.nan] * 9,
+                          [1.2345678901234567e300, 5e-324, -np.inf] * 3])
+        values = table[np.arange(n) % 5].T
+        ms = MeasureSeries(np.arange(199, 199 + n), dict(zip(rqa.MEASURE_NAMES, values)),
+                           10, 1_700_000_000_123_457)
+        with mock.patch.object(detect, "CSV_CHUNK_ROWS", chunk):
+            assert csv_bytes(tmp_path, ms) == per_row_csv(ms)
+
+    # Starts and bin sizes around the integer rendering of the times: the
+    # last window time (bin 229 with bin size 1) just below and at 2^32 s,
+    # then ones printed by % per row: below 0 s, past 2^32 s, not whole
+    # microseconds, and not whole seconds.
+    @pytest.mark.parametrize("start_us, bin_size", [
+        (2**32 * 10**6 - 229 * 10**6 - 1, 1), (2**32 * 10**6 - 229 * 10**6, 1),
+        (-5_000_001, 10), (-3_000_000_000, 1), (2**32 * 10**6 - 2_000_000, 1),
+        (2**32 * 10**6, 10), (2**62, 10), (1.5, 10), (0, 2.5), (123_457, np.float64(7.0))])
+    @pytest.mark.parametrize("chunk", [7, detect.CSV_CHUNK_ROWS])
+    def test_measures_csv_around_the_exact_time_guard(self, tmp_path, start_us, bin_size,
+                                                      chunk):
+        ms = synthetic_measures({name: np.resize([0.25, -0.0, np.nan, 3.0], 30)
+                                 for name in rqa.MEASURE_NAMES}, bin_size=bin_size)
+        ms.start_us = start_us
+        with mock.patch.object(detect, "CSV_CHUNK_ROWS", chunk):
+            assert csv_bytes(tmp_path, ms) == per_row_csv(ms)
+
+    def test_measures_csv_memory_is_bounded_on_distinct_rows(self, tmp_path):
+        # A text is kept from the chunk where its row first occurs to its
+        # last occurrence, so all-distinct rows hold about a chunk of texts
+        # (over 100 bytes each) while the index arrays take about 60 per row.
+        rng = np.random.default_rng(7)
+
+        def peak(n):
+            ms = MeasureSeries(np.arange(199, 199 + n),
+                               dict(zip(rqa.MEASURE_NAMES, rng.normal(size=(9, n)))), 10, 0)
+            tracemalloc.start()
+            try:
+                detect.write_measures_csv(tmp_path / "measures.csv", ms)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(40_000) - peak(4_000) < 100 * 36_000
+
+    def test_measures_csv_with_negative_window_ends(self, tmp_path):
+        ms = synthetic_measures({name: [0.5, -0.0, 2.0, 0.5] for name in rqa.MEASURE_NAMES})
+        ms.window_end_bins = np.arange(-1, 3)  # the first time, of bin 0, prints exactly
+        assert csv_bytes(tmp_path, ms) == per_row_csv(ms)
 
     def test_alerts_jsonl_round_trip(self, tmp_path):
         alerts = [Alert(

@@ -517,6 +517,150 @@ class TestBinning:
         assert f"{path}: line {line}:" in str(err.value)
 
 
+def series_fields(series):
+    return series.start_us, series.bin_size_s, series.counts.dtype, series.counts.tolist()
+
+
+def series_outcome(read, *args):
+    """The fields of the series that ``read(*args)`` returns, or its error text."""
+    try:
+        return series_fields(read(*args))
+    except ValueError as e:
+        return str(e)
+
+
+def assert_paths_agree(path):
+    """``read_series_csv`` gives the line loop's series or its error text,
+    and the numpy path, where it takes the file, the loop's series."""
+    blob = path.read_bytes()
+    loop = series_outcome(ingest._read_series_lines, path, blob)
+    assert series_outcome(ingest.read_series_csv, path) == loop
+    fast = ingest._series_from_bytes(blob)
+    if fast is not None:
+        assert series_fields(fast) == loop
+    return fast
+
+
+@st.composite
+def writer_series(draw):
+    """``(start_us, bin_size_s, counts)``: starts inside and outside
+    [0, 2^32 s), near both ends of it, and counts near and past 2^32."""
+    guard = ingest.SERIES_TIME_GUARD_US
+    bin_size = draw(st.sampled_from([1, 7, 10, 30, 3600]))
+    n = draw(st.integers(0, 12))
+    span = max(n - 1, 0) * bin_size * 1_000_000
+    near = st.integers(-3, 3)
+    start_us = draw(st.one_of(
+        st.integers(0, 10**13), st.just(1_700_000_000_123_457),
+        near,                                   # around 0
+        near.map(lambda d: guard - span + d),   # last bin around 2^32 s
+        st.integers(-(2**53), 2**53),
+        st.integers(2**53, 2**62)))             # where float seconds are coarser than 1 µs
+    counts = draw(st.lists(st.one_of(st.integers(0, 40), st.integers(2**32 - 2, 2**32 + 2),
+                                     st.integers(0, 2**63 - 1)), min_size=n, max_size=n))
+    return start_us, bin_size, counts
+
+
+@st.composite
+def perturbed_series(draw):
+    """A small writer output with one byte changed, inserted or deleted,
+    CRLF line ends, a blank line, no final newline, or a byte order mark."""
+    start_us = draw(st.sampled_from([0, 999_999, 1_700_000_000_123_457]))
+    counts = draw(st.lists(st.one_of(st.integers(0, 2**40), st.integers(2**63 - 9, 2**63 - 1)),
+                           min_size=1, max_size=6))
+    blob = oracle.series_csv(start_us, 10, counts).encode()
+    kind = draw(st.sampled_from(["change", "insert", "delete", "crlf", "blank",
+                                 "no final newline", "bom"]))
+    at = draw(st.integers(0, len(blob) - 1))
+    byte = bytes([draw(st.one_of(st.sampled_from(b"0123456789,.\n\r -"),
+                                 st.integers(0, 255)))])
+    if kind in ("change", "insert", "delete"):
+        return blob[:at] + (b"" if kind == "delete" else byte) + blob[at + (kind != "insert"):]
+    if kind == "blank":
+        at = draw(st.sampled_from([i + 1 for i, b in enumerate(blob) if b == ord("\n")]))
+        return blob[:at] + b"\n" + blob[at:]
+    return {"crlf": blob.replace(b"\n", b"\r\n"), "no final newline": blob[:-1],
+            "bom": b"\xef\xbb\xbf" + blob}[kind]
+
+
+class TestSeriesReader:
+    """``read_series_csv``'s numpy path against the line loop that defines the format."""
+
+    @given(case=writer_series())
+    @settings(max_examples=300, deadline=None)
+    def test_numpy_path_equals_the_loop_on_writer_output(self, tmp_path_factory, case):
+        start_us, bin_size, counts = case
+        path = tmp_path_factory.getbasetemp() / "writer.csv"
+        ingest.write_series_csv(path, ingest.CountSeries(start_us, bin_size, counts))
+        fast = assert_paths_agree(path)
+        last_us = start_us + max(len(counts) - 1, 0) * bin_size * 1_000_000
+        if counts and 0 <= start_us and last_us < ingest.SERIES_TIME_GUARD_US \
+                and max(counts) < 10**18:
+            assert fast is not None  # the writer's own form
+
+    @given(blob=perturbed_series())
+    @settings(max_examples=500, deadline=None)
+    def test_perturbed_files_read_as_by_the_loop(self, tmp_path_factory, blob):
+        path = tmp_path_factory.getbasetemp() / "perturbed.csv"
+        path.write_bytes(blob)
+        assert_paths_agree(path)
+
+    @pytest.mark.parametrize("change, expected", [
+        (lambda b: b.replace(b"\n", b"\r\n"), None),
+        (lambda b: b.replace(b"\n", b"\n\n", 2), None),
+        (lambda b: b[:-1], None),
+        (lambda b: b"\xef\xbb\xbf" + b, "unexpected CSV header '\\ufeffbin_index,t_start_s,count'"),
+    ])
+    def test_files_off_the_writer_form_take_the_loop(self, tmp_path, change, expected):
+        series = ingest.CountSeries(1_700_000_000_123_457, 10, [3, 0, 2**33, 1])
+        path = tmp_path / "series.csv"
+        ingest.write_series_csv(path, series)
+        path.write_bytes(change(path.read_bytes()))
+        assert ingest._series_from_bytes(path.read_bytes()) is None
+        outcome = series_outcome(ingest.read_series_csv, path)
+        assert outcome == (f"{path}: {expected}" if expected else series_fields(series))
+
+    # Fields past what the numpy path reads in int64: counts of 19 digits and
+    # more, and times of 2^64 µs and 2^64 µs + 10 s, which would wrap to 0 and 10 s.
+    @pytest.mark.parametrize("rows", [
+        *[["0,0.000000,1", f"1,10.000000,{count}"] for count in [
+            "9223372036854775807", "9223372036854775808", "09223372036854775807",
+            "99999999999999999999"]],
+        ["0,18446744073709.551616,1", "1,18446744073719.551616,2"],
+    ])
+    def test_wide_fields_read_as_by_the_loop(self, tmp_path, rows):
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join(["bin_index,t_start_s,count", *rows]) + "\n")
+        assert ingest._series_from_bytes(path.read_bytes()) is None
+        assert_paths_agree(path)
+
+    @pytest.mark.parametrize("start_us, bin_size, n", [
+        (0, 10, 11_520), (1_700_000_000_123_457, 30, 5000),
+        (ingest.SERIES_TIME_GUARD_US - 10_000_001, 1, 11), (0, 1, 1)])
+    def test_writer_output_never_reaches_the_loop(self, tmp_path, start_us, bin_size, n):
+        counts = np.arange(n) * 7919 % 13
+        counts[-1] = 2**32 - 1
+        path = tmp_path / "series.csv"
+        ingest.write_series_csv(path, ingest.CountSeries(start_us, bin_size, counts))
+        with mock.patch.object(ingest, "_read_series_lines",
+                               side_effect=AssertionError("line loop called")):
+            back = ingest.read_series_csv(path)
+        assert series_fields(back) == (start_us, bin_size, np.dtype(np.int64), counts.tolist())
+
+    @pytest.mark.parametrize("blob, line, column, byte", [
+        (b"bin_index,t_start_s,count\n0,0.000000,1\n1,10.000000,\xff\n", 3, 13, "ff"),
+        (b"bin_index,t_start_s,count\r\n0,0.0\xc3\x28\n", 2, 6, "c3"),
+        (b"bin_index,t_start_s,\x80ount\n0,0.000000,1\n", 1, 21, "80"),
+    ])
+    def test_non_utf8_byte_is_named_with_its_line(self, tmp_path, blob, line, column, byte):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError) as err:
+            ingest.read_series_csv(path)
+        assert str(err.value) == \
+            f"{path}: line {line}: not valid UTF-8 (byte 0x{byte} at column {column})"
+
+
 # --- pcap fixtures ----------------------------------------------------------
 
 
