@@ -170,10 +170,17 @@ class CountSeries:
     dropped: int = 0
 
     def __post_init__(self):
+        _check_bin_size(self.bin_size_s)
         self.counts = np.asarray(self.counts, dtype=np.int64)
 
     def __len__(self) -> int:
         return int(self.counts.size)
+
+
+def _check_bin_size(bin_size_s) -> None:
+    """Bins of under a second would give bin starts that do not increase."""
+    if bin_size_s < 1:
+        raise ValueError("bin size must be >= 1 second")
 
 
 # --- pcap ------------------------------------------------------------------
@@ -548,12 +555,16 @@ def bin_series(
     """
     if t0_us >= t1_us:
         raise ValueError("need t0 < t1")
-    if bin_size_s < 1:
-        raise ValueError("bin size must be >= 1 second")
+    _check_bin_size(bin_size_s)
     bin_us = bin_size_s * 1_000_000
     if bin_us >= 2**63:  # bins are counted in int64 microseconds
         raise ValueError(f"bin size {bin_size_s} s is too large: at most {(2**63 - 1) // 10**6} s")
-    counts = np.zeros(-((t0_us - t1_us) // bin_us), dtype=np.int64)  # ceil of duration / bin
+    bins = -((t0_us - t1_us) // bin_us)  # ceil of duration / bin
+    try:
+        counts = np.zeros(bins, dtype=np.int64)
+    except (ValueError, MemoryError):  # past numpy's size limits, or the memory's
+        raise ValueError(f"{bins} bins of {bin_size_s} s over [{t0_us}, {t1_us}) us are more "
+                         f"than an array can hold") from None
     ts = events.ts_us[flt.mask(events)]
     inside = ts[(ts >= t0_us) & (ts < t1_us)]
     if inside.size:  # offsets from t0 in Python ints where t0 or one lies outside int64

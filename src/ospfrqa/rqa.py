@@ -55,8 +55,9 @@ the starts of B windows, and both engines write into one (3, B, n + 1)
 histogram stack.  One vectorized pass centers the windows, applies the
 equality guard and histograms the vertical and white runs of the windows
 inside it; their diagonals come from the runs of the series' own delay
-vector matches, each run found once (:func:`_diagonal_runs`).  Only the
-float path loops over windows.  A single reducer call then gives each
+vector matches, each run found once per segment of nearby starts
+(:func:`_diagonal_runs`).  Only the float path loops over windows, and the
+diagonal scan over segments.  A single reducer call then gives each
 window the bits it gets alone: integer sums are exact, every ratio divides
 two of them once, and each entropy ``-(p * np.log(p)).sum()`` is taken
 over the window's nonzero counts in ascending length order.  numpy sums a
@@ -93,10 +94,10 @@ BLOCK_ELEMENTS = 1 << 20
 EQUALITY_MARGIN = 1.0 - 1e-9
 EQUALITY_MAX_SPAN = float(1 << 20)
 
-# Window starts at most this many bins apart share a segment of the
-# diagonal table (_diagonal_runs): a position between them costs a row of
-# n + 1 counts, far less than the n - 1 points a split repeats, and B
-# starts keep the table within SEGMENT_GAP * B rows.
+# Window starts at most this many bins apart share a segment, which
+# _diagonal_runs scans once for all its windows: a position between two
+# starts costs a row of n + 1 counts, far less than the n - 1 points and the
+# loop pass that a split adds.
 SEGMENT_GAP = 16
 
 
@@ -655,75 +656,55 @@ def _diagonal_runs(ids: np.ndarray, starts: np.ndarray, n: int, theiler: int) ->
     """Diagonal length histograms of the equality matrices of windows of a series.
 
     Window r holds the delay vectors ``ids[starts[r] : starts[r] + n]``, and
-    ``starts`` does not decrease.  R is symmetric, so the diagonals k >= w =
-    max(theiler, 1) are counted twice.  Diagonal k of the window at s is
-    ``match_k[s : s + c]``, with c = n - k and ``match_k[i] = [ids[i] ==
-    ids[i + k]]``.  Each maximal run [a, b) of a match_k is found once and
-    gives each window at s = a - c + 1 .. b - 1 a line of length
-    ``min(b, s + c) - max(a, s)``, which steps by +1, 0, then -1 with s: in
-    a table with a row of n + 1 counts per position, three +1/-1 pairs along
-    strides n + 2, n + 1 and n, which a cumsum along each stride fills in.
-    The rows are the positions of segments, runs of starts at most
-    SEGMENT_GAP apart.
+    ``starts`` is not empty and does not decrease.  R is symmetric, so the
+    diagonals k >= max(theiler, 1) are counted twice.  Diagonal k of the
+    window at s is ``match_k[s : s + c]``, with c = n - k and ``match_k[i] =
+    [ids[i] == ids[i + k]]``.  The starts are taken a segment at a time (a
+    run of starts at most SEGMENT_GAP apart), in a table with a row of n + 1
+    counts per position s of the segment.  Each maximal run [a, b) of a
+    match_k is found once and gives the window at s a line of length
+    ``min(b, s + c) - max(a, s)``: rising by 1 with s from a - c + 1 to
+    min(a, b - c), flat to max(a, b - c) and falling to b - 1.  Each range,
+    clipped to the segment's positions, is one +1/-1 pair along stride
+    n + 2, n + 1 or n of the table, which a cumsum along that stride fills.
     """
-    w = max(theiler, 1)
-    if starts.size == 0 or w >= n:
-        return np.zeros((starts.size, n + 1), dtype=np.int64)
-    split = starts[1:] - starts[:-1] > SEGMENT_GAP
-    seg = np.concatenate(([0], split.cumsum()))  # segment of each start
-    u = starts[np.concatenate(([0], split.nonzero()[0] + 1))]  # first start of each segment
-    rows = np.concatenate((starts[:-1][split], starts[-1:])) - u + 1
-    q = rows + n - 1  # points of each segment
-    head = q.cumsum() - q + 1  # position of each segment's first point in g
-    p, z = int(q.sum()) + 1, (int(rows.sum()) + 2) * (n + 2)
-    # g: a sentinel, then the segments' points, ids offset per segment so no
-    # run crosses into the next; the distinct negatives never match.
-    g = -1 - np.arange(p + n)
-    g[1:p] = (ids.take(np.arange(1, p) + np.repeat(u - head, q))
-              + np.repeat(np.arange(u.size) * (int(ids.max()) + 1), q))
-    # phi[x], the table rows before position x, clips a range near a run to
-    # its segment's rows (a negative x reads the zero tail).  Row t of
-    # segment j is at t + 1 + j * (n - 1); a rising range takes the shift of
-    # the segment whose rows follow x, a falling one that of x's own.  The
-    # rising, flat and falling tables lie end to end, z apart, in table.
-    marks = np.zeros((3, p + n), dtype=np.int64)
-    marks[0, head + 1], marks[0, head + rows + 1] = 1, -1
-    marks[1, (head + rows)[:-1]] = marks[2, head[1:]] = n - 1
-    marks = marks.cumsum(axis=1)
-    phi = marks[0].cumsum()
-    phi[p:] = 0
-    clips = (phi * (n + 2) + 1 + marks[1], phi * (n + 1) + z, phi * n - 1 - marks[2] + 2 * z)
-    clips[0][p:] = 1
-    several = np.concatenate(([False], np.repeat(rows > 1, q)))
-    table = np.zeros(3 * z, dtype=np.int64)
-    step = max(1, BLOCK_ELEMENTS // 16 // p)
-    for k in range(w, n, step):
-        count = min(step, n - k)  # rows of m: match_k .. match_{k + count - 1}
-        m = np.equal(np.ndarray((count, p), g.dtype, g, k * g.itemsize, (g.itemsize,) * 2),
-                     g[:p])
-        run_start, run_end = _run_bounds(m.ravel())
-        j, a = np.divmod(run_start, p)
-        d, c = run_end - run_start, n - k - j
-        cr = c - a
-        k1, k2 = np.minimum(a + 1, d - cr), np.maximum(a + 1, d - cr)
-        flat = np.minimum(d, c)
-        plus, minus = [clips[1].take(k1) + flat], [clips[1].take(k2) + flat]
-        wide = several.take(a)  # a window alone in its segment holds its runs whole
-        if wide.any():
-            if not wide.all():
-                cr, a, d, k1, k2 = cr[wide], a[wide], d[wide], k1[wide], k2[wide]
-            b = a + d
-            plus += [clips[0].take(1 - cr) + cr, clips[2].take(k2) + b]
-            minus += [clips[0].take(k1) + cr, clips[2].take(b) + b]
-        # One count array alive at a time: two made glibc map fresh pages.
-        table += np.bincount(np.concatenate(plus), minlength=table.size)
-        table -= np.bincount(np.concatenate(minus), minlength=table.size)
-    size = int(rows.sum()) * (n + 1)
-    total = np.zeros(size, dtype=np.int64)
-    for i, s in enumerate((n + 2, n + 1, n)):
-        total += table[i * z : i * z + z // s * s].reshape(-1, s).cumsum(axis=0).ravel()[:size]
-    row = (rows.cumsum() - rows)[seg] + starts - u[seg]
-    return 2 * total.reshape(-1, n + 1)[row]
+    out = np.zeros((starts.size, n + 1), dtype=np.int64)
+    cut = np.flatnonzero(starts[1:] - starts[:-1] > SEGMENT_GAP) + 1
+    heads, ends = np.r_[0, cut], np.r_[cut, starts.size]
+    positions = starts[ends - 1] - starts[heads] + 1
+    # One table per call, cleared for each segment: fewer fresh pages.
+    whole = np.empty((3, (int(positions.max()) + 2) * (n + 2)), dtype=np.int64)
+    strides = (n + 2, n + 1, n)
+    for first, last, rows in zip(heads.tolist(), ends.tolist(), positions.tolist()):
+        u = int(starts[first])
+        p = rows + n  # a sentinel and the segment's points
+        # g: the sentinel, the points' ids, then distinct negatives, so each
+        # row of the match table opens with False and no run passes the end.
+        g = -1 - np.arange(p + n)
+        g[1:p] = ids[u : u + p - 1]
+        z = (rows + 2) * (n + 2)
+        table = whole[:, :z]
+        table[...] = 0
+        step = max(1, BLOCK_ELEMENTS // 16 // p)
+        for k in range(max(theiler, 1), n, step):
+            count = min(step, n - k)  # rows of m: match_k .. match_{k + count - 1}
+            m = np.equal(np.ndarray((count, p), g.dtype, g, k * g.itemsize, (g.itemsize,) * 2),
+                         g[:p])
+            run_start, run_end = _run_bounds(m.ravel())
+            j, a = np.divmod(run_start - 1, p)  # no run starts at the sentinel
+            b, c = a + (run_end - run_start), n - k - j
+            lo, hi = np.minimum(a, b - c), np.maximum(a, b - c)
+            edges = np.clip(np.stack([a - c + 1, lo + 1, hi + 1, b]), 0, rows)
+            # The length each range would give the window at s = 0.
+            for i, length in enumerate((c - a, np.minimum(b - a, c), b)):
+                # One count array alive at a time: two made glibc map fresh pages.
+                table[i] += np.bincount(edges[i] * strides[i] + length, minlength=z)
+                table[i] -= np.bincount(edges[i + 1] * strides[i] + length, minlength=z)
+        size = rows * (n + 1)
+        total = sum(t[: z // s * s].reshape(-1, s).cumsum(axis=0).ravel()[:size]
+                    for t, s in zip(table, strides))
+        out[first:last] = total.reshape(rows, n + 1)[starts[first:last] - u]
+    return 2 * out
 
 
 def _equality_histograms(ids: np.ndarray, starts: np.ndarray, n: int, theiler: int) -> np.ndarray:

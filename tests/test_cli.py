@@ -860,6 +860,24 @@ class TestOptionTable:
         assert "bin size 9223372036855 s is too large" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("t0, t1", [
+        ("-1e300", "100"),  # past numpy's dimension limit
+        ("0", "4.7e18"),  # past numpy's byte-size limit
+    ])
+    def test_extract_more_bins_than_an_array_holds_exits_2(self, tmp_path, capsys, t0, t1):
+        t0_us, t1_us = (round(float(t) * 1e6) for t in (t0, t1))  # as extract reads them
+        bins = -((t0_us - t1_us) // 10**6)
+        log = tmp_path / "one.jsonl"
+        ingest.write_lsa_log(log, [ingest.LsaEvent(5_000_000, "m1", 1, "10.0.0.1",
+                                                   "10.0.0.1", 3, 1, False)])
+        out = tmp_path / "x.csv"
+        assert run_cli("extract", "--log", log, "--bin", "1", f"--t0={t0}", "--t1", t1,
+                       "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bins} bins of 1 s over [{t0_us}, {t1_us}) us" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_detect_on_directory_exits_2(self, tmp_path, capsys):
         assert run_cli("detect", tmp_path, "--out", tmp_path / "d") == 2
         assert "error" in capsys.readouterr().err

@@ -362,6 +362,16 @@ class TestBinning:
             events, EventFilter(), bin_size, t0_us, t1_us)
         assert s.counts.sum() == sum(t0_us <= ev.ts_us < t1_us for ev in events) > 0
 
+    @pytest.mark.parametrize("t0_us, t1_us", [
+        (0, 2**62 * 10**6),  # 2**62 int64 counts: past numpy's byte-size limit
+        (-10**306, 10**7),  # past numpy's dimension limit
+    ], ids=["bytes", "dimension"])
+    def test_more_bins_than_an_array_holds_names_them(self, t0_us, t1_us):
+        bins = -((t0_us - t1_us) // 10**6)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bins} bins of 1 s over [{t0_us}, {t1_us}) us are more than an array")):
+            bin_events([make_event(ts_us=5_000_000)], EventFilter(), 1, t0_us, t1_us)
+
     def test_out_of_range_dropped_and_reported(self):
         events = [make_event(ts_us=-5), make_event(ts_us=40_000_000), make_event(ts_us=1)]
         s = bin_events(events, EventFilter(), 10, 0, 40_000_000)
@@ -391,6 +401,12 @@ class TestBinning:
         s = bin_events(events, flt, bin_size, t0_us, t0_us + span_us)
         assert (s.counts.tolist(), s.dropped) == oracle.bin_series(
             events, flt, bin_size, t0_us, t0_us + span_us)
+
+    @pytest.mark.parametrize("bin_size", [0, -10])
+    def test_series_refuses_a_bin_under_one_second(self, bin_size):
+        # Its bin starts would not increase, so read_series_csv would refuse the file.
+        with pytest.raises(ValueError, match="bin size must be >= 1 second"):
+            ingest.CountSeries(0, bin_size, [1, 2, 3])
 
     def test_csv_round_trip(self, tmp_path):
         s = ingest.CountSeries(0, 10, np.array([1, 0, 4, 2]))

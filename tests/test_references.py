@@ -187,3 +187,31 @@ def test_every_name_the_benchmark_needs_exists():
                if not hasattr(importlib.import_module(f"ospfrqa.{name.split('.')[0]}"),
                               name.split(".")[1])]
     assert missing == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Dotted names of the modules that a source imports, by an import
+    statement at any depth or by ``importlib.import_module`` or
+    ``__import__`` of a literal name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add("." * node.level + (node.module or ""))
+        elif (isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant)
+              and (isinstance(node.func, ast.Attribute) and node.func.attr == "import_module"
+                   or isinstance(node.func, ast.Name) and node.func.id == "__import__")):
+            found.add(node.args[0].value)
+    return found
+
+
+def test_the_oracle_imports_no_package_module():
+    # The oracle is the reference that the fast paths are checked against, so
+    # it must not reach them: a shared helper would agree with itself.
+    assert {"ospfrqa.rqa", "ospfrqa", "ospfrqa.sim"} <= imported_modules(
+        "import ospfrqa.rqa\nfrom ospfrqa import ingest\n"
+        "def f():\n    importlib.import_module('ospfrqa.sim')\n")
+    oracle = Path(__file__).resolve().parent / "oracle.py"
+    imported = imported_modules(oracle.read_text(encoding="utf-8"))
+    assert [name for name in sorted(imported) if name.split(".")[0] == "ospfrqa"] == []

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -545,8 +545,29 @@ def series_windows(draw):
     return series, tau, m, draw(st.integers(0, 3)), n, starts
 
 
+def pinned_case(tau, m, theiler, n, starts, extra=0, seed=0):
+    """A ``series_windows`` case: a random 0..2 series that ends ``extra``
+    counts after the last window."""
+    starts = np.array(starts)
+    size = int(starts[-1]) + n + (m - 1) * tau + extra
+    return np.random.default_rng(seed).integers(0, 3, size), tau, m, theiler, n, starts
+
+
+GAP = rqa.SEGMENT_GAP
+
+
 @given(series_windows(), st.sampled_from([1, 40, 400, None]))
 @settings(max_examples=200, deadline=None)
+# A block of one-window segments: windows of GAP + 5 counts laid end to end,
+# as a (B, w) block is raveled.
+@example(pinned_case(1, 2, 1, GAP + 4, np.arange(5) * (GAP + 5), seed=1), None)
+# One segment of many windows, down to one diagonal per scan.
+@example(pinned_case(2, 2, 0, 12, [0, 1, 2, 3, 5, 9, 14, 14, 20, 20 + GAP], extra=3, seed=2), 1)
+# Gaps of exactly GAP (one segment) and GAP + 1 (a split).
+@example(pinned_case(1, 1, 1, 8, np.cumsum([0, GAP, GAP + 1, GAP, 1, GAP + 1]), extra=2,
+                      seed=3), 40)
+# A segment of several windows that ends at the last id.
+@example(pinned_case(1, 3, 2, 15, [0, 30, 31, 33], seed=4), None)
 def test_diagonal_runs_match_oracle(case, cells):
     # cells: match cells scanned at once, down to one diagonal per scan;
     # None keeps the default.
