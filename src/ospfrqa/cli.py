@@ -239,8 +239,11 @@ def resolve_origin(origin: str | None, topology: sim.Topology | None) -> str | N
 def load_scenario(name_or_path: str) -> list[sim.ScenarioEvent]:
     if name_or_path in sim.CANNED_SCENARIOS:
         return sim.CANNED_SCENARIOS[name_or_path]()
-    with open(name_or_path, encoding="utf-8") as f:
-        return sim.scenario_from_json(f.read())
+    text = ingest._read_text(name_or_path)
+    try:
+        return sim.scenario_from_json(text)
+    except sim.ScenarioError as e:
+        raise sim.ScenarioError(f"{name_or_path}: {e}") from None
 
 
 # --- simulate ---------------------------------------------------------------
@@ -308,9 +311,9 @@ def cmd_extract(args) -> int:
         first = int(events.ts_us.min()) if len(events) else 0
         t0_us = (first // (s.bin * 1_000_000)) * s.bin * 1_000_000
     else:
-        t0_us = round(s.t0 * 1e6)
+        t0_us = _microseconds("t0", s.t0)
     last = int(events.ts_us.max()) if len(events) else 0
-    t1_us = round(s.t1 * 1e6) if s.t1 is not None else last + 1
+    t1_us = _microseconds("t1", s.t1) if s.t1 is not None else last + 1
 
     series = ingest.bin_series(events, flt, s.bin, t0_us, t1_us)
     ingest.write_series_csv(s.out, series)
@@ -319,6 +322,16 @@ def cmd_extract(args) -> int:
     print(f"{len(series)} bins ({len(events)} events read, {filtered_out} filtered out, "
           f"{kept} events kept, {series.dropped} outside range) -> {s.out}")
     return 0
+
+
+def _microseconds(name: str, seconds: float) -> int:
+    """A finite time setting in whole microseconds; a CliError names the
+    flag when the time is too large for that."""
+    try:
+        return round(seconds * 1e6)
+    except OverflowError:  # finite seconds past about 1.8e302 are infinite microseconds
+        raise CliError(f"--{name} {format_setting(seconds)}: too large to count in "
+                       f"microseconds") from None
 
 
 # --- params -----------------------------------------------------------------

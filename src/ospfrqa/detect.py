@@ -325,13 +325,9 @@ def write_measures_csv(path, measures: MeasureSeries) -> None:
     order = np.lexsort(bits)  # rows sorted by their bits, so that equal rows fall together
     new = np.ones(order.size, dtype=bool)
     new[1:] = np.any([np.diff(c[order]) != 0 for c in bits], axis=0)
-    # Distinct rows numbered by first occurrence, the head of each run of the stable sort.
-    by_first = np.argsort(order[new])
     row = np.empty_like(order)
-    row[order] = np.argsort(by_first)[np.cumsum(new) - 1]
-    first = order[new][by_first]
-    last = np.zeros_like(first)
-    np.maximum.at(last, row, np.arange(row.size))
+    row[order] = np.cumsum(new) - 1  # each row's distinct row: its run of the sort
+    first, last = order[new], order[np.roll(new, -1)]  # a stable sort keeps runs in row order
     texts = np.empty(first.size, dtype=object)
     fields = b",".join([b"%.12g"] * len(MEASURE_NAMES)) + b"\n"
     start_us, bin_s = measures.start_us, measures.bin_size_s
@@ -341,7 +337,7 @@ def write_measures_csv(path, measures: MeasureSeries) -> None:
         f.write(("window_end_bin,t_s," + ",".join(MEASURE_NAMES) + "\n").encode())
         for lo in range(0, ends.size, CSV_CHUNK_ROWS):
             hi = lo + CSV_CHUNK_ROWS
-            rows, fresh = slice(lo, hi), slice(*np.searchsorted(first, [lo, hi]))
+            rows, fresh = slice(lo, hi), np.flatnonzero((lo <= first) & (first < hi))
             distinct = zip(*[c[first[fresh]].view(float).tolist() for c in bits])
             texts[fresh] = [fields % v for v in distinct]
             if exact:

@@ -18,9 +18,11 @@ through the per-line definition as a whole; any other frame goes through
 :func:`parse_ospf_packet` on its own.  Both paths therefore give the same
 events and the same error messages for the same file.  Either pcap
 reader reads a capture whole, once, through one record table.  The
-series CSV likewise has a numpy path each way for the series that the
-pipeline writes (times in [0, 2^32 s), counts below 2^32), beside the
-plain ``%`` formatting and the line loop that define the format.
+series CSV writer renders the series that the pipeline writes (times in
+[0, 2^32 s), counts below 2^32) from integers, beside the plain ``%``
+formatting that defines the format; the reader takes a file by numpy
+only when it is byte for byte the writer's file for the series it reads,
+and any other through the line loop that defines the format.
 """
 
 from __future__ import annotations
@@ -527,6 +529,19 @@ def _utf8(raw: bytes) -> str:
                          f"at column {e.start + 1})") from None
 
 
+def _read_text(path) -> str:
+    """A UTF-8 text file's contents; a ValueError names the path and the
+    line of its first byte that is not UTF-8."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    for line_no, raw in enumerate(blob.splitlines(), start=1):  # as text mode splits lines
+        try:
+            _utf8(raw)
+        except ValueError as e:
+            raise ValueError(f"{path}: line {line_no}: {e}") from None
+    return blob.decode("utf-8")
+
+
 def _expect(rec, key, kind):
     """``rec[key]``, which must be of type ``kind`` exactly: ``json.loads``
     returns exact ``int``, ``str`` and ``bool``, and a bool is no int."""
@@ -584,27 +599,30 @@ def write_series_csv(path, series: CountSeries) -> None:
     and whose counts lie in [0, 2^32), as every series the pipeline writes,
     is rendered from integers by :func:`_ascii_rows` instead.
     """
+    with open(path, "wb") as f:
+        f.writelines(_series_csv_blocks(series))
+
+
+def _series_csv_blocks(series: CountSeries) -> Iterator[bytes]:
+    """The bytes that :func:`write_series_csv` writes for ``series``, block by block."""
     n = len(series)
     start_us, bin_s, counts = series.start_us, series.bin_size_s, series.counts
+    yield b"bin_index,t_start_s,count\n"
     if not (_exact_seconds(start_us, bin_s, np.arange(n))
             and 0 <= counts.min(initial=0) and counts.max(initial=0) < 2**32):
         idx = np.arange(n)
         times = start_us / 1e6 + idx * bin_s
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("bin_index,t_start_s,count\n")
-            for lo in range(0, n, CSV_CHUNK_ROWS):  # Python numbers, as a per-row loop prints
-                chunk = [c[lo:lo + CSV_CHUNK_ROWS].tolist() for c in (idx, times, counts)]
-                f.write("".join(["%d,%.6f,%d\n" % values for values in zip(*chunk)]))
+        for lo in range(0, n, CSV_CHUNK_ROWS):  # Python numbers, as a per-row loop prints
+            chunk = [c[lo:lo + CSV_CHUNK_ROWS].tolist() for c in (idx, times, counts)]
+            yield b"".join([b"%d,%.6f,%d\n" % values for values in zip(*chunk)])
         return
     # Bin k starts (start_s + k * bin_s) s and start_frac µs.
     start_s, start_frac = divmod(int(start_us), 1_000_000)
     frac = b".%06d," % start_frac
-    with open(path, "wb") as f:
-        f.write(b"bin_index,t_start_s,count\n")
-        for lo in range(0, n, SERIES_CSV_BLOCK_ROWS):
-            k = np.arange(lo, min(lo + SERIES_CSV_BLOCK_ROWS, n), dtype=np.int64)
-            f.write(_ascii_rows(k.size, [k, b",", start_s + k * int(bin_s), frac,
-                                         counts[lo:lo + k.size], b"\n"]))
+    for lo in range(0, n, SERIES_CSV_BLOCK_ROWS):
+        k = np.arange(lo, min(lo + SERIES_CSV_BLOCK_ROWS, n), dtype=np.int64)
+        yield _ascii_rows(k.size, [k, b",", start_s + k * int(bin_s), frac,
+                                   counts[lo:lo + k.size], b"\n"])
 
 
 def _exact_seconds(start_us, bin_s, k: np.ndarray) -> bool:
@@ -659,8 +677,9 @@ def read_series_csv(path) -> CountSeries:
     the writer's ``%.6f`` form.  Bin indices must run 0, 1, 2, ... and start
     times must increase in even steps of a whole number of seconds (within
     ``SPACING_TOL_S``).  Anything else raises ``ValueError`` naming the path
-    and the first line that breaks the format.  A file in the writer's own
-    form is parsed by numpy, any other by the line loop that defines it.
+    and the first line that breaks the format.  A file that is byte for byte
+    what the writer writes for it, where bin starts print exactly, is parsed
+    by numpy; any other by the line loop that defines the format.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -669,44 +688,33 @@ def read_series_csv(path) -> CountSeries:
 
 
 def _series_from_bytes(blob: bytes) -> CountSeries | None:
-    """The series of a file in the writer's own form, else None: the exact
-    header, then lines ``index,seconds.micros,count\\n`` with indices 0..n-1,
-    counts below 10^18 and times in [0, 2^32 s) exactly a whole number of
-    seconds apart.  Fields are cut at ``,.,\\n`` and read right-aligned, as
-    :func:`_ascii_rows` lays them out, one digit column of a field at a time."""
-    header = b"bin_index,t_start_s,count\n"
-    if not blob.startswith(header) or not blob.endswith(b"\n") or len(blob) == len(header):
-        return None
+    """The series S whose :func:`write_series_csv` file is ``blob``, where S's bin
+    starts print exactly, else None; the line loop reads that file back to S.
+    The counts are the fields after each line's second comma, read right-aligned
+    one digit column at a time (at most 18), the start and bin size the first two
+    times; S is kept only when the writer's bytes for it equal ``blob``."""
     body = np.frombuffer(blob, np.uint8)
-    is_sep = body == ord(",")
-    is_sep |= body == ord(".")
-    is_sep |= body == ord("\n")
-    seps = np.flatnonzero(is_sep)[3:]  # past the header's
-    if seps.size % 4 or (body[seps].reshape(-1, 4) != np.frombuffer(b",.,\n", np.uint8)).any():
+    ends = np.flatnonzero(body == ord("\n"))[1:]  # of the rows, past the header's
+    counts = np.zeros(ends.size, np.uint64)  # before the temporaries, which it outlives
+    commas = np.flatnonzero(body == ord(","))
+    if not 0 < ends.size == commas[3::2].size:
         return None
-    starts = np.r_[len(header) - 1, seps[:-1]]
-    values = []
-    for f, (least, most) in enumerate([(1, 18), (1, 18), (6, 6), (1, 18)]):
-        end = seps[f::4]
-        width = end - starts[f::4] - 1
-        if width.min() < least or width.max() > most:
+    width = ends - commas[3::2] - 1  # of each count field
+    for j in range(1, min(int(width.max()), 18) + 1):  # the j-th char from each field's end
+        counts += (body[ends - j] - np.uint8(ord("0"))) * (width >= j) * np.uint64(10 ** (j - 1))
+    try:
+        us = [int(blob[a + 1:b].replace(b".", b"")) for a, b in zip(commas[2:6:2], commas[3:6:2])]
+    except ValueError:
+        return None
+    bin_s = max((us[-1] - us[0]) // 1_000_000, 1)
+    if not _exact_seconds(us[0], bin_s, np.arange(ends.size)):
+        return None
+    series, at = CountSeries(us[0], bin_s, counts.view(np.int64)), 0
+    for block in _series_csv_blocks(series):  # compared in place, never joined
+        if not blob.startswith(block, at):
             return None
-        v = np.zeros(end.size, np.int64)
-        for j in range(1, int(width.max()) + 1):  # the j-th char from each field's end
-            digit = body[end - j] - np.uint8(ord("0"))  # inside the file: the header is longer
-            digit *= width >= j
-            if (digit > 9).any() or f == 1 and j > 1 and (digit[width == j] == 0).any():
-                return None  # not a digit, or seconds with a leading zero
-            v += digit * np.int64(10 ** (j - 1))
-        values.append(v)
-    index, seconds, micros, counts = values
-    us = seconds * 1_000_000 + micros
-    step = int(us[1] - us[0]) if index.size > 1 else 1_000_000
-    if (index != np.arange(index.size)).any() or step <= 0 or step % 1_000_000 \
-            or (us != us[0] + index * step).any() or seconds.max() >= 2**32:
-        return None
-    # Below 2^32 s this is the loop's round(float(time) * 1e6), within 0.5 µs.
-    return CountSeries(int(us[0]), step // 1_000_000, counts)
+        at += len(block)
+    return series if at == len(blob) else None
 
 
 def _read_series_lines(path, blob: bytes) -> CountSeries:

@@ -47,7 +47,7 @@ import random
 import sys
 from dataclasses import dataclass, field, replace
 
-from .ingest import MAX_AGE, LsaEvent
+from .ingest import MAX_AGE, LsaEvent, _read_text
 
 REFRESH_INTERVAL_S = 1800.0
 REFRESH_JITTER_S = 30.0
@@ -258,8 +258,7 @@ def load_topology(path) -> Topology:
     if text_path in _SHIPPED_TOPOLOGIES:
         text = files("ospfrqa.topologies").joinpath(f"{text_path}.topo").read_text()
     else:
-        with open(text_path, encoding="utf-8") as f:
-            text = f.read()
+        text = _read_text(text_path)
     try:
         return parse_topology(text, name=text_path)
     except TopologyError as e:
@@ -291,7 +290,8 @@ def scenario_from_json(text: str) -> list[ScenarioEvent]:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
-        raise ScenarioError(f"scenario is not valid JSON: {e.msg}") from None
+        raise ScenarioError(f"line {e.lineno} column {e.colno}: scenario is not valid JSON: "
+                            f"{e.msg}") from None
     if not isinstance(raw, list):
         raise ScenarioError("scenario must be a JSON list of events")
     events = []
@@ -663,7 +663,8 @@ def run(topology: Topology, scenario: list[ScenarioEvent], duration_s: float,
         raise ValueError(f"refresh jitter {refresh_jitter_s!r} s outside "
                          f"[0, {REFRESH_INTERVAL_S:g}] s")
     # Shallow copy whose links carry fresh state.
-    topo = replace(topology, links=[replace(l, up=True) for l in topology.links])
+    topo = replace(topology, links=[replace(l, up=True, forming_until_us=0)
+                                    for l in topology.links])
     validate_scenario(scenario, topo, duration_s)
     engine = _Engine(topo, seed, duration_s, refresh_jitter_s)
     engine.schedule_scenario(scenario)

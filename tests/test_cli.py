@@ -216,6 +216,24 @@ class TestSimulate:
         log = (tmp_path / "x" / "events_rcs1.jsonl").read_text()
         assert '"adv_router":"10.99.0.99"' in log
 
+    @pytest.mark.parametrize("file, text, message", [
+        ("topology", b"[routers]\na eth0\nb eth0 \xff\n",
+         "line 3: not valid UTF-8 (byte 0xff at column 8)"),
+        ("scenario", b'[\n  {"time_s": 10, "kind": "\xff"}\n]\n',
+         "line 2: not valid UTF-8 (byte 0xff at column 27)"),
+        ("scenario", b'[\n  {"time_s": 10 "kind": "iface_down"}\n]\n',
+         "line 2 column 17: scenario is not valid JSON: Expecting ',' delimiter"),
+    ], ids=["topology-utf8", "scenario-utf8", "scenario-json"])
+    def test_unreadable_input_file_exits_2_naming_path_and_line(self, tmp_path, capsys, file,
+                                                               text, message):
+        path = tmp_path / f"bad.{file}"
+        path.write_bytes(text)
+        files = {"topology": "paper16", "scenario": "quiet", file: path}
+        assert run_cli("simulate", "--topology", files["topology"], "--scenario",
+                       files["scenario"], "--duration", "100", "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "x").exists()
+
     def test_scenario_event_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         scenario_path = tmp_path / "bad.json"
         scenario_path.write_text("[5]")
@@ -876,6 +894,19 @@ class TestOptionTable:
         err = capsys.readouterr().err
         assert f"error: {bins} bins of 1 s over [{t0_us}, {t1_us}) us" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("t0", "-1e303"), ("t1", "1e305")])
+    def test_extract_time_past_microseconds_exits_2_naming_the_flag(self, tmp_path, capsys,
+                                                                     flag, value):
+        log = tmp_path / "one.jsonl"
+        ingest.write_lsa_log(log, [ingest.LsaEvent(5_000_000, "m1", 1, "10.0.0.1",
+                                                   "10.0.0.1", 3, 1, False)])
+        out = tmp_path / "x.csv"
+        assert run_cli("extract", "--log", log, "--bin", "10", f"--{flag}={value}",
+                       "--out", out) == 2
+        assert capsys.readouterr().err == \
+            f"error: --{flag} {float(value):g}: too large to count in microseconds\n"
         assert not out.exists()
 
     def test_detect_on_directory_exits_2(self, tmp_path, capsys):

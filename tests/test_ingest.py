@@ -7,13 +7,14 @@ import json
 import re
 import struct
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -524,6 +525,10 @@ class TestBinning:
         (["0,0.000000,1", "1,10.000000,-0", "2,20.000000,-05"], 3,
          "expected bin_index,t_start_s,count"),
         (["0,0.000000,1", "1,10.000000,-05"], 3, "count -05 is outside"),
+        # Count fields that are all empty, and a row with no comma.
+        (["0,0.000000,"], 2, "expected bin_index,t_start_s,count"),
+        (["0,0.000000,", "1,10.000000,"], 2, "expected bin_index,t_start_s,count"),
+        (["0,0.000000,1", "1"], 3, "expected bin_index,t_start_s,count"),
     ])
     def test_csv_rejects_malformed_rows(self, tmp_path, rows, line, message):
         path = tmp_path / "bad.csv"
@@ -603,6 +608,9 @@ class TestSeriesReader:
     """``read_series_csv``'s numpy path against the line loop that defines the format."""
 
     @given(case=writer_series())
+    @example(case=(1_700_000_000_123_457, 30, [5]))  # one row
+    @example(case=(0, 10, [3, 2**32]))  # written by the % blocks
+    @example(case=(0, 10, [3, 10**18]))  # a count of 19 digits
     @settings(max_examples=300, deadline=None)
     def test_numpy_path_equals_the_loop_on_writer_output(self, tmp_path_factory, case):
         start_us, bin_size, counts = case
@@ -626,6 +634,7 @@ class TestSeriesReader:
         (lambda b: b.replace(b"\n", b"\n\n", 2), None),
         (lambda b: b[:-1], None),
         (lambda b: b"\xef\xbb\xbf" + b, "unexpected CSV header '\\ufeffbin_index,t_start_s,count'"),
+        (lambda b: b + b"7", "line 6: expected bin_index,t_start_s,count, got '7'"),
     ])
     def test_files_off_the_writer_form_take_the_loop(self, tmp_path, change, expected):
         series = ingest.CountSeries(1_700_000_000_123_457, 10, [3, 0, 2**33, 1])
@@ -638,10 +647,11 @@ class TestSeriesReader:
 
     # Fields past what the numpy path reads in int64: counts of 19 digits and
     # more, and times of 2^64 µs and 2^64 µs + 10 s, which would wrap to 0 and 10 s.
+    # Negative counts, which the writer prints and the loop refuses.
     @pytest.mark.parametrize("rows", [
         *[["0,0.000000,1", f"1,10.000000,{count}"] for count in [
             "9223372036854775807", "9223372036854775808", "09223372036854775807",
-            "99999999999999999999"]],
+            "99999999999999999999", "-1", "-9223372036854775808"]],
         ["0,18446744073709.551616,1", "1,18446744073719.551616,2"],
     ])
     def test_wide_fields_read_as_by_the_loop(self, tmp_path, rows):
@@ -662,6 +672,18 @@ class TestSeriesReader:
                                side_effect=AssertionError("line loop called")):
             back = ingest.read_series_csv(path)
         assert series_fields(back) == (start_us, bin_size, np.dtype(np.int64), counts.tolist())
+
+    def test_reader_memory_per_row(self, tmp_path):
+        n = 60_000
+        path = tmp_path / "long.csv"
+        ingest.write_series_csv(path, ingest.CountSeries(0, 10, np.arange(n) * 7919 % 13))
+        tracemalloc.start()
+        try:
+            assert len(ingest.read_series_csv(path)) == n
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 120 * n
 
     @pytest.mark.parametrize("blob, line, column, byte", [
         (b"bin_index,t_start_s,count\n0,0.000000,1\n1,10.000000,\xff\n", 3, 13, "ff"),

@@ -1,5 +1,6 @@
 """Simulator behavior: flooding semantics, determinism, scenarios, attacks."""
 
+import dataclasses
 import hashlib
 import ipaddress
 import json
@@ -246,6 +247,13 @@ class TestRun:
         totals = sim.total_event_counts(res.rows)
         assert len(set(totals.values())) == 1
         assert totals["rcs1"] > 0
+
+    @pytest.mark.parametrize("state", [{"up": False}, {"forming_until_us": 10**15}])
+    def test_links_start_fresh_whatever_state_they_carry(self, state):
+        topo = sim.load_topology("paper16")
+        links = [dataclasses.replace(topo.links[0], **state), *topo.links[1:]]
+        carried = sim.run(dataclasses.replace(topo, links=links), [], 7200, seed=1)
+        assert carried.rows == sim.run(topo, [], 7200, seed=1).rows
 
     def test_quiet_conservation_random_topologies(self):
         for seed in range(5):
