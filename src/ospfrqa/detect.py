@@ -327,8 +327,9 @@ def write_measures_csv(path, measures: MeasureSeries) -> None:
     new[1:] = np.any([np.diff(c[order]) != 0 for c in bits], axis=0)
     row = np.empty_like(order)
     row[order] = np.cumsum(new) - 1  # each row's distinct row: its run of the sort
-    first, last = order[new], order[np.roll(new, -1)]  # a stable sort keeps runs in row order
-    texts = np.empty(first.size, dtype=object)
+    head, tail = np.zeros((2, order.size), dtype=bool)  # each distinct row's first and last
+    head[order[new]] = tail[order[np.roll(new, -1)]] = True  # (a stable sort keeps row order)
+    texts = np.empty(np.count_nonzero(new), dtype=object)
     fields = b",".join([b"%.12g"] * len(MEASURE_NAMES)) + b"\n"
     start_us, bin_s = measures.start_us, measures.bin_size_s
     exact = 0 <= ends.min(initial=0) and _exact_seconds(start_us, bin_s, k)
@@ -336,21 +337,21 @@ def write_measures_csv(path, measures: MeasureSeries) -> None:
     with open(path, "wb") as f:
         f.write(("window_end_bin,t_s," + ",".join(MEASURE_NAMES) + "\n").encode())
         for lo in range(0, ends.size, CSV_CHUNK_ROWS):
-            hi = lo + CSV_CHUNK_ROWS
-            rows, fresh = slice(lo, hi), np.flatnonzero((lo <= first) & (first < hi))
-            distinct = zip(*[c[first[fresh]].view(float).tolist() for c in bits])
-            texts[fresh] = [fields % v for v in distinct]
+            rows = slice(lo, lo + CSV_CHUNK_ROWS)
+            group, fresh = row[rows], lo + np.flatnonzero(head[rows])
+            distinct = zip(*[c[fresh].view(float).tolist() for c in bits])
+            texts[row[fresh]] = [fields % v for v in distinct]
             if exact:
-                heads = _ascii_rows(row[rows].size, [
+                heads = _ascii_rows(group.size, [
                     ends[rows], b",", start_s + k[rows] * int(bin_s), b".%06d,\n" % frac,
                 ]).split(b"\n")[:-1]
             else:  # the float arithmetic of MeasureSeries.time_s
                 times = start_us / 1e6 + k[rows] * bin_s
                 heads = [b"%d,%.6f," % p for p in zip(ends[rows].tolist(), times.tolist())]
             parts = [b""] * (2 * len(heads))
-            parts[::2], parts[1::2] = heads, texts[row[rows]].tolist()
+            parts[::2], parts[1::2] = heads, texts[group].tolist()
             f.write(b"".join(parts))
-            texts[last < hi] = None
+            texts[group[tail[rows]]] = None
 
 
 def write_alerts_jsonl(path, alerts: list[Alert]) -> None:

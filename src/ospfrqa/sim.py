@@ -24,8 +24,9 @@ Monitors are passive taps on a node.  They record every LS Update arrival
 at the node, the node's own originations, and arriving acknowledgments
 (flagged ``is_ack``), each as a row, a plain tuple shaped as an ``LsaEvent``.
 Runs are reproducible: one seeded generator is consumed in event order,
-times are integer microseconds, and heap ties break on (node order,
-scheduling sequence).
+times are integer microseconds, and each heap entry is ``(time, node
+order, push count, handler, node, *args)``, so ties break on node order,
+then push order.  An LS Update arrival has no handler: the loop runs it.
 
 State changes emit two instances per endpoint (at the event instant and
 shortly after), mirroring the paired LSDB transitions a real interface
@@ -449,7 +450,8 @@ class _Engine:
         self.rows: dict[str, list[tuple]] = {m.name: [] for m in topo.monitors}
         self.rids = {n: topo.router_id(n) for n in topo.routers}
         # id(link) -> (lowest delay in microseconds, number of possible
-        # delays, bits per draw); delays span [lo, hi] whole microseconds.
+        # delays, bits per draw).  A delay is drawn as ``randrange(lo, hi + 1)``
+        # draws it, by the same getrandbits loop without the argument checks.
         self.delay_draw = {}
         for l in topo.links:
             lo = int(l.delay_lo_ms * 1000)
@@ -457,8 +459,7 @@ class _Engine:
             self.delay_draw[id(l)] = (lo, width, width.bit_length())
         # Each node's OSPF peers in topology link order, the order in which a
         # flood draws its delays, as (link, peer, peer's heap order,
-        # *delay_draw): what ``flood`` needs to push without calling ``push``
-        # or ``link_delay_us``.
+        # *delay_draw): what ``flood`` needs to push without calling ``push``.
         self.flood_targets = {
             n: [(l, l.other(n), topo._order[l.other(n)], *self.delay_draw[id(l)])
                 for l in topo.links
@@ -468,22 +469,12 @@ class _Engine:
 
     # -- scheduling helpers --
 
-    def push(self, t_us: int, node: str, handler, payload: tuple):
-        """Schedule ``handler(node, t_us, *payload)``."""
+    def push(self, t_us: int, node: str, handler, *args):
+        """Schedule ``handler(node, t_us, *args)`` or, with no handler, an LS
+        Update arriving at ``node``: args ``(sender, origin, seq, age, via)``."""
         self.counter += 1
         heapq.heappush(self.heap, (t_us, self.topo._order[node], self.counter, handler, node,
-                                   payload))
-
-    def link_delay_us(self, link: Link) -> int:
-        """A delay drawn uniformly from the link's range, as ``randrange(lo,
-        hi + 1)`` draws it: the same getrandbits rejection loop, without the
-        argument checks.  The generator stream is the same."""
-        lo, width, bits = self.delay_draw[id(link)]
-        getrandbits = self.rng.getrandbits
-        r = getrandbits(bits)
-        while r >= width:
-            r = getrandbits(bits)
-        return lo + r
+                                   *args))
 
     def record(self, node: str, ts_us: int, origin: str, seq: int, age: int, is_ack: bool):
         for tap in self.taps.get(node, ()):
@@ -493,16 +484,17 @@ class _Engine:
 
     def flood(self, node: str, t_us: int, origin: str, seq: int, age: int,
               skip_link: Link | None):
-        # ``push`` and ``link_delay_us`` inlined.
-        getrandbits, heap, deliver = self.rng.getrandbits, self.heap, self.deliver
+        # ``push`` inlined, the push count kept local.
+        getrandbits, heap, n = self.rng.getrandbits, self.heap, self.counter
         for link, peer, order, lo, width, bits in self.flood_targets[node]:
             if link.up and t_us >= link.forming_until_us and link is not skip_link:
                 r = getrandbits(bits)
                 while r >= width:
                     r = getrandbits(bits)
-                self.counter += 1
-                heapq.heappush(heap, (t_us + lo + r, order, self.counter, deliver, peer,
-                                      (node, origin, seq, age, link)))
+                n += 1
+                heapq.heappush(heap, (t_us + lo + r, order, n, None, peer, node, origin, seq,
+                                      age, link))
+        self.counter = n
 
     def refresh(self, node: str, t_us: int, epoch: int):
         # A refresh timer lapses once a newer origination has restarted it.
@@ -519,41 +511,7 @@ class _Engine:
         interval_us = int(REFRESH_INTERVAL_S * 1e6)
         refresh_at = t_us + interval_us + self.rng.randint(-self.jitter_us, self.jitter_us)
         if refresh_at <= self.duration_us:
-            self.push(refresh_at, node, self.refresh, (self.refresh_epoch[node],))
-
-    def deliver(self, node: str, t_us: int, sender: str, origin: str, seq: int, age: int,
-                via: Link):
-        if node in self.taps:
-            self.record(node, t_us, origin, seq, age, is_ack=False)
-        # Fight-back: an originator seeing a fresher instance of its own LSA
-        # immediately advertises a newer one that cancels it.
-        if origin == self.rids.get(node) and seq > self.own_seq[node]:
-            self.own_seq[node] = seq
-            self.originate(node, t_us)
-            return
-        db = self.db[node]
-        entry = db.get(origin)
-        reflood = entry is None or seq > entry[0]
-        # Same instance racing in from both sides: the copy with the smaller
-        # age is accepted and acknowledged, the other discarded.  Older
-        # instances are silently dropped; the fight-back path already covers
-        # falsification freshness, so no flood-back is modeled.
-        if not (reflood or seq == entry[0]
-                and age < min(entry[1] + (t_us - entry[2]) // 1_000_000, MAX_AGE)):
-            return
-        db[origin] = (seq, age, t_us)
-        # The ack goes back over ``via`` to the OSPF speaker that sent the
-        # instance; a host sends over no link.  An ack only matters where a
-        # tap records it, so it is scheduled only when the sender is tapped.
-        # Its link delay is drawn either way: the generator stream, and so
-        # every later delay, stays as when every ack was scheduled.  Skipped
-        # pushes keep the heap order of the rest: the counter only grows.
-        if via is not None:
-            arrival_us = t_us + self.link_delay_us(via)
-            if sender in self.taps:
-                self.push(arrival_us, sender, self.record, (origin, seq, age, True))
-        if reflood:
-            self.flood(node, t_us, origin, seq, age + 1, skip_link=via)
+            self.push(refresh_at, node, self.refresh, self.refresh_epoch[node])
 
     def set_iface(self, node: str, t_us: int, ev: ScenarioEvent):
         iface, up = ev.subject["iface"], ev.kind == "iface_up"
@@ -566,13 +524,13 @@ class _Engine:
         link.up = up
         if up:
             link.forming_until_us = t_us + int(RESYNC_DELAY_S * 1e6)
-            self.push(link.forming_until_us, link.node_a, self.resync, (link,))
+            self.push(link.forming_until_us, link.node_a, self.resync, link)
         followup_us = t_us + int(REORIGINATION_FOLLOWUP_S * 1e6)
         for end in (link.node_a, link.node_b):
             if end in self.topo.routers:
-                self.push(t_us, end, self.originate, ())
+                self.push(t_us, end, self.originate)
                 if followup_us <= self.duration_us:  # originations stop at the end
-                    self.push(followup_us, end, self.originate, ())
+                    self.push(followup_us, end, self.originate)
 
     iface_down = iface_up = set_iface
 
@@ -588,8 +546,9 @@ class _Engine:
                 peer_entry = self.db[dst].get(origin)
                 if peer_entry is None or seq > peer_entry[0]:
                     age = min(age + (t_us - installed_us) // 1_000_000, MAX_AGE) + 1
-                    self.push(t_us + self.link_delay_us(link), dst, self.deliver,
-                              (src, origin, seq, age, link))
+                    lo, width, _ = self.delay_draw[id(link)]
+                    self.push(t_us + self.rng.randrange(lo, lo + width), dst, None, src, origin,
+                              seq, age, link)
 
     # -- attacks --
 
@@ -597,9 +556,8 @@ class _Engine:
         victim = ev.subject["victim"]
         vid = self.topo.router_id(victim)
         base_seq = self.own_seq[victim]
-        self.push(t_us, attacker, self.do_inject, (vid, base_seq + 1))
-        self.push(t_us + int(DISGUISED_LAG_S * 1e6), attacker, self.do_inject,
-                  (vid, base_seq + 2))
+        self.push(t_us, attacker, self.do_inject, vid, base_seq + 1)
+        self.push(t_us + int(DISGUISED_LAG_S * 1e6), attacker, self.do_inject, vid, base_seq + 2)
 
     def do_inject(self, node: str, t_us: int, origin: str, seq: int):
         """Install a crafted instance at the compromised node and flood it."""
@@ -615,13 +573,13 @@ class _Engine:
         self.phantom_seq[phantom_id] = self.phantom_seq.get(phantom_id, INITIAL_SEQ - 1) + 1
         lo, hi = DEFAULT_DELAY_RANGE_MS
         delay = self.rng.randint(int(lo * 1000), int(hi * 1000))
-        self.push(t_us + delay, router, self.deliver,
-                  (host, phantom_id, self.phantom_seq[phantom_id], 1, None))
+        self.push(t_us + delay, router, None, host, phantom_id, self.phantom_seq[phantom_id], 1,
+                  None)
 
     def attack_partition(self, router: str, t_us: int, ev: ScenarioEvent):
         # The falsified instance differs only in content, which is not
         # modelled: each strike is one re-origination.
-        self.push(t_us, router, self.originate, ())
+        self.push(t_us, router, self.originate)
 
     # -- main loop --
 
@@ -638,15 +596,55 @@ class _Engine:
                 strike_us = t_us + int(k * period * 1e6)
                 if strike_us > self.duration_us:
                     break  # attacks stop at the end
-                self.push(strike_us, node, strike, (ev,))
+                self.push(strike_us, node, strike, ev)
 
     def run(self) -> None:
         for node in self.topo.routers:
-            self.push(0, node, self.originate, ())
-        heap = self.heap
+            self.push(0, node, self.originate)
+        heap, heappop, taps, rows, db = self.heap, heapq.heappop, self.taps, self.rows, self.db
+        rids, own_seq, push, flood = self.rids, self.own_seq, self.push, self.flood
+        getrandbits, delay_draw = self.rng.getrandbits, self.delay_draw
         while heap:
-            t_us, _order, _c, handler, node, payload = heapq.heappop(heap)
-            handler(node, t_us, *payload)
+            entry = heappop(heap)
+            if entry[3] is not None:
+                entry[3](entry[4], entry[0], *entry[5:])
+                continue
+            t_us, _order, _n, _, node, sender, origin, seq, age, via = entry  # an arrival
+            if node in taps:  # ``record`` inlined
+                for tap in taps[node]:
+                    rows[tap].append((t_us, tap, 1, origin, origin, min(age, MAX_AGE), seq, False))
+            # Fight-back: an originator seeing a fresher instance of its own LSA
+            # immediately advertises a newer one that cancels it.
+            if origin == rids.get(node) and seq > own_seq[node]:
+                own_seq[node] = seq
+                self.originate(node, t_us)
+                continue
+            node_db = db[node]
+            held = node_db.get(origin)
+            reflood = held is None or seq > held[0]
+            # Same instance racing in from both sides: the copy with the smaller
+            # age is accepted and acknowledged, the other discarded.  Older
+            # instances are silently dropped; the fight-back path already covers
+            # falsification freshness, so no flood-back is modeled.
+            if not (reflood or seq == held[0]
+                    and age < min(held[1] + (t_us - held[2]) // 1_000_000, MAX_AGE)):
+                continue
+            node_db[origin] = (seq, age, t_us)
+            # The ack goes back over ``via`` to the OSPF speaker that sent the
+            # instance; a host sends over no link.  An ack only matters where a
+            # tap records it, so it is scheduled only when the sender is tapped.
+            # Its link delay is drawn either way: the generator stream, and so
+            # every later delay, stays as when every ack was scheduled.  Skipped
+            # pushes keep the heap order of the rest: the counter only grows.
+            if via is not None:
+                lo, width, bits = delay_draw[id(via)]  # the draw of ``flood``
+                r = getrandbits(bits)
+                while r >= width:
+                    r = getrandbits(bits)
+                if sender in taps:
+                    push(t_us + lo + r, sender, self.record, origin, seq, age, True)
+            if reflood:
+                flood(node, t_us, origin, seq, age + 1, via)
 
 
 def run(topology: Topology, scenario: list[ScenarioEvent], duration_s: float,

@@ -1,15 +1,18 @@
 """Brute-force references for the recurrence measures, the scoring, the
-binning and the file formats.
+binning, the file formats and the flooding simulator.
 
 Everything here is deliberately naive: explicit python loops over matrix
 cells, diagonals, columns, baseline windows and events, and plain ``math`` and
 ``statistics`` arithmetic; files are written one row and read one record
-at a time.  It shares no code with the package's vectorized and bulk
-implementations so the two can check each other.
+at a time, and the simulator runs one event record at a time.  It shares
+no code with the package's vectorized and bulk implementations so the two
+can check each other.
 """
 
+import heapq
 import json
 import math
+import random
 import statistics
 import struct
 
@@ -267,3 +270,209 @@ def bin_series(events, flt, bin_size_s, t0_us, t1_us):
             continue
         counts[(ev.ts_us - t0_us) // bin_us] += 1
     return counts, dropped
+
+
+# --- reference simulator ----------------------------------------------------
+#
+# The model's constants, as the simulator states them: MaxAge (RFC 2328
+# appendix B), the first sequence number 0x80000001, the refresh interval,
+# the lags of resync, re-origination follow-ups and the second forged copy,
+# the delay range of a host's implicit link, and each attack's defaults.
+MAX_AGE_S = 3600
+FIRST_SEQ = -(2**31) + 1
+REFRESH_S = 1800.0
+RESYNC_S = 2.5
+FOLLOWUP_S = 10.0
+FORGE_LAG_S = 0.15
+HOST_DELAY_MS = (2, 20)
+ATTACK_DEFAULTS = {
+    "attack_disguised": {"period_s": 60.0, "duration_s": 1200.0},
+    "attack_adjacency_spoof": {"period_s": 30.0, "duration_s": 1200.0,
+                               "phantom_id": "10.99.0.99"},
+    "attack_partition": {"period_s": 60.0, "duration_s": 1200.0},
+}
+# The subject key that names the node each kind of event strikes at.
+STRIKE_AT = {"iface_down": "node", "iface_up": "node", "attack_disguised": "attacker",
+             "attack_adjacency_spoof": "host", "attack_partition": "router"}
+
+
+class _Event:
+    """A plain event record; ``kind`` names what happens at ``node``."""
+
+    def __init__(self, kind, node, **args):
+        self.kind, self.node, self.args = kind, node, args
+
+
+class _Row:
+    def __init__(self, ts_us, monitor, origin, age, seq, is_ack):
+        self.ts_us, self.monitor, self.ls_type = ts_us, monitor, 1
+        self.adv_router = self.ls_id = origin
+        self.ls_age, self.ls_seq, self.is_ack = age, seq, is_ack
+
+
+def simulate(topology, scenario, duration_s, seed, jitter):
+    """Each monitor's event log text, from a plain event-by-event run of
+    the flooding model that ``ospfrqa.sim`` describes (RFC 2328 §13).
+
+    One heap holds every event as ``(time, node order, sequence, event)``.
+    Each router originates at 0 s and on a refresh timer, which lapses once
+    a newer origination restarts it.  An arrival is recorded at the node's
+    taps; a router seeing a newer copy of its own LSA advertises a newer
+    one at once; otherwise a copy is accepted when it is a newer instance,
+    or the same instance with a smaller age than the held one has now, and
+    then acknowledged over its link (the ack is its own event, recorded at
+    the sender's taps) and, if newer, flooded on every other up link.  Each
+    link delay is ``randrange(lo, hi + 1)`` microseconds."""
+    rng = random.Random(seed)
+    end_us = int(duration_s * 1e6)
+    jitter_us = int(jitter * 1e6)
+    names = list(topology.routers) + list(topology.stubs) + list(topology.hosts)
+    order = {name: i for i, name in enumerate(names)}
+    first_id = int.from_bytes(_ip("10.0.0.1"), "big")
+    rid = {name: ".".join(str(b) for b in (first_id + i).to_bytes(4, "big"))
+           for i, name in enumerate(names)}
+    taps = {name: [m.name for m in topology.monitors if m.node == name] for name in names}
+    rows = {m.name: [] for m in topology.monitors}
+    links = [{"a": l.node_a, "ia": l.iface_a, "b": l.node_b, "ib": l.iface_b,
+              "lo": int(l.delay_lo_ms * 1000), "hi": int(l.delay_hi_ms * 1000),
+              "up": True, "forming_until": 0} for l in topology.links]
+    lsdb = {name: {} for name in names}  # origin -> {"seq", "age", "installed"}
+    own_seq = {r: FIRST_SEQ - 1 for r in topology.routers}
+    timer = {r: 0 for r in topology.routers}  # the live refresh timer's number
+    phantom_seq = {}
+    heap = []
+    pushed = [0]
+
+    def push(t_us, event):
+        pushed[0] += 1
+        heapq.heappush(heap, (t_us, order[event.node], pushed[0], event))
+
+    def age_now(entry, t_us):
+        return min(entry["age"] + (t_us - entry["installed"]) // 1_000_000, MAX_AGE_S)
+
+    def record(node, t_us, origin, seq, age, is_ack):
+        for tap in taps[node]:
+            rows[tap].append(_Row(t_us, tap, origin, min(age, MAX_AGE_S), seq, is_ack))
+
+    def delay(link):
+        return rng.randrange(link["lo"], link["hi"] + 1)
+
+    def flood(node, t_us, origin, seq, age, skip):
+        for link in links:
+            if node not in (link["a"], link["b"]) or link is skip:
+                continue
+            if link["up"] and t_us >= link["forming_until"]:
+                peer = link["b"] if node == link["a"] else link["a"]
+                push(t_us + delay(link), _Event("arrive", peer, sender=node, origin=origin,
+                                                seq=seq, age=age, link=link))
+
+    def originate(node, t_us):
+        own_seq[node] += 1
+        seq = own_seq[node]
+        lsdb[node][rid[node]] = {"seq": seq, "age": 0, "installed": t_us}
+        record(node, t_us, rid[node], seq, 0, False)
+        flood(node, t_us, rid[node], seq, 1, None)
+        timer[node] += 1
+        due = t_us + int(REFRESH_S * 1e6) + rng.randint(-jitter_us, jitter_us)
+        if due <= end_us:
+            push(due, _Event("refresh", node, timer=timer[node]))
+
+    def arrive(node, t_us, sender, origin, seq, age, link):
+        record(node, t_us, origin, seq, age, False)
+        if node in own_seq and origin == rid[node] and seq > own_seq[node]:
+            own_seq[node] = seq  # fight back past the forged number
+            originate(node, t_us)
+            return
+        held = lsdb[node].get(origin)
+        newer = held is None or seq > held["seq"]
+        if not newer and not (seq == held["seq"] and age < age_now(held, t_us)):
+            return
+        lsdb[node][origin] = {"seq": seq, "age": age, "installed": t_us}
+        if link is not None:
+            push(t_us + delay(link), _Event("ack", sender, origin=origin, seq=seq, age=age))
+        if newer:
+            flood(node, t_us, origin, seq, age + 1, link)
+
+    def set_link(node, t_us, iface, up):
+        link = next(l for l in links if (l["a"], l["ia"]) == (node, iface)
+                    or (l["b"], l["ib"]) == (node, iface))
+        if link["up"] == up:
+            return
+        link["up"] = up
+        if up:
+            link["forming_until"] = t_us + int(RESYNC_S * 1e6)
+            push(link["forming_until"], _Event("resync", link["a"], link=link))
+        for end in (link["a"], link["b"]):
+            if end in topology.routers:
+                push(t_us, _Event("originate", end))
+                if t_us + int(FOLLOWUP_S * 1e6) <= end_us:
+                    push(t_us + int(FOLLOWUP_S * 1e6), _Event("originate", end))
+
+    def resync(t_us, link):
+        if not link["up"]:
+            return
+        for src, dst in ((link["a"], link["b"]), (link["b"], link["a"])):
+            for origin in sorted(lsdb[src]):
+                entry, peer = lsdb[src][origin], lsdb[dst].get(origin)
+                if peer is None or entry["seq"] > peer["seq"]:
+                    push(t_us + delay(link),
+                         _Event("arrive", dst, sender=src, origin=origin, seq=entry["seq"],
+                                age=age_now(entry, t_us) + 1, link=link))
+
+    def strike(node, t_us, ev, params):
+        if ev.kind in ("iface_down", "iface_up"):
+            set_link(node, t_us, ev.subject["iface"], ev.kind == "iface_up")
+        elif ev.kind == "attack_disguised":
+            victim_seq = own_seq[ev.subject["victim"]]
+            victim_id = rid[ev.subject["victim"]]
+            push(t_us, _Event("inject", node, origin=victim_id, seq=victim_seq + 1))
+            push(t_us + int(FORGE_LAG_S * 1e6),
+                 _Event("inject", node, origin=victim_id, seq=victim_seq + 2))
+        elif ev.kind == "attack_adjacency_spoof":
+            phantom = params["phantom_id"]
+            phantom_seq[phantom] = phantom_seq.get(phantom, FIRST_SEQ - 1) + 1
+            lo, hi = HOST_DELAY_MS
+            push(t_us + rng.randrange(lo * 1000, hi * 1000 + 1),
+                 _Event("arrive", topology.hosts[node], sender=node, origin=phantom,
+                        seq=phantom_seq[phantom], age=1, link=None))
+        else:  # attack_partition: a re-origination with falsified content
+            push(t_us, _Event("originate", node))
+
+    def inject(node, t_us, origin, seq):
+        held = lsdb[node].get(origin)
+        if held is None or seq > held["seq"]:
+            lsdb[node][origin] = {"seq": seq, "age": 0, "installed": t_us}
+        record(node, t_us, origin, seq, 0, False)
+        flood(node, t_us, origin, seq, 1, None)
+
+    for ev in scenario:
+        params = {**ATTACK_DEFAULTS.get(ev.kind, {}), **ev.params}
+        period = float(params.get("period_s", 1.0))
+        strikes = max(int(params.get("duration_s", 0.0) / period), 1)
+        for k in range(strikes):
+            t_us = int(ev.time_s * 1e6) + int(k * period * 1e6)
+            if t_us > end_us:
+                break
+            push(t_us, _Event("strike", ev.subject[STRIKE_AT[ev.kind]], ev=ev, params=params))
+    for router in topology.routers:
+        push(0, _Event("originate", router))
+
+    while heap:
+        t_us, _, _, event = heapq.heappop(heap)
+        node, args = event.node, event.args
+        if event.kind == "arrive":
+            arrive(node, t_us, **args)
+        elif event.kind == "ack":
+            record(node, t_us, args["origin"], args["seq"], args["age"], True)
+        elif event.kind == "originate":
+            originate(node, t_us)
+        elif event.kind == "refresh":
+            if args["timer"] == timer[node]:
+                originate(node, t_us)
+        elif event.kind == "resync":
+            resync(t_us, args["link"])
+        elif event.kind == "inject":
+            inject(node, t_us, **args)
+        else:
+            strike(node, t_us, **args)
+    return {mon: lsa_log(log) for mon, log in rows.items()}

@@ -729,3 +729,85 @@ class TestPinnedLogs:
         ]
         res = sim.run(sim.load_topology("paper16"), scenario, 100, seed=5)
         assert log_digests(res.logs) == PINNED_PAPER16_PAST_THE_END
+
+
+# Delay ranges (ms) for generated links: fixed ones make copies race in at
+# equal ages and equal times, wide ones spread them.
+ORACLE_DELAYS_MS = [(0, 0), (1, 1), (5, 5), (0, 3), (1, 7), (2, 20)]
+
+
+@st.composite
+def oracle_runs(draw):
+    """A random topology with a host and a transit tap, a scenario of
+    random events of every kind (strikes may fall on the run's end), a
+    duration, a seed and a refresh jitter."""
+    base = sim.random_topology(draw(st.integers(2, 6)), draw(st.integers(1, 3)),
+                               seed=draw(st.integers(0, 2**16)),
+                               extra_links=draw(st.integers(0, 3)))
+    routers = list(base.routers)
+    links = [dataclasses.replace(l, delay_lo_ms=lo, delay_hi_ms=hi) for l, (lo, hi) in
+             zip(base.links, draw(st.lists(st.sampled_from(ORACLE_DELAYS_MS),
+                                           min_size=len(base.links),
+                                           max_size=len(base.links))))]
+    topo = sim.Topology(name=base.name, routers=base.routers, stubs=base.stubs,
+                        hosts={"h1": draw(st.sampled_from(routers))}, links=links,
+                        monitors=[*base.monitors,
+                                  sim.Monitor("tap", draw(st.sampled_from(routers)), False)])
+    duration_s = draw(st.integers(1, 4000))
+    time_s = st.one_of(st.just(float(duration_s)), st.floats(0.0, float(duration_s)))
+    router = st.sampled_from(routers)
+
+    def strikes():
+        period_s = draw(st.sampled_from([1.0, 2.5, 30.0, 60.0]))
+        strikes_s = period_s * draw(st.integers(0, 12)) + draw(st.sampled_from([0, 0.5]))
+        return {"period_s": period_s, "duration_s": strikes_s}
+
+    downs = []  # (time, link end) of each iface_down not yet brought back up
+
+    def event(kind):
+        link = draw(st.sampled_from([links[0], links[-1]]))  # a transit link and a stub's
+        end = draw(st.sampled_from([(link.node_a, link.iface_a), (link.node_b, link.iface_b)]))
+        t_s = draw(time_s)
+        if kind == "iface_up" and downs:  # bring a downed link back up, so that it resyncs
+            t_down, end = downs.pop()
+            t_s = draw(st.floats(t_down, float(duration_s)))
+        elif kind == "iface_down":
+            downs.append((t_s, end))
+        subject = {
+            "iface_down": {"node": end[0], "iface": end[1]},
+            "iface_up": {"node": end[0], "iface": end[1]},
+            "attack_disguised": {"attacker": draw(router), "victim": draw(router)},
+            "attack_adjacency_spoof": {"host": "h1"},
+            "attack_partition": {"router": draw(router)},
+        }[kind]
+        params = strikes() if kind.startswith("attack") and draw(st.booleans()) else {}
+        if kind == "attack_adjacency_spoof" and draw(st.booleans()):
+            # A phantom may take a real router's id, which that router fights.
+            params["phantom_id"] = topo.router_id(draw(router))
+        return sim.ScenarioEvent(t_s, kind, subject, params)
+
+    kinds = draw(st.lists(st.sampled_from(list(sim.SCENARIO_KINDS)), max_size=6))
+    scenario = sorted((event(kind) for kind in kinds), key=lambda ev: ev.time_s)
+    jitter = draw(st.one_of(st.sampled_from([0.0, 30.0, sim.REFRESH_INTERVAL_S]),
+                            st.floats(0.0, sim.REFRESH_INTERVAL_S)))
+    return topo, scenario, duration_s, draw(st.integers(0, 2**32)), jitter
+
+
+FORGE_AT_1S = sim.ScenarioEvent(1.0, "attack_disguised", {"attacker": "c", "victim": "a"},
+                                {"period_s": 60.0, "duration_s": 1.0})
+
+
+class TestAgainstOracle:
+    @given(run=oracle_runs())
+    @example(run=(ring_with_transit_tap(), every_kind_scenario(), 4000, 13, 30.0))
+    @example(run=(PAPER16, sim.scenario_paper_failure(600.0, 600.0), 4200, 11, 30.0))
+    @example(run=(triangle_with_taps(), [FORGE_AT_1S], 3.0, 0, 30.0))
+    @example(run=(square_with_taps(), [], 1.0, 0, 30.0))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_the_reference_simulator(self, run):
+        # Every row of every monitor, byte for byte, against the plain
+        # event-by-event simulator in the oracle.
+        topo, scenario, duration_s, seed, jitter = run
+        res = sim.run(topo, scenario, duration_s, seed, refresh_jitter_s=jitter)
+        assert ({mon: oracle.lsa_log(log) for mon, log in res.logs.items()}
+                == oracle.simulate(topo, scenario, duration_s, seed, jitter))
