@@ -56,7 +56,8 @@ class Option(NamedTuple):
 OUT_DIR_HELP = f"output dir (default ${ENV_OUT})"
 
 # command -> (help, settings).  ``resolve_settings`` returns the resolved
-# settings as attributes; a default of None means "not set".
+# settings as attributes; a default of None means "not set".  A setting that
+# is a field of DetectorConfig or EmbedParams takes that field's default.
 COMMANDS = {
     "simulate": ("run the LSA-flooding simulator", (
         Option("topology", str,
@@ -86,19 +87,19 @@ COMMANDS = {
         Option("r_tol", float, 15.0),
         Option("a_tol", float, 2.0),
         Option("drop_threshold", float, 0.01),
-        Option("epsilon", float, 0.2),
+        Option("epsilon", float, rqa.EmbedParams.epsilon),
     )),
     "detect": ("sliding RQA plus change detection", (
-        Option("window", int, 200),
-        Option("step", int, 1),
-        Option("baseline", int, 60),
-        Option("k_mad", float, 6.0),
-        Option("tau", int, 1),
-        Option("m", int, 2),
-        Option("epsilon", float, 0.2),
-        Option("norm", str, "euclidean", choices=("euclidean", "maximum")),
+        Option("window", int, detect_mod.DetectorConfig.window_bins),
+        Option("step", int, detect_mod.DetectorConfig.step_bins),
+        Option("baseline", int, detect_mod.DetectorConfig.baseline_bins),
+        Option("k_mad", float, detect_mod.DetectorConfig.k_mad),
+        Option("tau", int, rqa.EmbedParams.tau),
+        Option("m", int, rqa.EmbedParams.m),
+        Option("epsilon", float, rqa.EmbedParams.epsilon),
+        Option("norm", str, rqa.EmbedParams.norm, choices=("euclidean", "maximum")),
         Option("measures", str, help="comma-separated subset of the nine measures"),
-        Option("floor_scale", float, 1.0),
+        Option("floor_scale", float, detect_mod.DetectorConfig.floor_scale),
         Option("fail_on_alert", bool, False, "exit 1 when alerts exist"),
         Option("out", str, help=OUT_DIR_HELP),
     )),

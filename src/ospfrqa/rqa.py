@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -143,7 +143,7 @@ class EmbedParams:
 
 @dataclass(frozen=True)
 class RqaMeasures:
-    """The nine per-window recurrence measures, in CSV column order."""
+    """The nine per-window recurrence measures, in ``MEASURE_NAMES`` order."""
 
     rr: float
     det: float
@@ -154,12 +154,6 @@ class RqaMeasures:
     v_entr: float
     t2: float
     w_entr: float
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return tuple(getattr(self, name) for name in MEASURE_NAMES)
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in MEASURE_NAMES}
 
 
 def znormalize(values) -> tuple[np.ndarray, bool]:
@@ -577,7 +571,7 @@ def measures_for_series(counts, starts, window_bins: int,
         rm = _recurrence([(centered[r] / sd[r], shifts)], n, params.epsilon, params.norm)
         h[:, r] = _line_histograms(rm, params.theiler)
     out = _measures_from_histograms(n, h, params.l_min, params.v_min)
-    out[degenerate] = constant_window_measures(n).as_tuple()
+    out[degenerate] = astuple(constant_window_measures(n))
     return out, degenerate
 
 

@@ -7,6 +7,7 @@ recovery and detection latency are exact-match criteria on seeded,
 fully deterministic runs.
 """
 
+import dataclasses
 import functools
 import json
 import struct
@@ -15,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+import builders
 import oracle
 from ospfrqa import ingest, rqa, sim
 from ospfrqa.cli import main as cli_main
@@ -42,7 +44,7 @@ def test_criterion_1_oracle_equivalence():
     exact = ("l_max",)
 
     def compare(rm, l_min, v_min, theiler):
-        got = rqa.rqa_measures(rm, l_min, v_min, theiler).as_dict()
+        got = dataclasses.asdict(rqa.rqa_measures(rm, l_min, v_min, theiler))
         want = oracle.measures(rm.astype(int).tolist(), l_min, v_min, theiler)
         for name in rqa.MEASURE_NAMES:
             if name in exact:
@@ -139,7 +141,7 @@ def test_criterion_4_attack_detection():
 @criterion("5 conservation")
 def test_criterion_5_conservation():
     for seed in range(10):
-        topo = sim.random_topology(
+        topo = builders.random_topology(
             n_transit=3 + seed, n_stub=2 + seed % 4, seed=seed,
             extra_links=seed % 4, max_degree=4 + seed % 3,
         )

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import builders
 import oracle
 from ospfrqa import cli, detect, ingest, rqa, sim
 from ospfrqa.cli import build_parser, format_setting, main
@@ -108,8 +109,8 @@ class TestSimulate:
         # simulate writes each log from the run's rows, never reading its
         # LsaEvent logs: writing those must give the same bytes, acks included.
         topo, scenario = tmp_path / "ring.topo", tmp_path / "every.json"
-        topo.write_text(sim.topology_to_text(ring_with_transit_tap()))
-        scenario.write_text(sim.scenario_to_json(every_kind_scenario()))
+        topo.write_text(builders.topology_to_text(ring_with_transit_tap()))
+        scenario.write_text(builders.scenario_to_json(every_kind_scenario()))
         out = tmp_path / "o"
         assert run_cli("simulate", "--topology", topo, "--scenario", scenario,
                        "--duration", "4000", "--seed", "13", "--out", out) == 0
@@ -133,7 +134,7 @@ class TestSimulate:
 
     def test_scenario_json_file(self, tmp_path):
         scenario_path = tmp_path / "flap.json"
-        scenario_path.write_text(sim.scenario_to_json([
+        scenario_path.write_text(builders.scenario_to_json([
             sim.ScenarioEvent(600.0, "iface_down", {"node": "abr1", "iface": "eth0"}),
             sim.ScenarioEvent(900.0, "iface_up", {"node": "abr1", "iface": "eth0"}),
         ]))
@@ -146,7 +147,7 @@ class TestSimulate:
 
     def test_bad_scenario_subject_exits_2(self, tmp_path, capsys):
         scenario_path = tmp_path / "bad.json"
-        scenario_path.write_text(sim.scenario_to_json([
+        scenario_path.write_text(builders.scenario_to_json([
             sim.ScenarioEvent(600.0, "iface_down", {"node": "ghost", "iface": "eth0"}),
         ]))
         assert run_cli("simulate", "--topology", "paper16",

@@ -1,11 +1,15 @@
 """Every public function, class and method of the package is used by the package,
 every module-level constant is read by it, no public dataclass carries a
-private field, and every name the benchmark harness needs exists."""
+private field, every name the benchmark harness needs exists, and importing
+a module loads only the package modules it needs."""
 
 import ast
 import fnmatch
 import importlib
+import json
 import re
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -14,9 +18,12 @@ import ospfrqa
 # Public names that nothing in the package refers to, and why they stay.
 UNREFERENCED_ALLOWED = {
     "cli.cmd_*": "main looks each command up through globals() at call time",
-    "sim.topology_to_text": "wrote the shipped topo20 and topo35 topology files",
-    "sim.scenario_to_json": "writes the scenario files that scenario_from_json reads",
-    "rqa.RqaMeasures.as_dict": "library call for reading one window's measures by name",
+    "detect.analyze_run": "the README's library call: a run's events to its series, measures "
+                          "and alerts in one call",
+    "rqa.recurrence_matrix": "the float path's definition of a window's recurrence matrix, "
+                             "which the tests check against oracle.measures",
+    "rqa.rqa_measures": "the float path's definition of a window's measures, which the tests "
+                        "check against oracle.measures",
     "ingest.extract_pcap_events": "the per-record definition of reading a capture, which "
                                   "read_pcap_columns must match; library call for events",
     "sim.RunResult.logs": "library call for a run's rows named as events, which the benchmark "
@@ -38,8 +45,9 @@ def public_definitions(tree: ast.Module):
 
 def unreferenced_names(package: Path) -> list[str]:
     """Public definitions whose name occurs nowhere in the package outside
-    the definition itself, as a name, an attribute or an imported name
-    (so an ``__init__`` export counts)."""
+    the definition itself, as a name, an attribute or an imported name.
+    An import counts because the package root re-exports nothing: every
+    import is by a module that uses the name."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
     uses = defaultdict(list)  # name -> (module, line)
@@ -215,3 +223,31 @@ def test_the_oracle_imports_no_package_module():
     oracle = Path(__file__).resolve().parent / "oracle.py"
     imported = imported_modules(oracle.read_text(encoding="utf-8"))
     assert [name for name in sorted(imported) if name.split(".")[0] == "ospfrqa"] == []
+
+
+# The package modules that importing each module loads, itself included.  The
+# package root loads none: a list of re-exports there would load them all.
+IMPORT_LAYERS = {
+    "ospfrqa": [],
+    "ospfrqa.ingest": ["ingest"],
+    "ospfrqa.rqa": ["rqa"],
+    "ospfrqa.sim": ["ingest", "sim"],
+    "ospfrqa.detect": ["detect", "ingest", "rqa"],
+    "ospfrqa.cli": ["cli", "detect", "ingest", "rqa", "sim"],
+}
+
+
+def test_each_module_loads_only_the_modules_it_needs():
+    code = ("import importlib, json, sys\n"
+            "loaded = {}\n"
+            f"for name in {list(IMPORT_LAYERS)!r}:\n"
+            "    for key in [k for k in sys.modules if k.split('.')[0] == 'ospfrqa']:\n"
+            "        del sys.modules[key]\n"
+            "    importlib.import_module(name)\n"
+            "    loaded[name] = sorted(k[len('ospfrqa.'):] for k in sys.modules\n"
+            "                          if k.startswith('ospfrqa.'))\n"
+            "print(json.dumps(loaded))\n")
+    src = Path(ospfrqa.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=src)
+    assert json.loads(out.stdout) == IMPORT_LAYERS

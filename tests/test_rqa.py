@@ -1,5 +1,6 @@
 """Unit and property tests for the recurrence engine."""
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -132,6 +133,10 @@ class TestLineHistograms:
 
 
 class TestRqaMeasures:
+    def test_fields_are_in_column_order(self):
+        # dataclasses.astuple of a window's measures fills a row of columns.
+        assert tuple(f.name for f in dataclasses.fields(rqa.RqaMeasures)) == rqa.MEASURE_NAMES
+
     def test_all_ones_10x10(self):
         # Frozen from the run-enumeration oracle; note det = 44/45 because
         # the two length-1 corner diagonals fall below l_min.
@@ -173,7 +178,7 @@ class TestRqaMeasures:
             theiler = int(rng.integers(0, 3))
             l_min = int(rng.integers(2, 4))
             v_min = int(rng.integers(2, 4))
-            got = rqa.rqa_measures(rm, l_min, v_min, theiler).as_dict()
+            got = dataclasses.asdict(rqa.rqa_measures(rm, l_min, v_min, theiler))
             want = oracle.measures(rm.astype(int).tolist(), l_min, v_min, theiler)
             for name in rqa.MEASURE_NAMES:
                 assert got[name] == pytest.approx(want[name], abs=1e-12), name
@@ -218,7 +223,8 @@ class TestConstantWindow:
         params = rqa.EmbedParams()
         values, degenerate = window_measures(np.zeros(50), params)
         assert degenerate
-        assert values.tobytes() == np.array(rqa.constant_window_measures(49).as_tuple()).tobytes()
+        expected = np.array(dataclasses.astuple(rqa.constant_window_measures(49)))
+        assert values.tobytes() == expected.tobytes()
         assert values[0] == 1.0 and values[1] == 1.0  # rr and det
 
     def test_measures_for_series_shift_invariant(self):

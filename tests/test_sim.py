@@ -6,11 +6,13 @@ import ipaddress
 import json
 import math
 import random
+from importlib.resources import files
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import builders
 import oracle
 from ospfrqa import ingest, sim
 
@@ -101,15 +103,20 @@ m a stub
             topo = sim.load_topology(name)
             assert len(topo.routers) + len(topo.stubs) == routers
 
+    def test_topo20_is_the_text_of_a_random_topology(self):
+        shipped = files("ospfrqa.topologies").joinpath("topo20.topo").read_text()
+        topo = builders.random_topology(12, 8, 20, extra_links=4, name="topo20")
+        assert builders.topology_to_text(topo) == shipped
+
     def test_text_round_trip(self):
         topo = two_routers_plus_stub()
-        back = sim.parse_topology(sim.topology_to_text(topo), name="tiny")
+        back = sim.parse_topology(builders.topology_to_text(topo), name="tiny")
         assert back.routers == topo.routers
         assert back.stubs == topo.stubs
         assert [l.key() for l in back.links] == [l.key() for l in topo.links]
 
     def test_router_ids_stay_dotted_quads_past_255_nodes(self):
-        topo = sim.random_topology(300, 2, 1)
+        topo = builders.random_topology(300, 2, 1)
         ids = [topo.router_id(n) for n in topo.nodes()]
         assert len({ipaddress.IPv4Address(rid) for rid in ids}) == len(ids) == 302
         # The first 255 keep the ids every shipped topology has always had.
@@ -139,7 +146,7 @@ class TestScenarios:
 
     def test_json_round_trip(self):
         events = sim.scenario_paper_attacks()
-        back = sim.scenario_from_json(sim.scenario_to_json(events))
+        back = sim.scenario_from_json(builders.scenario_to_json(events))
         assert back == events
 
     def test_validation_rejects_unknown_subject(self):
@@ -257,7 +264,7 @@ class TestRun:
 
     def test_quiet_conservation_random_topologies(self):
         for seed in range(5):
-            topo = sim.random_topology(
+            topo = builders.random_topology(
                 n_transit=4 + seed, n_stub=3, seed=seed, extra_links=seed % 3
             )
             res = sim.run(topo, [], 4000, seed=seed + 100)
@@ -741,9 +748,9 @@ def oracle_runs(draw):
     """A random topology with a host and a transit tap, a scenario of
     random events of every kind (strikes may fall on the run's end), a
     duration, a seed and a refresh jitter."""
-    base = sim.random_topology(draw(st.integers(2, 6)), draw(st.integers(1, 3)),
-                               seed=draw(st.integers(0, 2**16)),
-                               extra_links=draw(st.integers(0, 3)))
+    base = builders.random_topology(draw(st.integers(2, 6)), draw(st.integers(1, 3)),
+                                    seed=draw(st.integers(0, 2**16)),
+                                    extra_links=draw(st.integers(0, 3)))
     routers = list(base.routers)
     links = [dataclasses.replace(l, delay_lo_ms=lo, delay_hi_ms=hi) for l, (lo, hi) in
              zip(base.links, draw(st.lists(st.sampled_from(ORACLE_DELAYS_MS),
