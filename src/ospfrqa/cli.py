@@ -5,7 +5,8 @@ no output embeds a wall-clock timestamp), exits 0 on success, 2 on usage
 or data errors, and 1 only for ``detect --fail-on-alert`` when alerts
 exist.  Commands that produce an output directory echo their fully
 resolved settings to ``run_config.cfg`` there; re-running with
-``--config`` pointing at that echo reproduces the outputs byte for byte.
+``--config`` pointing at that echo reproduces the outputs byte for byte,
+so they refuse a setting that would echo as another value.
 
 One table per command in ``COMMANDS`` drives its flags, ``--config``
 keys and echo.  The config file format is flat ``key = value`` lines
@@ -112,20 +113,28 @@ def read_config_file(path) -> dict[str, tuple[int, str]]:
     # Split as text mode reads lines: at \n, \r and \r\n.
     for line_no, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
         try:
-            line = ingest._utf8(raw).split("#", 1)[0].strip()
+            entry = _config_entry(raw)
         except ValueError as e:
             raise CliError(f"{path}:{line_no}: {e}") from None
-        if not line:
+        if entry is None:
             continue
-        if "=" not in line:
-            raise CliError(f"{path}:{line_no}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
+        key, value = entry
         if key in values:
             raise CliError(f"{path}:{line_no}: {key}: duplicate key "
                            f"(first set on line {values[key][0]})")
-        values[key] = (line_no, value.strip())
+        values[key] = (line_no, value)
     return values
+
+
+def _config_entry(raw: bytes) -> tuple[str, str] | None:
+    """``(key, value)`` of one config line; None for a blank or comment line."""
+    line = ingest._utf8(raw).split("#", 1)[0].strip()
+    if not line:
+        return None
+    if "=" not in line:
+        raise ValueError("expected 'key = value'")
+    key, _, value = line.partition("=")
+    return key.strip(), value.strip()
 
 
 def format_setting(value) -> str:
@@ -141,11 +150,18 @@ def format_setting(value) -> str:
     return str(value)
 
 
-def write_config_echo(path, settings: SimpleNamespace, **resolved) -> None:
-    """Echo every setting, with the values resolved at run time in place."""
+def config_echo(settings: SimpleNamespace, **resolved) -> str:
+    """The ``run_config.cfg`` text of the settings, with ``resolved`` values in
+    place (a key that is no setting is only echoed); a CliError names the flag
+    of a setting that would not read back as itself."""
     values = {**vars(settings), **resolved}
-    lines = [f"{k} = {format_setting(values[k])}" for k in sorted(values)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for key in vars(settings):
+        text = format_setting(values[key])
+        lines = f"{key} = {text}".encode("utf-8", "replace").splitlines()
+        if len(lines) != 1 or _config_entry(lines[0]) != (key, text):
+            raise CliError(f"--{key.replace('_', '-')} {text!r}: run_config.cfg cannot echo "
+                           "a value with '#', a line break or spaces at its edges")
+    return "".join(f"{k} = {format_setting(values[k])}\n" for k in sorted(values))
 
 
 BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
@@ -255,6 +271,7 @@ def cmd_simulate(args) -> int:
     if s.topology is None or s.duration is None:
         raise CliError("simulate requires --topology and --duration")
     out_dir = resolve_out_dir(s.out)
+    echo = config_echo(s, out=out_dir)  # refuses a value it cannot echo before any output
 
     topo = sim.load_topology(s.topology)
     scenario = load_scenario(s.scenario)
@@ -278,7 +295,7 @@ def cmd_simulate(args) -> int:
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    write_config_echo(out_dir / "run_config.cfg", s, out=out_dir)
+    (out_dir / "run_config.cfg").write_text(echo, encoding="utf-8")
     print(f"wrote {len(result.rows)} monitor logs to {out_dir}")
     return 0
 
@@ -404,13 +421,13 @@ def cmd_detect(args) -> int:
         baseline_bins=s.baseline, k_mad=s.k_mad,
         measures_enabled=enabled, floor_scale=s.floor_scale,
     )
+    echo = config_echo(s, series=args.series, measures=",".join(enabled), out=out_dir)
     measure_series = detect_mod.sliding_rqa(series, cfg)
     alerts = detect_mod.detect(measure_series, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     detect_mod.write_measures_csv(out_dir / "measures.csv", measure_series)
     detect_mod.write_alerts_jsonl(out_dir / "alerts.jsonl", alerts)
-    write_config_echo(out_dir / "run_config.cfg", s, series=args.series,
-                      measures=",".join(enabled), out=out_dir)
+    (out_dir / "run_config.cfg").write_text(echo, encoding="utf-8")
     print(f"{len(measure_series)} windows analyzed, {len(alerts)} alerts "
           f"({measure_series.degenerate_windows} degenerate windows, "
           f"{measure_series.epsilon_warnings} epsilon warnings) -> {out_dir}")

@@ -7,20 +7,18 @@ therefore labels every window with an exact id of its counts, computed
 for the whole series at once by prefix doubling (``rqa._tuple_ids``),
 and quantifies each distinct window only once.  A repeated window takes
 the results of its first occurrence, identical to a recompute because
-the per-window computation depends on nothing else.  The distinct windows go,
-in position order, in blocks of at most ``BLOCK_WINDOWS``, each quantified
-by one :func:`~ospfrqa.rqa.measures_for_series` call on the stretch of the
-series that the block's windows cover; the results equal the windows
-quantified one at a time, bit for bit, while the diagonal lines that
-overlapping windows share are found once (see :mod:`ospfrqa.rqa`).
-The change detector then scans each measure against a rolling baseline
-of strictly prior windows: the deviation score is the distance from the
-baseline median in units of the baseline MAD, and a window alerts when
-any enabled measure's score reaches ``k_mad``.  Contiguous deviant
-windows collapse into a single alert stamped at the run's first window.
-Medians and MADs are exact, from sorted baselines, and recomputed only
-where a baseline's multiset changes; ``write_measures_csv`` formats each
-distinct row of measures once per series.
+the per-window computation depends on nothing else.  The distinct windows,
+in position order, are quantified by one
+:func:`~ospfrqa.rqa.measures_for_series` call, which walks them in blocks
+(see :mod:`ospfrqa.rqa`); the results equal the windows quantified one at a
+time, bit for bit.  The change detector then scans each measure against a
+rolling baseline of strictly prior windows: the deviation score is the
+distance from the baseline median in units of the baseline MAD, and a
+window alerts when any enabled measure's score reaches ``k_mad``.
+Contiguous deviant windows collapse into a single alert stamped at the
+run's first window.  Medians and MADs are exact, from sorted baselines, and
+recomputed only where a baseline's multiset changes; ``write_measures_csv``
+formats each distinct row of measures once per series.
 
 Quiet OSPF traffic makes the raw MAD useless as a scale: the measure
 series of a refresh-only count series is piecewise constant, so the MAD
@@ -50,11 +48,6 @@ from .rqa import (
     phase_space_diameter,
     znormalize,
 )
-
-# Windows quantified per measures_for_series call: the distinct windows
-# go in blocks of at most this many starts, so one vectorized pass covers
-# the runs that many windows share while the temporaries stay small.
-BLOCK_WINDOWS = 64
 
 # Changed baselines sorted per numpy call: bounds the (rows x
 # baseline_bins) copy that they are gathered and sorted in.
@@ -154,10 +147,9 @@ def sliding_rqa(series: CountSeries, config: DetectorConfig) -> MeasureSeries:
 
     ``rqa._tuple_ids`` labels each window by its exact counts.  The
     distinct windows, in order of first occurrence (which is position
-    order), are quantified in blocks of ``BLOCK_WINDOWS`` by one
-    ``measures_for_series`` call each, on the counts from the block's first
-    start to its last window's end.  Every window takes the measures and
-    flags of its distinct window, which equal a recompute bit for bit.
+    order), are quantified by one ``measures_for_series`` call.  Every
+    window takes the measures and flags of its distinct window, which equal
+    a recompute bit for bit.
     """
     counts = np.asarray(series.counts, dtype=float)
     w = config.window_bins
@@ -169,33 +161,25 @@ def sliding_rqa(series: CountSeries, config: DetectorConfig) -> MeasureSeries:
     _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     order = np.argsort(first)  # distinct windows by first occurrence
     params = config.embed
-    columns = np.empty((len(MEASURE_NAMES), first.size))
-    flags = np.zeros((2, first.size), dtype=bool)  # degenerate, epsilon warning
+    starts = first[order] * config.step_bins
+    values, degenerate = measures_for_series(counts, starts, w, params)
+    warned = np.zeros_like(degenerate)
     # Threshold guidance: epsilon should stay within 10% of the phase-space
     # diameter.  The z-scored 1-D range (max-min)/sigma is an exact lower
     # bound on the diameter and is always >= 2 (Popoviciu), so the default
     # epsilon=0.2 can never trip this; larger thresholds get the exact check.
     eps_limit = params.epsilon * 10.0
-    for lo in range(0, order.size, BLOCK_WINDOWS):
-        distinct = order[lo : lo + BLOCK_WINDOWS]
-        starts = first[distinct] * config.step_bins
-        head = starts[0]
-        values, degenerate = measures_for_series(counts[head : starts[-1] + w], starts - head,
-                                                 w, params)
-        columns[:, distinct] = values.T
-        flags[0, distinct] = degenerate
-        if eps_limit > 2.0:
-            for r in np.flatnonzero(~degenerate):
-                window = counts[starts[r] : starts[r] + w]
-                flags[1, distinct[r]] = _epsilon_warning(window, params, eps_limit)
-    columns, flags = columns[:, inverse], flags[:, inverse]
+    if eps_limit > 2.0:
+        for r in np.flatnonzero(~degenerate):
+            warned[r] = _epsilon_warning(counts[starts[r] : starts[r] + w], params, eps_limit)
+    row = np.argsort(order)[inverse]  # each window's row of the results
     return MeasureSeries(
         window_end_bins=np.arange(w - 1, counts.size, config.step_bins),
-        values=dict(zip(MEASURE_NAMES, columns)),
+        values=dict(zip(MEASURE_NAMES, values[row].T)),
         bin_size_s=series.bin_size_s,
         start_us=series.start_us,
-        degenerate_windows=int(flags[0].sum()),
-        epsilon_warnings=int(flags[1].sum()),
+        degenerate_windows=int(degenerate[row].sum()),
+        epsilon_warnings=int(warned[row].sum()),
     )
 
 

@@ -49,21 +49,23 @@ window, and one reducer turns histograms into the nine measures:
   keeps the rounding of the float path inside the 1e-9 margin.  Any other
   window takes the float path, so no convention depends on which ran.
 
-Windows are evaluated many per call (as PyRQA evaluates blocks, Rawald,
-Sips & Marwan 2017): :func:`measures_for_series` takes a count series and
-the starts of B windows, and both engines write into one (3, B, n + 1)
-histogram stack.  One vectorized pass centers the windows, applies the
-equality guard and histograms the vertical and white runs of the windows
-inside it; their diagonals come from the runs of the series' own delay
-vector matches, each run found once per segment of nearby starts
+Windows are evaluated in blocks (as PyRQA evaluates them, Rawald, Sips &
+Marwan 2017): :func:`measures_for_series` walks the windows it is given
+``BLOCK_WINDOWS`` at a time, in memory that does not grow with their
+number, and takes the ids of the series' delay vectors once.  Both engines
+write a block's B windows into one (3, B, n + 1) histogram stack.  One
+vectorized pass centers the windows, applies the equality guard
+(:func:`_equality_rows`) and histograms the vertical and white runs of the
+windows inside it; their diagonals come from the runs of the series' own
+delay vector matches, each run found once per segment of nearby starts
 (:func:`_diagonal_runs`).  Only the float path loops over windows, and the
-diagonal scan over segments.  A single reducer call then gives each
+diagonal scan over segments.  One reducer call per block then gives each
 window the bits it gets alone: integer sums are exact, every ratio divides
-two of them once, and each entropy ``-(p * np.log(p)).sum()`` is taken
-over the window's nonzero counts in ascending length order.  numpy sums a
-row of k terms in a fixed pairwise order, which padding rows with zeros
-to a common width would change, so the reducer groups rows by their count
-k of nonzero lengths and sums each group as a contiguous (rows, k) block.
+two of them once, and each entropy ``-(p * np.log(p)).sum()`` is taken over
+the window's nonzero counts in ascending length order.  numpy sums a row of
+k terms in a fixed pairwise order, which padding rows with zeros to a
+common width would change, so the reducer groups rows by their count k of
+nonzero lengths and sums each group as a contiguous (rows, k) block.
 """
 
 from __future__ import annotations
@@ -99,6 +101,11 @@ EQUALITY_MAX_SPAN = float(1 << 20)
 # starts costs a row of n + 1 counts, far less than the n - 1 points and the
 # loop pass that a split adds.
 SEGMENT_GAP = 16
+
+# Windows quantified per pass of measures_for_series: its starts go in
+# blocks of at most this many, so one vectorized pass covers the runs that
+# many windows share while the temporaries stay small.
+BLOCK_WINDOWS = 64
 
 
 class SeriesTooShortError(ValueError):
@@ -511,14 +518,9 @@ def constant_window_measures(n_points: int) -> RqaMeasures:
     1 - 2/(n(n-1)), a finite-size artifact of the two corner diagonals.
     """
     n = n_points
-    if n < 3:
-        l_mean = 0.0
-        l_entr = 0.0
-        l_max = float(max(n - 1, 0))
-    else:
-        l_max = float(n - 1)
-        l_mean = (n * (n - 1) / 2.0 - 1.0) / (n - 2)
-        l_entr = math.log(n - 2)
+    l_max, l_mean, l_entr = float(max(n - 1, 0)), 0.0, 0.0
+    if n >= 3:
+        l_mean, l_entr = (n * (n - 1) / 2.0 - 1.0) / (n - 2), math.log(n - 2)
     return RqaMeasures(
         rr=1.0, det=1.0, l_max=l_max, l_mean=l_mean, l_entr=l_entr,
         tt=float(n), v_entr=0.0, t2=0.0, w_entr=0.0,
@@ -536,7 +538,8 @@ def measures_for_series(counts, starts, window_bins: int,
     a (B, w) block of unrelated windows is ``block.ravel()`` with starts
     ``np.arange(B) * w``.  Degenerate (zero-variance) windows short-circuit
     to :func:`constant_window_measures` so quiet OSPF stretches never fault;
-    the others go through one histogram stack and reducer (module docstring).
+    the others go ``BLOCK_WINDOWS`` at a time through one histogram stack
+    and reducer, in memory that does not grow with B (module docstring).
     """
     x = np.asarray(counts, dtype=float)
     starts = np.asarray(starts)
@@ -554,23 +557,27 @@ def measures_for_series(counts, starts, window_bins: int,
                             and (np.diff(starts) >= 0).all()):
         raise ValueError(f"window starts must be non-decreasing and within "
                          f"0..{x.size - w} for {x.size} counts and {w}-bin windows")
-    windows = x[starts[:, None] + np.arange(w)]
-    centered, sd = _centered(windows)
     n = params.n_points(w)
-    h = np.zeros((3, starts.size, n + 1), dtype=np.int64)
-    degenerate = sd == 0.0
-    float_rows = ~degenerate
-    symbols = _symbols(x, windows, sd, params)
-    if symbols is not None:
-        rows, ids = symbols
-        h[:, rows] = _equality_histograms(ids, starts[rows], n, params.theiler)
-        float_rows[rows] = False
+    out = np.empty((starts.size, len(MEASURE_NAMES)))
+    degenerate = np.empty(starts.size, dtype=bool)
+    ids = None  # the delay-vector ids of the series, once a block needs them
     # The recurrence matrix of embed(z, tau, m), built from z directly.
     shifts = range(0, params.m * params.tau, params.tau)
-    for r in np.flatnonzero(float_rows):
-        rm = _recurrence([(centered[r] / sd[r], shifts)], n, params.epsilon, params.norm)
-        h[:, r] = _line_histograms(rm, params.theiler)
-    out = _measures_from_histograms(n, h, params.l_min, params.v_min)
+    for lo in range(0, starts.size, BLOCK_WINDOWS):
+        rows = slice(lo, lo + BLOCK_WINDOWS)
+        block = starts[rows]
+        windows = x[block[:, None] + np.arange(w)]
+        centered, sd = _centered(windows)
+        h = np.zeros((3, block.size, n + 1), dtype=np.int64)
+        equality = _equality_rows(windows, sd, params)
+        if equality.any():
+            ids = _tuple_ids(x, params.m, params.tau) if ids is None else ids
+            h[:, equality] = _equality_histograms(ids, block[equality], n, params.theiler)
+        for r in np.flatnonzero((sd != 0.0) & ~equality):
+            rm = _recurrence([(centered[r] / sd[r], shifts)], n, params.epsilon, params.norm)
+            h[:, r] = _line_histograms(rm, params.theiler)
+        out[rows] = _measures_from_histograms(n, h, params.l_min, params.v_min)
+        degenerate[rows] = sd == 0.0
     out[degenerate] = astuple(constant_window_measures(n))
     return out, degenerate
 
@@ -622,21 +629,13 @@ def _tuple_ids(c: np.ndarray, length: int, stride: int = 1) -> np.ndarray:
     return rank
 
 
-def _symbols(x: np.ndarray, windows: np.ndarray, sd: np.ndarray, params: EmbedParams):
-    """``(rows, ids)`` for the windows of series ``x`` in the equality regime.
-
-    ``rows`` indexes the rows of ``windows`` (a (B, w) gather of ``x`` with
-    sds ``sd``) that hold integers, are not constant and pass the guard of
-    the module docstring.  ``ids[i]`` is the id of the delay vector that
-    starts at ``x[i]``: equal exactly when the vectors are equal.  None when
-    no window is in the regime, so the float path must run for all of them.
-    """
-    lo = windows.min(axis=1)
-    span = windows.max(axis=1) - lo
-    inside = ((sd > 0.0) & (params.epsilon * sd <= EQUALITY_MARGIN)
-              & (span <= EQUALITY_MAX_SPAN) & (windows == np.floor(windows)).all(axis=1))
-    rows = np.flatnonzero(inside)
-    return None if rows.size == 0 else (rows, _tuple_ids(x, params.m, params.tau))
+def _equality_rows(windows: np.ndarray, sd: np.ndarray, params: EmbedParams) -> np.ndarray:
+    """Which rows of a (B, w) block of windows, with sds ``sd``, take the
+    equality engine: those that hold integers, are not constant and pass the
+    guard of the module docstring.  A (B,) bool mask."""
+    span = windows.max(axis=1) - windows.min(axis=1)
+    return ((sd > 0.0) & (params.epsilon * sd <= EQUALITY_MARGIN)
+            & (span <= EQUALITY_MAX_SPAN) & (windows == np.floor(windows)).all(axis=1))
 
 
 def _row_histograms(row: np.ndarray, length: np.ndarray, weight: np.ndarray,

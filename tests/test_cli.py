@@ -841,6 +841,48 @@ class TestOptionTable:
         assert run_cli("simulate", "--config", out / "run_config.cfg") == 0
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("command, flag, value", [
+        *((command, "--out", value) for command in ("simulate", "detect")
+          for value in ("det#1", "det\n1", "det\r1", " det", "det ", "det\udcff")),
+        ("simulate", "--topology", "paper16#x"), ("simulate", "--scenario", "quiet "),
+    ])
+    def test_value_the_echo_cannot_replay_exits_2_before_writing(self, tmp_path, capsys,
+                                                                 monkeypatch, command, flag,
+                                                                 value):
+        # The config reader cuts a line at '#', splits at line breaks and
+        # strips edge spaces, so the echo would replay another value; and a
+        # name from a byte that is not UTF-8 cannot be written to it.
+        monkeypatch.chdir(tmp_path)
+        series = write_small_series(tmp_path / "s.csv")
+        argv = {"simulate": ["--topology", "paper16", "--duration", "100", "--out", "o"],
+                "detect": [series, "--out", "o"]}[command]
+        assert run_cli(command, *argv, flag, value) == 2
+        assert f"{flag} {value!r}: run_config.cfg cannot echo" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+
+    @pytest.mark.parametrize("command", ["simulate", "detect"])
+    def test_out_from_the_environment_the_echo_cannot_replay_exits_2(self, tmp_path, capsys,
+                                                                     monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("OSPFRQA_OUT", "x#y")
+        series = write_small_series(tmp_path / "s.csv")
+        argv = {"simulate": ["--topology", "paper16", "--duration", "100"],
+                "detect": [series]}[command]
+        assert run_cli(command, *argv) == 2
+        assert "--out 'x#y': run_config.cfg cannot echo" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+
+    def test_out_with_an_inner_space_replays_byte_identical(self, tmp_path):
+        out = tmp_path / "det 1"
+        assert run_cli("detect", write_small_series(tmp_path / "s.csv"), "--out", out,
+                       "--baseline", "40") == 0
+        assert read_echo(out / "run_config.cfg")["out"] == str(out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        (out / "measures.csv").unlink()
+        assert run_cli("detect", tmp_path / "s.csv", "--config", out / "run_config.cfg") == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["det 1", "s.csv"]
+
     def test_detect_echo_parses_back_to_exact_floats(self, tmp_path):
         passed = {"epsilon": 0.12345678, "k_mad": 6.0000001, "floor_scale": 1.0000000000000002}
         out = tmp_path / "det"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracle
 from ospfrqa import detect, ingest, rqa, sim
 from ospfrqa.detect import Alert, DetectorConfig, MeasureSeries
+from test_rqa import no_equality_rows
 
 
 def count_series(counts, bin_size=10, start_us=0):
@@ -217,7 +218,7 @@ class TestSlidingRqaMemo:
         ms = detect.sliding_rqa(count_series(counts), cfg)
         assert_matches_reference(ms, counts, cfg)
         # And the definition: every window through the float path.
-        with mock.patch.object(rqa, "_symbols", return_value=None):
+        with mock.patch.object(rqa, "_equality_rows", side_effect=no_equality_rows):
             forced = detect.sliding_rqa(count_series(counts), cfg)
         for name in rqa.MEASURE_NAMES:
             assert ms.values[name].tobytes() == forced.values[name].tobytes(), name
@@ -267,19 +268,26 @@ class TestSlidingRqaMemo:
         counts=small_counts,
         window=st.integers(min_value=10, max_value=30),
         epsilon=st.sampled_from([0.2, 0.45, 0.7]),
-        block=st.sampled_from([1, 3, detect.BLOCK_WINDOWS]),
+        block=st.sampled_from([1, 3, rqa.BLOCK_WINDOWS]),
     )
     @settings(max_examples=40, deadline=None)
     def test_blocks_compute_each_distinct_window_once(self, counts, window, epsilon, block):
         cfg = DetectorConfig(window_bins=window, embed=rqa.EmbedParams(epsilon=epsilon))
-        with mock.patch.object(detect, "BLOCK_WINDOWS", block), \
+        with mock.patch.object(rqa, "BLOCK_WINDOWS", block), \
                 mock.patch.object(detect, "measures_for_series",
-                                  wraps=rqa.measures_for_series) as spy:
+                                  wraps=rqa.measures_for_series) as spy, \
+                mock.patch.object(rqa, "_measures_from_histograms",
+                                  wraps=rqa._measures_from_histograms) as passes, \
+                mock.patch.object(rqa, "_tuple_ids", wraps=rqa._tuple_ids) as vector_ids:
             ms = detect.sliding_rqa(count_series(counts), cfg)
         windows = {np.asarray(counts[i : i + window], dtype=float).tobytes()
                    for i in range(len(counts) - window + 1)}
+        assert spy.call_count == 1
         assert rows_computed(spy) == len(windows)
-        assert all(len(call.args[1]) <= block for call in spy.call_args_list)
+        # One reducer pass per block, of at most block windows each (h is (3, B, n + 1)).
+        rows = [call.args[1].shape[1] for call in passes.call_args_list]
+        assert sum(rows) == len(windows) and max(rows) <= block
+        assert vector_ids.call_count <= 1  # the delay-vector ids, once per call
         assert_matches_reference(ms, counts, cfg)
 
     def test_epsilon_warnings_counted(self):

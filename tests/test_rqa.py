@@ -4,6 +4,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -367,7 +368,7 @@ class TestDistanceKernels:
         z, degenerate = rqa.znormalize(x)
         assume(not degenerate)
         params = rqa.EmbedParams(tau=tau, m=m, epsilon=eps, norm=norm)
-        with mock.patch.object(rqa, "_symbols", return_value=None), \
+        with mock.patch.object(rqa, "_equality_rows", side_effect=no_equality_rows), \
                 mock.patch.object(rqa, "_line_histograms", wraps=rqa._line_histograms) as spy:
             window_measures(x, params)
         rm = spy.call_args.args[0]
@@ -408,16 +409,23 @@ def both_engines(x, params):
         got, degenerate = window_measures(x, params)
     assert not degenerate
     equality = spy.call_count == 0
-    with mock.patch.object(rqa, "_symbols", return_value=None), \
+    with mock.patch.object(rqa, "_equality_rows", side_effect=no_equality_rows), \
             mock.patch.object(rqa, "_line_histograms", wraps=rqa._line_histograms) as spy:
         want, _ = window_measures(x, params)
     return got, equality, want, spy.call_args.args[0]
 
 
-def symbols_of(x, params):
-    """``rqa._symbols`` of one window, as a block of one."""
+def no_equality_rows(windows, sd, params):
+    """``rqa._equality_rows`` with no row in the equality regime: patched in,
+    it sends every window down the float path."""
+    return np.zeros(len(windows), dtype=bool)
+
+
+def equality_of(x, params):
+    """``rqa._equality_rows`` of one window, as a block of one."""
     block = x[None]
-    return rqa._symbols(x, block, rqa._centered(block)[1], params)
+    (inside,) = rqa._equality_rows(block, rqa._centered(block)[1], params)
+    return bool(inside)
 
 
 def equality_matrix(x, tau, m):
@@ -491,7 +499,7 @@ class TestEqualityEngine:
         _, sd = rqa._centered(x)
         params = rqa.EmbedParams()
         assert params.epsilon * sd < 1 - 1e-9
-        assert symbols_of(x, params) is None
+        assert not equality_of(x, params)
         got, equality, want, _ = both_engines(x, params)
         assert not equality
         assert got.tobytes() == want.tobytes()
@@ -499,7 +507,7 @@ class TestEqualityEngine:
     def test_non_finite_window_takes_float_path(self):
         x = np.array([0.0, 1.0, np.inf, 0.0, 1.0, 0.0])
         with np.errstate(invalid="ignore"):
-            assert symbols_of(x, rqa.EmbedParams()) is None
+            assert not equality_of(x, rqa.EmbedParams())
 
     @pytest.mark.parametrize("span, expect", [(2**20, True), (2**20 + 1, False)])
     def test_spread_guard(self, span, expect):
@@ -508,7 +516,7 @@ class TestEqualityEngine:
         x[:2] = 0, span
         _, sd = rqa._centered(x)
         params = rqa.EmbedParams(epsilon=0.5 / sd)
-        assert (symbols_of(x, params) is not None) == expect
+        assert equality_of(x, params) == expect
         got, equality, want, _ = both_engines(x, params)
         assert equality == expect
         assert got.tobytes() == want.tobytes()
@@ -643,18 +651,23 @@ class TestBlocks:
         alone = [window_measures(row, params) for row in block]
         want = np.array([values for values, _ in alone])
         want_degenerate = np.array([degenerate for _, degenerate in alone])
-        with mock.patch.object(rqa, "_symbols", return_value=None):
+        with mock.patch.object(rqa, "_equality_rows", side_effect=no_equality_rows):
             forced, forced_degenerate = block_measures(block, params)
         assert forced.tobytes() == want.tobytes()
         assert np.array_equal(forced_degenerate, want_degenerate)
-        for size in (3, detect.BLOCK_WINDOWS):
+        for size in (3, rqa.BLOCK_WINDOWS):
             parts = [block_measures(block[i : i + size], params)
                      for i in range(0, len(block), size)]
             got = np.concatenate([values for values, _ in parts])
             assert got.tobytes() == want.tobytes(), size
             assert np.array_equal(np.concatenate([d for _, d in parts]), want_degenerate), size
-        symbols = rqa._symbols(block.ravel(), block, rqa._centered(block)[1], params)
-        event(f"equality rows: {'none' if symbols is None else 'all' if symbols[0].size == len(block) else 'some'}")
+            # And one call that walks the whole block size rows at a time.
+            with mock.patch.object(rqa, "BLOCK_WINDOWS", size):
+                walked, walked_degenerate = block_measures(block, params)
+            assert walked.tobytes() == want.tobytes(), size
+            assert np.array_equal(walked_degenerate, want_degenerate), size
+        rows = rqa._equality_rows(block, rqa._centered(block)[1], params)
+        event(f"equality rows: {'all' if rows.all() else 'some' if rows.any() else 'none'}")
 
     @given(window_blocks())
     @settings(max_examples=100, deadline=None)
@@ -663,6 +676,19 @@ class TestBlocks:
         # where np.median returns it: an empty ratio must give 0, not NaN.
         values, _ = block_measures(*case)
         assert np.isfinite(values).all()
+
+    def test_any_number_of_windows_takes_bounded_memory(self):
+        # 2,000 distinct 200-bin windows: one call gathers and histograms
+        # BLOCK_WINDOWS of them at a time, never all of them at once.
+        counts = np.random.default_rng(0).integers(0, 6, 2199)
+        tracemalloc.start()
+        try:
+            values, _ = rqa.measures_for_series(counts, np.arange(2000), 200, rqa.EmbedParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (2000, len(rqa.MEASURE_NAMES))
+        assert peak < 8 * 2**20
 
     def test_block_shapes(self):
         params = rqa.EmbedParams()
