@@ -153,13 +153,14 @@ def format_setting(value) -> str:
 def config_echo(settings: SimpleNamespace, **resolved) -> str:
     """The ``run_config.cfg`` text of the settings, with ``resolved`` values in
     place (a key that is no setting is only echoed); a CliError names the flag
-    of a setting that would not read back as itself."""
+    of a setting, or the argument, whose value would not read back as itself."""
     values = {**vars(settings), **resolved}
-    for key in vars(settings):
-        text = format_setting(values[key])
+    for key, value in values.items():
+        text = format_setting(value)
         lines = f"{key} = {text}".encode("utf-8", "replace").splitlines()
         if len(lines) != 1 or _config_entry(lines[0]) != (key, text):
-            raise CliError(f"--{key.replace('_', '-')} {text!r}: run_config.cfg cannot echo "
+            name = f"--{key.replace('_', '-')}" if key in vars(settings) else key
+            raise CliError(f"{name} {text!r}: run_config.cfg cannot echo "
                            "a value with '#', a line break or spaces at its edges")
     return "".join(f"{k} = {format_setting(values[k])}\n" for k in sorted(values))
 

@@ -26,7 +26,10 @@ at the node, the node's own originations, and arriving acknowledgments
 Runs are reproducible: one seeded generator is consumed in event order,
 times are integer microseconds, and each heap entry is ``(time, node
 order, push count, handler, node, *args)``, so ties break on node order,
-then push order.  An LS Update arrival has no handler: the loop runs it.
+then push order.  An LS Update arrival has no handler: the loop runs it,
+and its args are ``(origin, seq, age, port)``.  The port is the receiving
+link end, precomputed: the link's delay draw for the ack, the node's
+other links to reflood over, and the node's LSDB, router id and taps.
 
 State changes emit two instances per endpoint (at the event instant and
 shortly after), mirroring the paired LSDB transitions a real interface
@@ -424,29 +427,43 @@ class _Engine:
             self.taps.setdefault(m.node, []).append(m.name)
         self.rows: dict[str, list[tuple]] = {m.name: [] for m in topo.monitors}
         self.rids = {n: topo.router_id(n) for n in topo.routers}
-        # id(link) -> (lowest delay in microseconds, number of possible
-        # delays, bits per draw).  A delay is drawn as ``randrange(lo, hi + 1)``
-        # draws it, by the same getrandbits loop without the argument checks.
-        self.delay_draw = {}
-        for l in topo.links:
+        # One port per receiving link end, and one per OSPF speaker for what it
+        # floods itself or hears from a host (no link): what an LS Update arrival
+        # reads that is fixed for where it comes in, as (ack draw, flood targets,
+        # LSDB, router id, (tap, rows) pairs).  The ack draw is the link's (lo,
+        # width, bits, sender if tapped), or None with no link; a delay is drawn
+        # as ``randrange(lo, lo + width)`` draws it, by the same getrandbits loop
+        # without the argument checks.  A target, (link, peer, peer's heap order,
+        # lo, width, bits, peer's port), comes in topology link order, the order
+        # of a flood's draws.  It names the port by its index in ``ports``: ports
+        # naming each other would form cycles, which keep each run's rows alive
+        # until the cyclic collector runs.
+        ends = [(n, None) for n in topo.nodes() if n not in topo.hosts]
+        ends += [(n, l) for l in topo.links for n in (l.node_a, l.node_b)]
+        self.port_at = {(n, id(l) if l else None): i for i, (n, l) in enumerate(ends)}
+
+        def draw(l: Link) -> tuple:
             lo = int(l.delay_lo_ms * 1000)
             width = int(l.delay_hi_ms * 1000) + 1 - lo
-            self.delay_draw[id(l)] = (lo, width, width.bit_length())
-        # Each node's OSPF peers in topology link order, the order in which a
-        # flood draws its delays, as (link, peer, peer's heap order,
-        # *delay_draw): what ``flood`` needs to push without calling ``push``.
-        self.flood_targets = {
-            n: [(l, l.other(n), topo._order[l.other(n)], *self.delay_draw[id(l)])
-                for l in topo.links
-                if n in (l.node_a, l.node_b) and l.other(n) not in topo.hosts]
-            for n in topo.nodes()
-        }
+            return lo, width, width.bit_length()
+
+        def port(node: str, via: Link | None) -> tuple:
+            sender = via and via.other(node)
+            targets = [(l, l.other(node), topo._order[l.other(node)], *draw(l),
+                        self.port_at[l.other(node), id(l)])
+                       for l in topo.links if node in (l.node_a, l.node_b)
+                       and l is not via and l.other(node) not in topo.hosts]
+            return (via and (*draw(via), sender if sender in self.taps else None), targets,
+                    self.db[node], self.rids.get(node),
+                    tuple((tap, self.rows[tap]) for tap in self.taps.get(node, ())))
+
+        self.ports = [port(n, l) for n, l in ends]
 
     # -- scheduling helpers --
 
     def push(self, t_us: int, node: str, handler, *args):
         """Schedule ``handler(node, t_us, *args)`` or, with no handler, an LS
-        Update arriving at ``node``: args ``(sender, origin, seq, age, via)``."""
+        Update arriving at ``node``: args ``(origin, seq, age, port)``."""
         self.counter += 1
         heapq.heappush(self.heap, (t_us, self.topo._order[node], self.counter, handler, node,
                                    *args))
@@ -457,18 +474,17 @@ class _Engine:
 
     # -- protocol actions --
 
-    def flood(self, node: str, t_us: int, origin: str, seq: int, age: int,
-              skip_link: Link | None):
-        # ``push`` inlined, the push count kept local.
-        getrandbits, heap, n = self.rng.getrandbits, self.heap, self.counter
-        for link, peer, order, lo, width, bits in self.flood_targets[node]:
-            if link.up and t_us >= link.forming_until_us and link is not skip_link:
+    def flood(self, node: str, t_us: int, origin: str, seq: int):
+        # Over every link of ``node``; ``push`` inlined, the push count kept local.
+        getrandbits, heap, n, ports = self.rng.getrandbits, self.heap, self.counter, self.ports
+        for link, peer, order, lo, width, bits, peer_port in ports[self.port_at[node, None]][1]:
+            if link.up and t_us >= link.forming_until_us:
                 r = getrandbits(bits)
                 while r >= width:
                     r = getrandbits(bits)
                 n += 1
-                heapq.heappush(heap, (t_us + lo + r, order, n, None, peer, node, origin, seq,
-                                      age, link))
+                heapq.heappush(heap, (t_us + lo + r, order, n, None, peer, origin, seq, 1,
+                                      ports[peer_port]))
         self.counter = n
 
     def refresh(self, node: str, t_us: int, epoch: int):
@@ -481,7 +497,7 @@ class _Engine:
         rid, seq = self.rids[node], self.own_seq[node]
         self.db[node][rid] = (seq, 0, t_us)
         self.record(node, t_us, rid, seq, 0, is_ack=False)
-        self.flood(node, t_us, rid, seq, age=1, skip_link=None)
+        self.flood(node, t_us, rid, seq)
         self.refresh_epoch[node] += 1
         interval_us = int(REFRESH_INTERVAL_S * 1e6)
         refresh_at = t_us + interval_us + self.rng.randint(-self.jitter_us, self.jitter_us)
@@ -521,9 +537,10 @@ class _Engine:
                 peer_entry = self.db[dst].get(origin)
                 if peer_entry is None or seq > peer_entry[0]:
                     age = min(age + (t_us - installed_us) // 1_000_000, MAX_AGE) + 1
-                    lo, width, _ = self.delay_draw[id(link)]
-                    self.push(t_us + self.rng.randrange(lo, lo + width), dst, None, src, origin,
-                              seq, age, link)
+                    port = self.ports[self.port_at[dst, id(link)]]
+                    lo, width = port[0][:2]
+                    self.push(t_us + self.rng.randrange(lo, lo + width), dst, None, origin, seq,
+                              age, port)
 
     # -- attacks --
 
@@ -540,7 +557,7 @@ class _Engine:
         if entry is None or seq > entry[0]:
             self.db[node][origin] = (seq, 0, t_us)
         self.record(node, t_us, origin, seq, 0, is_ack=False)
-        self.flood(node, t_us, origin, seq, age=1, skip_link=None)
+        self.flood(node, t_us, origin, seq)
 
     def attack_adjacency_spoof(self, host: str, t_us: int, ev: ScenarioEvent):
         # host attachments are implicit links; sample the default delay range
@@ -548,8 +565,8 @@ class _Engine:
         self.phantom_seq[phantom_id] = self.phantom_seq.get(phantom_id, INITIAL_SEQ - 1) + 1
         lo, hi = DEFAULT_DELAY_RANGE_MS
         delay = self.rng.randint(int(lo * 1000), int(hi * 1000))
-        self.push(t_us + delay, router, None, host, phantom_id, self.phantom_seq[phantom_id], 1,
-                  None)
+        self.push(t_us + delay, router, None, phantom_id, self.phantom_seq[phantom_id], 1,
+                  self.ports[self.port_at[router, None]])
 
     def attack_partition(self, router: str, t_us: int, ev: ScenarioEvent):
         # The falsified instance differs only in content, which is not
@@ -576,25 +593,23 @@ class _Engine:
     def run(self) -> None:
         for node in self.topo.routers:
             self.push(0, node, self.originate)
-        heap, heappop, taps, rows, db = self.heap, heapq.heappop, self.taps, self.rows, self.db
-        rids, own_seq, push, flood = self.rids, self.own_seq, self.push, self.flood
-        getrandbits, delay_draw = self.rng.getrandbits, self.delay_draw
+        heap, heappop, heappush, ports = self.heap, heapq.heappop, heapq.heappush, self.ports
+        own_seq, push, getrandbits = self.own_seq, self.push, self.rng.getrandbits
         while heap:
             entry = heappop(heap)
             if entry[3] is not None:
                 entry[3](entry[4], entry[0], *entry[5:])
                 continue
-            t_us, _order, _n, _, node, sender, origin, seq, age, via = entry  # an arrival
-            if node in taps:  # ``record`` inlined
-                for tap in taps[node]:
-                    rows[tap].append((t_us, tap, 1, origin, origin, min(age, MAX_AGE), seq, False))
+            t_us, _order, _n, _, node, origin, seq, age, port = entry  # an arrival
+            ack, targets, node_db, rid, taps = port
+            for tap, rows in taps:  # ``record`` inlined
+                rows.append((t_us, tap, 1, origin, origin, min(age, MAX_AGE), seq, False))
             # Fight-back: an originator seeing a fresher instance of its own LSA
             # immediately advertises a newer one that cancels it.
-            if origin == rids.get(node) and seq > own_seq[node]:
+            if origin == rid and seq > own_seq[node]:
                 own_seq[node] = seq
                 self.originate(node, t_us)
                 continue
-            node_db = db[node]
             held = node_db.get(origin)
             reflood = held is None or seq > held[0]
             # Same instance racing in from both sides: the copy with the smaller
@@ -605,21 +620,30 @@ class _Engine:
                     and age < min(held[1] + (t_us - held[2]) // 1_000_000, MAX_AGE)):
                 continue
             node_db[origin] = (seq, age, t_us)
-            # The ack goes back over ``via`` to the OSPF speaker that sent the
-            # instance; a host sends over no link.  An ack only matters where a
-            # tap records it, so it is scheduled only when the sender is tapped.
+            # The ack goes back over the port's link to the OSPF speaker that sent
+            # the instance; a host sends over no link.  An ack only matters where
+            # a tap records it, so it is scheduled only when the sender is tapped.
             # Its link delay is drawn either way: the generator stream, and so
             # every later delay, stays as when every ack was scheduled.  Skipped
             # pushes keep the heap order of the rest: the counter only grows.
-            if via is not None:
-                lo, width, bits = delay_draw[id(via)]  # the draw of ``flood``
+            if ack is not None:
+                lo, width, bits, tapped_sender = ack
                 r = getrandbits(bits)
                 while r >= width:
                     r = getrandbits(bits)
-                if sender in taps:
-                    push(t_us + lo + r, sender, self.record, origin, seq, age, True)
-            if reflood:
-                flood(node, t_us, origin, seq, age + 1, via)
+                if tapped_sender is not None:
+                    push(t_us + lo + r, tapped_sender, self.record, origin, seq, age, True)
+            if reflood and targets:  # ``flood`` inlined, over every link but the port's
+                age, n = age + 1, self.counter
+                for link, peer, order, lo, width, bits, peer_port in targets:
+                    if link.up and t_us >= link.forming_until_us:
+                        r = getrandbits(bits)
+                        while r >= width:
+                            r = getrandbits(bits)
+                        n += 1
+                        heappush(heap, (t_us + lo + r, order, n, None, peer, origin, seq, age,
+                                        ports[peer_port]))
+                self.counter = n
 
 
 def run(topology: Topology, scenario: list[ScenarioEvent], duration_s: float,

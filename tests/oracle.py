@@ -1,5 +1,5 @@
 """Brute-force references for the recurrence measures, the scoring, the
-binning, the file formats and the flooding simulator.
+alert collapse, the binning, the file formats and the flooding simulator.
 
 Everything here is deliberately naive: explicit python loops over matrix
 cells, diagonals, columns, baseline windows and events, and plain ``math`` and
@@ -180,6 +180,35 @@ def deviation_scores(values, baseline_bins, floor, floor_scale=1.0):
         medians[i] = med
         scores[i] = abs(v[i] - med) / max(mad, floor * floor_scale, 1e-6)
     return scores, medians
+
+
+def alerts(measures, scores, medians, baseline_bins, k_mad):
+    """Alert collapse as a scan over windows that tracks whether a deviant run
+    is open, given each enabled measure's scores and baseline medians.
+
+    ``measures`` is read as a ``MeasureSeries``: its length, ``values``,
+    ``window_end_bins`` and ``time_s(i)``.  Each alert is a tuple shaped as
+    an ``Alert``: (bin index, time, ((name, value, baseline median, score)
+    of each measure that fired), severity).
+    """
+    n, b = len(measures), baseline_bins
+    if n <= b:
+        return []
+    found, in_run = [], False
+    for i in range(b, n):
+        fired = [name for name in scores if scores[name][i] >= k_mad]
+        if fired and not in_run:
+            triggered = tuple(
+                (name, float(measures.values[name][i]), float(medians[name][i]),
+                 float(scores[name][i]))
+                for name in fired
+            )
+            found.append((int(measures.window_end_bins[i]), measures.time_s(i), triggered,
+                          max(t[3] for t in triggered)))
+            in_run = True
+        elif not fired:
+            in_run = False
+    return found
 
 
 def series_csv(start_us, bin_size_s, counts):

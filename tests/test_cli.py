@@ -860,6 +860,17 @@ class TestOptionTable:
         assert f"{flag} {value!r}: run_config.cfg cannot echo" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
 
+    @pytest.mark.parametrize("name", ["s\udcff.csv", "s#1.csv"])
+    def test_series_the_echo_cannot_replay_exits_2_before_writing(self, tmp_path, capsys,
+                                                                 monkeypatch, name):
+        # The series path is echoed though it is no setting, so it is checked
+        # like one: a name from a byte that is not UTF-8, or with a '#'.
+        monkeypatch.chdir(tmp_path)
+        write_small_series(tmp_path / name)
+        assert run_cli("detect", name, "--out", "o") == 2
+        assert f"series {name!r}: run_config.cfg cannot echo" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
     @pytest.mark.parametrize("command", ["simulate", "detect"])
     def test_out_from_the_environment_the_echo_cannot_replay_exits_2(self, tmp_path, capsys,
                                                                      monkeypatch, command):

@@ -1,5 +1,6 @@
 """Sliding-window analysis and change-detector behavior."""
 
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -520,37 +521,6 @@ class TestDeviationScores:
         assert_scores_match_oracle({"rr": v}, flat_config())
 
 
-def in_run_reference(measures, config):
-    """detect as a scan over windows that tracks whether a deviant run is open."""
-    n, b = len(measures), config.baseline_bins
-    if n <= b:
-        return []
-    scores, medians = detect.deviation_scores(measures, config)
-    alerts, in_run = [], False
-    for i in range(b, n):
-        fired = [name for name in scores if scores[name][i] >= config.k_mad]
-        if fired and not in_run:
-            triggered = tuple(
-                detect.TriggeredMeasure(
-                    name=name,
-                    value=float(measures.values[name][i]),
-                    baseline_median=float(medians[name][i]),
-                    deviation_score=float(scores[name][i]),
-                )
-                for name in fired
-            )
-            alerts.append(Alert(
-                bin_index=int(measures.window_end_bins[i]),
-                time_s=measures.time_s(i),
-                triggered=triggered,
-                severity=max(t.deviation_score for t in triggered),
-            ))
-            in_run = True
-        elif not fired:
-            in_run = False
-    return alerts
-
-
 class TestAlertCollapse:
     @given(
         data=st.data(),
@@ -566,7 +536,9 @@ class TestAlertCollapse:
                                  for name in rqa.MEASURE_NAMES})
         cfg = DetectorConfig(baseline_bins=baseline, k_mad=k_mad, floor_scale=floor_scale,
                              measures_enabled=tuple(sorted(enabled)))
-        assert detect.detect(ms, cfg) == in_run_reference(ms, cfg)
+        scores, medians = detect.deviation_scores(ms, cfg)
+        assert [dataclasses.astuple(a) for a in detect.detect(ms, cfg)] == oracle.alerts(
+            ms, scores, medians, cfg.baseline_bins, cfg.k_mad)
 
 
 class TestSerialization:

@@ -1,6 +1,7 @@
 """Simulator behavior: flooding semantics, determinism, scenarios, attacks."""
 
 import dataclasses
+import gc
 import hashlib
 import ipaddress
 import json
@@ -236,6 +237,19 @@ class TestRun:
                 if e.adv_router == topo.router_id("b")]
         assert seqs == [sim.INITIAL_SEQ, sim.INITIAL_SEQ + 1]
 
+    @pytest.mark.parametrize("scenario", list(sim.CANNED_SCENARIOS))
+    def test_a_run_leaves_no_cycles(self, scenario):
+        # Everything a run makes is freed by reference counting once its
+        # result is dropped: garbage in a cycle would keep the rows alive
+        # until the cyclic collector runs, and raise the peak memory.
+        gc.collect()
+        gc.disable()
+        try:
+            sim.run(PAPER16, sim.CANNED_SCENARIOS[scenario](), 100000, seed=1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_deterministic(self):
         topo = sim.load_topology("paper16")
         a = sim.run(topo, sim.scenario_paper_attacks(), 12000, seed=9)
@@ -359,7 +373,7 @@ class TestFloodDelayDraw:
                             stubs={l.node_b: ["eth0"] for l in links}, links=links)
         engine = sim._Engine(topo, seed, 10.0)
         for _ in range(rounds):
-            engine.flood("c", 0, "10.0.0.1", 1, 1, None)
+            engine.flood("c", 0, "10.0.0.1", 1)
         drawn = [entry[0] for entry in sorted(engine.heap, key=lambda entry: entry[2])]
         ref = random.Random(seed)
         assert drawn == [ref.randrange(start, stop) for _ in range(rounds)
