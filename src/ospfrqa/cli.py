@@ -415,7 +415,9 @@ def cmd_detect(args) -> int:
     series = ingest.read_series_csv(args.series)
     out_dir = resolve_out_dir(s.out)
 
-    enabled = tuple(s.measures.split(",")) if s.measures else rqa.MEASURE_NAMES
+    if s.measures == "":
+        raise CliError(f"--measures '': name at least one of {','.join(rqa.MEASURE_NAMES)}")
+    enabled = rqa.MEASURE_NAMES if s.measures is None else tuple(s.measures.split(","))
     cfg = detect_mod.DetectorConfig(
         window_bins=s.window, step_bins=s.step,
         embed=rqa.EmbedParams(tau=s.tau, m=s.m, epsilon=s.epsilon, norm=s.norm),

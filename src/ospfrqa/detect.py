@@ -2,16 +2,20 @@
 
 Each window of the binned count series is z-normalized, embedded and
 quantified on its own.  Quiet OSPF traffic is sparse and periodic, so the
-same window contents recur many times along a series; ``sliding_rqa``
-therefore labels every window with an exact id of its counts, computed
-for the whole series at once by prefix doubling (``rqa._tuple_ids``),
-and quantifies each distinct window only once.  A repeated window takes
-the results of its first occurrence, identical to a recompute because
-the per-window computation depends on nothing else.  The distinct windows,
-in position order, are quantified by one
-:func:`~ospfrqa.rqa.measures_for_series` call, which walks them in blocks
-(see :mod:`ospfrqa.rqa`); the results equal the windows quantified one at a
-time, bit for bit.  The change detector then scans each measure against a
+same window contents, and their reversals, recur many times along a
+series; ``sliding_rqa`` labels every window and its reversal with exact ids
+of their counts, computed at once by prefix doubling (``rqa._tuple_ids``),
+and quantifies each window only once up to reversal, in position order and
+in blocks (see :mod:`ospfrqa.rqa`).  A repeated window takes the results of
+its first occurrence, which depend on nothing else.  A reversed window
+takes them only where the integer shortcut gave them: reversing the counts
+reverses each delay vector and their order, which turns the equality
+matrix by 180 degrees and keeps its line-length histograms, so every
+measure bit.  The float path centers on the first count and sums
+coordinates in order, so its bits can change under reversal: a reversed
+float-path window is quantified itself.  The results equal the windows
+quantified one at a time, bit for bit.
+The change detector then scans each measure against a
 rolling baseline of strictly prior windows: the deviation score is the
 distance from the baseline median in units of the baseline MAD, and a
 window alerts when any enabled measure's score reaches ``k_mad``.
@@ -42,6 +46,7 @@ from .rqa import (
     MEASURE_NAMES,
     EmbedParams,
     SeriesTooShortError,
+    _guarded_blocks,
     _tuple_ids,
     embed,
     measures_for_series,
@@ -145,42 +150,63 @@ def sliding_rqa(series: CountSeries, config: DetectorConfig) -> MeasureSeries:
     conventions and are tallied, as are windows whose threshold exceeds
     10% of the phase-space diameter guidance.
 
-    ``rqa._tuple_ids`` labels each window by its exact counts.  The
-    distinct windows, in order of first occurrence (which is position
-    order), are quantified by one ``measures_for_series`` call.  Every
-    window takes the measures and flags of its distinct window, which equal
-    a recompute bit for bit.
+    ``rqa._tuple_ids`` labels each window and its reversal by their exact
+    counts.  The first window of each class equal up to reversal is
+    quantified, in position order, by one ``measures_for_series`` call, and
+    every window takes its class's row, except a reversal of a float-path
+    window, which a second call quantifies.  All equal a recompute bit for bit.
     """
     counts = np.asarray(series.counts, dtype=float)
-    w = config.window_bins
+    w, step, params = config.window_bins, config.step_bins, config.embed
     if counts.size < w:
         raise SeriesTooShortError(
             f"series has {counts.size} bins; need at least window_bins={w}"
         )
-    ids = _tuple_ids(series.counts, w)[:: config.step_bins]
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # distinct windows by first occurrence
-    params = config.embed
-    starts = first[order] * config.step_bins
+    # The reversal of window s is window N - s - w of the reversed counts.
+    ids = _tuple_ids(np.stack([series.counts, series.counts[::-1]]), w)
+    fwd, rev = ids[0, ::step], ids[1, ::-1][::step]
+    reps, row = _first_rows(np.minimum(fwd, rev))  # each window's class row
+    starts = reps * step
     values, degenerate = measures_for_series(counts, starts, w, params)
-    warned = np.zeros_like(degenerate)
+    mirror = fwd != fwd[reps[row]]  # reversals of their class's first window
+    classes = np.unique(row[mirror])
+    exact = np.zeros(reps.size, dtype=bool)  # classes that took the equality engine
+    for rows, _, _, equality in _guarded_blocks(counts, starts[classes], w, params):
+        exact[classes[rows]] = equality
+    redo = np.flatnonzero(mirror & ~exact[row])
+    if redo.size:
+        again, back = _first_rows(fwd[redo])
+        more, more_degenerate = measures_for_series(counts, redo[again] * step, w, params)
+        row[redo] = reps.size + back
+        values, degenerate = np.r_[values, more], np.r_[degenerate, more_degenerate]
+    warnings = 0
     # Threshold guidance: epsilon should stay within 10% of the phase-space
     # diameter.  The z-scored 1-D range (max-min)/sigma is an exact lower
     # bound on the diameter and is always >= 2 (Popoviciu), so the default
-    # epsilon=0.2 can never trip this; larger thresholds get the exact check.
+    # epsilon=0.2 can never trip this; larger thresholds get the exact check,
+    # for each distinct content, as its rounding may change under reversal.
     eps_limit = params.epsilon * 10.0
     if eps_limit > 2.0:
-        for r in np.flatnonzero(~degenerate):
-            warned[r] = _epsilon_warning(counts[starts[r] : starts[r] + w], params, eps_limit)
-    row = np.argsort(order)[inverse]  # each window's row of the results
+        seen, content = _first_rows(fwd)
+        warned = np.array([not degenerate[row[i]] and _epsilon_warning(
+            counts[i * step : i * step + w], params, eps_limit) for i in seen])
+        warnings = int(warned[content].sum())
     return MeasureSeries(
-        window_end_bins=np.arange(w - 1, counts.size, config.step_bins),
+        window_end_bins=np.arange(w - 1, counts.size, step),
         values=dict(zip(MEASURE_NAMES, values[row].T)),
         bin_size_s=series.bin_size_s,
         start_us=series.start_us,
         degenerate_windows=int(degenerate[row].sum()),
-        epsilon_warnings=int(warned[row].sum()),
+        epsilon_warnings=warnings,
     )
+
+
+def _first_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of each distinct key's first occurrence, ascending, and each
+    element's row among them."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
 
 
 def _epsilon_warning(window: np.ndarray, params: EmbedParams, eps_limit: float) -> bool:
@@ -270,7 +296,7 @@ def deviation_scores(
             base.sort(axis=1)
             # As in np.median: np.mean turns -0.0 to +0.0, and a NaN (sorted last) wins.
             m = np.where(np.isnan(base[:, -1]), np.nan, np.mean(base[:, mid], axis=1))
-            np.abs(base - m[:, None], out=base)
+            np.abs(np.subtract(base, m[:, None], out=base), out=base)
             base.sort(axis=1)
             med[rows], scale[rows] = m, np.maximum(np.mean(base[:, mid], axis=1), floor)
         medians[name][b:] = med[fill]

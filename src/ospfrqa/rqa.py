@@ -563,13 +563,9 @@ def measures_for_series(counts, starts, window_bins: int,
     ids = None  # the delay-vector ids of the series, once a block needs them
     # The recurrence matrix of embed(z, tau, m), built from z directly.
     shifts = range(0, params.m * params.tau, params.tau)
-    for lo in range(0, starts.size, BLOCK_WINDOWS):
-        rows = slice(lo, lo + BLOCK_WINDOWS)
+    for rows, centered, sd, equality in _guarded_blocks(x, starts, w, params):
         block = starts[rows]
-        windows = x[block[:, None] + np.arange(w)]
-        centered, sd = _centered(windows)
         h = np.zeros((3, block.size, n + 1), dtype=np.int64)
-        equality = _equality_rows(windows, sd, params)
         if equality.any():
             ids = _tuple_ids(x, params.m, params.tau) if ids is None else ids
             h[:, equality] = _equality_histograms(ids, block[equality], n, params.theiler)
@@ -636,6 +632,16 @@ def _equality_rows(windows: np.ndarray, sd: np.ndarray, params: EmbedParams) -> 
     span = windows.max(axis=1) - windows.min(axis=1)
     return ((sd > 0.0) & (params.epsilon * sd <= EQUALITY_MARGIN)
             & (span <= EQUALITY_MAX_SPAN) & (windows == np.floor(windows)).all(axis=1))
+
+
+def _guarded_blocks(x: np.ndarray, starts: np.ndarray, w: int, params: EmbedParams):
+    """Each block of ``BLOCK_WINDOWS`` windows at ``starts``: its slice of the starts,
+    the centered windows, their sds and which take the equality engine."""
+    for lo in range(0, starts.size, BLOCK_WINDOWS):
+        rows = slice(lo, lo + BLOCK_WINDOWS)
+        windows = x[starts[rows, None] + np.arange(w)]
+        centered, sd = _centered(windows)
+        yield rows, centered, sd, _equality_rows(windows, sd, params)
 
 
 def _row_histograms(row: np.ndarray, length: np.ndarray, weight: np.ndarray,

@@ -589,6 +589,21 @@ class TestDetect:
         assert "measures listed more than once: ['rr']" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_empty_measure_list_exits_2_naming_it(self, quiet_series, tmp_path, capsys, where):
+        out = tmp_path / "empty"
+        if where == "flag":
+            given = ("--measures", "")
+        else:
+            cfg = tmp_path / "empty.cfg"
+            cfg.write_text("measures =\n")
+            given = ("--config", cfg)
+        assert run_cli("detect", quiet_series, "--out", out, *given) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --measures '': name at least one of rr,det,")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_config_echo_round_trip(self, quiet_series, tmp_path):
         first = tmp_path / "first"
         assert run_cli("detect", quiet_series, "--out", first, "--baseline", "40") == 0

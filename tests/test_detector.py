@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracle
 from ospfrqa import detect, ingest, rqa, sim
 from ospfrqa.detect import Alert, DetectorConfig, MeasureSeries
-from test_rqa import no_equality_rows
+from test_rqa import equality_of, no_equality_rows
 
 
 def count_series(counts, bin_size=10, start_us=0):
@@ -197,6 +197,33 @@ def rows_computed(spy):
     return sum(len(call.args[1]) for call in spy.call_args_list)
 
 
+@st.composite
+def mirrored_series(draw):
+    """``(counts, window)``: counts ``head + x + middle + x[::-1] + tail``, a
+    palindrome where head, middle and tail are empty, of sparse 0/1 or
+    Poisson(50) counts, and a window that fits in the mirrored stretch."""
+    sizes = [draw(st.integers(0, 8)), draw(st.integers(5, 30)), draw(st.integers(0, 8)),
+             draw(st.integers(0, 8))]
+    if draw(st.booleans()):
+        parts = [draw(st.lists(st.sampled_from([0, 0, 0, 0, 1]), min_size=k, max_size=k))
+                 for k in sizes]
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        parts = [rng.poisson(50, k).tolist() for k in sizes]
+    head, x, middle, tail = parts
+    return head + x + middle + x[::-1] + tail, draw(st.integers(10, 2 * sizes[1] + sizes[2]))
+
+
+# Poisson(50) windows that differ from their reversal in the float path's last
+# bits: FLOAT_MIRROR in its measures at epsilon 1.495333199231828 (rows 0 and
+# 34 of it and its reversal), WARNING_MIRROR in its epsilon warning at m = 3
+# and epsilon 0.37639857956063166, 10 * epsilon being its own diameter, just
+# above its reversal's.
+FLOAT_MIRROR = [51, 51, 44, 43, 47, 49, 54, 39, 50, 43, 58, 42, 58, 48, 48, 39, 54, 67, 52, 46,
+                44, 42, 55, 47, 42, 56, 51, 39, 49, 59, 53, 51, 51, 38]
+WARNING_MIRROR = [59, 57, 48, 42, 38, 45, 47, 47, 55, 54, 60]
+
+
 class TestSlidingRqaMemo:
     @given(
         counts=small_counts,
@@ -272,7 +299,8 @@ class TestSlidingRqaMemo:
         block=st.sampled_from([1, 3, rqa.BLOCK_WINDOWS]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_blocks_compute_each_distinct_window_once(self, counts, window, epsilon, block):
+    def test_blocks_compute_each_window_once_up_to_reversal(self, counts, window, epsilon,
+                                                             block):
         cfg = DetectorConfig(window_bins=window, embed=rqa.EmbedParams(epsilon=epsilon))
         with mock.patch.object(rqa, "BLOCK_WINDOWS", block), \
                 mock.patch.object(detect, "measures_for_series",
@@ -281,15 +309,40 @@ class TestSlidingRqaMemo:
                                   wraps=rqa._measures_from_histograms) as passes, \
                 mock.patch.object(rqa, "_tuple_ids", wraps=rqa._tuple_ids) as vector_ids:
             ms = detect.sliding_rqa(count_series(counts), cfg)
-        windows = {np.asarray(counts[i : i + window], dtype=float).tobytes()
-                   for i in range(len(counts) - window + 1)}
-        assert spy.call_count == 1
-        assert rows_computed(spy) == len(windows)
+        # Windows and their reversals, by the first window of each pair: one
+        # computation for the pair where that window takes the equality
+        # engine, else one per distinct content.
+        pairs = {}
+        for i in range(len(counts) - window + 1):
+            x = np.asarray(counts[i : i + window], dtype=float)
+            key = min(x.tobytes(), x[::-1].tobytes())
+            pairs.setdefault(key, (x, set()))[1].add(x.tobytes())
+        computed = sum(1 if equality_of(x, cfg.embed) else len(contents)
+                       for x, contents in pairs.values())
+        # A second call only for the reversals of float-path windows.
+        assert spy.call_count == 1 + (computed > len(pairs))
+        assert rows_computed(spy) == computed
         # One reducer pass per block, of at most block windows each (h is (3, B, n + 1)).
         rows = [call.args[1].shape[1] for call in passes.call_args_list]
-        assert sum(rows) == len(windows) and max(rows) <= block
-        assert vector_ids.call_count <= 1  # the delay-vector ids, once per call
+        assert sum(rows) == computed and max(rows) <= block
+        assert vector_ids.call_count <= spy.call_count  # the delay-vector ids, once per call
         assert_matches_reference(ms, counts, cfg)
+
+    @given(series=mirrored_series(), step=st.integers(1, 3), m=st.integers(1, 3),
+           tau=st.integers(1, 3), theiler=st.integers(0, 2),
+           norm=st.sampled_from(["euclidean", "maximum"]), epsilon=st.sampled_from([0.2, 0.45]))
+    @example(series=(FLOAT_MIRROR + FLOAT_MIRROR[::-1], 34), step=1, m=2, tau=1, theiler=1,
+             norm="euclidean", epsilon=1.495333199231828)
+    @example(series=(WARNING_MIRROR + WARNING_MIRROR[::-1], 11), step=1, m=3, tau=1, theiler=1,
+             norm="euclidean", epsilon=0.37639857956063166)
+    @settings(max_examples=60, deadline=None)
+    def test_mirror_reuse_equals_per_window_recompute(self, series, step, m, tau, theiler,
+                                                       norm, epsilon):
+        counts, window = series
+        cfg = DetectorConfig(window_bins=window, step_bins=step,
+                             embed=rqa.EmbedParams(tau=tau, m=m, epsilon=epsilon, norm=norm,
+                                                   theiler=theiler))
+        assert_matches_reference(detect.sliding_rqa(count_series(counts), cfg), counts, cfg)
 
     def test_epsilon_warnings_counted(self):
         # z-scored range 2 and diameter 2*sqrt(2) < 10 * 0.5: every window warns.
