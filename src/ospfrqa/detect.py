@@ -1,28 +1,15 @@
 """Sliding-window recurrence analysis and baseline-deviation alerting.
 
 Each window of the binned count series is z-normalized, embedded and
-quantified on its own.  Quiet OSPF traffic is sparse and periodic, so the
-same window contents, and their reversals, recur many times along a
-series; ``sliding_rqa`` labels every window and its reversal with exact ids
-of their counts, computed at once by prefix doubling (``rqa._tuple_ids``),
-and quantifies each window only once up to reversal, in position order and
-in blocks (see :mod:`ospfrqa.rqa`).  A repeated window takes the results of
-its first occurrence, which depend on nothing else.  A reversed window
-takes them only where the integer shortcut gave them: reversing the counts
-reverses each delay vector and their order, which turns the equality
-matrix by 180 degrees and keeps its line-length histograms, so every
-measure bit.  The float path centers on the first count and sums
-coordinates in order, so its bits can change under reversal: a reversed
-float-path window is quantified itself.  The results equal the windows
-quantified one at a time, bit for bit.
-The change detector then scans each measure against a
-rolling baseline of strictly prior windows: the deviation score is the
-distance from the baseline median in units of the baseline MAD, and a
-window alerts when any enabled measure's score reaches ``k_mad``.
-Contiguous deviant windows collapse into a single alert stamped at the
-run's first window.  Medians and MADs are exact, from sorted baselines, and
-recomputed only where a baseline's multiset changes; ``write_measures_csv``
-formats each distinct row of measures once per series.
+quantified, once up to time reversal, by one ``rqa.measures_for_series``
+call per series (see :mod:`ospfrqa.rqa`).  The change detector then scans
+each measure against a rolling baseline of strictly prior windows: the
+deviation score is the distance from the baseline median in units of the
+baseline MAD, and a window alerts when any enabled measure's score
+reaches ``k_mad``.  Contiguous deviant windows collapse into a single
+alert stamped at the run's first window.  Medians and MADs are exact, from
+sorted baselines, and recomputed only where a baseline's multiset changes;
+``write_measures_csv`` formats each distinct row of measures once per series.
 
 Quiet OSPF traffic makes the raw MAD useless as a scale: the measure
 series of a refresh-only count series is piecewise constant, so the MAD
@@ -35,6 +22,7 @@ every benign refresh-alignment step into an alert.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +34,6 @@ from .rqa import (
     MEASURE_NAMES,
     EmbedParams,
     SeriesTooShortError,
-    _guarded_blocks,
     _tuple_ids,
     embed,
     measures_for_series,
@@ -94,15 +81,22 @@ class DetectorConfig:
             raise ValueError("window_bins must be >= 10")
         if self.baseline_bins < 10:
             raise ValueError("baseline_bins must be >= 10")
-        if self.k_mad <= 0:
-            raise ValueError("k_mad must be > 0")
         if self.step_bins < 1:
             raise ValueError("step_bins must be >= 1")
-        if self.floor_scale <= 0:
-            raise ValueError("floor_scale must be > 0")
+        for name in ("k_mad", "floor_scale"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be > 0 and finite, not {getattr(self, name)}")
+        if not self.measures_enabled:
+            raise ValueError(f"measures_enabled must name at least one of {MEASURE_NAMES}")
         unknown = set(self.measures_enabled) - set(MEASURE_NAMES)
         if unknown:
             raise ValueError(f"unknown measures: {sorted(unknown)}")
+        unknown = set(self.floors) - set(MEASURE_NAMES)
+        if unknown:
+            raise ValueError(f"floors for unknown measures: {sorted(unknown)}")
+        bad = sorted(name for name, floor in self.floors.items() if not 0 < floor < math.inf)
+        if bad:
+            raise ValueError(f"floors must be > 0 and finite: {bad}")
         repeated = {m for m in self.measures_enabled if self.measures_enabled.count(m) > 1}
         if repeated:
             raise ValueError(f"measures listed more than once: {sorted(repeated)}")
@@ -149,12 +143,6 @@ def sliding_rqa(series: CountSeries, config: DetectorConfig) -> MeasureSeries:
     window_bins - 1.  Degenerate windows use the constant-window
     conventions and are tallied, as are windows whose threshold exceeds
     10% of the phase-space diameter guidance.
-
-    ``rqa._tuple_ids`` labels each window and its reversal by their exact
-    counts.  The first window of each class equal up to reversal is
-    quantified, in position order, by one ``measures_for_series`` call, and
-    every window takes its class's row, except a reversal of a float-path
-    window, which a second call quantifies.  All equal a recompute bit for bit.
     """
     counts = np.asarray(series.counts, dtype=float)
     w, step, params = config.window_bins, config.step_bins, config.embed
@@ -162,51 +150,29 @@ def sliding_rqa(series: CountSeries, config: DetectorConfig) -> MeasureSeries:
         raise SeriesTooShortError(
             f"series has {counts.size} bins; need at least window_bins={w}"
         )
-    # The reversal of window s is window N - s - w of the reversed counts.
-    ids = _tuple_ids(np.stack([series.counts, series.counts[::-1]]), w)
-    fwd, rev = ids[0, ::step], ids[1, ::-1][::step]
-    reps, row = _first_rows(np.minimum(fwd, rev))  # each window's class row
-    starts = reps * step
+    starts = np.arange(0, counts.size - w + 1, step)
     values, degenerate = measures_for_series(counts, starts, w, params)
-    mirror = fwd != fwd[reps[row]]  # reversals of their class's first window
-    classes = np.unique(row[mirror])
-    exact = np.zeros(reps.size, dtype=bool)  # classes that took the equality engine
-    for rows, _, _, equality in _guarded_blocks(counts, starts[classes], w, params):
-        exact[classes[rows]] = equality
-    redo = np.flatnonzero(mirror & ~exact[row])
-    if redo.size:
-        again, back = _first_rows(fwd[redo])
-        more, more_degenerate = measures_for_series(counts, redo[again] * step, w, params)
-        row[redo] = reps.size + back
-        values, degenerate = np.r_[values, more], np.r_[degenerate, more_degenerate]
     warnings = 0
     # Threshold guidance: epsilon should stay within 10% of the phase-space
     # diameter.  The z-scored 1-D range (max-min)/sigma is an exact lower
     # bound on the diameter and is always >= 2 (Popoviciu), so the default
     # epsilon=0.2 can never trip this; larger thresholds get the exact check,
-    # for each distinct content, as its rounding may change under reversal.
+    # once per distinct content.
     eps_limit = params.epsilon * 10.0
     if eps_limit > 2.0:
-        seen, content = _first_rows(fwd)
-        warned = np.array([not degenerate[row[i]] and _epsilon_warning(
+        _, seen, content = np.unique(_tuple_ids(series.counts, w)[::step], return_index=True,
+                                     return_inverse=True)
+        warned = np.array([not degenerate[i] and _epsilon_warning(
             counts[i * step : i * step + w], params, eps_limit) for i in seen])
         warnings = int(warned[content].sum())
     return MeasureSeries(
-        window_end_bins=np.arange(w - 1, counts.size, step),
-        values=dict(zip(MEASURE_NAMES, values[row].T)),
+        window_end_bins=starts + (w - 1),
+        values=dict(zip(MEASURE_NAMES, values.T)),
         bin_size_s=series.bin_size_s,
         start_us=series.start_us,
-        degenerate_windows=int(degenerate[row].sum()),
+        degenerate_windows=int(degenerate.sum()),
         epsilon_warnings=warnings,
     )
-
-
-def _first_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index of each distinct key's first occurrence, ascending, and each
-    element's row among them."""
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[inverse]
 
 
 def _epsilon_warning(window: np.ndarray, params: EmbedParams, eps_limit: float) -> bool:
@@ -233,8 +199,6 @@ def detect(measures: MeasureSeries, config: DetectorConfig) -> list[Alert]:
     never changes the alerts at or before it.
     """
     scores, medians = deviation_scores(measures, config)
-    if not scores:
-        return []
     # Warm-up scores are zero and k_mad > 0, so no warm-up window fires.
     fired = np.stack(list(scores.values())) >= config.k_mad
     deviant = fired.any(axis=0)

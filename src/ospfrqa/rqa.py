@@ -44,17 +44,27 @@ window, and one reducer turns histograms into the nine measures:
   ``epsilon * sigma <= 1 - 1e-9``, R is therefore exactly the equality
   matrix ``R[i, j] = [v_i == v_j]``.  The engine reads the three
   histograms, without building R, from the ids of the delay vectors that
-  :func:`_tuple_ids` gives, as it gives ``sliding_rqa`` its window ids.
-  Its guard also requires ``max - min <= 2**20`` of the window, which
-  keeps the rounding of the float path inside the 1e-9 margin.  Any other
-  window takes the float path, so no convention depends on which ran.
+  :func:`_tuple_ids` gives.  Its guard also requires ``max - min <= 2**20``
+  of the window, which keeps the rounding of the float path inside the
+  1e-9 margin.  Any other window takes the float path, so no convention
+  depends on which ran.
 
-Windows are evaluated in blocks (as PyRQA evaluates them, Rawald, Sips &
-Marwan 2017): :func:`measures_for_series` walks the windows it is given
-``BLOCK_WINDOWS`` at a time, in memory that does not grow with their
-number, and takes the ids of the series' delay vectors once.  Both engines
-write a block's B windows into one (3, B, n + 1) histogram stack.  One
-vectorized pass centers the windows, applies the equality guard
+Quiet OSPF traffic is sparse and periodic, so window contents, and their
+time reversals, recur along a series.  :func:`measures_for_series` labels
+its windows and their reversals with exact ids, from one :func:`_tuple_ids`
+pass over the series and its reversal, and quantifies the first window of
+each class in position order.  A repeated window takes that row, and a
+reversed one takes it where that window took the equality engine:
+reversal reverses each delay vector and their order, which turns the
+equality matrix by 180 degrees and keeps its histograms.  The float path
+centers on the first count and sums coordinates in order, so its bits can
+change under reversal: it quantifies the reversal itself, in the same call.
+
+The windows go ``BLOCK_WINDOWS`` at a time (as PyRQA evaluates them,
+Rawald, Sips & Marwan 2017), in memory that does not grow with their
+number, and the ids of the series' delay vectors are taken once.  Both
+engines write a block's B windows into one (3, B, n + 1) histogram stack.
+One vectorized pass centers the windows, applies the equality guard
 (:func:`_equality_rows`) and histograms the vertical and white runs of the
 windows inside it; their diagonals come from the runs of the series' own
 delay vector matches, each run found once per segment of nearby starts
@@ -133,8 +143,8 @@ class EmbedParams:
     def __post_init__(self):
         if self.tau < 1 or self.m < 1:
             raise ValueError("tau and m must be positive integers")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be > 0 and finite, not {self.epsilon}")
         _check_norm(self.norm)
         if self.theiler < 0:
             raise ValueError("theiler must be >= 0")
@@ -537,9 +547,8 @@ def measures_for_series(counts, starts, window_bins: int,
     Each window gets the bits it gets alone (``counts=window, starts=[0]``);
     a (B, w) block of unrelated windows is ``block.ravel()`` with starts
     ``np.arange(B) * w``.  Degenerate (zero-variance) windows short-circuit
-    to :func:`constant_window_measures` so quiet OSPF stretches never fault;
-    the others go ``BLOCK_WINDOWS`` at a time through one histogram stack
-    and reducer, in memory that does not grow with B (module docstring).
+    to :func:`constant_window_measures` so quiet OSPF stretches never fault.
+    Each window is quantified once up to reversal, in blocks (module docstring).
     """
     x = np.asarray(counts, dtype=float)
     starts = np.asarray(starts)
@@ -557,25 +566,57 @@ def measures_for_series(counts, starts, window_bins: int,
                             and (np.diff(starts) >= 0).all()):
         raise ValueError(f"window starts must be non-decreasing and within "
                          f"0..{x.size - w} for {x.size} counts and {w}-bin windows")
+    if starts.size < 2:  # nothing to share
+        return _quantify(x, starts, w, params)[:2]
+    # The reversal of window s is window x.size - w - s of the reversed row.
+    ids = _tuple_ids(np.stack([x, x[::-1]]), w)
+    fwd = ids[0, starts]
+    reps, row = _first_rows(np.minimum(fwd, ids[1, x.size - w - starts]))
+    out, degenerate, equality, vector_ids = _quantify(x, starts[reps], w, params)
+    # Reversals of their class's first window that took the float path.
+    redo = np.flatnonzero((fwd != fwd[reps[row]]) & ~equality[row])
+    if redo.size:
+        again, back = _first_rows(fwd[redo])
+        more, more_degenerate, _, _ = _quantify(x, starts[redo[again]], w, params, vector_ids)
+        row[redo] = reps.size + back
+        out, degenerate = np.r_[out, more], np.r_[degenerate, more_degenerate]
+    return out[row], degenerate[row]
+
+
+def _first_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of each distinct key's first occurrence, ascending, and each
+    element's row among them."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
+
+
+def _quantify(x: np.ndarray, starts: np.ndarray, w: int, params: EmbedParams, ids=None):
+    """The measures of the windows at ``starts``, their degenerate flags, which
+    took the equality engine, and the series' delay-vector ids (``ids``, taken
+    if not given and needed)."""
     n = params.n_points(w)
     out = np.empty((starts.size, len(MEASURE_NAMES)))
-    degenerate = np.empty(starts.size, dtype=bool)
-    ids = None  # the delay-vector ids of the series, once a block needs them
+    degenerate, equality = np.empty((2, starts.size), dtype=bool)
     # The recurrence matrix of embed(z, tau, m), built from z directly.
     shifts = range(0, params.m * params.tau, params.tau)
-    for rows, centered, sd, equality in _guarded_blocks(x, starts, w, params):
+    for lo in range(0, starts.size, BLOCK_WINDOWS):
+        rows = slice(lo, lo + BLOCK_WINDOWS)
         block = starts[rows]
+        windows = x[block[:, None] + np.arange(w)]
+        centered, sd = _centered(windows)
+        exact = equality[rows] = _equality_rows(windows, sd, params)
         h = np.zeros((3, block.size, n + 1), dtype=np.int64)
-        if equality.any():
+        if exact.any():
             ids = _tuple_ids(x, params.m, params.tau) if ids is None else ids
-            h[:, equality] = _equality_histograms(ids, block[equality], n, params.theiler)
-        for r in np.flatnonzero((sd != 0.0) & ~equality):
+            h[:, exact] = _equality_histograms(ids, block[exact], n, params.theiler)
+        for r in np.flatnonzero((sd != 0.0) & ~exact):
             rm = _recurrence([(centered[r] / sd[r], shifts)], n, params.epsilon, params.norm)
             h[:, r] = _line_histograms(rm, params.theiler)
         out[rows] = _measures_from_histograms(n, h, params.l_min, params.v_min)
         degenerate[rows] = sd == 0.0
     out[degenerate] = astuple(constant_window_measures(n))
-    return out, degenerate
+    return out, degenerate, equality, ids
 
 
 # --- equality-class engine -------------------------------------------------
@@ -632,16 +673,6 @@ def _equality_rows(windows: np.ndarray, sd: np.ndarray, params: EmbedParams) -> 
     span = windows.max(axis=1) - windows.min(axis=1)
     return ((sd > 0.0) & (params.epsilon * sd <= EQUALITY_MARGIN)
             & (span <= EQUALITY_MAX_SPAN) & (windows == np.floor(windows)).all(axis=1))
-
-
-def _guarded_blocks(x: np.ndarray, starts: np.ndarray, w: int, params: EmbedParams):
-    """Each block of ``BLOCK_WINDOWS`` windows at ``starts``: its slice of the starts,
-    the centered windows, their sds and which take the equality engine."""
-    for lo in range(0, starts.size, BLOCK_WINDOWS):
-        rows = slice(lo, lo + BLOCK_WINDOWS)
-        windows = x[starts[rows, None] + np.arange(w)]
-        centered, sd = _centered(windows)
-        yield rows, centered, sd, _equality_rows(windows, sd, params)
 
 
 def _row_histograms(row: np.ndarray, length: np.ndarray, weight: np.ndarray,

@@ -1,6 +1,8 @@
 """Sliding-window analysis and change-detector behavior."""
 
+import contextlib
 import dataclasses
+import math
 import tracemalloc
 from unittest import mock
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 import oracle
 from ospfrqa import detect, ingest, rqa, sim
 from ospfrqa.detect import Alert, DetectorConfig, MeasureSeries
-from test_rqa import equality_of, no_equality_rows
+from test_rqa import FLOAT_MIRROR, equality_of, mirrored_series, no_equality_rows
 
 
 def count_series(counts, bin_size=10, start_us=0):
@@ -79,6 +81,29 @@ def flat_config(**kw):
     )
     defaults.update(kw)
     return DetectorConfig(**defaults)
+
+
+class TestDetectorConfig:
+    def test_no_measures_enabled_is_refused(self):
+        # No enabled measure would leave detect nothing to fire on.
+        with pytest.raises(ValueError, match="measures_enabled must name at least one of"):
+            DetectorConfig(measures_enabled=())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    @pytest.mark.parametrize("name", ["k_mad", "floor_scale"])
+    def test_settings_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be > 0 and finite, not {value}"):
+            DetectorConfig(**{name: value})
+
+    @pytest.mark.parametrize("floors, match", [
+        ({"RR": 0.0045}, r"floors for unknown measures: \['RR'\]"),
+        ({"rr": 0.0, "det": 0.1}, r"floors must be > 0 and finite: \['rr'\]"),
+        ({"rr": -1.0, "tt": math.nan}, r"floors must be > 0 and finite: \['rr', 'tt'\]"),
+        ({"w_entr": math.inf}, r"floors must be > 0 and finite: \['w_entr'\]"),
+    ])
+    def test_floors_must_name_measures_and_be_positive_and_finite(self, floors, match):
+        with pytest.raises(ValueError, match=match):
+            DetectorConfig(floors=floors)
 
 
 class TestSlidingRqa:
@@ -192,35 +217,24 @@ def rank_branch(c):
     return "table" if 0 <= c.min() and c.max() <= c.size else "np.unique"
 
 
-def rows_computed(spy):
-    """Windows quantified through a spy on ``measures_for_series``: its starts."""
-    return sum(len(call.args[1]) for call in spy.call_args_list)
+@contextlib.contextmanager
+def spies():
+    """Spies on ``sliding_rqa``'s calls of ``measures_for_series`` and on
+    ``rqa._measures_from_histograms``, whose calls count the windows quantified."""
+    with mock.patch.object(detect, "measures_for_series", wraps=rqa.measures_for_series) as calls, \
+            mock.patch.object(rqa, "_measures_from_histograms",
+                              wraps=rqa._measures_from_histograms) as passes:
+        yield calls, passes
 
 
-@st.composite
-def mirrored_series(draw):
-    """``(counts, window)``: counts ``head + x + middle + x[::-1] + tail``, a
-    palindrome where head, middle and tail are empty, of sparse 0/1 or
-    Poisson(50) counts, and a window that fits in the mirrored stretch."""
-    sizes = [draw(st.integers(0, 8)), draw(st.integers(5, 30)), draw(st.integers(0, 8)),
-             draw(st.integers(0, 8))]
-    if draw(st.booleans()):
-        parts = [draw(st.lists(st.sampled_from([0, 0, 0, 0, 1]), min_size=k, max_size=k))
-                 for k in sizes]
-    else:
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        parts = [rng.poisson(50, k).tolist() for k in sizes]
-    head, x, middle, tail = parts
-    return head + x + middle + x[::-1] + tail, draw(st.integers(10, 2 * sizes[1] + sizes[2]))
+def rows_computed(passes):
+    """Windows quantified: the rows B of the (3, B, n + 1) histogram stacks."""
+    return sum(call.args[1].shape[1] for call in passes.call_args_list)
 
 
-# Poisson(50) windows that differ from their reversal in the float path's last
-# bits: FLOAT_MIRROR in its measures at epsilon 1.495333199231828 (rows 0 and
-# 34 of it and its reversal), WARNING_MIRROR in its epsilon warning at m = 3
-# and epsilon 0.37639857956063166, 10 * epsilon being its own diameter, just
-# above its reversal's.
-FLOAT_MIRROR = [51, 51, 44, 43, 47, 49, 54, 39, 50, 43, 58, 42, 58, 48, 48, 39, 54, 67, 52, 46,
-                44, 42, 55, 47, 42, 56, 51, 39, 49, 59, 53, 51, 51, 38]
+# A Poisson(50) window that differs from its reversal in the float path's
+# last bits in its epsilon warning at m = 3 and epsilon 0.37639857956063166,
+# 10 * epsilon being its own diameter, just above its reversal's.
 WARNING_MIRROR = [59, 57, 48, 42, 38, 45, 47, 47, 55, 54, 60]
 
 
@@ -280,14 +294,17 @@ class TestSlidingRqaMemo:
 
     @given(counts=small_counts, alphabet=alphabets,
            window=st.integers(min_value=10, max_value=30),
-           step=st.integers(min_value=1, max_value=4))
+           step=st.integers(min_value=1, max_value=4), epsilon=st.sampled_from([0.2, 0.45]))
     @settings(max_examples=40, deadline=None)
-    def test_any_int64_counts_equal_per_window_recompute(self, counts, alphabet, window, step):
+    def test_any_int64_counts_equal_per_window_recompute(self, counts, alphabet, window, step,
+                                                         epsilon):
         # Negative counts and counts at the int64 extremes, as a CountSeries
-        # built through the API holds them; the window ids are taken of the
-        # int64 counts and the measures of their floats.
+        # built through the API holds them; the measures and their window ids
+        # are taken of their floats, the epsilon warnings' window ids (at
+        # epsilon 0.45) of the int64 counts.
         values = np.array(alphabet, dtype=np.int64)[counts]
-        cfg = DetectorConfig(window_bins=window, step_bins=step)
+        cfg = DetectorConfig(window_bins=window, step_bins=step,
+                             embed=rqa.EmbedParams(epsilon=epsilon))
         ms = detect.sliding_rqa(count_series(values), cfg)
         assert_matches_reference(ms, values, cfg)
         event(f"first rank: {rank_branch(values)}")
@@ -302,12 +319,8 @@ class TestSlidingRqaMemo:
     def test_blocks_compute_each_window_once_up_to_reversal(self, counts, window, epsilon,
                                                              block):
         cfg = DetectorConfig(window_bins=window, embed=rqa.EmbedParams(epsilon=epsilon))
-        with mock.patch.object(rqa, "BLOCK_WINDOWS", block), \
-                mock.patch.object(detect, "measures_for_series",
-                                  wraps=rqa.measures_for_series) as spy, \
-                mock.patch.object(rqa, "_measures_from_histograms",
-                                  wraps=rqa._measures_from_histograms) as passes, \
-                mock.patch.object(rqa, "_tuple_ids", wraps=rqa._tuple_ids) as vector_ids:
+        with mock.patch.object(rqa, "BLOCK_WINDOWS", block), spies() as (calls, passes), \
+                mock.patch.object(rqa, "_tuple_ids", wraps=rqa._tuple_ids) as tuple_ids:
             ms = detect.sliding_rqa(count_series(counts), cfg)
         # Windows and their reversals, by the first window of each pair: one
         # computation for the pair where that window takes the equality
@@ -319,13 +332,15 @@ class TestSlidingRqaMemo:
             pairs.setdefault(key, (x, set()))[1].add(x.tobytes())
         computed = sum(1 if equality_of(x, cfg.embed) else len(contents)
                        for x, contents in pairs.values())
-        # A second call only for the reversals of float-path windows.
-        assert spy.call_count == 1 + (computed > len(pairs))
-        assert rows_computed(spy) == computed
-        # One reducer pass per block, of at most block windows each (h is (3, B, n + 1)).
+        # One call, the reversals of float-path windows included, and one
+        # reducer pass per block, of at most block windows each.
+        assert calls.call_count == 1
         rows = [call.args[1].shape[1] for call in passes.call_args_list]
         assert sum(rows) == computed and max(rows) <= block
-        assert vector_ids.call_count <= spy.call_count  # the delay-vector ids, once per call
+        event(f"float-path reversals: {computed > len(pairs)}")
+        # The delay-vector ids (length m, stride tau), at most once.
+        vector = (cfg.embed.m, cfg.embed.tau)
+        assert sum(c.args[1:] == vector for c in tuple_ids.call_args_list) <= 1
         assert_matches_reference(ms, counts, cfg)
 
     @given(series=mirrored_series(), step=st.integers(1, 3), m=st.integers(1, 3),
@@ -342,7 +357,10 @@ class TestSlidingRqaMemo:
         cfg = DetectorConfig(window_bins=window, step_bins=step,
                              embed=rqa.EmbedParams(tau=tau, m=m, epsilon=epsilon, norm=norm,
                                                    theiler=theiler))
-        assert_matches_reference(detect.sliding_rqa(count_series(counts), cfg), counts, cfg)
+        with spies() as (calls, _):
+            ms = detect.sliding_rqa(count_series(counts), cfg)
+        assert calls.call_count == 1
+        assert_matches_reference(ms, counts, cfg)
 
     def test_epsilon_warnings_counted(self):
         # z-scored range 2 and diameter 2*sqrt(2) < 10 * 0.5: every window warns.
@@ -353,11 +371,11 @@ class TestSlidingRqaMemo:
         assert_matches_reference(ms, counts, cfg)
 
     def test_repeated_windows_computed_once(self):
-        with mock.patch.object(detect, "measures_for_series",
-                               wraps=rqa.measures_for_series) as spy:
+        with spies() as (calls, passes):
             ms = detect.sliding_rqa(count_series([0, 0, 1, 2] * 60), DetectorConfig())
         assert len(ms) == 41
-        assert rows_computed(spy) == 4  # the period of the series
+        assert calls.call_count == 1
+        assert rows_computed(passes) == 4  # the period of the series
 
     def test_window_recurring_after_4096_distinct_windows_computed_once(self):
         # More than 4,096 distinct windows, then window 0 again at the end:
@@ -368,10 +386,10 @@ class TestSlidingRqaMemo:
         windows = [counts[i : i + 10].tobytes() for i in range(counts.size - 9)]
         assert len(set(windows)) == len(windows) - 1 > 4096
         cfg = DetectorConfig(window_bins=10)
-        with mock.patch.object(detect, "measures_for_series",
-                               wraps=rqa.measures_for_series) as spy:
+        with spies() as (calls, passes):
             ms = detect.sliding_rqa(count_series(counts), cfg)
-        assert rows_computed(spy) == len(windows) - 1
+        assert calls.call_count == 1
+        assert rows_computed(passes) == len(windows) - 1
         assert_matches_reference(ms, counts, cfg)
 
 
@@ -505,7 +523,8 @@ class TestDeviationScores:
     @given(
         rr=plateaus, det=noise,
         baseline=st.integers(min_value=10, max_value=25),
-        floor=st.sampled_from([0.0, 1e-3, 0.01, 0.5]),
+        # 1e-9 floors sit under the 1e-6 clamp at every floor_scale.
+        floor=st.sampled_from([1e-9, 1e-3, 0.01, 0.5]),
         floor_scale=st.sampled_from([1.0, 0.25, 3.0, 10.0]),
         chunk=st.integers(min_value=1, max_value=50),
     )
@@ -581,7 +600,7 @@ class TestAlertCollapse:
         baseline=st.integers(min_value=10, max_value=40),
         k_mad=st.sampled_from([0.5, 1.0, 3.0, 6.0, 20.0]),
         floor_scale=st.sampled_from([1e-3, 1.0]),
-        enabled=st.sets(st.sampled_from(rqa.MEASURE_NAMES)),
+        enabled=st.sets(st.sampled_from(rqa.MEASURE_NAMES), min_size=1),
     )
     @settings(max_examples=150, deadline=None)
     def test_equals_per_window_scan(self, data, n, baseline, k_mad, floor_scale, enabled):

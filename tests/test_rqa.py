@@ -17,6 +17,12 @@ import oracle
 from ospfrqa import detect, ingest, rqa
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, 0.0, -0.2])
+def test_epsilon_must_be_positive_and_finite(epsilon):
+    with pytest.raises(ValueError, match=f"epsilon must be > 0 and finite, not {epsilon}"):
+        rqa.EmbedParams(epsilon=epsilon)
+
+
 class TestZnormalize:
     def test_simple(self):
         z, flag = rqa.znormalize([1, 2, 3])
@@ -703,6 +709,64 @@ class TestBlocks:
                 rqa.measures_for_series(np.zeros(21), starts, 20, params)
         with pytest.raises(rqa.SeriesTooShortError, match="window of 2 bins"):
             rqa.measures_for_series(np.zeros(6), [0, 2, 4], 2, rqa.EmbedParams(m=3))
+
+
+@st.composite
+def mirrored_series(draw):
+    """``(counts, window)``: counts ``head + x + middle + x[::-1] + tail``, a
+    palindrome where head, middle and tail are empty, of sparse 0/1 or
+    Poisson(50) counts, and a window that fits in the mirrored stretch."""
+    sizes = [draw(st.integers(0, 8)), draw(st.integers(5, 30)), draw(st.integers(0, 8)),
+             draw(st.integers(0, 8))]
+    if draw(st.booleans()):
+        parts = [draw(st.lists(st.sampled_from([0, 0, 0, 0, 1]), min_size=k, max_size=k))
+                 for k in sizes]
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        parts = [rng.poisson(50, k).tolist() for k in sizes]
+    head, x, middle, tail = parts
+    return head + x + middle + x[::-1] + tail, draw(st.integers(10, 2 * sizes[1] + sizes[2]))
+
+
+# Poisson(50) counts whose window and its reversal (rows 0 and 34 of it and
+# its reversal) differ in the float path's last bits at epsilon
+# 1.495333199231828.
+FLOAT_MIRROR = [51, 51, 44, 43, 47, 49, 54, 39, 50, 43, 58, 42, 58, 48, 48, 39, 54, 67, 52, 46,
+                44, 42, 55, 47, 42, 56, 51, 39, 49, 59, 53, 51, 51, 38]
+# Poisson(50) counts whose sd is one ulp above its reversal's: at epsilon
+# 0.13717262536842229 the window takes the float path and its reversal the
+# equality engine.
+GUARD_MIRROR = [56, 51, 48, 40, 60, 50, 45, 49, 52, 55, 56, 63, 58, 47, 45, 60, 40, 52, 57, 45,
+                57, 68, 51, 58, 48, 48, 38, 45, 65, 59, 47, 56, 45, 60]
+
+
+@given(series=mirrored_series(), picks=st.lists(st.integers(0, 2**16), min_size=2, max_size=12),
+       repeat=st.booleans(), m=st.integers(1, 3), tau=st.integers(1, 3),
+       theiler=st.integers(0, 2), norm=NORMS, epsilon=st.sampled_from([0.2, 0.45, 1.0]))
+@example(series=(FLOAT_MIRROR + FLOAT_MIRROR[::-1], 34), picks=[0, 34], repeat=True, m=2, tau=1,
+         theiler=1, norm="euclidean", epsilon=1.495333199231828)
+@example(series=(GUARD_MIRROR + GUARD_MIRROR[::-1], 34), picks=[0, 34], repeat=False, m=2,
+         tau=1, theiler=1, norm="euclidean", epsilon=0.13717262536842229)
+@example(series=(GUARD_MIRROR[::-1] + GUARD_MIRROR, 34), picks=[0, 34], repeat=False, m=2,
+         tau=1, theiler=1, norm="euclidean", epsilon=0.13717262536842229)
+@settings(max_examples=100, deadline=None)
+def test_repeated_and_mirrored_windows_equal_each_window_alone(series, picks, repeat, m, tau,
+                                                               theiler, norm, epsilon):
+    # Windows are shared up to reversal inside one call; every row must still
+    # be the bits of its window quantified alone.
+    counts, w = series
+    assume(w >= (m - 1) * tau + 2)
+    x = np.asarray(counts, dtype=float)
+    starts = np.sort(np.array(picks * (1 + repeat)) % (x.size - w + 1))
+    params = rqa.EmbedParams(tau=tau, m=m, epsilon=epsilon, norm=norm, theiler=theiler)
+    got, degenerate = rqa.measures_for_series(x, starts, w, params)
+    alone = [rqa.measures_for_series(x[s : s + w], [0], w, params) for s in starts]
+    assert got.tobytes() == np.concatenate([values for values, _ in alone]).tobytes()
+    assert degenerate.tolist() == [bool(d) for _, (d,) in alone]
+    windows = [x[s : s + w] for s in starts]
+    contents = {v.tobytes() for v in windows}
+    mirrored = any(v[::-1].tobytes() in contents - {v.tobytes()} for v in windows)
+    event(f"a reversed window: {mirrored}")
 
 
 @given(st.integers(1, 12).flatmap(lambda n: st.lists(
