@@ -378,7 +378,7 @@ def cmd_params(args) -> int:
     z, _ = rqa.znormalize(x)
     traj = rqa.embed(z, tau, m)
     diameter = rqa.phase_space_diameter(traj)
-    eps_ok = s.epsilon <= 0.1 * diameter
+    eps_ok = not diameter < 10 * s.epsilon  # as detect warns
 
     report = {
         "degenerate": False,

@@ -1,8 +1,9 @@
 """Sliding-window recurrence analysis and baseline-deviation alerting.
 
-Each window of the binned count series is z-normalized, embedded and
-quantified, once up to time reversal, by one ``rqa.measures_for_series``
-call per series (see :mod:`ospfrqa.rqa`).  The change detector then scans
+Each window of the binned count series is z-normalized, embedded,
+quantified and checked against the epsilon guidance, once up to time
+reversal, by one ``rqa.measures_for_series`` call per series (see
+:mod:`ospfrqa.rqa`).  The change detector then scans
 each measure against a rolling baseline of strictly prior windows: the
 deviation score is the distance from the baseline median in units of the
 baseline MAD, and a window alerts when any enabled measure's score
@@ -30,16 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .ingest import CSV_CHUNK_ROWS, CountSeries, EventColumns, EventFilter, bin_series
 from .ingest import _ascii_rows, _exact_seconds
-from .rqa import (
-    MEASURE_NAMES,
-    EmbedParams,
-    SeriesTooShortError,
-    _tuple_ids,
-    embed,
-    measures_for_series,
-    phase_space_diameter,
-    znormalize,
-)
+from .rqa import MEASURE_NAMES, EmbedParams, SeriesTooShortError, measures_for_series
 
 # Changed baselines sorted per numpy call: bounds the (rows x
 # baseline_bins) copy that they are gathered and sorted in.
@@ -141,47 +133,22 @@ def sliding_rqa(series: CountSeries, config: DetectorConfig) -> MeasureSeries:
 
     Window w covers bins [w - window_bins + 1, w]; the first index is
     window_bins - 1.  Degenerate windows use the constant-window
-    conventions and are tallied, as are windows whose threshold exceeds
-    10% of the phase-space diameter guidance.
+    conventions and are tallied, as are the windows whose threshold
+    exceeds 10% of their phase-space diameter (``measures_for_series``).
     """
-    counts = np.asarray(series.counts, dtype=float)
-    w, step, params = config.window_bins, config.step_bins, config.embed
-    if counts.size < w:
-        raise SeriesTooShortError(
-            f"series has {counts.size} bins; need at least window_bins={w}"
-        )
-    starts = np.arange(0, counts.size - w + 1, step)
-    values, degenerate = measures_for_series(counts, starts, w, params)
-    warnings = 0
-    # Threshold guidance: epsilon should stay within 10% of the phase-space
-    # diameter.  The z-scored 1-D range (max-min)/sigma is an exact lower
-    # bound on the diameter and is always >= 2 (Popoviciu), so the default
-    # epsilon=0.2 can never trip this; larger thresholds get the exact check,
-    # once per distinct content.
-    eps_limit = params.epsilon * 10.0
-    if eps_limit > 2.0:
-        _, seen, content = np.unique(_tuple_ids(series.counts, w)[::step], return_index=True,
-                                     return_inverse=True)
-        warned = np.array([not degenerate[i] and _epsilon_warning(
-            counts[i * step : i * step + w], params, eps_limit) for i in seen])
-        warnings = int(warned[content].sum())
+    size, w = len(series.counts), config.window_bins
+    if size < w:
+        raise SeriesTooShortError(f"series has {size} bins; need at least window_bins={w}")
+    starts = np.arange(0, size - w + 1, config.step_bins)
+    values, degenerate, warned = measures_for_series(series.counts, starts, w, config.embed)
     return MeasureSeries(
         window_end_bins=starts + (w - 1),
         values=dict(zip(MEASURE_NAMES, values.T)),
         bin_size_s=series.bin_size_s,
         start_us=series.start_us,
         degenerate_windows=int(degenerate.sum()),
-        epsilon_warnings=warnings,
+        epsilon_warnings=int(warned.sum()),
     )
-
-
-def _epsilon_warning(window: np.ndarray, params: EmbedParams, eps_limit: float) -> bool:
-    """Whether a non-degenerate window's diameter is under ``eps_limit``."""
-    sd = window.std()
-    if not (window.max() - window.min()) / sd < eps_limit:
-        return False
-    z, _ = znormalize(window)
-    return phase_space_diameter(embed(z, params.tau, params.m), params.norm) < eps_limit
 
 
 def detect(measures: MeasureSeries, config: DetectorConfig) -> list[Alert]:

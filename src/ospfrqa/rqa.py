@@ -59,12 +59,16 @@ reversal reverses each delay vector and their order, which turns the
 equality matrix by 180 degrees and keeps its histograms.  The float path
 centers on the first count and sums coordinates in order, so its bits can
 change under reversal: it quantifies the reversal itself, in the same call.
+So can a diameter's, and each distinct window gets its own epsilon warning:
+a reversal that shares an equality row is checked where its class's bound
+on the diameter comes within ``REVERSAL_MARGIN`` of the limit.
 
 The windows go ``BLOCK_WINDOWS`` at a time (as PyRQA evaluates them,
 Rawald, Sips & Marwan 2017), in memory that does not grow with their
 number, and the ids of the series' delay vectors are taken once.  Both
 engines write a block's B windows into one (3, B, n + 1) histogram stack.
-One vectorized pass centers the windows, applies the equality guard
+One vectorized pass centers the windows, bounds their diameters
+(:func:`_epsilon_warnings`), applies the equality guard
 (:func:`_equality_rows`) and histograms the vertical and white runs of the
 windows inside it; their diagonals come from the runs of the series' own
 delay vector matches, each run found once per segment of nearby starts
@@ -117,6 +121,14 @@ SEGMENT_GAP = 16
 # many windows share while the temporaries stay small.
 BLOCK_WINDOWS = 64
 
+# A window that takes the equality engine and its reversal have the same
+# bound on their diameter (_epsilon_warnings) in exact arithmetic.  Each
+# rounds it by about 4.7e-10 / sd at most (the guard above), so the two
+# differ by under 1e-9 of a nonzero bound, which is at least one count,
+# 1 / sd.  Where the window's bound clears 10 * epsilon by this margin, so
+# does its reversal's, and the reversal cannot warn.
+REVERSAL_MARGIN = 1e-6
+
 
 class SeriesTooShortError(ValueError):
     """Series cannot be embedded with the requested (tau, m)."""
@@ -143,8 +155,7 @@ class EmbedParams:
     def __post_init__(self):
         if self.tau < 1 or self.m < 1:
             raise ValueError("tau and m must be positive integers")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be > 0 and finite, not {self.epsilon}")
+        _check_thresholds(epsilon=self.epsilon)
         _check_norm(self.norm)
         if self.theiler < 0:
             raise ValueError("theiler must be >= 0")
@@ -204,26 +215,12 @@ def _centered(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def embed(values, tau: int, m: int) -> np.ndarray:
-    """Time-delay embedding into m-dimensional points.
+    """Time-delay embedding of a scalar series x of ``n_s`` samples into m
+    dimensions, with a delay of tau samples.
 
-    Parameters
-    ----------
-    values : 1-D array
-        Scalar series of length ``n_s``.
-    tau : int
-        Delay in samples.
-    m : int
-        Embedding dimension.
-
-    Returns
-    -------
-    ndarray of shape ``(n_s - (m - 1) * tau, m)`` where row ``i`` is
-    ``(x[i], x[i + tau], ..., x[i + (m - 1) * tau])``.
-
-    Raises
-    ------
-    SeriesTooShortError
-        If fewer than two embedded points would remain.
+    Returns the ``(n_s - (m - 1) * tau, m)`` array whose row ``i`` is
+    ``(x[i], x[i + tau], ..., x[i + (m - 1) * tau])``; raises
+    :class:`SeriesTooShortError` if fewer than two points would remain.
     """
     x = np.asarray(values, dtype=float)
     if tau < 1 or m < 1:
@@ -286,8 +283,6 @@ def _pairwise_folds(sources, counts, norm):
         flat, held = None, 1  # the running fold and the slot it is in
         for x, sh in sources:
             live = [(s, c, r) for s, c, r in zip(sh, counts[k:], rows[k:]) if r > 0]
-            if not live:
-                break
             span = max(s + r for s, _, r in live)
             slot = 1 - held
             terms = slots[slot, : span * width]
@@ -349,6 +344,12 @@ def _check_norm(norm: str) -> None:
         raise ValueError(f"unknown norm {norm!r}; use 'euclidean' or 'maximum'")
 
 
+def _check_thresholds(**thresholds: float) -> None:
+    for name, value in thresholds.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be > 0 and finite, not {value}")
+
+
 def recurrence_matrix(traj: np.ndarray, epsilon: float, norm: str = "euclidean") -> np.ndarray:
     """Boolean recurrence matrix of an embedded trajectory.
 
@@ -357,8 +358,7 @@ def recurrence_matrix(traj: np.ndarray, epsilon: float, norm: str = "euclidean")
     The result is symmetric with an all-ones main diagonal.
     """
     pts = _points(traj)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    _check_thresholds(epsilon=epsilon)
     _check_norm(norm)
     return _recurrence([(col, (0,)) for col in pts.T], pts.shape[0], epsilon, norm)
 
@@ -489,23 +489,14 @@ def _measures_from_histograms(n: int, h: np.ndarray, l_min: int, v_min: int) -> 
 
 
 def rqa_measures(rm: np.ndarray, l_min: int = 2, v_min: int = 2, theiler: int = 1) -> RqaMeasures:
-    """Compute the nine recurrence measures of a boolean matrix.
+    """The nine recurrence measures of an (n, n) boolean recurrence matrix.
 
-    Parameters
-    ----------
-    rm : (n, n) boolean array
-        Recurrence matrix.
-    l_min, v_min : int
-        Minimum diagonal / vertical line lengths entering DET, L-MEAN,
-        L-ENTR, TT and V-ENTR.  Both must be >= 2.
-    theiler : int
-        Diagonal exclusion half-width (the LOI is always excluded).
-
-    Notes
-    -----
-    ``det`` is the fraction of counted diagonal-line points lying on lines
-    of length >= l_min; ``t2`` and ``w_entr`` use every interior white run
-    with no minimum length.  Empty denominators yield 0.
+    l_min and v_min, both at least 2, are the minimum diagonal and vertical
+    line lengths that enter DET, L-MEAN, L-ENTR, TT and V-ENTR; theiler is
+    the half-width of the excluded diagonal band (the LOI is always
+    excluded).  ``det`` is the fraction of counted diagonal-line points
+    lying on lines of length >= l_min; ``t2`` and ``w_entr`` use every
+    interior white run with no minimum length.  Empty denominators yield 0.
     """
     rm = np.asarray(rm, dtype=bool)
     if rm.ndim != 2 or rm.shape[0] != rm.shape[1]:
@@ -538,12 +529,16 @@ def constant_window_measures(n_points: int) -> RqaMeasures:
 
 
 def measures_for_series(counts, starts, window_bins: int,
-                        params: EmbedParams) -> tuple[np.ndarray, np.ndarray]:
+                        params: EmbedParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Z-normalize, embed, threshold and quantify windows of one count series.
 
     Window r is ``counts[starts[r] : starts[r] + window_bins]``, and
     ``starts`` must not decrease.  Returns a ``(B, 9)`` array of measures in
-    ``MEASURE_NAMES`` order and a ``(B,)`` bool array of degenerate flags.
+    ``MEASURE_NAMES`` order and two ``(B,)`` bool arrays: degenerate flags
+    and epsilon warnings.  A window warns when it is not degenerate and
+    ``phase_space_diameter(embed(znormalize(window), tau, m), norm) < 10 *
+    epsilon``, against the guidance that epsilon stay within 10% of the
+    phase-space diameter (Marwan et al., Physics Reports 2007).
     Each window gets the bits it gets alone (``counts=window, starts=[0]``);
     a (B, w) block of unrelated windows is ``block.ravel()`` with starts
     ``np.arange(B) * w``.  Degenerate (zero-variance) windows short-circuit
@@ -567,20 +562,26 @@ def measures_for_series(counts, starts, window_bins: int,
         raise ValueError(f"window starts must be non-decreasing and within "
                          f"0..{x.size - w} for {x.size} counts and {w}-bin windows")
     if starts.size < 2:  # nothing to share
-        return _quantify(x, starts, w, params)[:2]
+        return _quantify(x, starts, w, params)[:3]
     # The reversal of window s is window x.size - w - s of the reversed row.
     ids = _tuple_ids(np.stack([x, x[::-1]]), w)
     fwd = ids[0, starts]
     reps, row = _first_rows(np.minimum(fwd, ids[1, x.size - w - starts]))
-    out, degenerate, equality, vector_ids = _quantify(x, starts[reps], w, params)
-    # Reversals of their class's first window that took the float path.
-    redo = np.flatnonzero((fwd != fwd[reps[row]]) & ~equality[row])
-    if redo.size:
-        again, back = _first_rows(fwd[redo])
-        more, more_degenerate, _, _ = _quantify(x, starts[redo[again]], w, params, vector_ids)
-        row[redo] = reps.size + back
-        out, degenerate = np.r_[out, more], np.r_[degenerate, more_degenerate]
-    return out[row], degenerate[row]
+    out, degenerate, warn, equality, bound, vector_ids = _quantify(x, starts[reps], w, params)
+    # Reversals of their class's first window: each distinct one gets its own
+    # measures where its class took the float path, and its own epsilon
+    # warning unless its class's bound settles that it cannot warn.
+    settled = equality & (bound >= 10 * params.epsilon * (1 + REVERSAL_MARGIN))
+    other = np.flatnonzero((fwd != fwd[reps[row]]) & ~settled[row])
+    if other.size:
+        again, back = _first_rows(fwd[other])
+        first = other[again]
+        shared = equality[row[first]]  # these keep their class's measures
+        more = _quantify(x, starts[first], w, params, vector_ids, ~shared)
+        more[0][shared] = out[row[first[shared]]]
+        row[other] = reps.size + back
+        out, degenerate, warn = (np.r_[a, b] for a, b in zip((out, degenerate, warn), more))
+    return out[row], degenerate[row], warn[row]
 
 
 def _first_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -591,20 +592,29 @@ def _first_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], np.argsort(order)[inverse]
 
 
-def _quantify(x: np.ndarray, starts: np.ndarray, w: int, params: EmbedParams, ids=None):
-    """The measures of the windows at ``starts``, their degenerate flags, which
-    took the equality engine, and the series' delay-vector ids (``ids``, taken
-    if not given and needed)."""
+def _quantify(x: np.ndarray, starts: np.ndarray, w: int, params: EmbedParams, ids=None,
+              measured=None):
+    """The measures of the windows at ``starts`` (zeros for those not
+    ``measured``, if given), their degenerate flags, epsilon warnings, which
+    took the equality engine, their bounds on the diameter, and the series'
+    delay-vector ids (``ids``, taken if not given and needed)."""
     n = params.n_points(w)
-    out = np.empty((starts.size, len(MEASURE_NAMES)))
-    degenerate, equality = np.empty((2, starts.size), dtype=bool)
+    out, bound = np.zeros((starts.size, len(MEASURE_NAMES))), np.zeros(starts.size)
+    degenerate, warn, equality = np.zeros((3, starts.size), dtype=bool)
     # The recurrence matrix of embed(z, tau, m), built from z directly.
     shifts = range(0, params.m * params.tau, params.tau)
     for lo in range(0, starts.size, BLOCK_WINDOWS):
-        rows = slice(lo, lo + BLOCK_WINDOWS)
-        block = starts[rows]
-        windows = x[block[:, None] + np.arange(w)]
+        rows = np.arange(lo, min(lo + BLOCK_WINDOWS, starts.size))
+        windows = x[starts[rows, None] + np.arange(w)]
         centered, sd = _centered(windows)
+        degenerate[rows] = sd == 0.0
+        warn[rows], bound[rows] = _epsilon_warnings(centered, sd, params)
+        if measured is not None:
+            keep = measured[rows]
+            rows, windows, centered, sd = rows[keep], windows[keep], centered[keep], sd[keep]
+        if not rows.size:
+            continue
+        block = starts[rows]
         exact = equality[rows] = _equality_rows(windows, sd, params)
         h = np.zeros((3, block.size, n + 1), dtype=np.int64)
         if exact.any():
@@ -614,9 +624,33 @@ def _quantify(x: np.ndarray, starts: np.ndarray, w: int, params: EmbedParams, id
             rm = _recurrence([(centered[r] / sd[r], shifts)], n, params.epsilon, params.norm)
             h[:, r] = _line_histograms(rm, params.theiler)
         out[rows] = _measures_from_histograms(n, h, params.l_min, params.v_min)
-        degenerate[rows] = sd == 0.0
     out[degenerate] = astuple(constant_window_measures(n))
-    return out, degenerate, equality, ids
+    return out, degenerate, warn, equality, bound, ids
+
+
+def _epsilon_warnings(centered: np.ndarray, sd: np.ndarray, params: EmbedParams):
+    """Which rows of a (B, w) block of centered windows, with sds ``sd``,
+    warn (see :func:`measures_for_series`), and a lower bound on each
+    diameter: the larger range of ``z = centered / sd`` over the first and
+    the last coordinate, as two points that far apart in one coordinate are
+    at least that far apart.  Only rows under the limit get the definition.
+    The bound's bits never exceed the diameter's: dividing by sd rounds
+    monotonically, so z's extremes are those of centered divided by sd;
+    ``max - min`` is the diameter's subtraction for that pair; the
+    euclidean bound is squared and rooted as the diameter is; and a sum of
+    nonnegative terms never rounds below one of them."""
+    n = params.n_points(centered.shape[1])
+    limit = 10 * params.epsilon
+    scale = np.where(sd == 0.0, 1.0, sd)
+    bound = np.maximum(*[c.max(axis=1) / scale - c.min(axis=1) / scale
+                         for c in (centered[:, :n], centered[:, -n:])])
+    if params.norm == "euclidean":
+        bound = np.sqrt(bound * bound)
+    warn = np.zeros(sd.size, dtype=bool)
+    for r in np.flatnonzero((sd != 0.0) & ~(bound >= limit)):  # NaN bounds included
+        z = centered[r] / sd[r]  # znormalize(window)
+        warn[r] = phase_space_diameter(embed(z, params.tau, params.m), params.norm) < limit
+    return warn, bound
 
 
 # --- equality-class engine -------------------------------------------------
@@ -834,8 +868,7 @@ def false_nearest_neighbors(
     where the growth ratio would measure nothing but rounding noise.
     """
     x = np.asarray(values, dtype=float)
-    if r_tol <= 0 or a_tol <= 0:
-        raise ValueError("r_tol and a_tol must be > 0")
+    _check_thresholds(r_tol=r_tol, a_tol=a_tol)
     if x.size - m_max * tau < 2:
         raise SeriesTooShortError(
             f"series of length {x.size} too short for FNN with tau={tau}, "

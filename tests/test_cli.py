@@ -417,6 +417,14 @@ class TestParams:
         assert report["m"] == 2
         assert report["epsilon_within_ten_percent_rule"] is True
 
+    def test_ten_percent_rule_is_the_detect_warning(self, quiet_series, capsys):
+        # 0.6 <= 0.1 * 5.999999999999999 holds, but 5.999999999999999 < 10 * 0.6
+        # too: detect warns on that diameter, so params must not say it respects the rule.
+        with mock.patch.object(rqa, "phase_space_diameter", return_value=5.999999999999999):
+            assert run_cli("params", quiet_series, "--json", "--epsilon", "0.6") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["epsilon_within_ten_percent_rule"] is False
+
     def test_noisy_sine_quarter_period(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         t = np.arange(2000)

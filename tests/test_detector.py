@@ -151,20 +151,19 @@ class TestSlidingRqa:
 
 
 def per_window_reference(counts, cfg):
-    """sliding_rqa as one full recompute per window, with no memo."""
+    """sliding_rqa as one full recompute per window, with no memo, and the
+    epsilon warnings by their definition."""
     x = np.asarray(counts, dtype=float)
     w, p = cfg.window_bins, cfg.embed
     rows, degenerate, eps_warn = [], 0, 0
     for end in range(w - 1, x.size, cfg.step_bins):
         window = x[end - w + 1 : end + 1]
-        (values,), (is_degenerate,) = rqa.measures_for_series(window, [0], w, p)
+        (values,), (is_degenerate,), _ = rqa.measures_for_series(window, [0], w, p)
         rows.append(values)
         degenerate += is_degenerate
-        if not is_degenerate and p.epsilon * 10.0 > 2.0:
-            if (window.max() - window.min()) / window.std() < p.epsilon * 10.0:
-                z, _ = rqa.znormalize(window)
-                diameter = rqa.phase_space_diameter(rqa.embed(z, p.tau, p.m), p.norm)
-                eps_warn += diameter < p.epsilon * 10.0
+        z, _ = rqa.znormalize(window)
+        diameter = rqa.phase_space_diameter(rqa.embed(z, p.tau, p.m), p.norm)
+        eps_warn += not is_degenerate and diameter < 10 * p.epsilon
     return np.array(rows), degenerate, eps_warn
 
 
@@ -236,6 +235,13 @@ def rows_computed(passes):
 # last bits in its epsilon warning at m = 3 and epsilon 0.37639857956063166,
 # 10 * epsilon being its own diameter, just above its reversal's.
 WARNING_MIRROR = [59, 57, 48, 42, 38, 45, 47, 47, 55, 54, 60]
+# The z-scored range (max - min) / sd of this window is 4.690, but its
+# diameter at m 2, tau 1 is 3.317 (euclidean) or 2.345 (maximum): it warns
+# at epsilon 0.4 under both norms.
+RANGE_ABOVE_DIAMETER = [0] + [5] * 9 + [10]
+# Two delay vectors at m 3, tau 4, and they are equal: diameter 0, so the
+# window warns at the default epsilon.
+TWO_EQUAL_POINTS = [2, 2, 1, 2, 0, 0, 2, 1, 0, 0]
 
 
 class TestSlidingRqaMemo:
@@ -249,6 +255,12 @@ class TestSlidingRqaMemo:
         m=st.integers(min_value=1, max_value=4),
         theiler=st.integers(min_value=0, max_value=3),
     )
+    @example(counts=RANGE_ABOVE_DIAMETER, window=11, step=1, epsilon=0.4, norm="euclidean",
+             tau=1, m=2, theiler=1)
+    @example(counts=RANGE_ABOVE_DIAMETER, window=11, step=1, epsilon=0.4, norm="maximum",
+             tau=1, m=2, theiler=1)
+    @example(counts=TWO_EQUAL_POINTS, window=10, step=1, epsilon=0.2, norm="euclidean",
+             tau=4, m=3, theiler=1)
     @settings(max_examples=60, deadline=None)
     def test_memo_equals_per_window_recompute(self, counts, window, step, epsilon, norm,
                                               tau, m, theiler):

@@ -143,6 +143,60 @@ def test_every_module_constant_is_read():
     assert unread_constants(package) == []
 
 
+# Private names that a package module takes from a sibling, and why.
+PRIVATE_ACROSS_MODULES = {
+    ("detect", "ingest._ascii_rows"): "measures.csv renders bin times as the series CSV does",
+    ("detect", "ingest._exact_seconds"): "measures.csv renders bin times as the series CSV does",
+    ("cli", "ingest._utf8"): "config files name their first byte that is not UTF-8 as logs do",
+    ("cli", "ingest._read_text"): "scenario files are read as UTF-8 text as logs are",
+    ("cli", "sim._SHIPPED_TOPOLOGIES"): "--topology help lists the names that sim resolves",
+    ("sim", "ingest._read_text"): "topology files are read as UTF-8 text as logs are",
+}
+
+
+def private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_names_across_modules(package: Path) -> set[tuple[str, str]]:
+    """``(module, "sibling._name")`` for each private name that a package
+    module imports from a sibling (``from .sibling import _name``) or reads
+    on a sibling module it imported (``sibling._name``)."""
+    modules = {path.stem for path in package.glob("*.py")}
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {}  # local name -> the sibling module it stands for
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = node.module or ""
+            if not node.level:  # an absolute import counts only from the package
+                if source.split(".")[0] != "ospfrqa":
+                    continue
+                source = source.removeprefix("ospfrqa").lstrip(".")
+            if source == "":  # from . import sibling
+                bound.update({a.asname or a.name: a.name for a in node.names
+                              if a.name in modules})
+            elif source in modules:
+                found.update((path.stem, f"{source}.{a.name}") for a in node.names
+                             if private(a.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in bound and private(node.attr)):
+                found.add((path.stem, f"{bound[node.value.id]}.{node.attr}"))
+    return found
+
+
+def test_private_names_used_across_modules_are_listed():
+    # A private name is free to change with its module; one that a sibling
+    # relies on is part of an interface, and must say why it is not public.
+    package = Path(ospfrqa.__file__).resolve().parent
+    used = private_names_across_modules(package)
+    assert sorted(used - set(PRIVATE_ACROSS_MODULES)) == []
+    assert sorted(set(PRIVATE_ACROSS_MODULES) - used) == []  # no stale entries
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPAN_TABLES = ("incl", "self_t", "calls")  # layertrace's totals, keyed by traced function
 

@@ -97,6 +97,12 @@ class TestRecurrenceMatrix:
         assert rqa.recurrence_matrix(traj, 1.0, norm="maximum")[0, 1]
         assert not rqa.recurrence_matrix(traj, 1.0, norm="euclidean")[0, 1]
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -0.5])
+    def test_epsilon_must_be_positive_and_finite(self, epsilon):
+        # A NaN threshold would compare False everywhere, the diagonal included.
+        with pytest.raises(ValueError, match=f"epsilon must be > 0 and finite, not {epsilon}"):
+            rqa.recurrence_matrix([[0.0], [1.0], [2.0]], epsilon)
+
 
 def histogram_maps(rm, theiler):
     """``rqa._line_histograms`` of rm as (diagonal, vertical, white vertical)
@@ -209,7 +215,7 @@ def block_measures(block, params):
 def window_measures(x, params):
     """``measures_for_series`` of one window as a block of one: its row of
     measures and whether it is degenerate."""
-    (values,), (degenerate,) = block_measures(np.asarray(x, dtype=float)[None], params)
+    (values,), (degenerate,), _ = block_measures(np.asarray(x, dtype=float)[None], params)
     return values, bool(degenerate)
 
 
@@ -251,8 +257,10 @@ class TestPhaseSpaceDiameter:
         assert rqa.phase_space_diameter(np.zeros((5, 2))) == 0.0
 
     def test_znormalized_series_respects_ten_percent_rule(self):
-        # On a z-normalized series with spread >= 2 sigma the default
-        # threshold 0.2 stays within 10% of the diameter.
+        # 400 z-normalized normal samples spread far past 2 in each delay
+        # coordinate, so the default threshold 0.2 stays within 10% of the
+        # diameter.  A few embedded points need not (TWO_EQUAL_POINTS in
+        # test_detector.py).
         rng = np.random.default_rng(3)
         z, _ = rqa.znormalize(rng.normal(size=400))
         traj = rqa.embed(z, tau=1, m=2)
@@ -658,18 +666,18 @@ class TestBlocks:
         want = np.array([values for values, _ in alone])
         want_degenerate = np.array([degenerate for _, degenerate in alone])
         with mock.patch.object(rqa, "_equality_rows", side_effect=no_equality_rows):
-            forced, forced_degenerate = block_measures(block, params)
+            forced, forced_degenerate, _ = block_measures(block, params)
         assert forced.tobytes() == want.tobytes()
         assert np.array_equal(forced_degenerate, want_degenerate)
         for size in (3, rqa.BLOCK_WINDOWS):
             parts = [block_measures(block[i : i + size], params)
                      for i in range(0, len(block), size)]
-            got = np.concatenate([values for values, _ in parts])
+            got = np.concatenate([values for values, _, _ in parts])
             assert got.tobytes() == want.tobytes(), size
-            assert np.array_equal(np.concatenate([d for _, d in parts]), want_degenerate), size
+            assert np.array_equal(np.concatenate([d for _, d, _ in parts]), want_degenerate), size
             # And one call that walks the whole block size rows at a time.
             with mock.patch.object(rqa, "BLOCK_WINDOWS", size):
-                walked, walked_degenerate = block_measures(block, params)
+                walked, walked_degenerate, _ = block_measures(block, params)
             assert walked.tobytes() == want.tobytes(), size
             assert np.array_equal(walked_degenerate, want_degenerate), size
         rows = rqa._equality_rows(block, rqa._centered(block)[1], params)
@@ -680,7 +688,7 @@ class TestBlocks:
     def test_measures_are_finite(self, case):
         # Baseline scoring sorts the measures, and a sort puts NaN last
         # where np.median returns it: an empty ratio must give 0, not NaN.
-        values, _ = block_measures(*case)
+        values, _, _ = block_measures(*case)
         assert np.isfinite(values).all()
 
     def test_any_number_of_windows_takes_bounded_memory(self):
@@ -689,7 +697,8 @@ class TestBlocks:
         counts = np.random.default_rng(0).integers(0, 6, 2199)
         tracemalloc.start()
         try:
-            values, _ = rqa.measures_for_series(counts, np.arange(2000), 200, rqa.EmbedParams())
+            values, _, _ = rqa.measures_for_series(counts, np.arange(2000), 200,
+                                                   rqa.EmbedParams())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -698,8 +707,9 @@ class TestBlocks:
 
     def test_block_shapes(self):
         params = rqa.EmbedParams()
-        values, degenerate = block_measures(np.zeros((0, 20)), params)
-        assert values.shape == (0, len(rqa.MEASURE_NAMES)) and degenerate.shape == (0,)
+        values, degenerate, warned = block_measures(np.zeros((0, 20)), params)
+        assert values.shape == (0, len(rqa.MEASURE_NAMES))
+        assert degenerate.shape == warned.shape == (0,)
         for counts, starts in ((np.zeros((2, 20)), [0]), (np.zeros(20), [[0]]),
                                (np.zeros(21), [0.5])):
             with pytest.raises(ValueError, match="1-D series of counts and 1-D integer starts"):
@@ -759,14 +769,69 @@ def test_repeated_and_mirrored_windows_equal_each_window_alone(series, picks, re
     x = np.asarray(counts, dtype=float)
     starts = np.sort(np.array(picks * (1 + repeat)) % (x.size - w + 1))
     params = rqa.EmbedParams(tau=tau, m=m, epsilon=epsilon, norm=norm, theiler=theiler)
-    got, degenerate = rqa.measures_for_series(x, starts, w, params)
+    got, degenerate, warned = rqa.measures_for_series(x, starts, w, params)
     alone = [rqa.measures_for_series(x[s : s + w], [0], w, params) for s in starts]
-    assert got.tobytes() == np.concatenate([values for values, _ in alone]).tobytes()
-    assert degenerate.tolist() == [bool(d) for _, (d,) in alone]
+    assert got.tobytes() == np.concatenate([values for values, _, _ in alone]).tobytes()
+    assert degenerate.tolist() == [bool(d) for _, (d,), _ in alone]
+    assert warned.tolist() == [bool(v) for _, _, (v,) in alone]
     windows = [x[s : s + w] for s in starts]
     contents = {v.tobytes() for v in windows}
     mirrored = any(v[::-1].tobytes() in contents - {v.tobytes()} for v in windows)
     event(f"a reversed window: {mirrored}")
+
+
+def warns_by_definition(window, params):
+    """The epsilon warning of one window, by its definition."""
+    z, degenerate = rqa.znormalize(window)
+    diameter = rqa.phase_space_diameter(rqa.embed(z, params.tau, params.m), params.norm)
+    return not degenerate and diameter < 10 * params.epsilon
+
+
+# Values for the 0..3 of a small-alphabet series: integer counts, float
+# counts, and counts spread past the 2**20 span of the equality guard.
+WARNING_ALPHABETS = [[0, 1, 2, 3], [0.0, 0.5, 1.25, 3.1], [0, 1, 2**21, 2**22 + 3],
+                     [2**40, 2**40 + 7, 2**40 + 2**21, 2**40 + 5]]
+
+
+@st.composite
+def warning_series(draw):
+    """``(counts, window)``: a mirrored series (see :func:`mirrored_series`), or
+    a small-alphabet one, whose windows repeat and whose diameters fall
+    near 10 epsilon, over one of ``WARNING_ALPHABETS`` or four drawn floats."""
+    if draw(st.booleans()):
+        return draw(mirrored_series())
+    alphabet = draw(st.one_of(st.sampled_from(WARNING_ALPHABETS), st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False), min_size=4, max_size=4)))
+    counts = draw(st.lists(st.integers(0, 3), min_size=10, max_size=60))
+    return np.asarray(alphabet, dtype=float)[counts].tolist(), draw(st.integers(2, 30))
+
+
+@given(series=warning_series(), m=st.integers(1, 4), tau=st.integers(1, 4), norm=NORMS,
+       epsilon=st.floats(0.2, 1.5), at=st.none() | st.tuples(st.integers(0, 2**16),
+                                                               st.integers(-2, 2)))
+@example(series=([0] + [5] * 9 + [10], 11), m=2, tau=1, norm="euclidean", epsilon=0.4, at=None)
+@example(series=([0] + [5] * 9 + [10], 11), m=2, tau=1, norm="maximum", epsilon=0.4, at=None)
+@example(series=([2, 2, 1, 2, 0, 0, 2, 1, 0, 0], 10), m=3, tau=4, norm="euclidean",
+         epsilon=0.2, at=None)
+@settings(max_examples=150, deadline=None)
+def test_epsilon_warnings_equal_the_definition(series, m, tau, norm, epsilon, at):
+    # ``at`` puts 10 epsilon within two ulps of one window's diameter, where
+    # the diameter's last bits decide, and those can change under reversal.
+    counts, w = series
+    x = np.asarray(counts, dtype=float)
+    assume(w <= x.size and w >= (m - 1) * tau + 2)
+    windows = [x[s : s + w] for s in range(x.size - w + 1)]
+    if at is not None:
+        z, _ = rqa.znormalize(windows[at[0] % len(windows)])
+        limit = rqa.phase_space_diameter(rqa.embed(z, tau, m), norm)
+        assume(limit > 0)
+        for _ in range(abs(at[1])):
+            limit = math.nextafter(limit, math.copysign(math.inf, at[1]))
+        epsilon = limit / 10
+    params = rqa.EmbedParams(tau=tau, m=m, epsilon=epsilon, norm=norm)
+    _, _, warned = rqa.measures_for_series(x, np.arange(len(windows)), w, params)
+    assert warned.tolist() == [warns_by_definition(v, params) for v in windows]
+    event(f"warnings: {'all' if warned.all() else 'some' if warned.any() else 'none'}")
 
 
 @given(st.integers(1, 12).flatmap(lambda n: st.lists(
@@ -898,6 +963,14 @@ class TestFnn:
     def test_constant_series_zero(self):
         fnn = rqa.false_nearest_neighbors(np.full(200, 2.0), tau=1, m_max=5)
         assert np.all(fnn == 0.0)
+
+    @pytest.mark.parametrize("name", ["r_tol", "a_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_tolerances_must_be_positive_and_finite(self, name, value):
+        # A NaN tolerance would compare False for every pair and drop its criterion.
+        x = np.random.default_rng(5).normal(size=50)
+        with pytest.raises(ValueError, match=f"{name} must be > 0 and finite, not {value}"):
+            rqa.false_nearest_neighbors(x, tau=1, m_max=3, **{name: value})
 
 
 class TestEstimateDimension:
